@@ -65,7 +65,7 @@ from spinboson.momentum import (
     m_pairing,
     source_pairing,
 )
-from spinboson.state import StateConfig
+from spinboson.state import DirectionRejected, StateConfig
 
 
 class ConfigError(Exception):
@@ -574,7 +574,7 @@ def main(argv=None):
             args.out, f"{args.subcommand.replace('-', '_')}_summary.txt")
         all_pass = write_summary(summary, seed, config_hash, ess, checks)
         return 0 if all_pass else 1
-    except ConfigError as exc:
+    except (ConfigError, DirectionRejected, DivergentIntegralError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except QuadratureError as exc:

@@ -222,7 +222,11 @@ class TiltedEnsemble:
 
     def cell_integrals(self, edges, slab=20000):
         """Per-loop integrals of the path over each grid cell (exact for
-        piecewise-constant paths)."""
+        piecewise-constant paths).
+
+        Reference path: an (n, n_cells) matrix, kept as the oracle for the
+        projected kernel route of variance_two_routes.
+        """
         n_cells = len(edges) - 1
         out = np.empty((self.n, n_cells))
         for idx, bounds, _ in self._groups():
@@ -239,11 +243,23 @@ class TiltedEnsemble:
                 out[idx[lo:hi]] = np.diff(cum, axis=1)
         return out
 
+    def _variance(self, values, mean):
+        """Tilted variance of a real per-loop array about its tilted mean,
+        in the quotient form of expectation:
+
+            Var~ = sum_i w_i (v_i - mean)^2 / sum_i w_i.
+        """
+        return float(np.sum(self.weights * (values - mean) ** 2)) / self.sum_w
+
     def variance_two_routes(self, f, n_cells=64):
-        """Var~(Z) directly and through the covariance-kernel double sum."""
+        """Var~(Z) directly and through the cell-averaged covariance kernel.
+
+        The kernel route projects every loop onto the cell-constant kernel
+        (see _kernel_variance), so both routes take O(N) memory.
+        """
         z = self.z_values(f).real
         mean, _ = self.expectation(z)
-        var_direct = float(np.sum(self.norm_weights * (z - mean.real) ** 2))
+        var_direct = self._variance(z, mean)
 
         coarse = self._kernel_variance(f, n_cells)
         fine = self._kernel_variance(f, 2 * n_cells)
@@ -252,23 +268,33 @@ class TiltedEnsemble:
         return VarianceReport(var_direct, coarse, fine, flagged, n_cells)
 
     def _kernel_variance(self, f, n_cells):
+        """1/4 kcell^T Cov~ kcell, with kcell the cell average of K_f on a
+        uniform grid of n_cells cells and Cov~ the tilted covariance of the
+        per-loop cell integrals.
+
+        That quadratic form is the tilted variance of the projection
+        y_i = int X_i kbar dt, kbar the cell-constant kernel.  Since
+        kcell_c h = g[c+1] - g[c], the antiderivative of kbar is the linear
+        interpolant of g on the edges, and y is a boundary sum like Z:
+        O(total boundaries) work and O(N) memory, no N x n_cells matrix.
+        """
         beta = self.params.beta
         entry = self.kernels.register(f)
         edges = np.linspace(-0.5 * beta, 0.5 * beta, n_cells + 1)
-        # cell average of K(|u|), from the antiderivative
+        # antiderivative of K(|u|) at the edges; its cell differences are
+        # h times the cell averages of K
         g = np.sign(edges) * entry.A(np.abs(edges)).real
-        kcell = np.diff(g) / (beta / n_cells)
-        cells = self.cell_integrals(edges)
-        w = self.norm_weights
-        m1 = cells.T @ w
-        m2 = (cells * w[:, None]).T @ cells
-        return 0.25 * float(kcell @ m2 @ kcell - (kcell @ m1) ** 2)
+        y = np.empty(self.n)
+        for idx, bounds, dvec in self._groups():
+            y[idx] = -np.einsum("np,np->n", dvec, np.interp(bounds, edges, g))
+        mean, _ = self.expectation(y)
+        return 0.25 * self._variance(y, mean)
 
     def deviation_bound_check(self, f, s_grid):
         """|S(sf) - exp(-i s E~[Z])| <= s^2/2 Var~(Z) + 5 SE, per s."""
         z = self.z_values(f).real
         mean, _ = self.expectation(z)
-        var = float(np.sum(self.norm_weights * (z - mean.real) ** 2))
+        var = self._variance(z, mean)
         rows = []
         ok = True
         for s in s_grid:
@@ -285,7 +311,7 @@ class TiltedEnsemble:
         variance vanishes at tolerance."""
         z = self.z_values(f).real
         mean, se = self.expectation(z)
-        var = float(np.sum(self.norm_weights * (z - mean.real) ** 2))
+        var = self._variance(z, mean)
         verdict = var <= tol * (mean.real ** 2 + 1.0)
         evidence = {
             "var_direct": var,

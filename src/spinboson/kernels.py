@@ -247,15 +247,16 @@ class ThermalKernelTable:
         self.tol = float(tol)
         self._entries = {}
         self._const = None
+        # the cache is keyed on the requested grid; n_grid becomes the
+        # refined one once the table is tabulated or loaded
+        self.n_grid_requested = self.n_grid = n_grid
         if src.is_zero:
             self._zero = True
-            self.n_grid = n_grid
             self.grid = np.linspace(0.0, self.beta, 2)
             return
         self._zero = False
         self._check_self_convergence()
         self._build_rule()
-        self.n_grid = n_grid
         if cache_path is not None and self.load_cache(cache_path):
             return
         self._tabulate(n_grid)
@@ -277,7 +278,7 @@ class ThermalKernelTable:
         obj._entries = {}
         obj._zero = False
         obj._const = float(c0)
-        obj.n_grid = 0
+        obj.n_grid_requested = obj.n_grid = 0
         obj.grid = np.linspace(0.0, beta, 2)
         return obj
 
@@ -505,9 +506,14 @@ class ThermalKernelTable:
     # -- identity / caching --------------------------------------------------
 
     def content_hash(self):
-        """Hash identifying (beta, source, grid) for handle consistency."""
+        """Hash of the table's inputs (beta, source, requested grid, tol).
+
+        The refined grid is an output of those inputs and is stored in the
+        cache file, so a refined table still hits its cache.
+        """
         h = hashlib.sha256()
-        h.update(struct.pack("<dqd", self.beta, self.n_grid, self.tol))
+        h.update(struct.pack("<dqd", self.beta, self.n_grid_requested,
+                             self.tol))
         h.update(repr(self.src).encode())
         return h.hexdigest()
 
@@ -524,8 +530,9 @@ class ThermalKernelTable:
             fh.write(self._apsi_vals.astype("<f8").tobytes())
 
     def load_cache(self, path):
-        """Load a Psi table written by save_cache; returns False on any
-        mismatch (wrong magic, version, or content hash)."""
+        """Load a Psi table written by save_cache, on its stored refined
+        grid; returns False on any mismatch (wrong magic, version, content
+        hash, or a truncated file)."""
         try:
             with open(path, "rb") as fh:
                 if fh.read(4) != _CACHE_MAGIC:
@@ -536,14 +543,18 @@ class ThermalKernelTable:
                 if fh.read(32) != bytes.fromhex(self.content_hash()):
                     return False
                 n, beta = struct.unpack("<qd", fh.read(16))
-                if n != self.n_grid or beta != self.beta:
+                if beta != self.beta:
                     return False
                 m = n + 1
-                psi = np.frombuffer(fh.read(8 * m), dtype="<f8")
-                apsi = np.frombuffer(fh.read(8 * m), dtype="<f8")
-        except OSError:
+                body = fh.read(16 * m)
+        except (OSError, struct.error):
             return False
-        grid = np.linspace(0.0, self.beta, self.n_grid + 1)
+        if len(body) != 16 * m:
+            return False
+        psi = np.frombuffer(body[:8 * m], dtype="<f8")
+        apsi = np.frombuffer(body[8 * m:], dtype="<f8")
+        self.n_grid = n
+        grid = np.linspace(0.0, self.beta, n + 1)
         self.grid = grid
         self._psi_vals = psi.copy()
         self._apsi_vals = apsi.copy()

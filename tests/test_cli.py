@@ -100,6 +100,21 @@ def test_unknown_profile_is_config_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("spec", ["flat:amplitude=1",
+                                  "bump:exponent=-0.9,cutoff=1"])
+def test_inadmissible_test_function_is_config_error(spec, tmp_path, capsys):
+    # a rejected direction and a divergent zero mode are config errors,
+    # reported on one line rather than as a traceback
+    p = tmp_path / "bad.ini"
+    p.write_text(BASE_CONFIG.replace("f = gaussian:width=1,amplitude=1",
+                                     f"f = {spec}"))
+    code = _run("charfun", str(p), str(tmp_path / "out"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1
+
+
 def test_missing_config_file(tmp_path, capsys):
     code = _run("charfun", str(tmp_path / "nope.ini"), str(tmp_path / "out"))
     assert code == 2

@@ -133,6 +133,34 @@ def test_variance_routes_zero_source(free_ensemble, f_gauss):
     assert rep.var_kernel == pytest.approx(0.0, abs=1e-12)
 
 
+def _dense_kernel_variance(ens, f, n_cells):
+    # 1/4 (kcell^T M2 kcell - (kcell^T m1)^2) from the explicit per-loop
+    # cell-integral matrix and its weighted first and second moments
+    beta = ens.params.beta
+    entry = ens.kernels.register(f)
+    edges = np.linspace(-0.5 * beta, 0.5 * beta, n_cells + 1)
+    g = np.sign(edges) * entry.A(np.abs(edges)).real
+    kcell = np.diff(g) / (beta / n_cells)
+    cells = ens.cell_integrals(edges)
+    w = ens.norm_weights
+    m1 = cells.T @ w
+    m2 = (cells * w[:, None]).T @ cells
+    return 0.25 * float(kcell @ m2 @ kcell - (kcell @ m1) ** 2)
+
+
+@pytest.mark.parametrize("n_cells", [64, 128])
+def test_kernel_variance_matches_cell_matrix_oracle(ensemble, f_gauss,
+                                                    n_cells):
+    got = ensemble._kernel_variance(f_gauss, n_cells)
+    want = _dense_kernel_variance(ensemble, f_gauss, n_cells)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_kernel_variance_zero_source_is_exactly_zero(free_ensemble, f_gauss):
+    assert free_ensemble._kernel_variance(f_gauss, 64) == 0.0
+    assert free_ensemble._kernel_variance(f_gauss, 128) == 0.0
+
+
 def test_variance_routes_frozen_coupling(eps0_ensemble, kernel_table,
                                          f_gauss):
     m = kernel_table.m_value(f_gauss).real

@@ -219,6 +219,27 @@ def test_cache_round_trip(gauss_src, tmp_path):
     assert np.array_equal(tab1.Psi(u), tab2.Psi(u))
 
 
+def test_cache_hits_after_grid_refinement(gauss_src, tmp_path,
+                                          monkeypatch):
+    # a 16-cell request refines; the cache is keyed on the request and
+    # stores the refined grid, so the second build must not tabulate
+    path = tmp_path / "kern.bin"
+    tab1 = ThermalKernelTable(gauss_src, BETA, n_grid=16,
+                              cache_path=str(path))
+    assert tab1.n_grid > 16
+
+    def no_tabulate(self, n_grid):
+        raise AssertionError("table rebuilt despite a cache file")
+
+    monkeypatch.setattr(ThermalKernelTable, "_tabulate", no_tabulate)
+    tab2 = ThermalKernelTable(gauss_src, BETA, n_grid=16,
+                              cache_path=str(path))
+    assert tab2.n_grid == tab1.n_grid
+    assert np.array_equal(tab2.grid, tab1.grid)
+    u = np.linspace(0.0, BETA, 41)
+    assert np.array_equal(tab1.Psi(u), tab2.Psi(u))
+
+
 def test_cache_rejects_mismatch(gauss_src, tmp_path):
     path = tmp_path / "kern.bin"
     tab = ThermalKernelTable(gauss_src, BETA, n_grid=256, tol=1e-8)
@@ -228,6 +249,17 @@ def test_cache_rejects_mismatch(gauss_src, tmp_path):
     path.write_bytes(b"garbage")
     assert not tab.load_cache(str(path))
     assert not tab.load_cache(str(tmp_path / "missing.bin"))
+
+
+def test_cache_rejects_truncated_file(gauss_src, tmp_path):
+    path = tmp_path / "kern.bin"
+    tab = ThermalKernelTable(gauss_src, BETA, n_grid=256, tol=1e-8,
+                             cache_path=str(path))
+    body = path.read_bytes()
+    # cut inside the header, inside the Psi values, and before the end
+    for cut in (50, len(body) // 2, len(body) - 8):
+        path.write_bytes(body[:cut])
+        assert not tab.load_cache(str(path))
 
 
 def test_unattainable_tolerance_raises(gauss_src):
