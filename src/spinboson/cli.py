@@ -164,17 +164,29 @@ def load_functions(cp, d, s):
     return funcs
 
 
-def build_state(cp, args):
-    beta, eps, d, s, n0, src = load_physical(cp)
+def _mc_settings(cp, args):
+    """(samples, seed, workers) of a Monte Carlo run: command line first,
+    then [numerics], with the worker count from SPINBOSON_WORKERS."""
     samples = args.samples or _get_num(cp, "numerics", "samples", 20000, int)
     if samples < 1000:
         raise ConfigError(
             "config field [numerics] samples must be >= 1000 for MC runs")
     seed = args.seed if args.seed is not None else \
         _get_num(cp, "numerics", "seed", 0, int)
+    raw = os.environ.get("SPINBOSON_WORKERS", "1")
+    try:
+        workers = int(raw)
+    except ValueError as exc:
+        raise ConfigError(
+            f"SPINBOSON_WORKERS = {raw!r} is not an integer") from exc
+    return samples, seed, workers
+
+
+def build_state(cp, args):
+    beta, eps, d, s, n0, src = load_physical(cp)
+    samples, seed, workers = _mc_settings(cp, args)
     tol = _get_num(cp, "numerics", "quad_tol", 1e-9)
     n_grid = _get_num(cp, "numerics", "tau_grid", 2048, int)
-    workers = int(os.environ.get("SPINBOSON_WORKERS", "1"))
     cache_path = None
     if cp.getboolean("output", "cache", fallback=False):
         cache_dir = os.path.join(args.out, "cache")
@@ -188,7 +200,7 @@ def build_state(cp, args):
                                 workers=workers, cache_path=cache_path)
     except DivergentIntegralError as exc:
         raise ConfigError(f"inadmissible physical block: {exc}") from exc
-    return cfg, seed
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +246,7 @@ def _projector(sigma):
 def run_spin_check(cp, args, outdir):
     """Free-measure sampler against the transfer-matrix oracles."""
     beta, eps, d, s, n0, _ = load_physical(cp)
-    samples = args.samples or _get_num(cp, "numerics", "samples", 20000, int)
-    if samples < 1000:
-        raise ConfigError(
-            "config field [numerics] samples must be >= 1000 for MC runs")
-    seed = args.seed if args.seed is not None else \
-        _get_num(cp, "numerics", "seed", 0, int)
-    workers = int(os.environ.get("SPINBOSON_WORKERS", "1"))
+    samples, seed, workers = _mc_settings(cp, args)
     src = SourceProfile.zero(d=d, s=s)
     kern = ThermalKernelTable(src, beta)
     params = SpinMeasureParams(beta, eps)
@@ -297,7 +303,7 @@ def run_spin_check(cp, args, outdir):
 
 def run_kernels(cp, args, outdir):
     """Thermal-kernel identity suite."""
-    cfg, _ = build_state(cp, args)
+    cfg = build_state(cp, args)
     kern = cfg.kernels
     funcs = load_functions(cp, cfg.d, cfg.s)
     f = next(iter(funcs.values()))
@@ -339,7 +345,7 @@ def run_kernels(cp, args, outdir):
 
 
 def run_charfun(cp, args, outdir):
-    cfg, _ = build_state(cp, args)
+    cfg = build_state(cp, args)
     funcs = load_functions(cp, cfg.d, cfg.s)
     f = next(iter(funcs.values()))
     s_grid = _grid_from_config(cp, "s_grid", default="0,0.5,1,1.5,2")
@@ -371,7 +377,7 @@ def _grid_from_config(cp, key, default):
 
 
 def run_cluster(cp, args, outdir):
-    cfg, _ = build_state(cp, args)
+    cfg = build_state(cp, args)
     funcs = load_functions(cp, cfg.d, cfg.s)
     names = sorted(funcs)
     f = funcs[names[0]]
@@ -407,7 +413,7 @@ def run_cluster(cp, args, outdir):
 
 
 def run_variance(cp, args, outdir):
-    cfg, _ = build_state(cp, args)
+    cfg = build_state(cp, args)
     funcs = load_functions(cp, cfg.d, cfg.s)
     f = next(iter(funcs.values()))
     n_cells = _get_num(cp, "numerics", "variance_grid", 64, int)
@@ -446,7 +452,7 @@ def _variance_agreement(rep, ens, f):
 
 
 def run_resolvent(cp, args, outdir):
-    cfg, _ = build_state(cp, args)
+    cfg = build_state(cp, args)
     funcs = load_functions(cp, cfg.d, cfg.s)
     names = sorted(funcs)
     f = funcs[names[0]]
@@ -482,7 +488,7 @@ def run_resolvent(cp, args, outdir):
                                            threshold=thresh)
         for t, m, e in zip(rep.amplitudes, rep.moduli, rep.errors):
             rows.append(("decay", t, m, "", e))
-        checks.append(("bec_decay", rep.monotone))
+        checks.append(("bec_decay", rep.passed))
 
     write_csv(os.path.join(outdir, "resolvent.csv"),
               "resolvent-algebra expectations psi(R(lambda, f)) "
@@ -492,7 +498,7 @@ def run_resolvent(cp, args, outdir):
 
 
 def run_ideals(cp, args, outdir):
-    cfg, _ = build_state(cp, args)
+    cfg = build_state(cp, args)
     funcs = load_functions(cp, cfg.d, cfg.s)
     report = resolvent_mod.ideal_report(cfg, sorted(funcs.items()))
     rows = [(r.name, r.classification, r.witness_modulus, r.witness_error,
@@ -513,7 +519,7 @@ def run_ideals(cp, args, outdir):
 
 
 def run_gp_scan(cp, args, outdir):
-    cfg, _ = build_state(cp, args)
+    cfg = build_state(cp, args)
     funcs = load_functions(cp, cfg.d, cfg.s)
     seq = [funcs[k] for k in sorted(funcs)]
     s_grid = _grid_from_config(cp, "s_grid", "0,0.5,1,2,4")
@@ -568,8 +574,7 @@ def main(argv=None):
             config_hash = hashlib.sha256(fh.read()).hexdigest()
         os.makedirs(args.out, exist_ok=True)
         checks, ess = RUNNERS[args.subcommand](cp, args, args.out)
-        seed = args.seed if args.seed is not None else \
-            _get_num(cp, "numerics", "seed", 0, int)
+        _, seed, _ = _mc_settings(cp, args)
         summary = os.path.join(
             args.out, f"{args.subcommand.replace('-', '_')}_summary.txt")
         all_pass = write_summary(summary, seed, config_hash, ess, checks)

@@ -33,8 +33,7 @@ from scipy.interpolate import CubicHermiteSpline
 from spinboson.momentum import (
     NEG_INF,
     DivergentIntegralError,
-    SourceProfile,
-    TestFunction,
+    angular_factor,
     dispersion,
     sphere_area,
 )
@@ -138,15 +137,21 @@ def _theta_edges(breaks, n_per_seg):
     return np.concatenate(edges)
 
 
-def _gl_rule(edges, order=_GL_ORDER):
-    """Gauss-Legendre nodes/weights on the theta panels, mapped to k."""
+def gauss_legendre_panels(edges, order=_GL_ORDER):
+    """Composite Gauss-Legendre nodes and weights on the given panel
+    edges."""
     x, w = np.polynomial.legendre.leggauss(order)
     a = edges[:-1]
     b = edges[1:]
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    theta = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    wt = (half[:, None] * w[None, :]).ravel()
+    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    return nodes, (half[:, None] * w[None, :]).ravel()
+
+
+def _gl_rule(edges):
+    """Gauss-Legendre nodes/weights on the theta panels, mapped to k."""
+    theta, wt = gauss_legendre_panels(edges)
     k = np.tan(theta)
     jac = 1.0 / np.cos(theta) ** 2
     return k, wt * jac
@@ -174,12 +179,6 @@ def _refine_rule(gfun, breaks, probe, tol, max_panels=1024):
         n *= 2
     raise QuadratureError(
         "momentum rule did not converge within the panel budget")
-
-
-def _shift_angular(d, k, r):
-    if r == 0.0:
-        return sphere_area(d)
-    return 4.0 * math.pi * np.sinc(k * r / math.pi)
 
 
 class _ComplexSpline:
@@ -391,14 +390,6 @@ class ThermalKernelTable:
         out = self._momentum_sum(thermal_antider2, u)
         return np.real(out)
 
-    def kappa_antider(self, u):
-        """First antiderivative int_0^u kappa (direct momentum sum)."""
-        if self._const is not None:
-            return self._const * np.asarray(u, dtype=float)
-        if self._zero:
-            return np.zeros_like(np.asarray(u, dtype=float))
-        return np.real(self._momentum_sum(thermal_antider, u))
-
     def double_block(self, a, b, c, d):
         """Double integral of kappa(|t-s|) over [a,b] x [c,d] via the
         difference-kernel identity."""
@@ -440,7 +431,7 @@ class ThermalKernelTable:
                 r = math.hypot(*c.shift)
                 tot += (np.conj(c.coeff) * c.profile.value(k)
                         * np.exp((-1j * c.time_phase - 0.5 * c.damp) * om)
-                        * _shift_angular(d, k, r))
+                        * angular_factor(d, k, r))
             return base * tot
 
         def probe(k, gw):

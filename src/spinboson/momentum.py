@@ -349,7 +349,7 @@ def _pair_terms(f, g):
             yield cf, cg, r
 
 
-def _angular(d, k, r):
+def angular_factor(d, k, r):
     """Angular integral factor for relative shift r (r = 0: full sphere)."""
     if r == 0.0:
         return sphere_area(d)
@@ -380,7 +380,7 @@ def weighted_pairing(f, g, weight, tol=DEFAULT_QUAD_TOL,
             om = dispersion(k, s)
             rad = cf.profile.value(k) * cg.profile.value(k)
             return (k ** (d - 1) * rad * np.exp((1j * du - tt) * om)
-                    * _angular(d, k, r) * weight(om))
+                    * angular_factor(d, k, r) * weight(om))
 
         val, e = _radial_quad(integrand, tol, bps)
         total += cc * val
@@ -405,7 +405,7 @@ def source_pairing(f, src, omega_power, weight, tol=DEFAULT_QUAD_TOL):
             rad = cf.profile.value(k) * src.rho.value(k)
             return (k ** (d - 1) * rad
                     * np.exp((-1j * cf.time_phase - 0.5 * cf.damp) * om)
-                    * np.power(om, omega_power) * _angular(d, k, r)
+                    * np.power(om, omega_power) * angular_factor(d, k, r)
                     * weight(om))
 
         val, e = _radial_quad(integrand, tol, bps)

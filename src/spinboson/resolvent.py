@@ -1,20 +1,28 @@
-"""Resolvent-algebra expectations via Laplace quadrature.
+"""Resolvent-algebra expectations in closed form per loop.
 
 One-point expectations use the half-line representation
 
     psi(R(lambda, f)) = -i * int_0^{sgn(lambda) inf} e^{-lambda s}
                         psi(e^{i s Phi(f)}) ds,
 
-reduced to [0, inf) by s = sgn(lambda) u.  The Gaussian factor
-exp(-q_bec(f) s^2 / 4) of the characteristic functional makes the
-integral absolutely convergent and supplies an explicit truncation
-certificate.  Two-point expectations add the Weyl phase
+reduced to [0, inf) by s = sgn(lambda) u.  The characteristic functional
+is the Gaussian factor exp(-q_bec(f) s^2 / 4) times E~[e^{-i s Z}], and Z
+is fixed for each loop, so the u-integral is done per loop:
+
+    psi(R(lambda, f)) = E~[-i sgn L(|lambda| + i sgn Z, q_bec(f) / 4)],
+
+    L(a, b) = int_0^inf e^{-a u - b u^2} du
+            = sqrt(pi) / (2 sqrt(b)) * w(i a / (2 sqrt(b))),
+
+with w the Faddeeva function (Poppe & Wijers, ACM TOMS 16, 1990) and
+L(a, 0) = 1/a.  Two-point expectations add the Weyl phase
 exp(-(i/2) s t sigma(f, g)) and the joint characteristic function, which
 is computable from the same ensemble because Z is linear in the test
-function.
+function; their inner t-integral is the same closed form per loop, which
+leaves one u-quadrature.
 
-All s-values share one fixed ensemble (common random numbers), so the
-integrand is a smooth deterministic function of s given the sample.
+Every value and its Monte Carlo error is one TiltedEnsemble.expectation of
+a per-loop array.
 """
 
 from __future__ import annotations
@@ -23,44 +31,32 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import wofz
 
+from spinboson.kernels import gauss_legendre_panels
 from spinboson.momentum import symplectic
 
+# relative accuracy of laplace_gauss, pinned against mpmath in the tests
+LAPLACE_RTOL = 1e-13
 
-def _gl_panels(a, b, n_panels, order=16):
-    x, w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(a, b, n_panels + 1)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    wts = (half[:, None] * w[None, :]).ravel()
-    return nodes, wts
+# (u-node x loop) elements per slab of the two-point quadrature
+_SLAB = 1 << 19
+
+
+def laplace_gauss(a, b):
+    """L(a, b) = int_0^inf exp(-a u - b u^2) du for complex a and real
+    b >= 0 (Re a > 0 when b = 0), elementwise over a."""
+    a = np.asarray(a, dtype=complex)
+    if b == 0:
+        return 1.0 / a
+    r = 2.0 * math.sqrt(b)
+    return (math.sqrt(math.pi) / r) * wofz(1j * a / r)
 
 
 def _truncation_point(alam, q, log_tol):
-    """Smallest u with alam*u + q*u^2/4 >= log_tol (tail certificate)."""
-    if q > 0:
-        return 2.0 * (-alam + math.sqrt(alam * alam + q * log_tol)) / q
-    return log_tol / alam
-
-
-def _char_on_nodes(ensemble, z, s_nodes, slab=256):
-    """E~[e^{-i s Z}] and its SE on an array of signed s-values."""
-    w = ensemble.norm_weights
-    vals = np.empty(len(s_nodes), dtype=complex)
-    ses = np.empty(len(s_nodes))
-    if np.max(np.abs(z)) < 1e-14:
-        vals[:] = 1.0
-        ses[:] = 0.0
-        return vals, ses
-    for lo in range(0, len(s_nodes), slab):
-        hi = min(lo + slab, len(s_nodes))
-        e = np.exp(-1j * s_nodes[lo:hi, None] * z[None, :])
-        mean = e @ w
-        dev2 = (np.abs(e - mean[:, None]) ** 2) @ (w ** 2)
-        vals[lo:hi] = mean
-        ses[lo:hi] = np.sqrt(dev2)
-    return vals, ses
+    """Smallest u with alam*u + q*u^2/4 >= log_tol (tail certificate),
+    in the form that stays exact as q -> 0."""
+    return 2.0 * log_tol / (alam + math.sqrt(alam * alam + q * log_tol))
 
 
 @dataclass
@@ -69,40 +65,39 @@ class ResolventValue:
     error: float
 
 
-def resolvent_onepoint(cfg, lam, f, tol=1e-8):
-    """Expectation of R(lambda, f) with a combined quadrature + MC error."""
+def _estimate(ensemble, h, h_abs, error=0.0):
+    """E~[h] with its SE, the evaluation error LAPLACE_RTOL E~[h_abs]
+    (h_abs bounds the magnitudes summed into h) and any further error."""
+    val, se = ensemble.expectation(h)
+    scale, _ = ensemble.expectation(h_abs)
+    return ResolventValue(complex(val),
+                          float(se + LAPLACE_RTOL * scale + error))
+
+
+def resolvent_onepoint(cfg, lam, f):
+    """Expectation of R(lambda, f) with its Monte Carlo + evaluation
+    error."""
     if lam == 0:
         raise ValueError("lambda must be nonzero")
     cfg.require_admissible(f)
     sgn = 1.0 if lam > 0 else -1.0
-    alam = abs(lam)
-    qbec = cfg.q_bec(f)
     z = cfg.ensemble.z_values(f)
-    log_tol = -math.log(tol) + 2.0
-    umax = _truncation_point(alam, qbec, log_tol)
-    tail = math.exp(-alam * umax - 0.25 * qbec * umax * umax) / alam
-
-    prev = None
-    n_panels = 8
-    while True:
-        u, w = _gl_panels(0.0, umax, n_panels)
-        pref = np.exp(-alam * u - 0.25 * qbec * u * u)
-        char, se = _char_on_nodes(cfg.ensemble, z, sgn * u)
-        val = -1j * sgn * np.sum(w * pref * char)
-        mc_err = float(np.sum(w * pref * se))
-        if prev is not None and abs(val - prev) <= tol * (1.0 / alam):
-            quad_err = abs(val - prev)
-            break
-        if n_panels >= 512:
-            quad_err = abs(val - prev) if prev is not None else tail
-            break
-        prev = val
-        n_panels *= 2
-    return ResolventValue(complex(val), quad_err + tail + mc_err)
+    h = -1j * sgn * laplace_gauss(abs(lam) + 1j * sgn * z,
+                                  0.25 * cfg.q_bec(f))
+    return _estimate(cfg.ensemble, h, np.abs(h))
 
 
-def resolvent_twopoint(cfg, lam, f, mu, g, tol=1e-6, n_panels=24):
-    """Expectation of R(lambda, f) R(mu, g)."""
+def resolvent_twopoint(cfg, lam, f, mu, g, tol=1e-6):
+    """Expectation of R(lambda, f) R(mu, g).
+
+    Per loop the t-integral is L(a(u), q_gg / 4) with s = sgn(lambda) u and
+
+        a(u) = |mu| + sgn(mu) (q_fg s / 2 + i sigma s / 2 + i Z_g);
+
+    the u-integral runs on Gauss-Legendre panels, doubled until two rules
+    agree to tol / (|lambda| |mu|).  The error is that difference, the
+    truncation tail, the Monte Carlo SE and the evaluation error.
+    """
     if lam == 0 or mu == 0:
         raise ValueError("lambda and mu must be nonzero")
     cfg.require_admissible(f)
@@ -114,38 +109,47 @@ def resolvent_twopoint(cfg, lam, f, mu, g, tol=1e-6, n_panels=24):
     qgg = cfg.q_bec(g)
     qfg = (cfg.q0(f, g).real + cfg.q_nonzero(f, g).real)
     sig = symplectic(f, g)
-    zf = cfg.ensemble.z_values(f)
-    zg = cfg.ensemble.z_values(g)
-    w_norm = cfg.ensemble.norm_weights
+    ens = cfg.ensemble
+    zf = ens.z_values(f)
+    zg = ens.z_values(g)
 
+    # the Gaussian of the pair is at least the Schur complement q_s u^2/4
+    # for every t, so truncating u at umax leaves a tail below
+    # e^{-al umax - q_s umax^2 / 4} / (al am)
+    q_s = max(qff - qfg * qfg / qgg if qgg > 0 else qff, 0.0)
     log_tol = -math.log(tol) + 2.0
-    umax = _truncation_point(al, qff, log_tol)
-    vmax = _truncation_point(am, qgg, log_tol)
+    umax = _truncation_point(al, q_s, log_tol)
+    tail = math.exp(-al * umax - 0.25 * q_s * umax * umax) / (al * am)
 
-    def evaluate(n):
-        u, wu = _gl_panels(0.0, umax, n, order=12)
-        v, wv = _gl_panels(0.0, vmax, n, order=12)
-        s = sgn_l * u
-        t = sgn_m * v
-        quad = (np.add.outer(s * s * qff, t * t * qgg)
-                + 2.0 * np.outer(s, t) * qfg)
-        phase = np.exp(-0.5j * np.outer(s, t) * sig)
-        if max(np.max(np.abs(zf)), np.max(np.abs(zg))) < 1e-14:
-            joint = np.ones((len(u), len(v)), dtype=complex)
-        else:
-            ef = np.exp(-1j * s[:, None] * zf[None, :])
-            eg = np.exp(-1j * t[:, None] * zg[None, :])
-            joint = ef @ (w_norm[:, None] * eg.T)
-        body = (np.exp(-0.25 * quad) * phase * joint
-                * np.exp(-al * u)[:, None] * np.exp(-am * v)[None, :])
-        return -sgn_l * sgn_m * (wu @ body @ wv)
+    def per_loop(panels):
+        u, wu = gauss_legendre_panels(np.linspace(0.0, umax, panels + 1),
+                                      order=12)
+        h = np.zeros(ens.n, dtype=complex)
+        h_abs = np.zeros(ens.n)
+        step = max(1, _SLAB // ens.n)
+        for lo in range(0, len(u), step):
+            uu = u[lo:lo + step, None]
+            s = sgn_l * uu
+            a = am + sgn_m * (0.5 * qfg * s + 0.5j * sig * s + 1j * zg)
+            body = (wu[lo:lo + step, None]
+                    * np.exp(-al * uu - 0.25 * qff * uu * uu - 1j * s * zf)
+                    * laplace_gauss(a, 0.25 * qgg))
+            h += body.sum(axis=0)
+            h_abs += np.abs(body).sum(axis=0)
+        return -sgn_l * sgn_m * h, h_abs
 
-    val = evaluate(n_panels)
-    val2 = evaluate(2 * n_panels)
-    tail = (math.exp(-al * umax - 0.25 * qff * umax * umax) / (al * am)
-            + math.exp(-am * vmax - 0.25 * qgg * vmax * vmax) / (al * am))
-    err = abs(val2 - val) + tail
-    return ResolventValue(complex(val2), float(err))
+    panels = 2
+    h, h_abs = per_loop(panels)
+    prev, _ = ens.expectation(h)
+    while True:
+        panels *= 2
+        h, h_abs = per_loop(panels)
+        val, _ = ens.expectation(h)
+        delta = abs(val - prev)
+        if delta <= tol / (al * am) or panels >= 64:
+            break
+        prev = val
+    return _estimate(ens, h, h_abs, delta + tail)
 
 
 @dataclass
@@ -157,13 +161,15 @@ class DecayScanReport:
     monotone: bool
     final_ratio: float
     asserted: bool
+    passed: bool
 
 
 def bec_decay_scan(cfg, lam, f, t_grid, threshold=0.1, q_floor=1e-6):
     """|psi(R(lambda, t f))| along increasing amplitudes t.
 
-    When q_bec(f) exceeds the floor, strict decrease beyond the first
-    rung and a final/first ratio below the threshold are asserted."""
+    When q_bec(f) exceeds the floor, the scan is asserted: it passes when
+    the moduli decrease strictly and the final/first ratio is below the
+    threshold.  An unasserted scan passes."""
     t_grid = [float(t) for t in t_grid]
     if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
         raise ValueError("amplitude grid must be increasing")
@@ -176,12 +182,9 @@ def bec_decay_scan(cfg, lam, f, t_grid, threshold=0.1, q_floor=1e-6):
     final_ratio = moduli[-1] / moduli[0] if moduli[0] > 0 else math.inf
     qb = cfg.q_bec(f)
     asserted = qb > q_floor
-    report = DecayScanReport(t_grid, moduli, errors, qb, monotone,
-                             final_ratio, asserted)
-    if asserted and not (monotone and final_ratio < threshold):
-        raise AssertionError(
-            f"condensate-direction decay violated: {report}")
-    return report
+    passed = not asserted or (monotone and final_ratio < threshold)
+    return DecayScanReport(t_grid, moduli, errors, qb, monotone,
+                           final_ratio, asserted, passed)
 
 
 @dataclass

@@ -151,13 +151,9 @@ def transported(g, mode, amount):
     raise ValueError(f"unknown transport mode {mode!r}")
 
 
-def two_point_charfun(cfg, f, g, mode="time", amount=0.0, weyl_phase=False):
+def two_point_charfun(cfg, f, g, mode="time", amount=0.0):
     """psi(W(f) W(T g)) via the substitution f + T g, with the zero mode
-    evaluated on the untransported sum.
-
-    weyl_phase optionally multiplies by exp(-(i/2) sigma(f, Tg)); the
-    default keeps the bare substitution.
-    """
+    evaluated on the untransported sum."""
     tg = transported(g, mode, amount)
     cfg.require_admissible(f)
     cfg.require_admissible(tg)
@@ -166,10 +162,7 @@ def two_point_charfun(cfg, f, g, mode="time", amount=0.0, weyl_phase=False):
     qtot = cfg.q0(fg0).real + cfg.q_nonzero(ftg).real
     sval, se = cfg.ensemble.spin_factor(ftg, 0.0)
     pref = _gauss_prefactor(qtot)
-    val = pref * sval
-    if weyl_phase:
-        val = val * np.exp(-0.5j * symplectic(f, tg))
-    return val, pref * se
+    return pref * sval, pref * se
 
 
 def van_hove_charfun(cfg, f, s):

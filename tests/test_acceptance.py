@@ -275,7 +275,7 @@ def test_acceptance_8_resolvent_suite(gauss_src, kernel_table,
         lam = float(rng.uniform(0.3, 3.0)) * (1 if trial % 2 else -1)
         f = TestFunction.gaussian(width=float(rng.uniform(0.5, 2.0)),
                                   amplitude=float(rng.uniform(-1.5, 1.5)))
-        rv = resolvent_onepoint(cfg_small, lam, f, tol=1e-6)
+        rv = resolvent_onepoint(cfg_small, lam, f)
         assert abs(rv.value) <= 1.0 / abs(lam) + rv.error + 1e-12
     for trial in range(8):
         lam = float(rng.uniform(0.3, 3.0))
@@ -284,9 +284,9 @@ def test_acceptance_8_resolvent_suite(gauss_src, kernel_table,
         assert abs(rv.value) <= 1.0 / (abs(lam) * abs(mu)) + rv.error + 1e-12
 
     # scaling relation
-    base = resolvent_onepoint(cfg_small, 1.0, f_gauss, tol=1e-10)
+    base = resolvent_onepoint(cfg_small, 1.0, f_gauss)
     nu = 2.0
-    other = resolvent_onepoint(cfg_small, nu, f_gauss.scaled(nu), tol=1e-10)
+    other = resolvent_onepoint(cfg_small, nu, f_gauss.scaled(nu))
     assert nu * other.value == pytest.approx(
         base.value, abs=nu * other.error + base.error + 1e-9)
 
@@ -294,7 +294,7 @@ def test_acceptance_8_resolvent_suite(gauss_src, kernel_table,
     free = StateConfig(beta=1.0, eps=1.0, d=3, s=1.0, n0=0.0,
                        source=zero_src, kernels=zero_table,
                        ensemble=acc_free_ensemble)
-    rv = resolvent_onepoint(free, 1.0, f_gauss, tol=1e-10)
+    rv = resolvent_onepoint(free, 1.0, f_gauss)
     q = free.q_bec(f_gauss)
     u = np.linspace(0.0, 40.0 / math.sqrt(q), 1 << 14 | 1)
     oracle = -1j * simpson(np.exp(-u - 0.25 * q * u * u), x=u)
@@ -316,7 +316,7 @@ def test_acceptance_9_bec_decay(zero_src, zero_table, acc_free_ensemble,
 
     moduli = {}
     for t in (1.0, 4.0):
-        rv = resolvent_onepoint(cfg, 1.0, f_gauss.scaled(t), tol=1e-10)
+        rv = resolvent_onepoint(cfg, 1.0, f_gauss.scaled(t))
         a = q * t * t
         u = np.linspace(0.0, 40.0 / math.sqrt(a), 1 << 14 | 1)
         oracle = simpson(np.exp(-u - 0.25 * a * u * u), x=u)

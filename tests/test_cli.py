@@ -115,6 +115,27 @@ def test_inadmissible_test_function_is_config_error(spec, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_failed_decay_scan_is_a_failed_check(tmp_path, capsys):
+    # an unmeetable decay threshold fails the bec_decay check (exit 1)
+    # instead of escaping as an exception
+    p = tmp_path / "strict.ini"
+    p.write_text(BASE_CONFIG.replace("mu = 2.0",
+                                     "mu = 2.0\ndecay_threshold = 1e-9"))
+    out = str(tmp_path / "out")
+    assert _run("resolvent", str(p), out) == 1
+    summary = open(os.path.join(out, "resolvent_summary.txt")).read()
+    assert "check bec_decay = FAIL" in summary
+    assert capsys.readouterr().err == ""
+
+
+def test_malformed_worker_count_is_config_error(config_path, tmp_path,
+                                                capsys, monkeypatch):
+    monkeypatch.setenv("SPINBOSON_WORKERS", "two")
+    code = _run("spin-check", config_path, str(tmp_path / "out"))
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 def test_missing_config_file(tmp_path, capsys):
     code = _run("charfun", str(tmp_path / "nope.ini"), str(tmp_path / "out"))
     assert code == 2

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 
 from spinboson.momentum import RadialProfile, SourceProfile, TestFunction
@@ -10,13 +11,21 @@ from spinboson.loops import SpinMeasureParams
 from spinboson.ensemble import build_ensemble
 from spinboson.state import StateConfig
 from spinboson.resolvent import (
+    LAPLACE_RTOL,
     bec_decay_scan,
     ideal_report,
+    laplace_gauss,
     resolvent_onepoint,
     resolvent_twopoint,
 )
 
 BETA = 1.0
+
+
+@pytest.fixture(scope="module")
+def small_ensemble(kernel_table):
+    return build_ensemble(SpinMeasureParams(BETA, 1.0), kernel_table, 2000,
+                          seed=21)
 
 
 def test_zero_direction_closed_form(state_cfg, f_gauss):
@@ -39,8 +48,30 @@ def test_conjugation_symmetry(state_cfg, f_gauss):
     assert minus.value == pytest.approx(np.conj(plus.value), rel=1e-10)
 
 
+@pytest.mark.parametrize("n0", [0.0, 1e-3])
+@pytest.mark.parametrize("lam", [1.0, -0.5])
+def test_onepoint_interacting_vs_simpson(gauss_src, kernel_table,
+                                         small_ensemble, f_gauss, n0, lam):
+    # Z != 0 on every loop: the per-loop closed form against a dense
+    # Simpson rule over the ensemble's own characteristic function
+    cfg = StateConfig(beta=BETA, eps=1.0, d=3, s=1.0, n0=n0,
+                      source=gauss_src, kernels=kernel_table,
+                      ensemble=small_ensemble)
+    rv = resolvent_onepoint(cfg, lam, f_gauss)
+    sgn = math.copysign(1.0, lam)
+    q = cfg.q_bec(f_gauss)
+    # e^{-|lam| u - q u^2 / 4} < 1e-16 beyond umax
+    log_tol = 37.0
+    umax = 2.0 * log_tol / (abs(lam) + math.sqrt(lam * lam + q * log_tol))
+    u = np.linspace(0.0, umax, (1 << 13) + 1)
+    char, _ = small_ensemble.char_function(f_gauss, sgn * u)
+    body = np.exp(-abs(lam) * u - 0.25 * q * u * u) * char
+    oracle = -1j * sgn * simpson(body, x=u)
+    assert rv.value == pytest.approx(oracle, rel=1e-8)
+
+
 def test_onepoint_free_gas_vs_simpson(free_cfg, f_gauss):
-    rv = resolvent_onepoint(free_cfg, 1.0, f_gauss, tol=1e-10)
+    rv = resolvent_onepoint(free_cfg, 1.0, f_gauss)
     q = free_cfg.q_bec(f_gauss)
     u = np.linspace(0.0, 40.0 / math.sqrt(q), 1 << 14 | 1)
     oracle = -1j * simpson(np.exp(-u - 0.25 * q * u * u), x=u)
@@ -51,6 +82,19 @@ def test_twopoint_zero_directions(state_cfg, f_gauss):
     z = f_gauss.scaled(0.0)
     rv = resolvent_twopoint(state_cfg, 1.0, z, 2.0, z)
     assert rv.value == pytest.approx(-0.5 + 0.0j, abs=rv.error + 1e-8)
+
+
+@pytest.mark.parametrize("lam, mu", [(1.0, 2.0), (-0.5, -1.5)])
+def test_twopoint_zero_second_direction(state_cfg, f_gauss, lam, mu):
+    # R(mu, 0) = -i/mu, so the pair reduces to a scaled one-point value and
+    # carries at least its Monte Carlo error
+    one = resolvent_onepoint(state_cfg, lam, f_gauss)
+    two = resolvent_twopoint(state_cfg, lam, f_gauss, mu,
+                             f_gauss.scaled(0.0))
+    expect = -1j / mu * one.value
+    assert two.value == pytest.approx(expect,
+                                      abs=two.error + one.error / abs(mu))
+    assert two.error >= 0.5 * one.error / abs(mu)
 
 
 def test_twopoint_norm_bound(state_cfg, f_gauss, g_gauss):
@@ -72,10 +116,50 @@ def test_twopoint_free_gas_vs_simpson(free_cfg, f_gauss):
     assert rv.value == pytest.approx(oracle, rel=1e-6)
 
 
+@settings(max_examples=20, deadline=None)
+@given(lam=st.floats(0.1, 5.0), amp=st.floats(-2.0, 2.0))
+def test_onepoint_conjugation_property(small_ensemble, gauss_src,
+                                       kernel_table, lam, amp):
+    cfg = StateConfig(beta=BETA, eps=1.0, d=3, s=1.0, n0=1e-3,
+                      source=gauss_src, kernels=kernel_table,
+                      ensemble=small_ensemble)
+    f = TestFunction.gaussian(width=1.0, amplitude=amp)
+    plus = resolvent_onepoint(cfg, lam, f)
+    minus = resolvent_onepoint(cfg, -lam, f)
+    assert minus.value == pytest.approx(np.conj(plus.value), rel=1e-12,
+                                        abs=1e-15)
+    assert minus.error == pytest.approx(plus.error, rel=1e-12)
+
+
+def test_laplace_gauss_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(5)
+    cases = [(complex(rng.uniform(0.01, 50.0), rng.uniform(-50.0, 50.0)),
+              float(10.0 ** rng.uniform(-9.0, 3.0))) for _ in range(200)]
+    cases += [(complex(rng.uniform(0.01, 50.0), rng.uniform(-50.0, 50.0)), b)
+              for b in (0.0, 1e-9) for _ in range(20)]
+    # Re a < 0 (lower half-plane of w), reached by the two-point t-integral
+    for b in 10.0 ** rng.uniform(-1.0, 2.0, 40):
+        cases.append((complex(-rng.uniform(0.0, 5.0) * 2.0 * math.sqrt(b),
+                              rng.uniform(-20.0, 20.0)), float(b)))
+    for a, b in cases:
+        with mpmath.workdps(40):
+            ma = mpmath.mpc(a.real, a.imag)
+            if b == 0.0:
+                exact = complex(1 / ma)
+            else:
+                r = 2 * mpmath.sqrt(b)
+                exact = complex(mpmath.sqrt(mpmath.pi) / r
+                                * mpmath.exp((ma / r) ** 2)
+                                * mpmath.erfc(ma / r))
+        got = complex(laplace_gauss(a, b))
+        assert abs(got - exact) <= LAPLACE_RTOL * abs(exact)
+
+
 def test_scaling_identity(state_cfg, f_gauss):
-    base = resolvent_onepoint(state_cfg, 1.0, f_gauss, tol=1e-10)
+    base = resolvent_onepoint(state_cfg, 1.0, f_gauss)
     nu = 2.0
-    other = resolvent_onepoint(state_cfg, nu, f_gauss.scaled(nu), tol=1e-10)
+    other = resolvent_onepoint(state_cfg, nu, f_gauss.scaled(nu))
     assert nu * other.value == pytest.approx(
         base.value, abs=nu * other.error + base.error + 1e-9)
 
@@ -106,6 +190,14 @@ def test_decay_scan_guard_path(free_bec_cfg, f_gauss):
                             (1.0, 2.0))
     assert not report.asserted
     assert report.q_bec <= 1e-6
+
+
+def test_decay_scan_reports_failed_verdict(free_bec_cfg, f_gauss):
+    # a threshold no scan can meet gives a failed verdict, not an exception
+    report = bec_decay_scan(free_bec_cfg, 1.0, f_gauss, (1.0, 2.0, 4.0),
+                            threshold=1e-9)
+    assert report.asserted and report.monotone
+    assert not report.passed
 
 
 def test_decay_scan_rejects_bad_grid(free_bec_cfg, f_gauss):
