@@ -10,11 +10,12 @@ jump coefficients d_p (the discrete derivative of the interval signs,
 including the two circle endpoints), both the quadratic weight and the
 spin random variable Z reduce to small boundary sums:
 
-    int int X_t X_s kappa = - sum_{p,q} d_p d_q Psi(|e_p - e_q|),
+    int int X_t X_s kappa = - 2 sum_{p<q} d_p d_q Psi(e_q - e_p),
     Z = 1/2 int X_u K_f(|t-u|) du = -1/2 sum_p d_p G(e_p),
 
 with G(u) = sign(u-t) A_f(|u-t|).  These follow from summation by parts
-(the d_p sum telescopes to zero) and make million-loop ensembles cheap.
+(the d_p sum telescopes to zero; the boundaries are sorted and Psi(0) = 0)
+and make million-loop ensembles cheap.
 
 All weights live in log space with log-sum-exp reductions.
 """
@@ -102,12 +103,16 @@ class TiltedEnsemble:
         # unnormalized weights, shifted so the largest is 1
         self.weights = np.exp(self.logw - self.logw.max())
         self.sum_w = float(self.weights.sum())
-        self.norm_weights = self.weights / self.sum_w
         self.ess = float(self.sum_w ** 2 / np.sum(self.weights ** 2))
         if self.ess < 0.01 * self.n:
             warnings.warn(
                 f"weight degeneracy: ESS = {self.ess:.1f} of {self.n}",
                 RuntimeWarning)
+
+    @property
+    def norm_weights(self):
+        """The weights normalized to sum to 1."""
+        return self.weights / self.sum_w
 
     # -- grouped geometry ----------------------------------------------------
 
@@ -130,10 +135,12 @@ class TiltedEnsemble:
     def _log_weights(self):
         psi = self.kernels.Psi
         out = np.empty(self.n)
-        for idx, bounds, dvec in self._groups():
-            diffs = np.abs(bounds[:, :, None] - bounds[:, None, :])
-            pv = psi(diffs)
-            out[idx] = -0.25 * np.einsum("np,nq,npq->n", dvec, dvec, pv)
+        for idx, bounds, _ in self._groups():
+            p, q = np.triu_indices(bounds.shape[1], 1)
+            pat = _jump_pattern(bounds.shape[1])
+            # d_p d_q drops the loop's sign; row gathers copy whole rows
+            rows = np.ascontiguousarray(bounds.T)
+            out[idx] = -0.5 * ((pat[p] * pat[q]) @ psi(rows[q] - rows[p]))
         return out
 
     # -- estimators ----------------------------------------------------------
@@ -189,14 +196,7 @@ class TiltedEnsemble:
     def spin_factor(self, f, t_offset=0.0):
         """S = E~[exp(-i Z)] with standard error."""
         z = self.z_values(f, t_offset)
-        val, se = self.expectation(np.exp(-1j * z))
-        # the unit-disk bound holds when Z is real (e^{-iZ} is a phase);
-        # complex test functions make e^{-iZ} a damped/amplified phase
-        if np.max(np.abs(z.imag)) < 1e-10 \
-                and abs(val) > 1.0 + 3.0 * se + 1e-12:
-            raise AssertionError(
-                f"|spin factor| = {abs(val)} exceeds 1 beyond 3 SE")
-        return val, se
+        return self.expectation(np.exp(-1j * z))
 
     def ell_shift(self, f):
         """The physical-field shift ell = -E~[Z] (real test functions)."""

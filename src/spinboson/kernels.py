@@ -97,13 +97,6 @@ def thermal_antider2(u, omega, beta):
     return num / (omega * omega * denom)
 
 
-def thermal_factor_dtau(tau, omega, beta):
-    """d/dtau of T_beta (for Hermite tabulation of K)."""
-    denom = -np.expm1(-beta * omega)
-    return omega * (-np.exp(-tau * omega)
-                    + np.exp(-(beta - tau) * omega)) / denom
-
-
 # ---------------------------------------------------------------------------
 # momentum rule: composite Gauss-Legendre on k = tan(theta)
 # ---------------------------------------------------------------------------
@@ -181,22 +174,37 @@ def _refine_rule(gfun, breaks, probe, tol, max_panels=1024):
         "momentum rule did not converge within the panel budget")
 
 
-class _ComplexSpline:
-    """Cubic Hermite interpolant with complex values."""
+# points per slab in the table evaluations, so temporaries stay a few MB
+_EVAL_SLAB = 1 << 16
+
+
+class UniformHermiteSpline:
+    """Cubic Hermite interpolant on a uniform grid x, real or complex: scipy's
+    cell polynomials, the cell found by arithmetic, Horner evaluation, and
+    PPoly's extrapolation by the end polynomials outside the grid."""
 
     def __init__(self, x, y, dy):
-        y = np.asarray(y)
-        dy = np.asarray(dy)
-        self._re = CubicHermiteSpline(x, y.real, dy.real)
-        self._im = (CubicHermiteSpline(x, y.imag, dy.imag)
-                    if np.iscomplexobj(y) else None)
-        self.complex = self._im is not None
+        y, dy = np.asarray(y), np.asarray(dy)
+        c = CubicHermiteSpline(x, y.real, dy.real).c
+        if np.iscomplexobj(y) or np.iscomplexobj(dy):
+            c = c + 1j * CubicHermiteSpline(x, y.imag, dy.imag).c
+        self._c, self._x = c, x
+        self._n = len(x) - 1
+        self._scale = self._n / (x[-1] - x[0])
 
     def __call__(self, x):
-        out = self._re(x)
-        if self._im is not None:
-            out = out + 1j * self._im(x)
-        return out
+        x = np.asarray(x, dtype=float)
+        flat = x.ravel()
+        out = np.empty(flat.shape, dtype=self._c[0].dtype)
+        c0, c1, c2, c3 = self._c
+        for lo in range(0, len(flat), _EVAL_SLAB):
+            v = flat[lo:lo + _EVAL_SLAB]
+            idx = ((v - self._x[0]) * self._scale).astype(np.intp)
+            np.clip(idx, 0, self._n - 1, out=idx)
+            dx = v - self._x[idx]
+            out[lo:lo + _EVAL_SLAB] = (
+                (c0[idx] * dx + c1[idx]) * dx + c2[idx]) * dx + c3[idx]
+        return out.reshape(x.shape)
 
 
 class _ZeroEntry:
@@ -217,8 +225,8 @@ class _KernelEntry:
     """Tabulated K_f and its first time antiderivative A_f on [0, beta]."""
 
     def __init__(self, grid, kvals, avals, dkvals, m_value):
-        self.K = _ComplexSpline(grid, kvals, dkvals)
-        self.A = _ComplexSpline(grid, avals, kvals)
+        self.K = UniformHermiteSpline(grid, kvals, dkvals)
+        self.A = UniformHermiteSpline(grid, avals, kvals)
         self.m_value = m_value
 
 
@@ -321,7 +329,7 @@ class ThermalKernelTable:
             grid = np.linspace(0.0, beta, n_grid + 1)
             psi = self._momentum_sum(thermal_antider2, grid)
             apsi = self._momentum_sum(thermal_antider, grid)
-            spline = CubicHermiteSpline(grid, psi.real, apsi.real)
+            spline = UniformHermiteSpline(grid, psi.real, apsi.real)
             # refinement check at midpoints against exact values
             mids = 0.5 * (grid[:-1] + grid[1:])
             exact = self._momentum_sum(thermal_antider2, mids).real
@@ -337,10 +345,9 @@ class ThermalKernelTable:
         self._apsi_vals = apsi.real
         self._psi = spline
 
-    def _momentum_sum(self, time_fn, tau, k=None, gw=None, om=None):
+    def _momentum_sum(self, time_fn, tau):
         """sum_j gw_j * time_fn(tau_i, omega_j) over the momentum rule."""
-        if k is None:
-            k, gw, om = self._k, self._gw, self._om
+        gw, om = self._gw, self._om
         tau = np.asarray(tau, dtype=float)
         if tau.ndim == 1:
             # slab over tau so the (tau, k) matrix stays a few MB even on
@@ -416,7 +423,7 @@ class ThermalKernelTable:
                     exponent=ei)
 
     def _f_rule_and_weight(self, f):
-        """Refined rule (k, complex weight) for the f-against-source
+        """Refined rule (complex weight, omega) for the f-against-source
         integrand, with the thermal factor left out."""
         d, s, beta = self.d, self.s, self.beta
         rho = self.src.rho
@@ -441,7 +448,7 @@ class ThermalKernelTable:
             return np.array([v0.real, v0.imag, vb.real, vb.imag])
 
         k, gw = _refine_rule(gfun, breaks, probe, self.tol)
-        return k, gw, dispersion(k, s)
+        return gw, dispersion(k, s)
 
     def register(self, f):
         """Tabulate K_f and its antiderivative; cached per test function."""
@@ -456,15 +463,32 @@ class ThermalKernelTable:
             if (f.d, f.s) != (self.d, self.s):
                 raise ValueError("test function on a different (d, s) space")
             self._check_f_convergence(f)
-            k, gw, om = self._f_rule_and_weight(f)
+            gw, om = self._f_rule_and_weight(f)
             grid = np.linspace(0.0, self.beta, self.n_grid + 1)
-            kv = self._momentum_sum(thermal_factor, grid, k, gw, om)
-            av = self._momentum_sum(thermal_antider, grid, k, gw, om)
-            dk = self._momentum_sum(thermal_factor_dtau, grid, k, gw, om)
+            kv, av, dk = self._f_tables(grid, gw, om)
             m_value = 0.5 * complex(av[-1])
             entry = _KernelEntry(grid, kv, av, dk, m_value)
         self._entries[f] = entry
         return entry
+
+    def _f_tables(self, grid, gw, om):
+        """K_f, A_f and dK_f/dtau on the grid in one pass: per tau slab
+        e^{-tau w} and e^{-(beta-tau) w} are formed once, and the sums are
+        real matmuls against [Re gw, Im gw] / (1 - e^{-beta w})."""
+        beta = self.beta
+        omc = om[:, None]
+        gw2 = np.stack([gw.real, gw.imag], axis=1) / -np.expm1(-beta * omc)
+        wa, wd, e_beta = gw2 / omc, gw2 * omc, np.exp(-beta * om)
+        out = np.empty((3, len(grid), 2))
+        slab = max(1, _EVAL_SLAB // len(om))
+        for lo in range(0, len(grid), slab):
+            tau = grid[lo:lo + slab, None]
+            e1 = np.exp(-tau * om)
+            e2 = np.exp(-(beta - tau) * om)
+            out[0, lo:lo + slab] = (e1 + e2) @ gw2
+            out[1, lo:lo + slab] = (e2 - e_beta - np.expm1(-tau * om)) @ wa
+            out[2, lo:lo + slab] = (e2 - e1) @ wd
+        return out[..., 0] + 1j * out[..., 1]
 
     def kernel_K(self, f, t, s_time):
         """K_{f,t}(s) = <f, T_beta(|t-s|) omega m> via the tabulated entry."""
@@ -549,5 +573,6 @@ class ThermalKernelTable:
         self.grid = grid
         self._psi_vals = psi.copy()
         self._apsi_vals = apsi.copy()
-        self._psi = CubicHermiteSpline(grid, self._psi_vals, self._apsi_vals)
+        self._psi = UniformHermiteSpline(grid, self._psi_vals,
+                                         self._apsi_vals)
         return True

@@ -3,6 +3,7 @@ scenario, built once per session to keep the suite fast."""
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from spinboson.ensemble import build_ensemble
 from spinboson.kernels import ThermalKernelTable
@@ -12,6 +13,12 @@ from spinboson.state import StateConfig
 
 # keep pytest from trying to collect the TestFunction dataclass
 TestFunction.__test__ = False
+
+# property tests draw the same examples on every run of a given source
+# tree (hypothesis also mixes in literals from the project's modules), and
+# a slow host cannot fail them on a deadline
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 BETA = 1.0
 

@@ -1,14 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from spinboson.ensemble import (
+    DEFAULT_CHUNK,
+    TiltedEnsemble,
     build_ensemble,
     loop_log_weight,
     loop_z_value,
 )
-from spinboson.loops import SpinMeasureParams
+from spinboson.kernels import ThermalKernelTable
+from spinboson.loops import SpinLoop, SpinMeasureParams
 
 BETA = 1.0
 
@@ -60,6 +65,70 @@ def test_log_weights_match_reference(ensemble):
     for i in idx:
         ref = loop_log_weight(ensemble.loop(i), ensemble.kernels)
         assert ensemble.logw[i] == pytest.approx(ref, rel=1e-9)
+
+
+@pytest.mark.filterwarnings("ignore:weight degeneracy")
+def test_log_weights_match_reference_long_loops(gauss_src):
+    # at beta = 8 a loop has about 8 jumps, so the pair sum has dozens of
+    # terms per loop
+    beta = 8.0
+    table = ThermalKernelTable(gauss_src, beta)
+    ens = build_ensemble(SpinMeasureParams(beta, 1.0), table, 200, seed=11)
+    idx = np.nonzero(ens.counts >= 8)[0][:12]
+    assert len(idx) >= 10
+    for i in idx:
+        ref = loop_log_weight(ens.loop(i), table)
+        assert ens.logw[i] == pytest.approx(ref, rel=1e-9)
+
+
+def _ensemble_of(loops, table):
+    """A TiltedEnsemble over the given SpinLoops, built from their arrays."""
+    signs = np.array([lp.initial_sign for lp in loops], dtype=np.int8)
+    counts = np.array([len(lp.jumps) for lp in loops], dtype=np.int64)
+    flat = np.array([t for lp in loops for t in lp.jumps], dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return TiltedEnsemble(SpinMeasureParams(table.beta, 1.0), table,
+                              signs, counts, flat, 0, DEFAULT_CHUNK)
+
+
+_jump_fractions = st.lists(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    max_size=12, unique=True)
+
+
+@settings(max_examples=25)
+@given(beta=st.floats(0.5, 8.0),
+       raw=st.lists(st.tuples(st.sampled_from([-1, 1]), _jump_fractions),
+                    min_size=1, max_size=6),
+       shift=st.floats(-1.0, 1.0))
+def test_log_weights_rotation_invariance_property(gauss_src, beta, raw,
+                                                  shift):
+    loops = []
+    for sign, fracs in raw:
+        jumps = sorted(beta * (u - 0.5) for u in fracs)
+        jumps = jumps[:len(jumps) - len(jumps) % 2]
+        # rotation works modulo beta: keep jumps apart from one another and
+        # from the circle endpoint by more than its rounding
+        gaps = np.diff([-0.5 * beta] + jumps + [0.5 * beta])
+        assume(np.all(gaps > 1e-9 * beta))
+        loops.append(SpinLoop(sign, tuple(jumps)))
+    rotated = [lp.rotated(shift * beta, beta) for lp in loops]
+    # a jump rotated exactly onto the circle endpoint is dropped; such a
+    # loop is a different path
+    assume(all(len(a.jumps) == len(b.jumps)
+               for a, b in zip(loops, rotated)))
+    table = ThermalKernelTable(gauss_src, beta, n_grid=256)
+    orig = _ensemble_of(loops, table).logw
+    rot = _ensemble_of(rotated, table).logw
+    # each Psi value is within the table's tol (1e-9) of the exact one,
+    # relative to 1 + Psi(beta), and |d_p d_q| / 2 <= 2 per pair, so each
+    # side is within 2 n_pairs scale of the exact log-weight
+    scale = 1e-9 * (1.0 + table.Psi(beta))
+    for lp, o, r in zip(loops, orig, rot):
+        m = len(lp.jumps)
+        n_pairs = (m + 2) * (m + 1) // 2
+        assert abs(r - o) <= 4.0 * n_pairs * scale
 
 
 def test_z_values_match_reference(ensemble, f_gauss):

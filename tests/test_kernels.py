@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
+from scipy.interpolate import CubicHermiteSpline
 
 from spinboson.kernels import (
+    _EVAL_SLAB,
     QuadratureError,
     ThermalKernelTable,
+    UniformHermiteSpline,
     thermal_antider,
     thermal_antider2,
     thermal_factor,
@@ -99,6 +102,46 @@ def test_kappa_positive_and_bounds_checked(kernel_table):
     assert kernel_table.kappa(0.0) > 0.0
     with pytest.raises(ValueError):
         kernel_table.kappa(1.5 * BETA)
+
+
+# ---------------------------------------------------------------------------
+# the uniform-grid Hermite evaluator
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_uniform_spline_matches_cubic_hermite(complex_values):
+    rng = np.random.default_rng(13)
+    beta, n = 1.7, 64
+    h = beta / n
+    x = np.linspace(0.0, beta, n + 1)
+    y = rng.normal(size=n + 1)
+    dy = rng.normal(size=n + 1)
+    if complex_values:
+        y = y + 1j * rng.normal(size=n + 1)
+        dy = dy + 1j * rng.normal(size=n + 1)
+    ref_re = CubicHermiteSpline(x, y.real, dy.real)
+    ref_im = CubicHermiteSpline(x, y.imag, dy.imag)
+    spline = UniformHermiteSpline(x, y, dy)
+    # random points over several slabs, every knot, both ends exactly, and
+    # extrapolation on either side
+    pts = np.concatenate([
+        rng.uniform(0.0, beta, 2 * _EVAL_SLAB + 17),
+        x,
+        [0.0, beta],
+        rng.uniform(-3.0 * h, 0.0, 50),
+        rng.uniform(beta, beta + 3.0 * h, 50),
+    ])
+    got = spline(pts)
+    want = ref_re(pts) + 1j * ref_im(pts)
+    assert np.iscomplexobj(got) == complex_values
+    assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want)))
+    # a scalar gives a 0-d result, and array shapes are kept
+    for t in (0.0, 0.3 * beta, beta, -h, beta + h):
+        val = spline(t)
+        ref = ref_re(t) + 1j * ref_im(t)
+        assert np.ndim(val) == 0
+        assert abs(val - ref) <= 1e-13 * (1.0 + abs(ref))
+    assert spline(pts[:12].reshape(3, 4)).shape == (3, 4)
 
 
 # ---------------------------------------------------------------------------
