@@ -14,7 +14,7 @@ Subpackage map:
 - ``state``:      assembled characteristic functionals of the equilibrium
   state, the van Hove comparator, and the low-temperature ladder.
 - ``cluster``:    cluster scans, the moderateness/no-go verdict, GP-limit scan.
-- ``resolvent``:  resolvent expectations via Laplace quadrature, norm bounds,
+- ``resolvent``:  resolvent expectations in per-loop closed forms, norm bounds,
   condensate-direction decay scans, ideal classification report.
 - ``seeds``:      deterministic substream derivation for reproducible Monte
   Carlo.

@@ -31,8 +31,8 @@ Config layout (flat INI)::
     csv = true
     cache = false
 
-Worker count comes from the SPINBOSON_WORKERS environment variable
-(chunked substreams make results independent of it).
+Results depend only on the config and the seed: the loops are drawn in
+fixed chunks from substreams of the seed.
 """
 
 from __future__ import annotations
@@ -51,12 +51,8 @@ import numpy as np
 from spinboson import cluster as cluster_mod
 from spinboson import resolvent as resolvent_mod
 from spinboson import state as state_mod
-from spinboson.kernels import QuadratureError, ThermalKernelTable
-from spinboson.loops import (
-    SpinMeasureParams,
-    correlation_trace,
-    two_point_oracle,
-)
+from spinboson.kernels import QuadratureError
+from spinboson.loops import correlation_trace, two_point_oracle
 from spinboson.momentum import (
     DivergentIntegralError,
     RadialProfile,
@@ -165,26 +161,20 @@ def load_functions(cp, d, s):
 
 
 def _mc_settings(cp, args):
-    """(samples, seed, workers) of a Monte Carlo run: command line first,
-    then [numerics], with the worker count from SPINBOSON_WORKERS."""
+    """(samples, seed) of a Monte Carlo run: command line first, then
+    [numerics]."""
     samples = args.samples or _get_num(cp, "numerics", "samples", 20000, int)
     if samples < 1000:
         raise ConfigError(
             "config field [numerics] samples must be >= 1000 for MC runs")
     seed = args.seed if args.seed is not None else \
         _get_num(cp, "numerics", "seed", 0, int)
-    raw = os.environ.get("SPINBOSON_WORKERS", "1")
-    try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise ConfigError(
-            f"SPINBOSON_WORKERS = {raw!r} is not an integer") from exc
-    return samples, seed, workers
+    return samples, seed
 
 
 def build_state(cp, args):
     beta, eps, d, s, n0, src = load_physical(cp)
-    samples, seed, workers = _mc_settings(cp, args)
+    samples, seed = _mc_settings(cp, args)
     tol = _get_num(cp, "numerics", "quad_tol", 1e-9)
     n_grid = _get_num(cp, "numerics", "tau_grid", 2048, int)
     cache_path = None
@@ -197,7 +187,7 @@ def build_state(cp, args):
     try:
         cfg = StateConfig.build(src, beta, eps, n0=n0, n_loops=samples,
                                 seed=seed, n_grid=n_grid, tol=tol,
-                                workers=workers, cache_path=cache_path)
+                                cache_path=cache_path)
     except DivergentIntegralError as exc:
         raise ConfigError(f"inadmissible physical block: {exc}") from exc
     return cfg
@@ -246,12 +236,10 @@ def _projector(sigma):
 def run_spin_check(cp, args, outdir):
     """Free-measure sampler against the transfer-matrix oracles."""
     beta, eps, d, s, n0, _ = load_physical(cp)
-    samples, seed, workers = _mc_settings(cp, args)
-    src = SourceProfile.zero(d=d, s=s)
-    kern = ThermalKernelTable(src, beta)
-    params = SpinMeasureParams(beta, eps)
-    from spinboson.ensemble import build_ensemble
-    ens = build_ensemble(params, kern, samples, seed, workers=workers)
+    samples, seed = _mc_settings(cp, args)
+    ens = StateConfig.build(SourceProfile.zero(d=d, s=s), beta, eps,
+                            n_loops=samples, seed=seed).ensemble
+    params = ens.params
 
     checks, rows = [], []
     n = ens.n
@@ -313,9 +301,7 @@ def run_kernels(cp, args, outdir):
     taus = np.linspace(0.0, beta, 65)
     kap = np.atleast_1d(kern.kappa(taus))
     psi = np.atleast_1d(kern.Psi(taus))
-    sym = float(np.max(np.abs(
-        np.atleast_1d(kern.kappa(taus)) - np.atleast_1d(
-            kern.kappa(beta - taus)))))
+    sym = float(np.max(np.abs(kap - np.atleast_1d(kern.kappa(beta - taus)))))
     checks.append(("kappa_reflection_symmetry", sym <= 1e-10 * (1 + kap.max())))
 
     if not cfg.source.is_zero:
@@ -418,12 +404,11 @@ def run_variance(cp, args, outdir):
     f = next(iter(funcs.values()))
     n_cells = _get_num(cp, "numerics", "variance_grid", 64, int)
     rep = cfg.ensemble.variance_two_routes(f, n_cells)
-    ok_routes = _variance_agreement(rep, cfg.ensemble, f)
     s_grid = _grid_from_config(cp, "s_grid", "0,0.25,0.5,1,2")
     dev_ok, dev_rows = cfg.ensemble.deviation_bound_check(f, s_grid)
     cn, evidence = cfg.ensemble.cnumber_criterion(f)
     checks = [
-        ("variance_routes_agree", ok_routes),
+        ("variance_routes_agree", rep.routes_agree),
         ("variance_grid_converged", not rep.grid_flagged),
         ("deviation_bound", dev_ok),
     ]
@@ -437,18 +422,6 @@ def run_variance(cp, args, outdir):
               ("s_or_quantity", "lhs_or_value", "bound_or_aux", "margin"),
               rows)
     return checks, cfg.ensemble.ess
-
-
-def _variance_agreement(rep, ens, f):
-    scale = max(rep.var_direct, rep.var_kernel, 1e-300)
-    if abs(rep.var_direct - rep.var_kernel) <= 0.05 * scale:
-        return True
-    # fall back to a combined 3 SE allowance on the direct route
-    z = ens.z_values(f).real
-    mean, _ = ens.expectation(z)
-    dev2 = (z - mean.real) ** 2
-    _, se = ens.expectation(dev2)
-    return abs(rep.var_direct - rep.var_kernel) <= 3.0 * se
 
 
 def run_resolvent(cp, args, outdir):
@@ -574,7 +547,7 @@ def main(argv=None):
             config_hash = hashlib.sha256(fh.read()).hexdigest()
         os.makedirs(args.out, exist_ok=True)
         checks, ess = RUNNERS[args.subcommand](cp, args, args.out)
-        _, seed, _ = _mc_settings(cp, args)
+        _, seed = _mc_settings(cp, args)
         summary = os.path.join(
             args.out, f"{args.subcommand.replace('-', '_')}_summary.txt")
         all_pass = write_summary(summary, seed, config_hash, ess, checks)

@@ -73,9 +73,16 @@ def _jump_pattern(n_bounds):
 
 @dataclass
 class VarianceReport:
+    """Var~(Z) by the direct and the kernel route.
+
+    routes_agree: within 5% relative, or else within 3 SE of the direct
+    route, compared against the coarse kernel route."""
+
     var_direct: float
+    var_direct_se: float
     var_kernel: float
     var_kernel_fine: float
+    routes_agree: bool
     grid_flagged: bool
     n_cells: int
 
@@ -243,13 +250,12 @@ class TiltedEnsemble:
                 out[idx[lo:hi]] = np.diff(cum, axis=1)
         return out
 
-    def _variance(self, values, mean):
-        """Tilted variance of a real per-loop array about its tilted mean,
-        in the quotient form of expectation:
-
-            Var~ = sum_i w_i (v_i - mean)^2 / sum_i w_i.
-        """
-        return float(np.sum(self.weights * (values - mean) ** 2)) / self.sum_w
+    def _z_moments(self, f):
+        """Tilted mean of the real Z of f and its variance, each with SE."""
+        z = self.z_values(f).real
+        mean, mean_se = self.expectation(z)
+        var, var_se = self.expectation((z - mean) ** 2)
+        return mean, mean_se, float(var), var_se
 
     def variance_two_routes(self, f, n_cells=64):
         """Var~(Z) directly and through the cell-averaged covariance kernel.
@@ -257,15 +263,15 @@ class TiltedEnsemble:
         The kernel route projects every loop onto the cell-constant kernel
         (see _kernel_variance), so both routes take O(N) memory.
         """
-        z = self.z_values(f).real
-        mean, _ = self.expectation(z)
-        var_direct = self._variance(z, mean)
-
+        _, _, var, var_se = self._z_moments(f)
         coarse = self._kernel_variance(f, n_cells)
         fine = self._kernel_variance(f, 2 * n_cells)
+        gap = abs(var - coarse)
+        agree = gap <= 0.05 * max(var, coarse, 1e-300) or gap <= 3.0 * var_se
         scale = max(abs(fine), abs(coarse), 1e-300)
         flagged = abs(fine - coarse) > 0.02 * scale
-        return VarianceReport(var_direct, coarse, fine, flagged, n_cells)
+        return VarianceReport(var, var_se, coarse, fine, agree, flagged,
+                              n_cells)
 
     def _kernel_variance(self, f, n_cells):
         """1/4 kcell^T Cov~ kcell, with kcell the cell average of K_f on a
@@ -288,18 +294,17 @@ class TiltedEnsemble:
         for idx, bounds, dvec in self._groups():
             y[idx] = -np.einsum("np,np->n", dvec, np.interp(bounds, edges, g))
         mean, _ = self.expectation(y)
-        return 0.25 * self._variance(y, mean)
+        var, _ = self.expectation((y - mean) ** 2)
+        return 0.25 * float(var)
 
     def deviation_bound_check(self, f, s_grid):
         """|S(sf) - exp(-i s E~[Z])| <= s^2/2 Var~(Z) + 5 SE, per s."""
-        z = self.z_values(f).real
-        mean, _ = self.expectation(z)
-        var = self._variance(z, mean)
+        mean, _, var, _ = self._z_moments(f)
+        vals, ses = self.char_function(f, s_grid)
         rows = []
         ok = True
-        for s in s_grid:
-            val, se = self.expectation(np.exp(-1j * s * z))
-            lhs = abs(val - np.exp(-1j * s * mean.real))
+        for s, val, se in zip(s_grid, vals, ses):
+            lhs = abs(val - np.exp(-1j * s * mean))
             bound = 0.5 * s * s * var + 5.0 * se + 1e-12
             rows.append((float(s), float(lhs), float(bound),
                          float(bound - lhs)))
@@ -309,13 +314,11 @@ class TiltedEnsemble:
     def cnumber_criterion(self, f, tol=1e-6):
         """Z almost-surely constant (c-number substitution) iff the tilted
         variance vanishes at tolerance."""
-        z = self.z_values(f).real
-        mean, se = self.expectation(z)
-        var = self._variance(z, mean)
-        verdict = var <= tol * (mean.real ** 2 + 1.0)
+        mean, se, var, _ = self._z_moments(f)
+        verdict = var <= tol * (mean ** 2 + 1.0)
         evidence = {
             "var_direct": var,
-            "mean_z": float(mean.real),
+            "mean_z": float(mean),
             "se": se,
             "ess": self.ess,
         }
@@ -346,8 +349,10 @@ def build_ensemble(params, kernels, n, seed, chunk_size=DEFAULT_CHUNK,
     """Sample n loops in deterministic chunks and attach FKN weights.
 
     Substreams are derived per chunk index, so the result depends only on
-    (seed, n, chunk_size), not on the worker count.  frozen_spin replaces
-    every path by the constant +1 loop (diagnostic mode).
+    (seed, n, chunk_size).  frozen_spin replaces every path by the constant
+    +1 loop (diagnostic mode).  workers is accepted and ignored: the chunks
+    are sampled in order in this thread, since a thread pool gave no
+    speed-up; the perfbench scripts still pass it.
     """
     if n < 1:
         raise ValueError("need at least one loop")
@@ -358,20 +363,9 @@ def build_ensemble(params, kernels, n, seed, chunk_size=DEFAULT_CHUNK,
         return TiltedEnsemble(params, kernels, signs, counts, flat,
                               seed, chunk_size)
 
-    n_chunks = (n + chunk_size - 1) // chunk_size
-
-    def one_chunk(i):
-        size = min(chunk_size, n - i * chunk_size)
-        return sample_loop_arrays(params, substream(seed, i), size)
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one_chunk, range(n_chunks)))
-    else:
-        parts = [one_chunk(i) for i in range(n_chunks)]
-    signs = np.concatenate([p[0] for p in parts])
-    counts = np.concatenate([p[1] for p in parts])
-    flat = np.concatenate([p[2] for p in parts])
+    parts = [sample_loop_arrays(params, substream(seed, i),
+                                min(chunk_size, n - lo))
+             for i, lo in enumerate(range(0, n, chunk_size))]
+    signs, counts, flat = (np.concatenate(a) for a in zip(*parts))
     return TiltedEnsemble(params, kernels, signs, counts, flat,
                           seed, chunk_size)

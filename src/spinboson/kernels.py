@@ -207,20 +207,6 @@ class UniformHermiteSpline:
         return out.reshape(x.shape)
 
 
-class _ZeroEntry:
-    """Kernel entry for a vanishing source."""
-
-    m_value = 0.0 + 0.0j
-
-    @staticmethod
-    def K(tau):
-        return np.zeros_like(np.asarray(tau, dtype=float))
-
-    @staticmethod
-    def A(tau):
-        return np.zeros_like(np.asarray(tau, dtype=float))
-
-
 class _KernelEntry:
     """Tabulated K_f and its first time antiderivative A_f on [0, beta]."""
 
@@ -258,10 +244,10 @@ class ThermalKernelTable:
         # refined one once the table is tabulated or loaded
         self.n_grid_requested = self.n_grid = n_grid
         if src.is_zero:
-            self._zero = True
+            # a vanishing source is the constant table with kappa = 0
+            self._const = 0.0
             self.grid = np.linspace(0.0, self.beta, 2)
             return
-        self._zero = False
         self._check_self_convergence()
         self._build_rule()
         if cache_path is not None and self.load_cache(cache_path):
@@ -283,7 +269,6 @@ class ThermalKernelTable:
         obj.s = 1.0
         obj.tol = 0.0
         obj._entries = {}
-        obj._zero = False
         obj._const = float(c0)
         obj.n_grid_requested = obj.n_grid = 0
         obj.grid = np.linspace(0.0, beta, 2)
@@ -372,8 +357,6 @@ class ThermalKernelTable:
         if self._const is not None:
             return np.broadcast_to(self._const, tau.shape).copy() \
                 if tau.ndim else self._const
-        if self._zero:
-            return np.zeros(tau.shape) if tau.ndim else 0.0
         out = self._momentum_sum(thermal_factor, tau)
         return out.real if np.ndim(out) else float(np.real(out))
 
@@ -382,8 +365,6 @@ class ThermalKernelTable:
         u = np.asarray(u, dtype=float)
         if self._const is not None:
             out = 0.5 * self._const * u ** 2
-        elif self._zero:
-            out = np.zeros(u.shape)
         else:
             out = self._psi(u)
         return out if out.ndim else float(out)
@@ -392,8 +373,6 @@ class ThermalKernelTable:
         """Psi by direct momentum quadrature (oracle path, no spline)."""
         if self._const is not None:
             return 0.5 * self._const * np.asarray(u, dtype=float) ** 2
-        if self._zero:
-            return np.zeros_like(np.asarray(u, dtype=float))
         out = self._momentum_sum(thermal_antider2, u)
         return np.real(out)
 
@@ -452,13 +431,14 @@ class ThermalKernelTable:
 
     def register(self, f):
         """Tabulate K_f and its antiderivative; cached per test function."""
-        if self._const is not None:
+        if self.src is None:
             raise ValueError("constant test tables carry no source")
         entry = self._entries.get(f)
         if entry is not None:
             return entry
-        if self._zero:
-            entry = _ZeroEntry()
+        if self._const is not None:
+            zeros = np.zeros(2)
+            entry = _KernelEntry(self.grid, zeros, zeros, zeros, 0j)
         else:
             if (f.d, f.s) != (self.d, self.s):
                 raise ValueError("test function on a different (d, s) space")
@@ -534,7 +514,7 @@ class ThermalKernelTable:
 
     def save_cache(self, path):
         """Write the Psi table as versioned little-endian float64."""
-        if self._zero or self._const is not None:
+        if self._const is not None:
             raise ValueError("nothing to cache for degenerate tables")
         with open(path, "wb") as fh:
             fh.write(_CACHE_MAGIC)

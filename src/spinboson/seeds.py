@@ -2,9 +2,8 @@
 
 Each (master seed, chunk index) pair is hashed with SHA-256 and the first
 8 bytes (little-endian) key a counter-based Philox generator.  The map is
-platform-independent and collision-resistant, so chunked sampling gives
-identical results for any worker count as long as chunks are reduced in
-index order.
+platform-independent and collision-resistant, so a chunked sample
+depends only on (master seed, sample size, chunk size).
 """
 
 from __future__ import annotations

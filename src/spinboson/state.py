@@ -69,13 +69,11 @@ class StateConfig:
 
     @classmethod
     def build(cls, source, beta, eps, n0=0.0, n_loops=20000, seed=0,
-              n_grid=2048, tol=1e-9, workers=1, frozen_spin=False,
-              cache_path=None):
+              n_grid=2048, tol=1e-9, cache_path=None):
         kernels = ThermalKernelTable(source, beta, n_grid=n_grid, tol=tol,
                                      cache_path=cache_path)
-        params = SpinMeasureParams(beta, eps)
-        ens = build_ensemble(params, kernels, n_loops, seed,
-                             workers=workers, frozen_spin=frozen_spin)
+        ens = build_ensemble(SpinMeasureParams(beta, eps), kernels, n_loops,
+                             seed)
         return cls(beta=beta, eps=eps, d=source.d, s=source.s, n0=n0,
                    source=source, kernels=kernels, ensemble=ens)
 
@@ -119,11 +117,8 @@ def _gauss_prefactor(qtot, s=1.0):
 def charfun(cfg, f, t=0.0):
     """psi(W(e^{i t omega} f)) as (value, standard error)."""
     cfg.require_admissible(f)
-    fd = f.damped(t)
     # the zero mode is blind to Euclidean damping (omega(0) = 0)
-    if fd.fhat0() != f.fhat0():
-        raise AssertionError("zero mode changed under damping")
-    qtot = cfg.q0(f).real + cfg.q_nonzero(fd).real
+    qtot = cfg.q0(f).real + cfg.q_nonzero(f.damped(t)).real
     sval, se = cfg.ensemble.spin_factor(f, t)
     pref = _gauss_prefactor(qtot)
     return pref * sval, pref * se
@@ -190,9 +185,8 @@ def ground_limit_spin_factor(cfg, f, beta_ladder, n_loops=20000, seed=0):
         raise ValueError("beta ladder must be increasing")
     rows = []
     for b in betas:
-        kern = ThermalKernelTable(cfg.source, b, tol=cfg.kernels.tol)
-        ens = build_ensemble(SpinMeasureParams(b, cfg.eps), kern,
-                             n_loops, seed)
+        ens = StateConfig.build(cfg.source, b, cfg.eps, n_loops=n_loops,
+                                seed=seed, tol=cfg.kernels.tol).ensemble
         val, se = ens.spin_factor(f, 0.0)
         rows.append((b, val, se))
     diffs = [abs(rows[i + 1][1] - rows[i][1]) for i in range(len(rows) - 1)]

@@ -334,13 +334,9 @@ def test_acceptance_9_bec_decay(zero_src, zero_table, acc_free_ensemble,
 # 10. byte-level determinism of the full harness battery
 # ---------------------------------------------------------------------------
 
-def _run_battery(config, out, workers):
-    os.environ["SPINBOSON_WORKERS"] = str(workers)
-    try:
-        for sub in sorted(cli.RUNNERS):
-            assert cli.main([sub, "--config", config, "--out", out]) == 0
-    finally:
-        os.environ.pop("SPINBOSON_WORKERS", None)
+def _run_battery(config, out):
+    for sub in sorted(cli.RUNNERS):
+        assert cli.main([sub, "--config", config, "--out", out]) == 0
     csvs, summaries = {}, {}
     for name in sorted(os.listdir(out)):
         path = os.path.join(out, name)
@@ -357,8 +353,8 @@ def test_acceptance_10_determinism(tmp_path):
     from test_cli import BASE_CONFIG
     config = tmp_path / "cfg.ini"
     config.write_text(BASE_CONFIG)
-    c1, s1 = _run_battery(str(config), str(tmp_path / "a"), workers=1)
-    c2, s2 = _run_battery(str(config), str(tmp_path / "b"), workers=4)
+    c1, s1 = _run_battery(str(config), str(tmp_path / "a"))
+    c2, s2 = _run_battery(str(config), str(tmp_path / "b"))
     assert len(c1) == 8
     assert c1 == c2
     assert s1 == s2

@@ -128,14 +128,6 @@ def test_failed_decay_scan_is_a_failed_check(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_malformed_worker_count_is_config_error(config_path, tmp_path,
-                                                capsys, monkeypatch):
-    monkeypatch.setenv("SPINBOSON_WORKERS", "two")
-    code = _run("spin-check", config_path, str(tmp_path / "out"))
-    assert code == 2
-    assert capsys.readouterr().err.startswith("config error: ")
-
-
 def test_missing_config_file(tmp_path, capsys):
     code = _run("charfun", str(tmp_path / "nope.ini"), str(tmp_path / "out"))
     assert code == 2
@@ -164,19 +156,6 @@ def test_reruns_are_byte_identical(config_path, tmp_path):
     c2, s2 = _read_outputs(out2)
     assert c1 == c2
     # summaries agree apart from the timestamp line stripped above
-    assert s1 == s2
-
-
-def test_worker_count_does_not_change_output(config_path, tmp_path,
-                                             monkeypatch):
-    out1, out2 = str(tmp_path / "w1"), str(tmp_path / "w4")
-    monkeypatch.setenv("SPINBOSON_WORKERS", "1")
-    assert _run("charfun", config_path, out1) == 0
-    monkeypatch.setenv("SPINBOSON_WORKERS", "4")
-    assert _run("charfun", config_path, out2) == 0
-    c1, s1 = _read_outputs(out1)
-    c2, s2 = _read_outputs(out2)
-    assert c1 == c2
     assert s1 == s2
 
 

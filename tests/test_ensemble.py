@@ -230,6 +230,34 @@ def test_kernel_variance_zero_source_is_exactly_zero(free_ensemble, f_gauss):
     assert free_ensemble._kernel_variance(f_gauss, 128) == 0.0
 
 
+def _cli_routes_rule(rep, ens, f):
+    # the routes-agree rule as the command line applied it from the report's
+    # variances: 5% relative, else 3 SE of the direct route
+    z = ens.z_values(f).real
+    mean, _ = ens.expectation(z)
+    _, se = ens.expectation((z - mean.real) ** 2)
+    scale = max(rep.var_direct, rep.var_kernel, 1e-300)
+    gap = abs(rep.var_direct - rep.var_kernel)
+    return gap <= 0.05 * scale or gap <= 3.0 * se, se
+
+
+@pytest.mark.parametrize("name", ["ensemble", "free_ensemble",
+                                  "eps0_ensemble"])
+@pytest.mark.parametrize("factor", [1.0, 1.04, 1.06])
+def test_routes_agree_matches_cli_rule(name, factor, request, monkeypatch,
+                                       f_gauss):
+    ens = request.getfixturevalue(name)
+    if factor != 1.0:
+        # displace the kernel route to either side of the 5% allowance
+        kernel = ens._kernel_variance
+        monkeypatch.setattr(ens, "_kernel_variance",
+                            lambda f, n: factor * kernel(f, n))
+    rep = ens.variance_two_routes(f_gauss)
+    agree, se = _cli_routes_rule(rep, ens, f_gauss)
+    assert rep.var_direct_se == se
+    assert rep.routes_agree == agree
+
+
 def test_variance_routes_frozen_coupling(eps0_ensemble, kernel_table,
                                          f_gauss):
     m = kernel_table.m_value(f_gauss).real
@@ -292,14 +320,23 @@ def test_frozen_spin_diagnostic(kernel_table, f_gauss):
 # reproducibility
 # ---------------------------------------------------------------------------
 
-def test_worker_count_invariance(kernel_table):
+@settings(max_examples=25)
+@given(seed=st.integers(0, 2 ** 31 - 1), chunk_size=st.integers(1, 64),
+       k=st.integers(1, 4), extra=st.integers(0, 63))
+def test_chunk_prefix_property(kernel_table, seed, chunk_size, k, extra):
+    # chunk i is drawn from substream(seed, i) alone, so appending fewer
+    # than chunk_size loops leaves the k full chunks before them unchanged
     params = SpinMeasureParams(BETA, 1.0)
-    a = build_ensemble(params, kernel_table, 10000, seed=5, workers=1)
-    b = build_ensemble(params, kernel_table, 10000, seed=5, workers=4)
-    assert np.array_equal(a.signs, b.signs)
-    assert np.array_equal(a.counts, b.counts)
-    assert np.array_equal(a.jumps_flat, b.jumps_flat)
-    assert np.array_equal(a.logw, b.logw)
+    n = k * chunk_size
+    a = build_ensemble(params, kernel_table, n, seed, chunk_size=chunk_size)
+    b = build_ensemble(params, kernel_table, n + extra % chunk_size, seed,
+                       chunk_size=chunk_size)
+    assert np.array_equal(a.signs, b.signs[:n])
+    assert np.array_equal(a.counts, b.counts[:n])
+    assert np.array_equal(a.jumps_flat, b.jumps_flat[:b.offsets[n]])
+    # the pair sums of one jump count are a single matrix product, whose
+    # rounding depends on how many loops share the count
+    np.testing.assert_allclose(a.logw, b.logw[:n], rtol=1e-13, atol=1e-13)
 
 
 def test_seed_changes_sample(kernel_table):
