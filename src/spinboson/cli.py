@@ -336,12 +336,11 @@ def run_charfun(cp, args, outdir):
     f = next(iter(funcs.values()))
     s_grid = _grid_from_config(cp, "s_grid", default="0,0.5,1,1.5,2")
     vals, ses = state_mod.charfun_scaled(cfg, f, s_grid)
-    rows = []
-    in_dom = m_pairing(f, cfg.source).in_domain
-    for s, v, e in zip(s_grid, vals, ses):
-        vh = state_mod.van_hove_charfun(cfg, f, s) if in_dom else float("nan")
-        rows.append((s, v.real, v.imag, e,
-                     vh.real if in_dom else "", vh.imag if in_dom else ""))
+    # charfun_scaled admits only directions in dom m (it rejects the
+    # infrared-singular ones), so the comparator is always defined
+    vh = state_mod.van_hove_charfun(cfg, f, s_grid)
+    rows = [(s, v.real, v.imag, e, w.real, w.imag)
+            for s, v, e, w in zip(s_grid, vals, ses, vh)]
     checks = [("charfun_normalized",
                abs(state_mod.charfun_scaled(cfg, f, 0.0)[0] - 1.0) < 1e-12)]
     mod_ok = all(abs(v) <= 1.0 + 3 * e + 1e-9 for v, e in zip(vals, ses))

@@ -14,11 +14,13 @@ The per-test-function kernel K_f(tau) pairs f against the interaction
 direction omega^{-1/2} rho with the same thermal factor.
 
 Time integrals of T_beta are exponentials and are carried out in closed
-form (see thermal_antider / thermal_antider2); the momentum integral is
-evaluated once per tabulation node on a refined Gauss-Legendre rule with
-the infinite tail mapped through k = tan(theta).  Double time integrals of
-kappa then reduce to differences of the tabulated second antiderivative
-Psi, which is the workhorse of the loop-weight evaluation.
+form (see thermal_antider / thermal_antider2).  The momentum integral runs
+on the certified radial rule of spinboson.momentum, graded toward k = 0 by
+the integrand's exponent there (the thermal 2/(beta omega) included); each
+table fixes its rule once and sums over it at every tabulation node.
+Double time integrals of kappa then reduce to differences of the tabulated
+second antiderivative Psi, which is the workhorse of the loop-weight
+evaluation.
 """
 
 from __future__ import annotations
@@ -30,18 +32,14 @@ import struct
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 
-from spinboson.momentum import (
+from spinboson.momentum import (  # QuadratureError is re-exported
     NEG_INF,
     DivergentIntegralError,
-    angular_factor,
+    QuadratureError,
     dispersion,
-    sphere_area,
+    radial_integrand,
+    refine_rule,
 )
-
-
-class QuadratureError(RuntimeError):
-    """Momentum quadrature failed to converge within the panel budget."""
-
 
 # ---------------------------------------------------------------------------
 # exact time integrals of the periodic thermal factor
@@ -97,83 +95,6 @@ def thermal_antider2(u, omega, beta):
     return num / (omega * omega * denom)
 
 
-# ---------------------------------------------------------------------------
-# momentum rule: composite Gauss-Legendre on k = tan(theta)
-# ---------------------------------------------------------------------------
-
-_GL_ORDER = 16
-
-
-def _theta_edges(breaks, n_per_seg):
-    """Panel edges in theta covering (0, pi/2), split at profile cutoffs.
-
-    The lower half of the first segment is geometrically graded toward 0:
-    the unresolved mass of an integrable power singularity k^a then decays
-    like 2^{-n(1+a)} in the panel count, so doubling always converges."""
-    pts = sorted({math.atan(b) for b in breaks if b})
-    segs = [0.0] + [p for p in pts if 0.0 < p < 0.5 * math.pi] + [0.5 * math.pi]
-    edges = [np.array([0.0])]
-    for a, b in zip(segs[:-1], segs[1:]):
-        if a == 0.0:
-            # split the panel budget: geometric grading below the
-            # midpoint, uniform above, so the total count stays n_per_seg
-            nl = max(n_per_seg // 2, 8)
-            nu = max(n_per_seg - nl, 8)
-            # floor the grading exponent so k^s stays above underflow
-            lower = 0.5 * (b - a) * np.geomspace(
-                2.0 ** -min(nl, 200), 1.0, nl + 1)[1:]
-            upper = a + (b - a) * np.linspace(0.5, 1.0, nu + 1)[1:]
-            edges.append(np.concatenate([a + lower, upper]))
-        else:
-            edges.append(a + (b - a)
-                         * np.linspace(0.0, 1.0, n_per_seg + 1)[1:])
-    return np.concatenate(edges)
-
-
-def gauss_legendre_panels(edges, order=_GL_ORDER):
-    """Composite Gauss-Legendre nodes and weights on the given panel
-    edges."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    a = edges[:-1]
-    b = edges[1:]
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    return nodes, (half[:, None] * w[None, :]).ravel()
-
-
-def _gl_rule(edges):
-    """Gauss-Legendre nodes/weights on the theta panels, mapped to k."""
-    theta, wt = gauss_legendre_panels(edges)
-    k = np.tan(theta)
-    jac = 1.0 / np.cos(theta) ** 2
-    return k, wt * jac
-
-
-def _refine_rule(gfun, breaks, probe, tol, max_panels=1024):
-    """Double the panel count until the probe vector stabilizes.
-
-    gfun(k) is the momentum weight (everything except the thermal factor);
-    probe(k, gw) maps a candidate rule to a small vector of representative
-    integrals.  Returns (k, gw) of the accepted rule."""
-    prev = None
-    n = 16
-    while n <= max_panels:
-        k, w = _gl_rule(_theta_edges(breaks, n))
-        gw = w * gfun(k)
-        vals = np.atleast_1d(probe(k, gw))
-        if prev is not None and tol > 0:
-            scale = 1.0 + np.max(np.abs(vals))
-            # tol = 0 never accepts (probes can agree to the last bit by
-            # coincidence long before the rule is trustworthy)
-            if np.max(np.abs(vals - prev)) <= tol * scale:
-                return k, gw
-        prev = vals
-        n *= 2
-    raise QuadratureError(
-        "momentum rule did not converge within the panel budget")
-
-
 # points per slab in the table evaluations, so temporaries stay a few MB
 _EVAL_SLAB = 1 << 16
 
@@ -217,7 +138,8 @@ class _KernelEntry:
 
 
 _CACHE_MAGIC = b"SBKT"
-_CACHE_VERSION = 1
+# version 2: Psi tables from the nested, exponent-graded momentum rule
+_CACHE_VERSION = 2
 
 
 class ThermalKernelTable:
@@ -248,8 +170,7 @@ class ThermalKernelTable:
             self._const = 0.0
             self.grid = np.linspace(0.0, self.beta, 2)
             return
-        self._check_self_convergence()
-        self._build_rule()
+        self._build_rule(self._check_self_convergence())
         if cache_path is not None and self.load_cache(cache_path):
             return
         self._tabulate(n_grid)
@@ -286,15 +207,17 @@ class ThermalKernelTable:
                 raise DivergentIntegralError(
                     f"kappa divergent at k -> infinity (exponent {ei})",
                     exponent=ei)
+        return e0
 
-    def _build_rule(self):
-        d, s, beta = self.d, self.s, self.beta
-        rho = self.src.rho
-        omega_d = sphere_area(d)
+    def _build_rule(self, e0):
+        """The momentum rule of kappa; e0 is its exponent at k -> 0, the
+        thermal factor's 2/(beta omega) included."""
+        s, beta = self.s, self.beta
+        rho = self.src.as_test_function()
+        integrand = radial_integrand(rho, rho)
 
         def gfun(k):
-            om = dispersion(k, s)
-            return omega_d * k ** (d - 1) * rho.value(k) ** 2 / om
+            return integrand(k).real / dispersion(k, s)
 
         def probe(k, gw):
             om = dispersion(k, s)
@@ -304,8 +227,8 @@ class ThermalKernelTable:
                 gw @ thermal_antider2(beta, om, beta),
             ])
 
-        self._k, self._gw = _refine_rule(gfun, rho.breakpoints, probe,
-                                         self.tol)
+        self._k, self._gw, _ = refine_rule(gfun, rho.breakpoints, e0, probe,
+                                           self.tol)
         self._om = dispersion(self._k, s)
 
     def _tabulate(self, n_grid):
@@ -400,25 +323,18 @@ class ThermalKernelTable:
                 raise DivergentIntegralError(
                     f"K_f divergent at k -> infinity (exponent {ei})",
                     exponent=ei)
+        return e0
 
-    def _f_rule_and_weight(self, f):
+    def _f_rule_and_weight(self, f, e0):
         """Refined rule (complex weight, omega) for the f-against-source
-        integrand, with the thermal factor left out."""
-        d, s, beta = self.d, self.s, self.beta
-        rho = self.src.rho
-        breaks = rho.breakpoints + tuple(
-            b for c in f.components for b in c.profile.breakpoints)
+        integrand, with the thermal factor left out of the weight but not
+        out of e0, the exponent at k -> 0."""
+        s, beta = self.s, self.beta
+        rho = self.src.as_test_function()
+        integrand = radial_integrand(f, rho)
 
         def gfun(k):
-            om = dispersion(k, s)
-            base = k ** (d - 1) * rho.value(k) / np.sqrt(om)
-            tot = np.zeros_like(k, dtype=complex)
-            for c in f.components:
-                r = math.hypot(*c.shift)
-                tot += (np.conj(c.coeff) * c.profile.value(k)
-                        * np.exp((-1j * c.time_phase - 0.5 * c.damp) * om)
-                        * angular_factor(d, k, r))
-            return base * tot
+            return integrand(k) / np.sqrt(dispersion(k, s))
 
         def probe(k, gw):
             om = dispersion(k, s)
@@ -426,7 +342,8 @@ class ThermalKernelTable:
             vb = gw @ thermal_antider(beta, om, beta)
             return np.array([v0.real, v0.imag, vb.real, vb.imag])
 
-        k, gw = _refine_rule(gfun, breaks, probe, self.tol)
+        k, gw, _ = refine_rule(gfun, f.breakpoints + rho.breakpoints, e0,
+                               probe, self.tol)
         return gw, dispersion(k, s)
 
     def register(self, f):
@@ -442,8 +359,7 @@ class ThermalKernelTable:
         else:
             if (f.d, f.s) != (self.d, self.s):
                 raise ValueError("test function on a different (d, s) space")
-            self._check_f_convergence(f)
-            gw, om = self._f_rule_and_weight(f)
+            gw, om = self._f_rule_and_weight(f, self._check_f_convergence(f))
             grid = np.linspace(0.0, self.beta, self.n_grid + 1)
             kv, av, dk = self._f_tables(grid, gw, om)
             m_value = 0.5 * complex(av[-1])

@@ -33,8 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import wofz
 
-from spinboson.kernels import gauss_legendre_panels
-from spinboson.momentum import symplectic
+from spinboson.momentum import gauss_legendre_panels, symplectic
 
 # relative accuracy of laplace_gauss, pinned against mpmath in the tests
 LAPLACE_RTOL = 1e-13

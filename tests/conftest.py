@@ -104,3 +104,22 @@ def simpson_radial(fn, k_max=40.0, n=1 << 15):
     from scipy.integrate import simpson
     k = np.linspace(1e-9, k_max, n + 1)
     return simpson(fn(k), x=k)
+
+
+def quad_radial(fn, breakpoints=(), tol=1e-13):
+    """QUADPACK oracle for a complex radial integrand on (0, inf).
+
+    The interval is split at the given profile cutoffs and the last piece
+    runs through QUADPACK's tail map; real and imaginary parts are
+    integrated separately.  This is the test-side reference for the
+    package's Gauss-Legendre momentum rule.
+    """
+    from scipy.integrate import quad
+    edges = [0.0] + sorted({float(b) for b in breakpoints}) + [np.inf]
+    total = 0.0 + 0.0j
+    for a, b in zip(edges[:-1], edges[1:]):
+        for unit in (1.0, 1j):
+            part, _ = quad(lambda k: (fn(k) / unit).real, a, b,
+                           epsabs=tol, epsrel=tol, limit=2000)
+            total += unit * part
+    return total

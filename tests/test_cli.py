@@ -3,6 +3,8 @@ import os
 import pytest
 
 from spinboson import cli
+from spinboson.kernels import QuadratureError
+from spinboson.momentum import TestFunction, form_nonzero
 
 BASE_CONFIG = """\
 [physical]
@@ -113,6 +115,20 @@ def test_inadmissible_test_function_is_config_error(spec, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert err.count("\n") == 1
+
+
+def test_unresolvable_form_is_numerical_non_convergence(tmp_path, capsys):
+    # at a time separation of 1e5 the thermal cross form oscillates faster
+    # than the radial rule's panel budget can resolve: exit 3 on one line
+    p = tmp_path / "far.ini"
+    p.write_text(BASE_CONFIG.replace("grid = 1,2,4,8,16", "grid = 1,1e5"))
+    assert _run("cluster", str(p), str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical non-convergence: ")
+    assert err.count("\n") == 1
+    f = TestFunction.gaussian(width=1.0, amplitude=1.0)
+    with pytest.raises(QuadratureError):
+        form_nonzero(f, f.time_evolved(1e5), 1.0)
 
 
 def test_failed_decay_scan_is_a_failed_check(tmp_path, capsys):

@@ -1,7 +1,9 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad, simpson
 from scipy.interpolate import CubicHermiteSpline
 
@@ -14,9 +16,22 @@ from spinboson.kernels import (
     thermal_antider2,
     thermal_factor,
 )
-from spinboson.momentum import SourceProfile, m_pairing, source_pairing
+from spinboson.momentum import (
+    SourceProfile,
+    TestFunction,
+    _grading_depth,
+    _theta_edges,
+    m_pairing,
+)
+from spinboson.state import transported
+
+from conftest import quad_radial
 
 BETA = 1.0
+
+
+def _gauss_k(k, width=1.0, amplitude=1.0):
+    return amplitude * np.exp(-k ** 2 / (2.0 * width ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +117,35 @@ def test_kappa_positive_and_bounds_checked(kernel_table):
     assert kernel_table.kappa(0.0) > 0.0
     with pytest.raises(ValueError):
         kernel_table.kappa(1.5 * BETA)
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0, 4.0, 8.0])
+def test_kappa_rule_stays_small(gauss_src, beta):
+    # kappa's integrand 4 pi k e^{-k^2} T_beta is analytic at k = 0 (the
+    # thermal 2/(beta k) cancels one power of k), so the rule is not graded
+    # and stays within the 512 nodes of the earlier rule
+    tab = ThermalKernelTable(gauss_src, beta)
+    assert len(tab._k) <= 512
+    ref = quad_radial(lambda k: 4.0 * math.pi * k * np.exp(-k ** 2)
+                      * thermal_antider2(beta, k, beta)).real
+    assert tab.Psi(beta) == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("breaks", [(), (1.0,)])
+@pytest.mark.parametrize("exponent", [0.0, 2.0, 0.5, -0.4])
+def test_theta_edges_are_nested(breaks, exponent):
+    depth = _grading_depth(exponent, 1e-9)
+    # integer exponents are analytic at k = 0 and get no grading
+    assert (depth == 0) == (exponent in (0.0, 2.0))
+    for level in range(4):
+        coarse = _theta_edges(breaks, depth, level)
+        fine = _theta_edges(breaks, depth, level + 1)
+        assert np.all(np.isin(coarse, fine))
+        # every panel is bisected
+        assert len(fine) - 1 == 2 * (len(coarse) - 1)
+        assert coarse[0] == 0.0 and coarse[-1] == 0.5 * math.pi
+        assert np.all(np.diff(coarse) > 0.0)
+        assert np.all(np.isin([math.atan(b) for b in breaks], coarse))
 
 
 # ---------------------------------------------------------------------------
@@ -198,17 +242,19 @@ def test_double_block_diagonal_oracle(kernel_table):
 # per-test-function kernels
 # ---------------------------------------------------------------------------
 
-def test_equal_time_coth_identity(kernel_table, f_gauss, gauss_src):
+def test_equal_time_coth_identity(kernel_table, f_gauss):
     got = kernel_table.kernel_K(f_gauss, 0.3, 0.3)
-    ref = source_pairing(f_gauss, gauss_src, -0.5,
-                         lambda om: 1.0 / np.tanh(0.5 * BETA * om)).value
+    # 4 pi k^2 rho(k) k^{-1/2} coth(beta k / 2) f(k)
+    ref = quad_radial(lambda k: 4.0 * math.pi * k ** 1.5 * np.exp(-k ** 2)
+                      / np.tanh(0.5 * BETA * k))
     assert got == pytest.approx(ref, rel=1e-8)
 
 
-def test_full_circle_identity(kernel_table, f_gauss, gauss_src):
+def test_full_circle_identity(kernel_table, f_gauss):
     circle = 0.5 * kernel_table.interval_K_integral(
         f_gauss, 0.0, -0.5 * BETA, 0.5 * BETA)
-    m_val = m_pairing(f_gauss, gauss_src).value.value
+    # <f, m> = 4 pi int k^2 f(k) k^{-3/2} rho(k) dk
+    m_val = quad_radial(lambda k: 4.0 * math.pi * k ** 0.5 * np.exp(-k ** 2))
     assert circle.real == pytest.approx(m_val.real, rel=1e-6)
     assert kernel_table.m_value(f_gauss).real \
         == pytest.approx(m_val.real, rel=1e-6)
@@ -236,8 +282,8 @@ def test_low_temperature_kernel_limit(f_gauss, gauss_src):
     # as beta grows; the residual comes from the soft k -> 0 modes and
     # shrinks only like a power of beta (about beta^{-3/2} here), so the
     # beta = 16 gap is a few percent, not exponentially small
-    target = source_pairing(f_gauss, gauss_src, -0.5,
-                            lambda om: np.exp(-om)).value.real
+    target = quad_radial(lambda k: 4.0 * math.pi * k ** 1.5
+                         * np.exp(-k ** 2 - k)).real
     gaps = []
     for beta in (4.0, 8.0, 16.0):
         tab = ThermalKernelTable(gauss_src, beta)
@@ -245,6 +291,55 @@ def test_low_temperature_kernel_limit(f_gauss, gauss_src):
                     / abs(target))
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 5e-2
+
+
+@pytest.mark.parametrize("mode", ["time", "space"])
+@pytest.mark.parametrize("u", [1.0, 8.0, 32.0, 64.0, 128.0])
+def test_transported_kernels_match_oracle(kernel_table, mode, u):
+    # K(0) and A(beta) = 2 <h, m> of h = f + T_u g; the far rungs need the
+    # nested rule (the earlier rule's doubling check accepted a K(0) off by
+    # 15% at u = 128)
+    f = TestFunction.gaussian(width=1.0, amplitude=1.0)
+    g = TestFunction.gaussian(width=1.2, amplitude=0.8)
+    entry = kernel_table.register(f + transported(g, mode, u))
+
+    def conj_h(k):
+        # the angular integral of conj(hhat) at |k| = k
+        gk = _gauss_k(k, 1.2, 0.8)
+        if mode == "time":
+            gk = gk * np.exp(-1j * u * k)
+        else:
+            gk = gk * np.sinc(k * u / math.pi)
+        return 4.0 * math.pi * (_gauss_k(k) + gk)
+
+    k0 = quad_radial(lambda k: k ** 1.5 * _gauss_k(k) * conj_h(k)
+                     / np.tanh(0.5 * BETA * k))
+    a_beta = quad_radial(lambda k: 2.0 * k ** 0.5 * _gauss_k(k) * conj_h(k))
+    assert abs(entry.K(0.0) - k0) <= 1e-8 * abs(k0)
+    assert abs(entry.A(BETA) - a_beta) <= 1e-8 * abs(a_beta)
+
+
+# s stays below 1.2: toward s = 1.5, where kappa stops being integrable at
+# k -> 0, kappa(tau) turns singular at tau = 0 and the Psi grid refines to
+# 8192 cells or more (about a minute per table)
+@settings(max_examples=8)
+@given(beta=st.floats(0.5, 4.0), width=st.floats(0.5, 2.0),
+       s=st.floats(0.6, 1.2))
+def test_table_identities_property(beta, width, s):
+    src = SourceProfile.gaussian(width=width, amplitude=1.0, s=s)
+    tab = ThermalKernelTable(src, beta, n_grid=256)
+    taus = np.linspace(0.0, beta, 17)
+    kap = tab.kappa(taus)
+    assert np.max(np.abs(kap - tab.kappa(beta - taus))) \
+        <= 1e-10 * (1.0 + np.max(kap))
+    # Psi'' = kappa > 0
+    psi = tab.Psi(np.linspace(0.0, beta, 129))
+    assert np.all(np.diff(psi, 2) >= -1e-12 * (1.0 + psi[-1]))
+    # the full-circle identity A_f(beta) = 2 <f, m>
+    f = TestFunction.gaussian(width=1.0, amplitude=1.0, s=s)
+    m_val = m_pairing(f, src).value.value
+    assert abs(tab.register(f).A(beta) - 2.0 * m_val) \
+        <= 1e-8 * abs(m_val)
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +387,17 @@ def test_cache_rejects_mismatch(gauss_src, tmp_path):
     path.write_bytes(b"garbage")
     assert not tab.load_cache(str(path))
     assert not tab.load_cache(str(tmp_path / "missing.bin"))
+
+
+def test_cache_rejects_old_version(gauss_src, tmp_path):
+    # a version-1 table came from the earlier momentum rule
+    path = tmp_path / "kern.bin"
+    tab = ThermalKernelTable(gauss_src, BETA, n_grid=256, tol=1e-8,
+                             cache_path=str(path))
+    assert tab.load_cache(str(path))
+    body = path.read_bytes()
+    path.write_bytes(body[:4] + struct.pack("<I", 1) + body[8:])
+    assert not tab.load_cache(str(path))
 
 
 def test_cache_rejects_truncated_file(gauss_src, tmp_path):

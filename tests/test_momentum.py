@@ -1,12 +1,16 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spinboson
 from spinboson.momentum import (
     Component,
     DirectionClass,
     DivergentIntegralError,
+    QuadratureError,
     RadialProfile,
     SourceProfile,
     TestFunction,
@@ -18,8 +22,9 @@ from spinboson.momentum import (
     m_pairing,
     symplectic,
 )
+from spinboson.state import transported
 
-from conftest import simpson_radial
+from conftest import quad_radial, simpson_radial
 
 
 # ---------------------------------------------------------------------------
@@ -262,3 +267,151 @@ def test_classify_outside(gauss_src):
     flat = TestFunction.from_profile(RadialProfile("point_source_flat"))
     assert classify_direction(flat, gauss_src, 1.0) \
         == DirectionClass.OUTSIDE_D0
+
+
+def _direction_battery():
+    """(f, source) pairs: regular and singular bumps, gaussians, shifted,
+    damped and time-evolved functions against regular, singular, flat and
+    vanishing sources."""
+    fs = [TestFunction.gaussian(),
+          TestFunction.gaussian(width=2.0, amplitude=0.7).time_evolved(3.0),
+          TestFunction.gaussian().shifted((1.5, 0.0, 0.0)).damped(0.5),
+          TestFunction.from_profile(RadialProfile("point_source_flat")),
+          TestFunction.from_profile(RadialProfile("point_source_flat"))
+          .damped(1.0)]
+    fs += [TestFunction.power_bump(exponent=a, cutoff=1.0)
+           for a in (-1.2, -0.9, -0.5, 0.0, 1.5)]
+    srcs = [SourceProfile.gaussian(),
+            SourceProfile.zero(),
+            SourceProfile.point_flat(),
+            SourceProfile(RadialProfile("power_bump", exponent_at_zero=-0.4,
+                                        cutoff=1.0))]
+    return [(f, src) for f in fs for src in srcs]
+
+
+def test_classify_matches_m_pairing_domain():
+    # classification decides dom m by exponent arithmetic alone; it must
+    # agree with the m-pairing's own verdict on every direction in D0
+    verdicts = set()
+    for f, src in _direction_battery():
+        cls = classify_direction(f, src, 0.0)
+        if not (f.in_l1() and f.in_l2()):
+            assert cls == DirectionClass.OUTSIDE_D0
+            continue
+        in_dom = cls != DirectionClass.INFRARED_SINGULAR
+        assert in_dom == m_pairing(f, src).in_domain
+        verdicts.add(in_dom)
+    assert verdicts == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# the radial rule against QUADPACK
+# ---------------------------------------------------------------------------
+
+def _coth(k):
+    return 1.0 / np.tanh(0.5 * k)
+
+
+def _fk(k):
+    """Profile of the f_gauss fixture (and of the gauss_src source)."""
+    return np.exp(-k ** 2 / 2.0)
+
+
+def _gk(k):
+    """Profile of the g_gauss fixture."""
+    return 0.7 * np.exp(-k ** 2 / 8.0)
+
+
+def _oracle(fn, breakpoints=()):
+    """QUADPACK value of the form whose angular-integrated weight is fn."""
+    return quad_radial(lambda k: 4.0 * math.pi * k ** 2 * fn(k),
+                       breakpoints, tol=1e-14)
+
+
+def _assert_matches(got, ref, scale=None):
+    """1e-10 relative; a cross form <f, T_u g> is measured against its
+    Cauchy-Schwarz scale, since its value cancels toward 0 as u grows while
+    the quadrature error stays proportional to the integrand."""
+    scale = abs(ref) if scale is None else scale
+    assert abs(got.value - ref) <= 1e-10 * scale
+
+
+def test_forms_match_quadpack(f_gauss, g_gauss, gauss_src):
+    # the forms of this file, each with its weight for the oracle
+    cases = [
+        (form_nonzero(f_gauss, f_gauss, 1.0), lambda k: _fk(k) ** 2 * _coth(k)),
+        (form_nonzero(f_gauss, g_gauss, 1.0),
+         lambda k: _fk(k) * _gk(k) * _coth(k)),
+        (form_nonzero(f_gauss, f_gauss, 1.0, mu=-0.3),
+         lambda k: _fk(k) ** 2 / np.tanh(0.5 * (k + 0.3))),
+        (form_nonzero(f_gauss, g_gauss.time_evolved(50.0), 1.0),
+         lambda k: _fk(k) * _gk(k) * np.exp(50j * k) * _coth(k)),
+        (inner_product(f_gauss, f_gauss.shifted((1.7, 0.0, 0.0))),
+         lambda k: _fk(k) ** 2 * np.sinc(1.7 * k / math.pi)),
+        (inner_product(f_gauss, f_gauss.time_evolved(1.0)),
+         lambda k: _fk(k) ** 2 * np.exp(1j * k)),
+        (m_pairing(f_gauss, gauss_src).value,
+         lambda k: _fk(k) ** 2 * k ** -1.5),
+    ]
+    for got, fn in cases:
+        _assert_matches(got, _oracle(fn))
+    # a singular bump, k^{-0.9} below its cutoff 1: graded toward k = 0
+    bump = TestFunction.power_bump(exponent=-0.9, cutoff=1.0)
+    ref = _oracle(lambda k: (k <= 1.0) * k ** -0.9 * _fk(k) * k ** -1.5,
+                  (1.0,))
+    _assert_matches(m_pairing(bump, gauss_src).value, ref)
+
+
+@pytest.mark.parametrize("mode", ["time", "space"])
+@pytest.mark.parametrize("u", [1.0, 8.0, 32.0, 64.0, 128.0])
+def test_transported_forms_match_quadpack(f_gauss, g_gauss, gauss_src,
+                                          mode, u):
+    tg = transported(g_gauss, mode, u)
+    h = f_gauss + tg
+
+    def phase(k):
+        # the angular integral of T_u at |k| = k, over 4 pi
+        if mode == "time":
+            return np.exp(1j * u * k)
+        return np.sinc(u * k / math.pi)
+
+    for form, weight in ((lambda a, b: form_nonzero(a, b, 1.0), _coth),
+                         (inner_product, np.ones_like)):
+        # |f + T_u g|^2 after the angular integral
+        ref = _oracle(lambda k: weight(k) * (
+            _fk(k) ** 2 + _gk(k) ** 2 + 2.0 * _fk(k) * _gk(k) * phase(k).real))
+        _assert_matches(form(h, h), ref)
+        scale = math.sqrt(_oracle(lambda k: weight(k) * _fk(k) ** 2).real
+                          * _oracle(lambda k: weight(k) * _gk(k) ** 2).real)
+        ref = _oracle(lambda k: weight(k) * _fk(k) * _gk(k) * phase(k))
+        _assert_matches(form(f_gauss, tg), ref, scale)
+    # <f + T_u g, m> pairs conj(hhat) with the source
+    ref = _oracle(lambda k: k ** -1.5 * _fk(k)
+                  * (_fk(k) + _gk(k) * np.conj(phase(k))))
+    _assert_matches(m_pairing(h, gauss_src).value, ref)
+
+
+def test_unattainable_form_tolerance_raises(f_gauss, gauss_src):
+    with pytest.raises(QuadratureError):
+        form_nonzero(f_gauss, f_gauss, 1.0, tol=0.0)
+    with pytest.raises(QuadratureError):
+        inner_product(f_gauss, f_gauss, tol=0.0)
+    with pytest.raises(QuadratureError):
+        m_pairing(f_gauss, gauss_src, tol=0.0)
+
+
+def test_src_does_not_import_quadpack():
+    # QUADPACK is the tests' oracle; the package runs every radial integral
+    # on its own Gauss-Legendre rule
+    for path in sorted(Path(spinboson.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            assert not any(n == "scipy.integrate"
+                           or n.startswith("scipy.integrate.")
+                           for n in names), f"{path.name} imports {names}"
