@@ -49,7 +49,6 @@ from datetime import datetime, timezone
 import numpy as np
 
 from spinboson import cluster as cluster_mod
-from spinboson import resolvent as resolvent_mod
 from spinboson import state as state_mod
 from spinboson.kernels import QuadratureError
 from spinboson.loops import correlation_trace, two_point_oracle
@@ -424,6 +423,10 @@ def run_variance(cp, args, outdir):
 
 
 def run_resolvent(cp, args, outdir):
+    # resolvent loads scipy.special for the Faddeeva function, so only the
+    # subcommands that need it import it
+    from spinboson import resolvent as resolvent_mod
+
     cfg = build_state(cp, args)
     funcs = load_functions(cp, cfg.d, cfg.s)
     names = sorted(funcs)
@@ -470,6 +473,8 @@ def run_resolvent(cp, args, outdir):
 
 
 def run_ideals(cp, args, outdir):
+    from spinboson import resolvent as resolvent_mod
+
     cfg = build_state(cp, args)
     funcs = load_functions(cp, cfg.d, cfg.s)
     report = resolvent_mod.ideal_report(cfg, sorted(funcs.items()))

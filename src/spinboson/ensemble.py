@@ -27,7 +27,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from spinboson.loops import SpinLoop, SpinMeasureParams, sample_loop_arrays
 from spinboson.seeds import substream
@@ -181,8 +180,10 @@ class TiltedEnsemble:
     def log_partition(self):
         """log Z_beta = log(2 cosh(eps beta)) + log E_free[W]."""
         x = self.params.eps * self.params.beta
-        return (math.log(2.0 * math.cosh(x))
-                + float(logsumexp(self.logw)) - math.log(self.n))
+        # log sum W = max log W + log sum_w, the weights being shifted by
+        # their largest log
+        return (math.log(2.0 * math.cosh(x)) + float(self.logw.max())
+                + math.log(self.sum_w) - math.log(self.n))
 
     def z_values(self, f, t_offset=0.0):
         """Z_{beta,t,f} for every loop (cached per (f, t_offset))."""

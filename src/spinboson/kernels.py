@@ -30,7 +30,6 @@ import math
 import struct
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from spinboson.momentum import (  # QuadratureError is re-exported
     NEG_INF,
@@ -63,35 +62,33 @@ def thermal_antider(tau, omega, beta):
 
 
 def _expm1mx(x):
-    """expm1(x) - x, stable near 0 (series through x^9 below |x| = 0.1)."""
-    x = np.asarray(x, dtype=float)
-    xs = np.where(np.abs(x) < 0.1, x, 0.0)
-    series = np.zeros_like(xs)
-    term = xs * xs / 2.0
+    """expm1(x) - x for |x| < 0.1, by its series through x^9."""
+    series = np.zeros_like(x)
+    term = x * x / 2.0
     for n in range(2, 10):
         series += term
-        term = term * xs / (n + 1.0)
-    direct = np.expm1(np.where(np.abs(x) < 700.0, x, 0.0)) - x
-    return np.where(np.abs(x) < 0.1, series, direct)
+        term = term * x / (n + 1.0)
+    return series
 
 
 def thermal_antider2(u, omega, beta):
     """int_0^u int_0^v T_beta(tau, omega) dtau dv, closed form.
 
-    Two branches: for small u*omega the naive expression cancels
-    catastrophically, so it is rearranged into 4 sinh^2(x/2) minus a
-    product term; for large arguments the original decaying-exponential
-    form is overflow-free.
+    Two branches: for large arguments the decaying-exponential form is
+    overflow-free and is evaluated everywhere; where |x| = |u*omega| < 0.1
+    it cancels catastrophically and is overwritten by the rearrangement
+    into 4 sinh^2(x/2) minus a product term, evaluated on those elements
+    only.
     """
     u = np.asarray(u, dtype=float)
-    x = u * omega
+    x = np.asarray(u * omega)
     denom = -np.expm1(-beta * omega)
-    small = x < 0.1
-    xs = np.where(small, x, 0.0)
-    num_small = 4.0 * np.sinh(0.5 * xs) ** 2 - denom * _expm1mx(xs)
-    num_large = (x * denom + np.expm1(-x)
-                 + np.exp(-(beta - u) * omega) - np.exp(-beta * omega))
-    num = np.where(small, num_small, num_large)
+    num = np.asarray(x * denom + np.expm1(-x)
+                     + np.exp(-(beta - u) * omega) - np.exp(-beta * omega))
+    small = np.abs(x) < 0.1
+    xs = x[small]
+    num[small] = (4.0 * np.sinh(0.5 * xs) ** 2
+                  - np.broadcast_to(denom, x.shape)[small] * _expm1mx(xs))
     return num / (omega * omega * denom)
 
 
@@ -99,16 +96,30 @@ def thermal_antider2(u, omega, beta):
 _EVAL_SLAB = 1 << 16
 
 
+def _hermite_cells(x, y, dy):
+    """Coefficients c[k, i] of (x - x_i)^(3-k) of the real cubic Hermite
+    cells through (x, y, dy)."""
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    t = (dy[:-1] + dy[1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - dy[:-1]) / dx - t, dy[:-1], y[:-1]))
+
+
 class UniformHermiteSpline:
-    """Cubic Hermite interpolant on a uniform grid x, real or complex: scipy's
-    cell polynomials, the cell found by arithmetic, Horner evaluation, and
-    PPoly's extrapolation by the end polynomials outside the grid."""
+    """Cubic Hermite interpolant on a uniform grid x, real or complex.
+
+    Each cell carries the cubic in (x - x_i) that matches the values and
+    derivatives at both of its ends; the real and imaginary parts are
+    built separately, since a complex value divided by the real cell width
+    rounds differently.  The cell is found by arithmetic and evaluated by
+    Horner's rule, and the end cells' cubics extrapolate outside the grid.
+    """
 
     def __init__(self, x, y, dy):
         y, dy = np.asarray(y), np.asarray(dy)
-        c = CubicHermiteSpline(x, y.real, dy.real).c
+        c = _hermite_cells(x, y.real, dy.real)
         if np.iscomplexobj(y) or np.iscomplexobj(dy):
-            c = c + 1j * CubicHermiteSpline(x, y.imag, dy.imag).c
+            c = c + 1j * _hermite_cells(x, y.imag, dy.imag)
         self._c, self._x = c, x
         self._n = len(x) - 1
         self._scale = self._n / (x[-1] - x[0])

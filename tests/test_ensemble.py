@@ -56,6 +56,22 @@ def test_frozen_coupling_closed_forms(eps0_ensemble, kernel_table, f_gauss):
         math.log(2.0) + 0.5 * kernel_table.Psi(BETA), rel=1e-12)
 
 
+@pytest.mark.parametrize("which", ["fixture", "constant"])
+def test_log_partition_matches_scipy_logsumexp(ensemble, which):
+    from scipy.special import logsumexp
+
+    if which == "constant":
+        ens = build_ensemble(SpinMeasureParams(BETA, 1.0),
+                             ThermalKernelTable.constant(BETA, 2.5), 20000,
+                             seed=7)
+    else:
+        ens = ensemble
+    x = ens.params.eps * ens.params.beta
+    ref = (math.log(2.0 * math.cosh(x)) + float(logsumexp(ens.logw))
+           - math.log(ens.n))
+    assert abs(ens.log_partition() - ref) <= 1e-14 * abs(ref)
+
+
 # ---------------------------------------------------------------------------
 # boundary-sum identities vs the reference paths
 # ---------------------------------------------------------------------------

@@ -34,6 +34,19 @@ def _gauss_k(k, width=1.0, amplitude=1.0):
     return amplitude * np.exp(-k ** 2 / (2.0 * width ** 2))
 
 
+def _scipy_cells(x, y, dy):
+    c = CubicHermiteSpline(x, y.real, dy.real).c
+    if np.iscomplexobj(y) or np.iscomplexobj(dy):
+        c = c + 1j * CubicHermiteSpline(x, y.imag, dy.imag).c
+    return c
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # closed-form time integrals
 # ---------------------------------------------------------------------------
@@ -70,6 +83,66 @@ def test_antider2_branch_continuity():
     hi = thermal_antider2(0.1 + du, om, BETA)
     slope = thermal_antider(0.1, om, BETA)
     assert hi - lo == pytest.approx(2.0 * du * slope, rel=1e-5)
+
+
+def _expm1mx_both_branches(x):
+    x = np.asarray(x, dtype=float)
+    xs = np.where(np.abs(x) < 0.1, x, 0.0)
+    series = np.zeros_like(xs)
+    term = xs * xs / 2.0
+    for n in range(2, 10):
+        series += term
+        term = term * xs / (n + 1.0)
+    direct = np.expm1(np.where(np.abs(x) < 700.0, x, 0.0)) - x
+    return np.where(np.abs(x) < 0.1, series, direct)
+
+
+def _antider2_both_branches(u, omega, beta):
+    """thermal_antider2 as it was before the small-x branch was masked:
+    both branches on every element, one of them discarded by np.where."""
+    u = np.asarray(u, dtype=float)
+    x = u * omega
+    denom = -np.expm1(-beta * omega)
+    small = x < 0.1
+    xs = np.where(small, x, 0.0)
+    num_small = (4.0 * np.sinh(0.5 * xs) ** 2
+                 - denom * _expm1mx_both_branches(xs))
+    num_large = (x * denom + np.expm1(-x)
+                 + np.exp(-(beta - u) * omega) - np.exp(-beta * omega))
+    num = np.where(small, num_small, num_large)
+    return num / (omega * omega * denom)
+
+
+@settings(max_examples=60)
+@given(beta=st.floats(0.5, 8.0),
+       fracs=st.lists(st.just(0.0) | st.floats(1e-6, 1.0), min_size=1,
+                      max_size=6),
+       exps=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=6))
+def test_antider2_masked_branch_is_bitwise(beta, fracs, exps):
+    # x = u * omega from about 0 to 20, and three omegas that put the
+    # largest u just below, on and just above the x = 0.1 switch
+    u = beta * np.array(fracs)
+    omega = 0.2 / beta * 10.0 ** np.array(exps)
+    if u.max() > 0.0:
+        w = 0.1 / u.max()
+        omega = np.concatenate(
+            [omega, [np.nextafter(w, 0.0), w, np.nextafter(w, np.inf)]])
+    outer = thermal_antider2(u[:, None], omega, beta)
+    paired = np.resize(omega, u.shape)
+    flat = thermal_antider2(u, paired, beta)
+    assert outer.shape == (len(u), len(omega)) and flat.shape == u.shape
+    assert np.all(np.isfinite(outer)) and np.all(np.isfinite(flat))
+    for i, ui in enumerate(u):
+        for j, wj in enumerate(omega):
+            val = thermal_antider2(float(ui), float(wj), beta)
+            assert np.ndim(val) == 0
+            assert _same_bits(val, outer[i, j])
+        val = thermal_antider2(float(ui), float(paired[i]), beta)
+        assert _same_bits(val, flat[i])
+    # the oracle runs on arrays: numpy's scalar ** 2 calls libm pow, which
+    # can round x * x differently from the array square
+    assert _same_bits(outer, _antider2_both_branches(u[:, None], omega, beta))
+    assert _same_bits(flat, _antider2_both_branches(u, paired, beta))
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +239,7 @@ def test_uniform_spline_matches_cubic_hermite(complex_values):
     ref_re = CubicHermiteSpline(x, y.real, dy.real)
     ref_im = CubicHermiteSpline(x, y.imag, dy.imag)
     spline = UniformHermiteSpline(x, y, dy)
+    assert _same_bits(spline._c, _scipy_cells(x, y, dy))
     # random points over several slabs, every knot, both ends exactly, and
     # extrapolation on either side
     pts = np.concatenate([
@@ -186,6 +260,18 @@ def test_uniform_spline_matches_cubic_hermite(complex_values):
         assert np.ndim(val) == 0
         assert abs(val - ref) <= 1e-13 * (1.0 + abs(ref))
     assert spline(pts[:12].reshape(3, 4)).shape == (3, 4)
+
+
+def test_table_spline_cells_match_scipy_exactly(kernel_table, f_gauss):
+    tab = kernel_table
+    assert _same_bits(tab._psi._c,
+                      _scipy_cells(tab.grid, tab._psi_vals, tab._apsi_vals))
+    grid = np.linspace(0.0, tab.beta, tab.n_grid + 1)
+    kv, av, dk = tab._f_tables(grid, *tab._f_rule_and_weight(
+        f_gauss, tab._check_f_convergence(f_gauss)))
+    entry = tab.register(f_gauss)
+    assert _same_bits(entry.K._c, _scipy_cells(grid, kv, dk))
+    assert _same_bits(entry.A._c, _scipy_cells(grid, av, kv))
 
 
 # ---------------------------------------------------------------------------

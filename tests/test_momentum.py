@@ -1,5 +1,8 @@
 import ast
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -400,9 +403,15 @@ def test_unattainable_form_tolerance_raises(f_gauss, gauss_src):
         m_pairing(f_gauss, gauss_src, tol=0.0)
 
 
+def _imports(names, module):
+    return any(n == module or n.startswith(module + ".") for n in names)
+
+
 def test_src_does_not_import_quadpack():
-    # QUADPACK is the tests' oracle; the package runs every radial integral
-    # on its own Gauss-Legendre rule
+    # QUADPACK and scipy's splines are the tests' oracles: the package runs
+    # every radial integral on its own Gauss-Legendre rule and builds its
+    # Hermite cells itself; scipy.special is loaded for the Faddeeva
+    # function in resolvent.py alone
     for path in sorted(Path(spinboson.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
@@ -412,6 +421,23 @@ def test_src_does_not_import_quadpack():
                 names = [f"{node.module}.{a.name}" for a in node.names]
             else:
                 continue
-            assert not any(n == "scipy.integrate"
-                           or n.startswith("scipy.integrate.")
-                           for n in names), f"{path.name} imports {names}"
+            assert not _imports(names, "scipy.integrate"), \
+                f"{path.name} imports {names}"
+            assert not _imports(names, "scipy.interpolate"), \
+                f"{path.name} imports {names}"
+            if path.name != "resolvent.py":
+                assert not _imports(names, "scipy.special"), \
+                    f"{path.name} imports {names}"
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, spinboson, spinboson.cli, spinboson.cluster; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    env = dict(os.environ)
+    src = str(Path(spinboson.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
