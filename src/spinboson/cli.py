@@ -57,8 +57,9 @@ from spinboson.momentum import (
     RadialProfile,
     SourceProfile,
     TestFunction,
+    convergent_exponent,
     m_pairing,
-    source_pairing,
+    weighted_pairing,
 )
 from spinboson.state import DirectionRejected, StateConfig
 
@@ -149,6 +150,7 @@ def load_physical(cp):
 
 
 def load_functions(cp, d, s):
+    """The [functions] section as a dict ordered by name."""
     funcs = {}
     if cp.has_section("functions"):
         for name, spec in cp.items("functions"):
@@ -156,7 +158,14 @@ def load_functions(cp, d, s):
             funcs[name] = TestFunction.from_profile(prof, d=d, s=s)
     if not funcs:
         raise ConfigError("config section [functions] declares no functions")
-    return funcs
+    return dict(sorted(funcs.items()))
+
+
+def load_f_g(cp, cfg):
+    """f and g of a subcommand: the first and the last function by name
+    (g = f when only one is declared)."""
+    funcs = list(load_functions(cp, cfg.d, cfg.s).values())
+    return funcs[0], funcs[-1]
 
 
 def _mc_settings(cp, args):
@@ -292,8 +301,7 @@ def run_kernels(cp, args, outdir):
     """Thermal-kernel identity suite."""
     cfg = build_state(cp, args)
     kern = cfg.kernels
-    funcs = load_functions(cp, cfg.d, cfg.s)
-    f = next(iter(funcs.values()))
+    f, _ = load_f_g(cp, cfg)
     checks = []
     beta = cfg.beta
 
@@ -304,9 +312,10 @@ def run_kernels(cp, args, outdir):
     checks.append(("kappa_reflection_symmetry", sym <= 1e-10 * (1 + kap.max())))
 
     if not cfg.source.is_zero:
-        eq_form = source_pairing(
-            f, cfg.source, -0.5,
-            lambda om: 1.0 / np.tanh(0.5 * beta * om)).value
+        rho = cfg.source.as_test_function()
+        eq_form = weighted_pairing(
+            f, rho, lambda om: np.power(om, -0.5) / np.tanh(0.5 * beta * om),
+            convergent_exponent(f, rho, -0.5, "K_f", thermal=True)).value
         eq_kernel = kern.kernel_K(f, 0.3, 0.3)
         checks.append(("equal_time_coth_identity",
                        abs(eq_kernel - eq_form) <= 1e-8 * abs(eq_form)))
@@ -331,8 +340,7 @@ def run_kernels(cp, args, outdir):
 
 def run_charfun(cp, args, outdir):
     cfg = build_state(cp, args)
-    funcs = load_functions(cp, cfg.d, cfg.s)
-    f = next(iter(funcs.values()))
+    f, _ = load_f_g(cp, cfg)
     s_grid = _grid_from_config(cp, "s_grid", default="0,0.5,1,1.5,2")
     vals, ses = state_mod.charfun_scaled(cfg, f, s_grid)
     # charfun_scaled admits only directions in dom m (it rejects the
@@ -362,10 +370,7 @@ def _grid_from_config(cp, key, default):
 
 def run_cluster(cp, args, outdir):
     cfg = build_state(cp, args)
-    funcs = load_functions(cp, cfg.d, cfg.s)
-    names = sorted(funcs)
-    f = funcs[names[0]]
-    g = funcs[names[-1]] if len(names) > 1 else f
+    f, g = load_f_g(cp, cfg)
     mode = cp.get("experiment", "mode", fallback="time")
     if mode not in ("time", "space"):
         raise ConfigError("config field [experiment] mode must be "
@@ -398,8 +403,7 @@ def run_cluster(cp, args, outdir):
 
 def run_variance(cp, args, outdir):
     cfg = build_state(cp, args)
-    funcs = load_functions(cp, cfg.d, cfg.s)
-    f = next(iter(funcs.values()))
+    f, _ = load_f_g(cp, cfg)
     n_cells = _get_num(cp, "numerics", "variance_grid", 64, int)
     rep = cfg.ensemble.variance_two_routes(f, n_cells)
     s_grid = _grid_from_config(cp, "s_grid", "0,0.25,0.5,1,2")
@@ -428,16 +432,13 @@ def run_resolvent(cp, args, outdir):
     from spinboson import resolvent as resolvent_mod
 
     cfg = build_state(cp, args)
-    funcs = load_functions(cp, cfg.d, cfg.s)
-    names = sorted(funcs)
-    f = funcs[names[0]]
+    f, g = load_f_g(cp, cfg)
     lam = _get_num(cp, "experiment", "lambda", 1.0)
     if lam == 0:
         raise ConfigError("config field [experiment] lambda must be nonzero")
     mu = _get_num(cp, "experiment", "mu", 2.0)
     if mu == 0:
         raise ConfigError("config field [experiment] mu must be nonzero")
-    g = funcs[names[-1]] if len(names) > 1 else f
 
     rows, checks = [], []
     one = resolvent_mod.resolvent_onepoint(cfg, lam, f)
@@ -476,8 +477,8 @@ def run_ideals(cp, args, outdir):
     from spinboson import resolvent as resolvent_mod
 
     cfg = build_state(cp, args)
-    funcs = load_functions(cp, cfg.d, cfg.s)
-    report = resolvent_mod.ideal_report(cfg, sorted(funcs.items()))
+    report = resolvent_mod.ideal_report(
+        cfg, load_functions(cp, cfg.d, cfg.s).items())
     rows = [(r.name, r.classification, r.witness_modulus, r.witness_error,
              r.decay_summary) for r in report.rows]
     rows.append(("summary", f"J_ir={','.join(report.jir_generators) or '-'}",
@@ -497,8 +498,7 @@ def run_ideals(cp, args, outdir):
 
 def run_gp_scan(cp, args, outdir):
     cfg = build_state(cp, args)
-    funcs = load_functions(cp, cfg.d, cfg.s)
-    seq = [funcs[k] for k in sorted(funcs)]
+    seq = list(load_functions(cp, cfg.d, cfg.s).values())
     s_grid = _grid_from_config(cp, "s_grid", "0,0.5,1,2,4")
     report = cluster_mod.gp_limit_scan(cfg, seq, s_grid)
     rows = []

@@ -126,7 +126,8 @@ class TiltedEnsemble:
         """Yield (indices, boundary matrix, signed d-coefficients) per
         distinct jump count."""
         beta = self.params.beta
-        for c in np.unique(self.counts):
+        # distinct counts, ascending (np.unique would load numpy.ma)
+        for c in np.flatnonzero(np.bincount(self.counts)):
             idx = np.nonzero(self.counts == c)[0]
             nb = c + 2
             bounds = np.empty((len(idx), nb))
@@ -263,6 +264,11 @@ class TiltedEnsemble:
 
         The kernel route projects every loop onto the cell-constant kernel
         (see _kernel_variance), so both routes take O(N) memory.
+
+        At beta ~ 1 nearly all of Var~(Z) is the static mode, so the kernel
+        route agrees with the direct one even with a single cell (a flat
+        kernel): there routes_agree and grid_flagged (the CLI's
+        variance_grid_converged) do not test the kernel's shape.
         """
         _, _, var, var_se = self._z_moments(f)
         coarse = self._kernel_variance(f, n_cells)

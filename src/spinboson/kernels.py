@@ -32,9 +32,8 @@ import struct
 import numpy as np
 
 from spinboson.momentum import (  # QuadratureError is re-exported
-    NEG_INF,
-    DivergentIntegralError,
     QuadratureError,
+    convergent_exponent,
     dispersion,
     radial_integrand,
     refine_rule,
@@ -181,7 +180,11 @@ class ThermalKernelTable:
             self._const = 0.0
             self.grid = np.linspace(0.0, self.beta, 2)
             return
-        self._build_rule(self._check_self_convergence())
+        k, gw = self._rule(src.as_test_function(), -1.0, (
+            (thermal_factor, 0.0), (thermal_factor, 0.5 * self.beta),
+            (thermal_antider2, self.beta)), "kappa")
+        # kappa's weights are real: rho is paired with itself, unshifted
+        self._k, self._gw, self._om = k, gw.real, dispersion(k, self.s)
         if cache_path is not None and self.load_cache(cache_path):
             return
         self._tabulate(n_grid)
@@ -206,41 +209,29 @@ class ThermalKernelTable:
         obj.grid = np.linspace(0.0, beta, 2)
         return obj
 
-    def _check_self_convergence(self):
-        d, s, rho = self.d, self.s, self.src.rho
-        e0 = d - 1 + 2 * rho.a0 - 2 * s
-        if e0 <= -1:
-            raise DivergentIntegralError(
-                f"kappa divergent at k -> 0 (exponent {e0})", exponent=e0)
-        if rho.a_inf != NEG_INF:
-            ei = d - 1 + 2 * rho.a_inf - s
-            if ei >= -1:
-                raise DivergentIntegralError(
-                    f"kappa divergent at k -> infinity (exponent {ei})",
-                    exponent=ei)
-        return e0
-
-    def _build_rule(self, e0):
-        """The momentum rule of kappa; e0 is its exponent at k -> 0, the
-        thermal factor's 2/(beta omega) included."""
+    def _rule(self, f, power, probes, label):
+        """Momentum rule (k, gw) of f against the source with weight
+        omega^power T_beta (kappa: f = rho, power -1; K_f: power -1/2),
+        T_beta left out of gw but not out of the grading.  It is refined
+        until the probe integrals sum_j gw_j fn(tau, omega_j), one per
+        (fn, tau) in ``probes``, agree on two levels; ``label`` names the
+        integral in a divergence error."""
         s, beta = self.s, self.beta
         rho = self.src.as_test_function()
-        integrand = radial_integrand(rho, rho)
+        e0 = convergent_exponent(f, rho, power, label, thermal=True)
+        integrand = radial_integrand(f, rho)
 
         def gfun(k):
-            return integrand(k).real / dispersion(k, s)
+            return integrand(k) / dispersion(k, s) ** -power
 
         def probe(k, gw):
             om = dispersion(k, s)
-            return np.array([
-                gw @ thermal_factor(0.0, om, beta),
-                gw @ thermal_factor(0.5 * beta, om, beta),
-                gw @ thermal_antider2(beta, om, beta),
-            ])
+            vals = np.array([gw @ fn(tau, om, beta) for fn, tau in probes])
+            return np.concatenate([vals.real, vals.imag])
 
-        self._k, self._gw, _ = refine_rule(gfun, rho.breakpoints, e0, probe,
-                                           self.tol)
-        self._om = dispersion(self._k, s)
+        k, gw, _ = refine_rule(gfun, f.breakpoints + rho.breakpoints, e0,
+                               probe, self.tol)
+        return k, gw
 
     def _tabulate(self, n_grid):
         beta = self.beta
@@ -321,42 +312,6 @@ class ThermalKernelTable:
 
     # -- per-test-function kernels -------------------------------------------
 
-    def _check_f_convergence(self, f):
-        d, s = self.d, self.s
-        rho = self.src.rho
-        e0 = d - 1 + f.a0 + rho.a0 - 1.5 * s
-        if e0 <= -1:
-            raise DivergentIntegralError(
-                f"K_f divergent at k -> 0 (exponent {e0})", exponent=e0)
-        if f.a_inf != NEG_INF and rho.a_inf != NEG_INF:
-            ei = d - 1 + f.a_inf + rho.a_inf - 0.5 * s
-            if ei >= -1:
-                raise DivergentIntegralError(
-                    f"K_f divergent at k -> infinity (exponent {ei})",
-                    exponent=ei)
-        return e0
-
-    def _f_rule_and_weight(self, f, e0):
-        """Refined rule (complex weight, omega) for the f-against-source
-        integrand, with the thermal factor left out of the weight but not
-        out of e0, the exponent at k -> 0."""
-        s, beta = self.s, self.beta
-        rho = self.src.as_test_function()
-        integrand = radial_integrand(f, rho)
-
-        def gfun(k):
-            return integrand(k) / np.sqrt(dispersion(k, s))
-
-        def probe(k, gw):
-            om = dispersion(k, s)
-            v0 = gw @ thermal_factor(0.0, om, beta)
-            vb = gw @ thermal_antider(beta, om, beta)
-            return np.array([v0.real, v0.imag, vb.real, vb.imag])
-
-        k, gw, _ = refine_rule(gfun, f.breakpoints + rho.breakpoints, e0,
-                               probe, self.tol)
-        return gw, dispersion(k, s)
-
     def register(self, f):
         """Tabulate K_f and its antiderivative; cached per test function."""
         if self.src is None:
@@ -370,19 +325,22 @@ class ThermalKernelTable:
         else:
             if (f.d, f.s) != (self.d, self.s):
                 raise ValueError("test function on a different (d, s) space")
-            gw, om = self._f_rule_and_weight(f, self._check_f_convergence(f))
+            rule = self._rule(f, -0.5, ((thermal_factor, 0.0),
+                                        (thermal_antider, self.beta)), "K_f")
             grid = np.linspace(0.0, self.beta, self.n_grid + 1)
-            kv, av, dk = self._f_tables(grid, gw, om)
+            kv, av, dk = self._f_tables(grid, *rule)
             m_value = 0.5 * complex(av[-1])
             entry = _KernelEntry(grid, kv, av, dk, m_value)
         self._entries[f] = entry
         return entry
 
-    def _f_tables(self, grid, gw, om):
-        """K_f, A_f and dK_f/dtau on the grid in one pass: per tau slab
-        e^{-tau w} and e^{-(beta-tau) w} are formed once, and the sums are
-        real matmuls against [Re gw, Im gw] / (1 - e^{-beta w})."""
+    def _f_tables(self, grid, k, gw):
+        """K_f, A_f and dK_f/dtau on the grid in one pass, from the rule
+        (k, gw) of _rule: per tau slab e^{-tau w} and e^{-(beta-tau) w} are
+        formed once, and the sums are real matmuls against
+        [Re gw, Im gw] / (1 - e^{-beta w})."""
         beta = self.beta
+        om = dispersion(k, self.s)
         omc = om[:, None]
         gw2 = np.stack([gw.real, gw.imag], axis=1) / -np.expm1(-beta * omc)
         wa, wd, e_beta = gw2 / omc, gw2 * omc, np.exp(-beta * om)
@@ -402,8 +360,7 @@ class ThermalKernelTable:
         tau = abs(t - s_time)
         if tau > self.beta:
             raise ValueError("|t - s| exceeds beta")
-        entry = self.register(f)
-        return complex(entry.K(tau)) if np.ndim(tau) == 0 else entry.K(tau)
+        return complex(self.register(f).K(tau))
 
     def interval_K_integral(self, f, t, a, b):
         """int_a^b K_{f,t}(u) du from the tabulated antiderivative."""

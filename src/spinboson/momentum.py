@@ -19,7 +19,9 @@ unshifted components are supported.
 Every radial integral, here and in the kernel tables, runs on one
 composite Gauss-Legendre rule on k = tan(theta) (refine_rule): panels split
 at the profile cutoffs, graded toward k = 0 by the integrand's exact
-exponent there, and bisected until two successive levels agree.
+exponent there, and bisected until two successive levels agree.  That
+exponent, and every divergence verdict, comes from one rule
+(pairing_exponents).
 """
 
 from __future__ import annotations
@@ -446,7 +448,7 @@ def radial_integrand(f, g):
     d = f.d
     dist = np.array([[math.dist(cf.shift, cg.shift) for cg in g.components]
                      for cf in f.components])
-    shells = [(r, (dist == r).astype(float)) for r in np.unique(dist)]
+    shells = [(r, (dist == r).astype(float)) for r in sorted(set(dist.flat))]
 
     def integrand(k):
         fr = np.conj([f.radial_factor(k, c) for c in f.components])
@@ -458,31 +460,52 @@ def radial_integrand(f, g):
     return integrand
 
 
-def weighted_pairing(f, g, weight, tol=DEFAULT_QUAD_TOL, check=None):
+def pairing_exponents(f, g, power, thermal=False):
+    """(e0, e_inf): the exponents at k -> 0 and k -> infinity of the radial
+    integrand k^{d-1} |fhat| |ghat| omega^power.  d and s are f's; g may
+    be a test function or a radial profile (only its a0, a_inf are read).
+
+    A thermal weight (coth or T_beta, ~ 2/(beta omega) at k -> 0 and
+    bounded at infinity) adds -s at k -> 0 only.  e_inf is -inf when
+    either function decays faster than any power."""
+    d, s = f.d, f.s
+    # the exponents are sums of decimal inputs: rounded to 12 places, an
+    # exact tie at -1 (a log divergence) reads as -1 whatever the order of
+    # the float additions
+    e0 = round(d - 1 + f.a0 + g.a0 + (power - 1.0 if thermal else power) * s,
+               12)
+    if f.a_inf == NEG_INF or g.a_inf == NEG_INF:
+        return e0, NEG_INF
+    return e0, round(d - 1 + f.a_inf + g.a_inf + power * s, 12)
+
+
+def convergent_exponent(f, g, power, label, thermal=False):
+    """The exponent at k -> 0 of pairing_exponents, which sets the rule's
+    grading; raises DivergentIntegralError, naming ``label``, when the
+    integral diverges at either end."""
+    e0, ei = pairing_exponents(f, g, power, thermal)
+    if e0 <= -1:
+        raise DivergentIntegralError(
+            f"{label} divergent at k -> 0 (exponent {e0})", exponent=e0)
+    if ei >= -1:
+        raise DivergentIntegralError(
+            f"{label} divergent at k -> infinity (exponent {ei})",
+            exponent=ei)
+    return e0
+
+
+def weighted_pairing(f, g, weight, exponent, tol=DEFAULT_QUAD_TOL):
     """< f, weight(omega) g > on the certified radial rule.
 
-    ``weight`` maps the dispersion value to a real factor.  ``check``
-    validates convergence by exponent arithmetic (raising
-    DivergentIntegralError) and returns the integrand's exponent at
-    k -> 0; without it the weight is taken as regular there.  The
-    abs_error is the difference of the last two rule levels."""
+    ``weight`` maps the dispersion value to a real factor, and
+    ``exponent`` is the integrand's exponent at k -> 0, weight included
+    (convergent_exponent), which sets the grading there.  The abs_error
+    is the difference of the last two rule levels."""
     integrand = radial_integrand(f, g)
-    e0 = check() if check is not None else f.d - 1 + f.a0 + g.a0
     _, gw, err = refine_rule(
         lambda k: integrand(k) * weight(dispersion(k, f.s)),
-        f.breakpoints + g.breakpoints, e0, lambda k, gw: gw.sum(), tol)
+        f.breakpoints + g.breakpoints, exponent, lambda k, gw: gw.sum(), tol)
     return FormValue(complex(gw.sum()), err)
-
-
-def source_pairing(f, src, omega_power, weight, tol=DEFAULT_QUAD_TOL):
-    """< f, weight(omega) * omega^omega_power * rho > on the certified
-    radial rule.  The grading toward k = 0 takes ``weight`` as regular
-    there; a singular weight (a thermal coth) costs more bisections."""
-    e0 = f.d - 1 + f.a0 + src.rho.a0 + omega_power * f.s
-    return weighted_pairing(
-        f, src.as_test_function(),
-        lambda om: weight(om) * np.power(om, omega_power), tol,
-        check=lambda: e0)
 
 
 # ---------------------------------------------------------------------------
@@ -506,24 +529,6 @@ def form_zero(f, g, n0):
     return FormValue(complex(val), 0.0)
 
 
-def _check_nonzero_convergence(f, g, mu):
-    d, s = f.d, f.s
-    # k -> 0: coth(beta(omega - mu)/2) ~ 2/(beta(omega - mu)); an extra
-    # omega^{-1} ~ k^{-s} only at mu = 0.
-    low_weight = -s if mu == 0.0 else 0.0
-    e0 = d - 1 + f.a0 + g.a0 + low_weight
-    if e0 <= -1:
-        raise DivergentIntegralError(
-            f"thermal form divergent at k -> 0 (exponent {e0})", exponent=e0)
-    if f.a_inf != NEG_INF and g.a_inf != NEG_INF:
-        ei = d - 1 + f.a_inf + g.a_inf
-        if ei >= -1:
-            raise DivergentIntegralError(
-                f"thermal form divergent at k -> infinity (exponent {ei})",
-                exponent=ei)
-    return e0
-
-
 def form_nonzero(f, g, beta, mu=0.0, tol=DEFAULT_QUAD_TOL):
     """Non-zero-mode thermal form < f, coth(beta (omega - mu)/2) g >.
 
@@ -534,32 +539,16 @@ def form_nonzero(f, g, beta, mu=0.0, tol=DEFAULT_QUAD_TOL):
         raise ValueError("inverse temperature must be positive")
     if mu > 0:
         raise ValueError("chemical potential must be <= 0")
+    # coth(beta (omega - mu)/2) ~ 2/(beta omega) at k -> 0 only at mu = 0
+    e0 = convergent_exponent(f, g, 0.0, "thermal form", thermal=mu == 0.0)
     return weighted_pairing(
-        f, g,
-        weight=lambda om: 1.0 / np.tanh(0.5 * beta * (om - mu)),
-        tol=tol,
-        check=lambda: _check_nonzero_convergence(f, g, mu))
-
-
-def _check_plain_convergence(f, g):
-    d = f.d
-    e0 = d - 1 + f.a0 + g.a0
-    if e0 <= -1:
-        raise DivergentIntegralError(
-            f"inner product divergent at k -> 0 (exponent {e0})", exponent=e0)
-    if f.a_inf != NEG_INF and g.a_inf != NEG_INF:
-        ei = d - 1 + f.a_inf + g.a_inf
-        if ei >= -1:
-            raise DivergentIntegralError(
-                f"inner product divergent at k -> infinity (exponent {ei})",
-                exponent=ei)
-    return e0
+        f, g, lambda om: 1.0 / np.tanh(0.5 * beta * (om - mu)), e0, tol)
 
 
 def inner_product(f, g, tol=DEFAULT_QUAD_TOL):
     """Plain L2 inner product < f, g >."""
-    return weighted_pairing(f, g, weight=lambda om: 1.0, tol=tol,
-                            check=lambda: _check_plain_convergence(f, g))
+    e0 = convergent_exponent(f, g, 0.0, "inner product")
+    return weighted_pairing(f, g, lambda om: 1.0, e0, tol)
 
 
 def symplectic(f, g, tol=DEFAULT_QUAD_TOL):
@@ -576,28 +565,13 @@ class MPairingResult:
     diverging_exponent: float | None = None
 
 
-def m_pairing_exponents(f, src):
-    """(exponent at 0, exponent at infinity) of the |m-pairing| integrand."""
-    d, s = f.d, f.s
-    e0 = d - 1 + f.a0 + src.rho.a0 - 1.5 * s
-    if f.a_inf == NEG_INF or src.rho.a_inf == NEG_INF:
-        ei = NEG_INF
-    else:
-        ei = d - 1 + f.a_inf + src.rho.a_inf - 1.5 * s
-    return e0, ei
-
-
 def _m_divergence(f, src):
     """The exponent at which < f, m > diverges, or None when f is in
     dom m (always, for a vanishing source)."""
-    if src.is_zero:
+    e0, ei = pairing_exponents(f, src.rho, -1.5)
+    if src.is_zero or (e0 > -1 and ei < -1):
         return None
-    e0, ei = m_pairing_exponents(f, src)
-    if e0 <= -1:
-        return e0
-    if ei >= -1:
-        return ei
-    return None
+    return e0 if e0 <= -1 else ei
 
 
 def m_pairing(f, src, tol=DEFAULT_QUAD_TOL):
@@ -611,8 +585,9 @@ def m_pairing(f, src, tol=DEFAULT_QUAD_TOL):
         return MPairingResult(False, diverging_exponent=bad)
     if src.is_zero:
         return MPairingResult(True, FormValue(0.0 + 0.0j, 0.0))
-    val = source_pairing(f, src, omega_power=-1.5,
-                         weight=lambda om: 1.0, tol=tol)
+    rho = src.as_test_function()
+    val = weighted_pairing(f, rho, lambda om: np.power(om, -1.5),
+                           pairing_exponents(f, rho, -1.5)[0], tol)
     return MPairingResult(True, val)
 
 

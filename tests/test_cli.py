@@ -175,6 +175,20 @@ def test_reruns_are_byte_identical(config_path, tmp_path):
     assert s1 == s2
 
 
+def test_functions_are_picked_by_name(config_path, tmp_path):
+    # every subcommand takes f and g by sorted name, not by declaration
+    # order, so declaring g first changes nothing
+    swapped = tmp_path / "swapped.ini"
+    swapped.write_text(BASE_CONFIG.replace(
+        "f = gaussian:width=1,amplitude=1\ng = gaussian:width=1.2,amplitude=0.8",
+        "g = gaussian:width=1.2,amplitude=0.8\nf = gaussian:width=1,amplitude=1"))
+    assert swapped.read_text() != BASE_CONFIG
+    out1, out2 = str(tmp_path / "f_first"), str(tmp_path / "g_first")
+    assert _run("charfun", config_path, out1) == 0
+    assert _run("charfun", str(swapped), out2) == 0
+    assert _read_outputs(out1)[0] == _read_outputs(out2)[0]
+
+
 def test_seed_flag_overrides_config(config_path, tmp_path):
     out1, out2 = str(tmp_path / "s1"), str(tmp_path / "s2")
     assert _run("charfun", config_path, out1, ("--seed", "1")) == 0

@@ -267,8 +267,9 @@ def test_table_spline_cells_match_scipy_exactly(kernel_table, f_gauss):
     assert _same_bits(tab._psi._c,
                       _scipy_cells(tab.grid, tab._psi_vals, tab._apsi_vals))
     grid = np.linspace(0.0, tab.beta, tab.n_grid + 1)
-    kv, av, dk = tab._f_tables(grid, *tab._f_rule_and_weight(
-        f_gauss, tab._check_f_convergence(f_gauss)))
+    kv, av, dk = tab._f_tables(grid, *tab._rule(
+        f_gauss, -0.5, ((thermal_factor, 0.0), (thermal_antider, tab.beta)),
+        "K_f"))
     entry = tab.register(f_gauss)
     assert _same_bits(entry.K._c, _scipy_cells(grid, kv, dk))
     assert _same_bits(entry.A._c, _scipy_cells(grid, av, kv))

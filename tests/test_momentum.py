@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 import spinboson
 from spinboson.momentum import (
+    NEG_INF,
     Component,
     DirectionClass,
     DivergentIntegralError,
@@ -17,12 +19,15 @@ from spinboson.momentum import (
     RadialProfile,
     SourceProfile,
     TestFunction,
+    _m_divergence,
     classify_direction,
+    convergent_exponent,
     dispersion,
     form_nonzero,
     form_zero,
     inner_product,
     m_pairing,
+    pairing_exponents,
     symplectic,
 )
 from spinboson.state import transported
@@ -308,6 +313,139 @@ def test_classify_matches_m_pairing_domain():
 
 
 # ---------------------------------------------------------------------------
+# the exponent rule against the per-integral formulas it replaced
+# ---------------------------------------------------------------------------
+
+def _old_exponents(case, d, s, f, g, mu=0.0):
+    """(e0, e_inf, raises) as each integral once wrote its own exponent
+    arithmetic; e_inf is None where that formula skipped the tail, and
+    raises is None where it never raised."""
+    fa0, fai, ga0, gai = f.a0, f.a_inf, g.a0, g.a_inf
+    tails = fai != NEG_INF and gai != NEG_INF
+    if case == "kappa":        # f = g = rho, omega^{-1} T_beta
+        e0 = d - 1 + 2 * ga0 - 2 * s
+        ei = d - 1 + 2 * gai - s if gai != NEG_INF else None
+    elif case == "K_f":        # f against rho, omega^{-1/2} T_beta
+        e0 = d - 1 + fa0 + ga0 - 1.5 * s
+        ei = d - 1 + fai + gai - 0.5 * s if tails else None
+    elif case == "thermal form":   # coth(beta (omega - mu)/2)
+        e0 = d - 1 + fa0 + ga0 + (-s if mu == 0.0 else 0.0)
+        ei = d - 1 + fai + gai if tails else None
+    elif case == "inner product":
+        e0 = d - 1 + fa0 + ga0
+        ei = d - 1 + fai + gai if tails else None
+    elif case == "m":          # f against rho, omega^{-3/2}; tagged, not raised
+        e0 = d - 1 + fa0 + ga0 - 1.5 * s
+        ei = d - 1 + fai + gai - 1.5 * s if tails else NEG_INF
+        return e0, ei, None
+    elif case == "source -1/2":    # the CLI's coth identity, graded as regular
+        return d - 1 + fa0 + ga0 - 0.5 * s, None, None
+    else:                      # weighted_pairing's unused default
+        return d - 1 + fa0 + ga0, None, None
+    raises = e0 <= -1 or (ei is not None and ei >= -1)
+    return e0, ei, raises
+
+
+# (case, power, thermal) of the one rule for each former formula
+_RULE_ARGS = {
+    "kappa": (-1.0, True),
+    "K_f": (-0.5, True),
+    "inner product": (0.0, False),
+    "m": (-1.5, False),
+    "source -1/2": (-0.5, False),
+    "plain default": (0.0, False),
+}
+
+
+def _exponent_battery(d, s):
+    profiles = [RadialProfile("power_bump", exponent_at_zero=a, cutoff=1.0)
+                for a in (-1.6, -1.2, -1.0, -0.9, -0.5, 0.0, 0.4)]
+    profiles += [RadialProfile("gaussian", width=1.0),
+                 RadialProfile("point_source_flat")]
+    return [TestFunction((Component(p, shift=(0.0,) * d),), d=d, s=s)
+            for p in profiles]
+
+
+def _exact_exponents(d, s, f, g, power, thermal):
+    """pairing_exponents in rational arithmetic on the decimal inputs."""
+    def q(x):
+        return Fraction(repr(x))
+    e0 = d - 1 + q(f.a0) + q(g.a0) + (q(power) - thermal) * q(s)
+    if f.a_inf == NEG_INF or g.a_inf == NEG_INF:
+        return e0, None
+    return e0, d - 1 + q(f.a_inf) + q(g.a_inf) + q(power) * q(s)
+
+
+def _diverges(e0, ei):
+    return e0 <= -1 or (ei is not None and ei >= -1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("s", [0.3, 0.5, 1.0, 1.4, 2.0])
+def test_exponent_rule_matches_old_formulas(d, s):
+    # the one rule gives every former caller its old exponents, and its old
+    # verdict except at an exact tie at -1 (a log divergence), which the
+    # old float sums could misjudge in either direction; there the rule
+    # must follow exact arithmetic
+    fs = _exponent_battery(d, s)
+    verdicts, ties = set(), 0
+    for f in fs:
+        for g in fs:
+            cases = [(c, f if c != "kappa" else g, g, 0.0) for c in _RULE_ARGS]
+            cases += [("thermal form", f, g, mu) for mu in (0.0, -0.5)]
+            for case, a, b, mu in cases:
+                if case == "thermal form":
+                    power, thermal = 0.0, mu == 0.0
+                else:
+                    power, thermal = _RULE_ARGS[case]
+                e0, ei = pairing_exponents(a, b, power, thermal)
+                old_e0, old_ei, old_raises = _old_exponents(case, d, s, a, b,
+                                                            mu)
+                assert e0 == pytest.approx(old_e0, abs=1e-12), (case, a, b)
+                if old_ei is not None:
+                    assert ei == pytest.approx(old_ei, abs=1e-12)
+                exact = _exact_exponents(d, s, a, b, power, thermal)
+                tie = -1 in exact
+                ties += tie
+                if old_raises is None:
+                    continue
+                try:
+                    assert convergent_exponent(a, b, power, case,
+                                               thermal) == e0
+                    raised = False
+                except DivergentIntegralError as exc:
+                    raised = True
+                    assert str(exc).startswith(f"{case} divergent at k")
+                assert raised == _diverges(*exact), (case, a, b)
+                if not tie:
+                    assert raised == old_raises, (case, a, b)
+                verdicts.add(raised)
+    assert verdicts == {True, False}
+    assert ties > 0
+
+
+def test_m_divergence_matches_old_formula():
+    for d in (1, 2, 3):
+        for s in (0.3, 1.0, 1.4, 2.0):
+            fs = _exponent_battery(d, s)
+            for f in fs:
+                for rho in fs:
+                    try:
+                        src = SourceProfile(rho.components[0].profile, d=d,
+                                            s=s)
+                    except DivergentIntegralError:
+                        continue
+                    bad = _m_divergence(f, src)
+                    exact = _exact_exponents(d, s, f, rho, -1.5, False)
+                    assert (bad is not None) == _diverges(*exact)
+                    if -1 in exact:
+                        continue
+                    e0, ei, _ = _old_exponents("m", d, s, f, rho)
+                    old = e0 if e0 <= -1 else (ei if ei >= -1 else None)
+                    assert bad == pytest.approx(old, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # the radial rule against QUADPACK
 # ---------------------------------------------------------------------------
 
@@ -430,14 +568,42 @@ def test_src_does_not_import_quadpack():
                     f"{path.name} imports {names}"
 
 
-def test_import_loads_no_scipy():
-    code = ("import sys, spinboson, spinboson.cli, spinboson.cluster; "
-            "print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
+def _fresh_run(code):
+    """stdout of ``code`` run in a fresh interpreter on this package."""
     env = dict(os.environ)
     src = str(Path(spinboson.__file__).parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, spinboson, spinboson.cli, spinboson.cluster; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    assert _fresh_run(code).strip() == "[]"
+
+
+def test_state_and_scans_load_no_numpy_ma():
+    # np.unique loads numpy.ma (numpy 2.4); nothing in the package uses it
+    code = """
+import sys
+from spinboson.cluster import cluster_scan
+from spinboson.momentum import SourceProfile, TestFunction
+from spinboson.state import StateConfig
+cfg = StateConfig.build(SourceProfile.gaussian(amplitude=0.4), 1.0, 1.0,
+                        n0=1e-3, n_loops=2000, seed=1, n_grid=256)
+f = TestFunction.gaussian()
+g = TestFunction.gaussian(width=1.2, amplitude=0.8)
+ens = cfg.ensemble
+ens.char_function(f, [0.0, 1.0])
+ens.variance_two_routes(f, 8)
+ens.deviation_bound_check(f, [0.5])
+ens.cnumber_criterion(f)
+for mode in ("time", "space"):
+    cluster_scan(cfg, f, g, mode, (1.0, 2.0))
+print(sorted(m for m in sys.modules
+             if m == "numpy.ma" or m.startswith("numpy.ma.")))
+"""
+    assert _fresh_run(code).strip() == "[]"
