@@ -15,7 +15,8 @@ spin random variable Z reduce to small boundary sums:
 
 with G(u) = sign(u-t) A_f(|u-t|).  These follow from summation by parts
 (the d_p sum telescopes to zero; the boundaries are sorted and Psi(0) = 0)
-and make million-loop ensembles cheap.
+and make million-loop ensembles cheap.  Z is then two circle-end constants
+G(+-beta/2) plus an alternating sum of G over the jump times.
 
 All weights live in log space with log-sum-exp reductions.
 """
@@ -32,6 +33,7 @@ from spinboson.loops import SpinLoop, SpinMeasureParams, sample_loop_arrays
 from spinboson.seeds import substream
 
 DEFAULT_CHUNK = 4096
+JUMP_SLAB = 1 << 16
 
 
 def loop_log_weight(loop, kernels):
@@ -123,26 +125,23 @@ class TiltedEnsemble:
     # -- grouped geometry ----------------------------------------------------
 
     def _groups(self):
-        """Yield (indices, boundary matrix, signed d-coefficients) per
-        distinct jump count."""
+        """Yield (indices, boundary matrix) per distinct jump count."""
         beta = self.params.beta
         # distinct counts, ascending (np.unique would load numpy.ma)
         for c in np.flatnonzero(np.bincount(self.counts)):
             idx = np.nonzero(self.counts == c)[0]
-            nb = c + 2
-            bounds = np.empty((len(idx), nb))
+            bounds = np.empty((len(idx), c + 2))
             bounds[:, 0] = -0.5 * beta
             bounds[:, -1] = 0.5 * beta
             if c:
                 cols = self.offsets[idx][:, None] + np.arange(c)[None, :]
                 bounds[:, 1:-1] = self.jumps_flat[cols]
-            dvec = self.signs[idx, None] * _jump_pattern(nb)[None, :]
-            yield idx, bounds, dvec
+            yield idx, bounds
 
     def _log_weights(self):
         psi = self.kernels.Psi
         out = np.empty(self.n)
-        for idx, bounds, _ in self._groups():
+        for idx, bounds in self._groups():
             p, q = np.triu_indices(bounds.shape[1], 1)
             pat = _jump_pattern(bounds.shape[1])
             # d_p d_q drops the loop's sign; row gathers copy whole rows
@@ -186,26 +185,40 @@ class TiltedEnsemble:
         return (math.log(2.0 * math.cosh(x)) + float(self.logw.max())
                 + math.log(self.sum_w) - math.log(self.n))
 
+    def _boundary_sum(self, g, t=0.0):
+        """-1/2 sum_p d_p g(e_p - t) per loop (Z for g = G): the circle ends
+        have d_0 = X_0, d_{c+1} = (-1)^(c+1) X_0, and jump j at flat index
+        k = offset + j - 1 has d = 2 (-1)^j X_0 = -2 X_0 (-1)^(offset + k)."""
+        lo, hi = g(0.5 * self.params.beta * np.array([-1.0, 1.0]) - t)
+        out = -0.5 * np.array([lo - hi, lo + hi])[self.counts & 1]
+        # g runs on slabs of jump times, so its temporaries stay small
+        gj = np.empty(len(self.jumps_flat), out.dtype)
+        for a in range(0, len(gj), JUMP_SLAB):
+            gj[a:a + JUMP_SLAB] = g(self.jumps_flat[a:a + JUMP_SLAB] - t)
+        gj[1::2] *= -1.0
+        has = np.flatnonzero(self.counts > 0)
+        starts = self.offsets[has]
+        sums = np.add.reduceat(gj, starts)
+        out[has] += np.where(starts & 1, -sums, sums)
+        out *= self.signs
+        return out
+
     def z_values(self, f, t_offset=0.0):
         """Z_{beta,t,f} for every loop (cached per (f, t_offset))."""
         key = (f, float(t_offset))
-        cached = self._z_cache.get(key)
-        if cached is not None:
-            return cached
-        entry = self.kernels.register(f)
-        t = float(t_offset)
-        out = np.empty(self.n, dtype=complex)
-        for idx, bounds, dvec in self._groups():
-            rel = bounds - t
-            g = np.sign(rel) * entry.A(np.abs(rel))
-            out[idx] = -0.5 * np.einsum("np,np->n", dvec, g)
-        self._z_cache[key] = out
-        return out
+        if key not in self._z_cache:
+            a_f = self.kernels.register(f).A
+            self._z_cache[key] = self._boundary_sum(
+                lambda x: np.sign(x) * a_f(np.abs(x)), float(t_offset))
+        return self._z_cache[key]
 
     def spin_factor(self, f, t_offset=0.0):
-        """S = E~[exp(-i Z)] with standard error."""
-        z = self.z_values(f, t_offset)
-        return self.expectation(np.exp(-1j * z))
+        """S = E~[exp(-i Z)] with standard error (cached beside Z)."""
+        key = ("S", f, float(t_offset))
+        if key not in self._z_cache:
+            z = self.z_values(f, t_offset)
+            self._z_cache[key] = self.expectation(np.exp(-1j * z))
+        return self._z_cache[key]
 
     def ell_shift(self, f):
         """The physical-field shift ell = -E~[Z] (real test functions)."""
@@ -238,7 +251,7 @@ class TiltedEnsemble:
         """
         n_cells = len(edges) - 1
         out = np.empty((self.n, n_cells))
-        for idx, bounds, _ in self._groups():
+        for idx, bounds in self._groups():
             starts = bounds[:, :-1]
             lens = np.diff(bounds, axis=1)
             c = bounds.shape[1] - 2
@@ -292,14 +305,11 @@ class TiltedEnsemble:
         O(total boundaries) work and O(N) memory, no N x n_cells matrix.
         """
         beta = self.params.beta
-        entry = self.kernels.register(f)
         edges = np.linspace(-0.5 * beta, 0.5 * beta, n_cells + 1)
         # antiderivative of K(|u|) at the edges; its cell differences are
         # h times the cell averages of K
-        g = np.sign(edges) * entry.A(np.abs(edges)).real
-        y = np.empty(self.n)
-        for idx, bounds, dvec in self._groups():
-            y[idx] = -np.einsum("np,np->n", dvec, np.interp(bounds, edges, g))
+        g = np.sign(edges) * self.kernels.register(f).A(np.abs(edges)).real
+        y = 2.0 * self._boundary_sum(lambda u: np.interp(u, edges, g))
         mean, _ = self.expectation(y)
         var, _ = self.expectation((y - mean) ** 2)
         return 0.25 * float(var)
@@ -335,7 +345,7 @@ class TiltedEnsemble:
         """Matrix of path values X_i(t_j) over all loops (n, len(times))."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
         out = np.empty((self.n, len(times)), dtype=np.int64)
-        for idx, bounds, _ in self._groups():
+        for idx, bounds in self._groups():
             jumps = bounds[:, 1:-1]
             crossings = np.sum(jumps[:, :, None] <= times[None, None, :],
                                axis=1)

@@ -162,7 +162,9 @@ class TestFunction:
     a_inf: float = field(init=False)
 
     def __post_init__(self):
-        comps = tuple(self.components)
+        # an unshifted component sits at the origin of any dimension
+        comps = tuple(c if any(c.shift) else replace(c, shift=(0.0,) * self.d)
+                      for c in self.components)
         if not comps:
             raise ValueError("test function needs at least one component")
         for c in comps:
@@ -282,12 +284,10 @@ class SourceProfile:
         # m and omega*m must be radially integrable against k^{d-1} when
         # paired with any gaussian (only the k -> 0 end can fail).
         if self.rho.amplitude != 0.0:
-            for p in (-1.5 * self.s, -0.5 * self.s):
-                expo = self.d - 1 + self.rho.a0 + p
-                if expo <= -1:
-                    raise DivergentIntegralError(
-                        "source not integrable against gaussians near k = 0",
-                        exponent=expo)
+            gauss = TestFunction.gaussian(d=self.d, s=self.s)
+            for power in (-1.5, -0.5):
+                convergent_exponent(gauss, self.rho, power,
+                                    "source against a gaussian")
 
     @property
     def is_zero(self):

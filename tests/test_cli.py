@@ -117,6 +117,35 @@ def test_inadmissible_test_function_is_config_error(spec, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("s, code", [("1.0", 2), ("0.5", 0)])
+def test_two_dimensional_charfun(s, code, tmp_path, capsys):
+    # test functions exist in d = 2: charfun runs, or rejects the physical
+    # block (kappa diverges at k -> 0 for s = 1) on one line, and never
+    # stops on a traceback
+    p = tmp_path / "d2.ini"
+    p.write_text(BASE_CONFIG.replace("d = 3", "d = 2")
+                 .replace("\ns = 1.0", f"\ns = {s}"))
+    assert _run("charfun", str(p), str(tmp_path / "out")) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith("config error: ")
+        assert err.count("\n") == 1
+
+
+def test_source_exponent_tie_is_config_error(tmp_path, capsys):
+    # k^{-0.9} at s = 1.4: its m-pairing with a gaussian is log-divergent,
+    # so the source itself is rejected
+    p = tmp_path / "tie.ini"
+    p.write_text(BASE_CONFIG.replace("source = gaussian:width=1,amplitude=0.4",
+                                     "source = bump:exponent=-0.9,cutoff=1")
+                 .replace("\ns = 1.0", "\ns = 1.4"))
+    assert _run("charfun", str(p), str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: invalid [physical] source: ")
+    assert err.count("\n") == 1
+
+
 def test_unresolvable_form_is_numerical_non_convergence(tmp_path, capsys):
     # at a time separation of 1e5 the thermal cross form oscillates faster
     # than the radial rule's panel budget can resolve: exit 3 on one line

@@ -155,6 +155,88 @@ def test_z_values_match_reference(ensemble, f_gauss):
         assert z[i] == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
 
+def _boundary_vector_z(kernels, f, t, sign, jumps):
+    """Z = -1/2 sum_p d_p G(e_p) of one path from its whole boundary and
+    d-coefficient vectors, and sum_p |d_p G(e_p)| / 2, the scale of its
+    rounding."""
+    beta = kernels.beta
+    e = np.concatenate(([-0.5 * beta], jumps, [0.5 * beta]))
+    d = np.where(np.arange(len(e)) % 2, -2.0, 2.0)
+    d[[0, -1]] *= 0.5
+    rel = e - t
+    g = sign * d * np.sign(rel) * kernels.register(f).A(np.abs(rel))
+    return -0.5 * g.sum(), 0.5 * np.abs(g).sum()
+
+
+@pytest.mark.filterwarnings("ignore:weight degeneracy")
+@settings(max_examples=25)
+@given(beta=st.floats(0.5, 8.0),
+       raw=st.lists(st.tuples(st.sampled_from([-1, 1]), _jump_fractions),
+                    min_size=1, max_size=6),
+       data=st.data())
+def test_z_values_match_oracles_property(gauss_src, f_gauss, beta, raw,
+                                         data):
+    # jump counts may be odd here: the boundary sum needs no periodic path,
+    # and an odd count moves every later loop to an odd flat offset
+    paths = [(sign, sorted({beta * (u - 0.5) for u in fracs}))
+             for sign, fracs in raw]
+    signs = np.array([p[0] for p in paths], dtype=np.int8)
+    counts = np.array([len(p[1]) for p in paths], dtype=np.int64)
+    flat = np.array([t for p in paths for t in p[1]], dtype=float)
+    # t anywhere, on a circle end, or exactly on a jump time
+    t = data.draw(st.one_of(
+        st.floats(-0.5 * beta, 0.5 * beta),
+        st.sampled_from([-0.5 * beta, 0.5 * beta] + flat.tolist())))
+    table = ThermalKernelTable(gauss_src, beta, n_grid=256)
+    ens = TiltedEnsemble(SpinMeasureParams(beta, 1.0), table, signs, counts,
+                         flat, 0, DEFAULT_CHUNK)
+    z = ens.z_values(f_gauss, t)
+    for i, (sign, jumps) in enumerate(paths):
+        ref, scale = _boundary_vector_z(table, f_gauss, t, sign, jumps)
+        assert abs(z[i] - ref) <= 1e-14 * scale
+        if len(jumps) % 2 == 0:
+            loop = loop_z_value(SpinLoop(sign, tuple(jumps)), table, f_gauss,
+                                t)
+            assert abs(z[i] - loop) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3 * BETA, -0.5 * BETA, 0.5 * BETA])
+def test_frozen_spin_z_is_the_endpoint_terms(kernel_table, f_gauss, t):
+    ens = build_ensemble(SpinMeasureParams(BETA, 1.0), kernel_table, 50,
+                         seed=0, frozen_spin=True)
+    a_f = kernel_table.register(f_gauss).A
+    h = 0.5 * BETA
+    # -1/2 (G(-beta/2) - G(beta/2)) for the constant +1 path
+    want = 0.5 * (np.sign(h + t) * a_f(h + t) + np.sign(h - t) * a_f(h - t))
+    assert np.all(ens.z_values(f_gauss, t) == want)
+
+
+def test_z_values_evaluates_A_once_per_jump(ensemble, f_gauss, monkeypatch):
+    # structural guard: two circle ends shared by every loop plus one point
+    # per jump, not two ends per loop
+    entry = ensemble.kernels.register(f_gauss)
+    points = []
+
+    def counted(x, a_f=entry.A):
+        points.append(np.size(x))
+        return a_f(x)
+
+    monkeypatch.setattr(entry, "A", counted)
+    ensemble.z_values(f_gauss, 0.0123)
+    assert sum(points) == ensemble.counts.sum() + 2
+
+
+def test_spin_factor_is_memoized_per_t(ensemble, f_gauss):
+    first = ensemble.spin_factor(f_gauss, 0.25)
+    assert ensemble.spin_factor(f_gauss, 0.25) is first
+    other = ensemble.spin_factor(f_gauss, -0.25)
+    assert other is not first
+    assert other == ensemble.expectation(
+        np.exp(-1j * ensemble.z_values(f_gauss, -0.25)))
+    assert first == ensemble.expectation(
+        np.exp(-1j * ensemble.z_values(f_gauss, 0.25)))
+
+
 def test_z_linearity(ensemble, f_gauss, g_gauss):
     zf = ensemble.z_values(f_gauss)
     z2f = ensemble.z_values(f_gauss.scaled(2.0))

@@ -101,6 +101,23 @@ def test_shift_requires_d3():
                                 shift=(1.0, 0.0)),), d=2)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_unshifted_functions_exist_in_any_dimension(d):
+    f = TestFunction.gaussian(d=d)
+    bump = TestFunction.power_bump(0.5, d=d)
+    rho = SourceProfile.gaussian(d=d, s=0.5).as_test_function()
+    for h in (f, bump, rho, f + bump):
+        assert all(c.shift == (0.0,) * d for c in h.components)
+    # |fhat|^2 = exp(-k^2) over R^d: pi in d = 2, sqrt(pi) in d = 1
+    want = math.pi if d == 2 else math.sqrt(math.pi)
+    assert inner_product(f, f).value == pytest.approx(want, rel=1e-10)
+    with pytest.raises(ValueError, match="only in d = 3"):
+        f.shifted((1.0,) + (0.0,) * (d - 1))
+    with pytest.raises(ValueError, match="shift dimension mismatch"):
+        TestFunction((Component(RadialProfile("gaussian", width=1.0),
+                                shift=(1.0, 0.0, 0.0)),), d=d)
+
+
 # ---------------------------------------------------------------------------
 # zero-mode form
 # ---------------------------------------------------------------------------
@@ -248,6 +265,15 @@ def test_source_profile_validation():
     bad = RadialProfile("power_bump", exponent_at_zero=-1.6, cutoff=1.0)
     with pytest.raises(DivergentIntegralError):
         SourceProfile(bad, d=3, s=1.0)
+
+
+@pytest.mark.parametrize("a0, s", [(-0.9, 1.4), (-1.2, 1.2)])
+def test_source_exponent_tie_is_divergent(a0, s):
+    # d - 1 + a0 - 1.5 s is exactly -1 (a log divergence), though its float
+    # sum reads -0.9999999999999996 at a0 = -0.9, s = 1.4
+    rho = RadialProfile("power_bump", exponent_at_zero=a0, cutoff=1.0)
+    with pytest.raises(DivergentIntegralError):
+        SourceProfile(rho, d=3, s=s)
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +448,25 @@ def test_exponent_rule_matches_old_formulas(d, s):
                 verdicts.add(raised)
     assert verdicts == {True, False}
     assert ties > 0
+
+
+def test_source_validation_follows_exact_arithmetic():
+    # m and omega m paired with a gaussian decide a source, ties included
+    verdicts = set()
+    for d in (1, 2, 3):
+        for s in (0.3, 0.5, 1.0, 1.2, 1.4, 2.0):
+            gauss = TestFunction.gaussian(d=d, s=s)
+            for rho in _exponent_battery(d, s):
+                bad = any(_exact_exponents(d, s, gauss, rho, p, False)[0]
+                          <= -1 for p in (-1.5, -0.5))
+                try:
+                    SourceProfile(rho.components[0].profile, d=d, s=s)
+                    raised = False
+                except DivergentIntegralError:
+                    raised = True
+                assert raised == bad, (d, s, rho)
+                verdicts.add(raised)
+    assert verdicts == {True, False}
 
 
 def test_m_divergence_matches_old_formula():
