@@ -52,12 +52,17 @@ def thermal_factor(tau, omega, beta):
 def thermal_antider(tau, omega, beta):
     """int_0^tau T_beta(v, omega) dv in overflow-free closed form.
 
-    At tau = beta the value is exactly 2/omega (the full-circle identity).
+    The numerator (1 - e^{-tau w}) + (e^{-(beta-tau) w} - e^{-beta w}) is
+    evaluated as -expm1(-tau w) (1 + e^{-(beta-tau) w}), which keeps its
+    full relative accuracy as beta w -> 0 (the plain difference of the
+    last two terms rounds to 0 once beta w < 1e-16 and loses the tau w it
+    should add); dividing by the denominator before omega keeps the value
+    finite down to w ~ 1e-300.  At tau = beta the value is 2/omega (the
+    full-circle identity).
     """
     denom = -np.expm1(-beta * omega)
-    num = (-np.expm1(-tau * omega)
-           + np.exp(-(beta - tau) * omega) - np.exp(-beta * omega))
-    return num / (omega * denom)
+    num = -np.expm1(-tau * omega) * (1.0 + np.exp(-(beta - tau) * omega))
+    return num / denom / omega
 
 
 def _expm1mx(x):
@@ -148,8 +153,9 @@ class _KernelEntry:
 
 
 _CACHE_MAGIC = b"SBKT"
-# version 2: Psi tables from the nested, exponent-graded momentum rule
-_CACHE_VERSION = 2
+# version 2: Psi tables from the nested, exponent-graded momentum rule;
+# version 3: nodal derivatives from the small-omega-exact thermal_antider
+_CACHE_VERSION = 3
 
 
 class ThermalKernelTable:
@@ -335,24 +341,51 @@ class ThermalKernelTable:
         return entry
 
     def _f_tables(self, grid, k, gw):
-        """K_f, A_f and dK_f/dtau on the grid in one pass, from the rule
-        (k, gw) of _rule: per tau slab e^{-tau w} and e^{-(beta-tau) w} are
-        formed once, and the sums are real matmuls against
-        [Re gw, Im gw] / (1 - e^{-beta w})."""
-        beta = self.beta
+        """K_f, A_f and dK_f/dtau on the grid from the rule (k, gw) of
+        _rule, with one expm1 per (tau, omega) entry.
+
+        The grid is uniform on [0, beta], so row n - i sits at beta - tau_i
+        and its E = expm1(-tau w) stands in for row i's
+        e^{-(beta-tau_i) w} - 1.  Rows i <= n/2 are walked in slabs beside
+        their mirror rows; with Et, Eb the E of a row and of its mirror,
+        and weights [gw2 | gw2 w | gw2 / w] for gw2 = [Re gw, Im gw] /
+        (1 - e^{-beta w}),
+
+            K  = sum gw2 (2 + Et + Eb)          (the same on both rows)
+            dK = sum gw2 w (Eb - Et)            (odd under the mirror)
+            A  = sum gw2 / w (-2 Et - Et Eb)    (thermal_antider's exact
+                                                 numerator)
+
+        so each slab costs one 6-column matmul per block and one 2-column
+        matmul of the product Et Eb, which both rows share."""
         om = dispersion(k, self.s)
         omc = om[:, None]
-        gw2 = np.stack([gw.real, gw.imag], axis=1) / -np.expm1(-beta * omc)
-        wa, wd, e_beta = gw2 / omc, gw2 * omc, np.exp(-beta * om)
-        out = np.empty((3, len(grid), 2))
+        gw2 = (np.stack([gw.real, gw.imag], axis=1)
+               / -np.expm1(-self.beta * omc))
+        w = np.concatenate([gw2, gw2 * omc, gw2 / omc], axis=1)
+        k_const = 2.0 * gw2.sum(axis=0)
+        n = len(grid) - 1
+        out = np.empty((3, n + 1, 2))
         slab = max(1, _EVAL_SLAB // len(om))
-        for lo in range(0, len(grid), slab):
-            tau = grid[lo:lo + slab, None]
-            e1 = np.exp(-tau * om)
-            e2 = np.exp(-(beta - tau) * om)
-            out[0, lo:lo + slab] = (e1 + e2) @ gw2
-            out[1, lo:lo + slab] = (e2 - e_beta - np.expm1(-tau * om)) @ wa
-            out[2, lo:lo + slab] = (e2 - e1) @ wd
+        # the two E blocks are reused across slabs: fresh ones cost a
+        # page-faulting allocation each
+        buf_t, buf_b = np.empty((2, slab, len(om)))
+        neg_om = -om
+        for lo in range(0, n // 2 + 1, slab):
+            top = np.arange(lo, min(lo + slab, n // 2 + 1))
+            bot = n - top
+            et = np.multiply(grid[top, None], neg_om, out=buf_t[:len(top)])
+            eb = np.multiply(grid[bot, None], neg_om, out=buf_b[:len(top)])
+            np.expm1(et, out=et)
+            np.expm1(eb, out=eb)
+            st, sb = et @ w, eb @ w
+            et *= eb
+            prod = et @ w[:, 4:]
+            out[0, top] = out[0, bot] = k_const + st[:, :2] + sb[:, :2]
+            out[2, top] = sb[:, 2:4] - st[:, 2:4]
+            out[2, bot] = st[:, 2:4] - sb[:, 2:4]
+            out[1, top] = -2.0 * st[:, 4:] - prod
+            out[1, bot] = -2.0 * sb[:, 4:] - prod
         return out[..., 0] + 1j * out[..., 1]
 
     def kernel_K(self, f, t, s_time):

@@ -26,6 +26,7 @@ exponent, and every divergence verdict, comes from one rule
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -349,10 +350,19 @@ _MAX_LEVEL = 7
 _MAX_DEPTH = 200
 
 
+@functools.cache
+def _leggauss(order):
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per order
+    and shared read-only."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre_panels(edges, order=_GL_ORDER):
     """Composite Gauss-Legendre nodes and weights on the given panel
     edges."""
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _leggauss(order)
     a = edges[:-1]
     b = edges[1:]
     half = 0.5 * (b - a)

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from spinboson.momentum import (
     TestFunction,
     _grading_depth,
     _theta_edges,
+    dispersion,
     m_pairing,
 )
 from spinboson.state import transported
@@ -83,6 +85,44 @@ def test_antider2_branch_continuity():
     hi = thermal_antider2(0.1 + du, om, BETA)
     slope = thermal_antider(0.1, om, BETA)
     assert hi - lo == pytest.approx(2.0 * du * slope, rel=1e-5)
+
+
+def test_antider_against_mpmath():
+    # down to beta w ~ 1e-300, where e^{-(beta-tau) w} - e^{-beta w} rounds
+    # to 0 in floating point; the oracle is the textbook closed form, whose
+    # differences cancel to about 300 places there, so it carries 330 digits
+    mpmath = pytest.importorskip("mpmath")
+    omegas = np.logspace(-300.0, 3.0, 304)
+    for beta in (1.0, 4.0):
+        for frac in (0.0, 0.2, 0.5, 0.975, 1.0):
+            tau = frac * beta
+            got = thermal_antider(tau, omegas, beta)
+            with mpmath.workdps(330):
+                b, t = mpmath.mpf(beta), mpmath.mpf(tau)
+                ref = np.array([float(
+                    (1 - mpmath.exp(-t * w) + mpmath.exp(-(b - t) * w)
+                     - mpmath.exp(-b * w)) / (w * (1 - mpmath.exp(-b * w))))
+                    for w in map(mpmath.mpf, omegas)])
+            assert np.all(np.isfinite(got))
+            assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+
+
+def test_antider2_derivative_is_antider():
+    # antider2(b) - antider2(a) against a 16-node Gauss-Legendre integral
+    # of antider over [a, b]; b - a <= 1/w keeps that rule exact to
+    # rounding, and the difference is good to the rounding of its terms
+    x, wx = np.polynomial.legendre.leggauss(16)
+    for beta in (1.0, 4.0):
+        for om in np.logspace(-100.0, 3.0, 27):
+            h = min(0.5 * beta, 1.0 / om)
+            for a in (0.0, 0.3 * beta, beta - h):
+                b = a + h
+                v = 0.5 * (a + b) + 0.5 * h * x
+                integral = 0.5 * h * (wx @ thermal_antider(v, om, beta))
+                lo = thermal_antider2(a, om, beta)
+                hi = thermal_antider2(b, om, beta)
+                assert abs(hi - lo - integral) \
+                    <= 1e-14 * (abs(lo) + abs(hi))
 
 
 def _expm1mx_both_branches(x):
@@ -406,12 +446,16 @@ def test_transported_kernels_match_oracle(kernel_table, mode, u):
     assert abs(entry.A(BETA) - a_beta) <= 1e-8 * abs(a_beta)
 
 
-# s stays below 1.2: toward s = 1.5, where kappa stops being integrable at
-# k -> 0, kappa(tau) turns singular at tau = 0 and the Psi grid refines to
-# 8192 cells or more (about a minute per table)
+# s reaches 1.43, close to s = 1.5 where kappa stops being integrable at
+# k -> 0; there the momentum rules reach omega ~ 1e-68, and the Psi tables
+# keep their 256 cells only while thermal_antider stays exact at small
+# beta omega (a rounded one made the nodal derivatives disagree with the
+# values, and the grid refined to 32768 cells, about 40 s per table).
+# From s = 1.44 on, the kappa rule's grading toward k = 0 hits its depth
+# cap and raises QuadratureError.
 @settings(max_examples=8)
 @given(beta=st.floats(0.5, 4.0), width=st.floats(0.5, 2.0),
-       s=st.floats(0.6, 1.2))
+       s=st.floats(0.6, 1.43))
 def test_table_identities_property(beta, width, s):
     src = SourceProfile.gaussian(width=width, amplitude=1.0, s=s)
     tab = ThermalKernelTable(src, beta, n_grid=256)
@@ -427,6 +471,68 @@ def test_table_identities_property(beta, width, s):
     m_val = m_pairing(f, src).value.value
     assert abs(tab.register(f).A(beta) - 2.0 * m_val) \
         <= 1e-8 * abs(m_val)
+
+
+@pytest.mark.parametrize("beta", [1.0, 4.0])
+def test_full_circle_identity_near_the_integrability_edge(beta):
+    # at s = 1.4 the rule reaches beta omega ~ 1e-68, where A_f's numerator
+    # must keep its tau omega term for A_f(beta) to equal 2 <f, m>
+    src = SourceProfile.gaussian(width=1.0, amplitude=1.0, s=1.4)
+    tab = ThermalKernelTable(src, beta, n_grid=256)
+    assert tab.n_grid == 256
+    f = TestFunction.gaussian(width=1.0, amplitude=1.0, s=1.4)
+    m_val = m_pairing(f, src).value.value
+    assert abs(tab.register(f).A(beta) - 2.0 * m_val) \
+        <= 1e-13 * abs(2.0 * m_val)
+
+
+def _direct_f_tables(tab, tau, k, gw):
+    """K_f, A_f and dK_f/dtau at tau by direct momentum sums."""
+    om = dispersion(k, tab.s)
+    tau = tau[:, None]
+    dtau = (om * (np.exp(-(tab.beta - tau) * om) - np.exp(-tau * om))
+            / -np.expm1(-tab.beta * om))
+    return (thermal_factor(tau, om, tab.beta) @ gw,
+            thermal_antider(tau, om, tab.beta) @ gw, dtau @ gw)
+
+
+def _f_rule(tab, f):
+    return tab._rule(f, -0.5, ((thermal_factor, 0.0),
+                               (thermal_antider, tab.beta)), "K_f")
+
+
+@pytest.mark.parametrize("u, n", [(2.0, 64), (2.0, 65), (128.0, 2048)])
+def test_f_tables_match_direct_sums(kernel_table, f_gauss, g_gauss, u, n):
+    # an even grid has a centre row that is its own mirror, an odd one has
+    # none; the u = 128 rule has 9216 nodes, so 7 rows per slab split the
+    # 1025 rows of the half-grid unevenly.  The rows checked include the
+    # slab edges, the centre and both ends.
+    tab = kernel_table
+    k, gw = _f_rule(tab, f_gauss + transported(g_gauss, "time", u))
+    slab = _EVAL_SLAB // len(k)
+    if u == 128.0:
+        assert len(k) == 9216 and (n // 2 + 1) % slab != 0
+    grid = np.linspace(0.0, tab.beta, n + 1)
+    got = tab._f_tables(grid, k, gw)
+    edges = np.array([slab - 1, slab, n // 2 - 1, n // 2, n // 2 + 1])
+    rows = np.unique(np.clip(np.concatenate(
+        [np.arange(0, n + 1, max(1, n // 64)), edges, n - edges, [n]]), 0, n))
+    for g, ref in zip(got, _direct_f_tables(tab, grid[rows], k, gw)):
+        assert np.max(np.abs(g[rows] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_register_memory_stays_slabbed(gauss_src, f_gauss, g_gauss):
+    # the u = 128 rule has 9216 nodes: one unslabbed (2049, 9216) float
+    # block alone would be 151 MB
+    tab = ThermalKernelTable(gauss_src, BETA, tol=1e-9)
+    h = f_gauss + transported(g_gauss, "time", 128.0)
+    tracemalloc.start()
+    try:
+        tab.register(h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 # ---------------------------------------------------------------------------
@@ -477,14 +583,16 @@ def test_cache_rejects_mismatch(gauss_src, tmp_path):
 
 
 def test_cache_rejects_old_version(gauss_src, tmp_path):
-    # a version-1 table came from the earlier momentum rule
+    # a version-1 table came from the earlier momentum rule, a version-2
+    # one stores nodal derivatives of the rounded small-omega antiderivative
     path = tmp_path / "kern.bin"
     tab = ThermalKernelTable(gauss_src, BETA, n_grid=256, tol=1e-8,
                              cache_path=str(path))
     assert tab.load_cache(str(path))
     body = path.read_bytes()
-    path.write_bytes(body[:4] + struct.pack("<I", 1) + body[8:])
-    assert not tab.load_cache(str(path))
+    for version in (1, 2):
+        path.write_bytes(body[:4] + struct.pack("<I", version) + body[8:])
+        assert not tab.load_cache(str(path))
 
 
 def test_cache_rejects_truncated_file(gauss_src, tmp_path):

@@ -19,12 +19,14 @@ from spinboson.momentum import (
     RadialProfile,
     SourceProfile,
     TestFunction,
+    _leggauss,
     _m_divergence,
     classify_direction,
     convergent_exponent,
     dispersion,
     form_nonzero,
     form_zero,
+    gauss_legendre_panels,
     inner_product,
     m_pairing,
     pairing_exponents,
@@ -521,6 +523,23 @@ def _assert_matches(got, ref, scale=None):
     scale = abs(ref) if scale is None else scale
     assert abs(got.value - ref) <= 1e-10 * scale
 
+
+@pytest.mark.parametrize("order", [12, 16])
+def test_gauss_legendre_panels_reuse_one_rule(order):
+    # the reference nodes are built once per order and shared read-only;
+    # the composite rule stays bit-identical to a fresh leggauss
+    edges = np.array([0.0, 0.1, 0.25, 0.7, 1.5])
+    x, w = np.polynomial.legendre.leggauss(order)
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    for _ in range(2):
+        nodes, weights = gauss_legendre_panels(edges, order)
+        assert nodes.tobytes() == (mid + half * x).ravel().tobytes()
+        assert weights.tobytes() == (half * w).ravel().tobytes()
+        assert nodes.flags.writeable and weights.flags.writeable
+    assert _leggauss(order) is _leggauss(order)
+    with pytest.raises(ValueError):
+        _leggauss(order)[0][0] = 0.0
 
 def test_forms_match_quadpack(f_gauss, g_gauss, gauss_src):
     # the forms of this file, each with its weight for the oracle
