@@ -27,8 +27,6 @@ Config layout (flat INI)::
     ; subcommand-specific keys, see the individual runners
 
     [output]
-    directory = out
-    csv = true
     cache = false
 
 Results depend only on the config and the seed: the loops are drawn in
@@ -72,6 +70,38 @@ class ConfigError(Exception):
 # config parsing
 # ---------------------------------------------------------------------------
 
+# (predicate, requirement) rules of the numeric fields; every value read
+# must also be finite
+_POSITIVE = (lambda x: x > 0, "positive")
+_NON_NEGATIVE = (lambda x: x >= 0, ">= 0")
+_NONZERO = (lambda x: x != 0, "nonzero")
+_MC_SAMPLES = (lambda n: n >= 1000, ">= 1000 for MC runs")
+_SEED = (lambda n: -(1 << 63) <= n < 1 << 63, "a signed 64-bit integer")
+_NONEMPTY = (lambda g: len(g) > 0, "a non-empty comma list")
+_INCREASING = (lambda g: len(g) > 0 and all(a < b for a, b in zip(g, g[1:])),
+               "a non-empty, strictly increasing comma list")
+
+
+def _require(name, value, rule):
+    """value, if it obeys rule = (predicate, requirement)."""
+    predicate, requirement = rule
+    if not predicate(value):
+        raise ConfigError(f"{name} must be {requirement}")
+    return value
+
+
+def _finite(kind, raw, name):
+    """raw as a finite number of type kind."""
+    try:
+        value = kind(raw)
+        if math.isfinite(value):
+            return value
+    except (ValueError, OverflowError):
+        pass
+    raise ConfigError(
+        f"{name} = {raw.strip()!r} is not a finite {kind.__name__}")
+
+
 def _parse_kwargs(body):
     out = {}
     if not body:
@@ -79,68 +109,58 @@ def _parse_kwargs(body):
     for item in body.split(","):
         if "=" not in item:
             raise ConfigError(f"malformed profile parameter {item!r}")
-        key, val = item.split("=", 1)
-        try:
-            out[key.strip()] = float(val)
-        except ValueError as exc:
-            raise ConfigError(f"non-numeric profile parameter {item!r}") \
-                from exc
+        key, val = (x.strip() for x in item.split("=", 1))
+        out[key] = _finite(float, val, f"profile parameter {key}")
     return out
 
 
 def parse_profile(spec):
     """'gaussian:width=1,amplitude=1' | 'bump:exponent=..,cutoff=..' |
-    'flat:amplitude=..' | 'zero' -> RadialProfile."""
+    'flat:amplitude=..' | 'zero' -> RadialProfile; any parameter the kind
+    does not take is a config error."""
     head, _, body = spec.strip().partition(":")
     kw = _parse_kwargs(body)
     try:
         if head == "zero":
-            return RadialProfile("gaussian", amplitude=0.0, width=1.0)
-        if head == "gaussian":
-            return RadialProfile("gaussian",
+            prof = RadialProfile("gaussian", amplitude=0.0, width=1.0)
+        elif head == "gaussian":
+            prof = RadialProfile("gaussian",
                                  amplitude=kw.pop("amplitude", 1.0),
                                  width=kw.pop("width", 1.0))
-        if head == "bump":
-            return RadialProfile("power_bump",
+        elif head == "bump":
+            prof = RadialProfile("power_bump",
                                  amplitude=kw.pop("amplitude", 1.0),
                                  exponent_at_zero=kw.pop("exponent", 0.0),
                                  cutoff=kw.pop("cutoff", 1.0))
-        if head == "flat":
-            return RadialProfile("point_source_flat",
+        elif head == "flat":
+            prof = RadialProfile("point_source_flat",
                                  amplitude=kw.pop("amplitude", 1.0))
+        else:
+            raise ConfigError(f"unknown profile kind {head!r}")
     except ValueError as exc:
         raise ConfigError(f"invalid profile {spec!r}: {exc}") from exc
-    raise ConfigError(f"unknown profile kind {head!r}")
+    if kw:
+        raise ConfigError(f"unknown parameter {', '.join(sorted(kw))} in "
+                          f"profile {spec!r}")
+    return prof
 
 
-def _get_num(cp, section, key, default=None, kind=float):
-    if not cp.has_option(section, key):
-        if default is None:
-            raise ConfigError(f"missing config field [{section}] {key}")
+def _get_num(cp, section, key, default, kind, rule):
+    """[section] key as kind (default when absent), finite and obeying
+    rule: the one reader of every numeric field."""
+    name = f"config field [{section}] {key}"
+    raw = cp.get(section, key, fallback=None)
+    if raw is None:
         return default
-    raw = cp.get(section, key)
-    try:
-        return kind(raw)
-    except ValueError as exc:
-        raise ConfigError(
-            f"config field [{section}] {key} = {raw!r} is not numeric") \
-            from exc
+    return _require(name, _finite(kind, raw, name), rule)
 
 
 def load_physical(cp):
-    beta = _get_num(cp, "physical", "beta", 1.0)
-    if beta <= 0:
-        raise ConfigError("config field [physical] beta must be positive")
-    eps = _get_num(cp, "physical", "eps", 1.0)
-    if eps < 0:
-        raise ConfigError("config field [physical] eps must be >= 0")
-    d = _get_num(cp, "physical", "d", 3, int)
-    s = _get_num(cp, "physical", "s", 1.0)
-    if s <= 0:
-        raise ConfigError("config field [physical] s must be positive")
-    n0 = _get_num(cp, "physical", "n0", 0.0)
-    if n0 < 0:
-        raise ConfigError("config field [physical] n0 must be >= 0")
+    beta = _get_num(cp, "physical", "beta", 1.0, float, _POSITIVE)
+    eps = _get_num(cp, "physical", "eps", 1.0, float, _NON_NEGATIVE)
+    d = _get_num(cp, "physical", "d", 3, int, _POSITIVE)
+    s = _get_num(cp, "physical", "s", 1.0, float, _POSITIVE)
+    n0 = _get_num(cp, "physical", "n0", 0.0, float, _NON_NEGATIVE)
     src_spec = cp.get("physical", "source", fallback="zero")
     try:
         src = SourceProfile(parse_profile(src_spec), d=d, s=s)
@@ -171,22 +191,25 @@ def load_f_g(cp, cfg):
 def _mc_settings(cp, args):
     """(samples, seed) of a Monte Carlo run: command line first, then
     [numerics]."""
-    samples = args.samples or _get_num(cp, "numerics", "samples", 20000, int)
-    if samples < 1000:
-        raise ConfigError(
-            "config field [numerics] samples must be >= 1000 for MC runs")
-    seed = args.seed if args.seed is not None else \
-        _get_num(cp, "numerics", "seed", 0, int)
+    samples = _get_num(cp, "numerics", "samples", 20000, int, _MC_SAMPLES) \
+        if args.samples is None else \
+        _require("--samples", args.samples, _MC_SAMPLES)
+    seed = _get_num(cp, "numerics", "seed", 0, int, _SEED) \
+        if args.seed is None else _require("--seed", args.seed, _SEED)
     return samples, seed
 
 
 def build_state(cp, args):
     beta, eps, d, s, n0, src = load_physical(cp)
     samples, seed = _mc_settings(cp, args)
-    tol = _get_num(cp, "numerics", "quad_tol", 1e-9)
-    n_grid = _get_num(cp, "numerics", "tau_grid", 2048, int)
+    tol = _get_num(cp, "numerics", "quad_tol", 1e-9, float, _POSITIVE)
+    n_grid = _get_num(cp, "numerics", "tau_grid", 2048, int, _POSITIVE)
     cache_path = None
-    if cp.getboolean("output", "cache", fallback=False):
+    try:
+        cache = cp.getboolean("output", "cache", fallback=False)
+    except ValueError as exc:
+        raise ConfigError(f"config field [output] cache: {exc}") from exc
+    if cache:
         cache_dir = os.path.join(args.out, "cache")
         os.makedirs(cache_dir, exist_ok=True)
         tag = hashlib.sha256(
@@ -248,43 +271,35 @@ def run_spin_check(cp, args, outdir):
     ens = StateConfig.build(SourceProfile.zero(d=d, s=s), beta, eps,
                             n_loops=samples, seed=seed).ensemble
     params = ens.params
-
     checks, rows = [], []
-    n = ens.n
 
-    # jump-count mean
-    mean = float(np.mean(ens.counts))
-    se = float(np.std(ens.counts) / math.sqrt(n))
-    oracle = eps * beta * math.tanh(eps * beta)
-    ok = abs(mean - oracle) <= 3.0 * se + 1e-12
-    checks.append(("jump_count_mean", ok))
-    rows.append(("jump_count_mean", mean, oracle, se, ok))
+    def compare(name, sample, oracle):
+        # per-loop sample mean against its oracle, within 3 SE
+        mc = float(np.mean(sample))
+        se = float(np.std(sample) / math.sqrt(ens.n))
+        ok = abs(mc - oracle) <= 3.0 * se + 1e-12
+        checks.append((name, ok))
+        rows.append((name, mc, oracle, se, ok))
+
+    compare("jump_count_mean", ens.counts, eps * beta * math.tanh(eps * beta))
 
     # two-point function on the standard fractions
     u0 = -0.25 * beta
     for frac in (0.1, 0.25, 0.5):
         tau = frac * beta
-        vals = np.prod(ens.path_values([u0, u0 + tau]), axis=1)
-        mc = float(np.mean(vals))
-        se = float(np.std(vals) / math.sqrt(n))
-        oracle = float(two_point_oracle(params, tau))
-        ok = abs(mc - oracle) <= 3.0 * se + 1e-12
-        checks.append((f"two_point_tau_{frac}", ok))
-        rows.append((f"two_point_tau_{frac}", mc, oracle, se, ok))
+        compare(f"two_point_tau_{frac}",
+                np.prod(ens.path_values([u0, u0 + tau]), axis=1),
+                float(two_point_oracle(params, tau)))
 
     # transition frequencies at the bridge-corrected oracle
     t = 0.3 * beta
     x = ens.path_values([u0, u0 + t])
     for s1 in (1, -1):
         for s2 in (1, -1):
-            hit = (x[:, 0] == s1) & (x[:, 1] == s2)
-            mc = float(np.mean(hit))
-            se = float(np.std(hit.astype(float)) / math.sqrt(n))
-            oracle = correlation_trace(
-                params, [u0, u0 + t], [_projector(s1), _projector(s2)])
-            ok = abs(mc - oracle) <= 3.0 * se + 1e-12
-            checks.append((f"transition_{s1}_{s2}", ok))
-            rows.append((f"transition_{s1}_{s2}", mc, oracle, se, ok))
+            compare(f"transition_{s1}_{s2}",
+                    ((x[:, 0] == s1) & (x[:, 1] == s2)).astype(float),
+                    correlation_trace(params, [u0, u0 + t],
+                                      [_projector(s1), _projector(s2)]))
 
     # jump parity is even by construction
     parity_ok = bool(np.all(ens.counts % 2 == 0))
@@ -339,9 +354,9 @@ def run_kernels(cp, args, outdir):
 
 
 def run_charfun(cp, args, outdir):
+    s_grid = _grid_from_config(cp, "s_grid", default="0,0.5,1,1.5,2")
     cfg = build_state(cp, args)
     f, _ = load_f_g(cp, cfg)
-    s_grid = _grid_from_config(cp, "s_grid", default="0,0.5,1,1.5,2")
     vals, ses = state_mod.charfun_scaled(cfg, f, s_grid)
     # charfun_scaled admits only directions in dom m (it rejects the
     # infrared-singular ones), so the comparator is always defined
@@ -359,16 +374,17 @@ def run_charfun(cp, args, outdir):
     return checks, cfg.ensemble.ess
 
 
-def _grid_from_config(cp, key, default):
+def _grid_from_config(cp, key, default, rule=_NONEMPTY):
+    """[experiment] key as a comma list of finite numbers obeying rule."""
+    name = f"config field [experiment] {key}"
     raw = cp.get("experiment", key, fallback=default)
-    try:
-        return [float(x) for x in raw.split(",") if x.strip()]
-    except ValueError as exc:
-        raise ConfigError(
-            f"config field [experiment] {key} must be a comma list") from exc
+    return _require(name, [_finite(float, x, name)
+                           for x in raw.split(",") if x.strip()], rule)
 
 
 def run_cluster(cp, args, outdir):
+    grid = _grid_from_config(cp, "grid", "1,2,4,8,16,32,64,128",
+                             _INCREASING)
     cfg = build_state(cp, args)
     f, g = load_f_g(cp, cfg)
     mode = cp.get("experiment", "mode", fallback="time")
@@ -378,7 +394,6 @@ def run_cluster(cp, args, outdir):
     if mode == "space" and cfg.d != 3:
         raise ConfigError("config field [physical] d must be 3 for "
                           "spatial cluster scans")
-    grid = _grid_from_config(cp, "grid", "1,2,4,8,16,32,64,128")
     report = cluster_mod.cluster_scan(cfg, f, g, mode, grid)
     verdict = cluster_mod.nogo_verdict(cfg, f, g, report)
     rows = []
@@ -402,11 +417,11 @@ def run_cluster(cp, args, outdir):
 
 
 def run_variance(cp, args, outdir):
+    n_cells = _get_num(cp, "numerics", "variance_grid", 64, int, _POSITIVE)
+    s_grid = _grid_from_config(cp, "s_grid", "0,0.25,0.5,1,2")
     cfg = build_state(cp, args)
     f, _ = load_f_g(cp, cfg)
-    n_cells = _get_num(cp, "numerics", "variance_grid", 64, int)
     rep = cfg.ensemble.variance_two_routes(f, n_cells)
-    s_grid = _grid_from_config(cp, "s_grid", "0,0.25,0.5,1,2")
     dev_ok, dev_rows = cfg.ensemble.deviation_bound_check(f, s_grid)
     cn, evidence = cfg.ensemble.cnumber_criterion(f)
     checks = [
@@ -431,14 +446,12 @@ def run_resolvent(cp, args, outdir):
     # subcommands that need it import it
     from spinboson import resolvent as resolvent_mod
 
+    lam = _get_num(cp, "experiment", "lambda", 1.0, float, _NONZERO)
+    mu = _get_num(cp, "experiment", "mu", 2.0, float, _NONZERO)
+    thresh = _get_num(cp, "experiment", "decay_threshold", 1.0, float,
+                      _POSITIVE)
     cfg = build_state(cp, args)
     f, g = load_f_g(cp, cfg)
-    lam = _get_num(cp, "experiment", "lambda", 1.0)
-    if lam == 0:
-        raise ConfigError("config field [experiment] lambda must be nonzero")
-    mu = _get_num(cp, "experiment", "mu", 2.0)
-    if mu == 0:
-        raise ConfigError("config field [experiment] mu must be nonzero")
 
     rows, checks = [], []
     one = resolvent_mod.resolvent_onepoint(cfg, lam, f)
@@ -459,7 +472,6 @@ def run_resolvent(cp, args, outdir):
     checks.append(("twopoint_norm_bound", bound2))
 
     if cfg.q_bec(f) > 1e-6:
-        thresh = _get_num(cp, "experiment", "decay_threshold", 1.0)
         rep = resolvent_mod.bec_decay_scan(cfg, lam, f, (1.0, 2.0, 4.0),
                                            threshold=thresh)
         for t, m, e in zip(rep.amplitudes, rep.moduli, rep.errors):
@@ -497,9 +509,9 @@ def run_ideals(cp, args, outdir):
 
 
 def run_gp_scan(cp, args, outdir):
+    s_grid = _grid_from_config(cp, "s_grid", "0,0.5,1,2,4")
     cfg = build_state(cp, args)
     seq = list(load_functions(cp, cfg.d, cfg.s).values())
-    s_grid = _grid_from_config(cp, "s_grid", "0,0.5,1,2,4")
     report = cluster_mod.gp_limit_scan(cfg, seq, s_grid)
     rows = []
     for i, (vals, ses, gaps) in enumerate(
@@ -556,8 +568,10 @@ def main(argv=None):
             args.out, f"{args.subcommand.replace('-', '_')}_summary.txt")
         all_pass = write_summary(summary, seed, config_hash, ess, checks)
         return 0 if all_pass else 1
-    except (ConfigError, DirectionRejected, DivergentIntegralError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (ConfigError, configparser.Error, DirectionRejected,
+            DivergentIntegralError) as exc:
+        # one line, whatever the message (parser errors span several)
+        print(f"config error: {' '.join(str(exc).split())}", file=sys.stderr)
         return 2
     except QuadratureError as exc:
         print(f"numerical non-convergence: {exc}", file=sys.stderr)

@@ -213,12 +213,9 @@ class TiltedEnsemble:
         return self._z_cache[key]
 
     def spin_factor(self, f, t_offset=0.0):
-        """S = E~[exp(-i Z)] with standard error (cached beside Z)."""
-        key = ("S", f, float(t_offset))
-        if key not in self._z_cache:
-            z = self.z_values(f, t_offset)
-            self._z_cache[key] = self.expectation(np.exp(-1j * z))
-        return self._z_cache[key]
+        """S = E~[exp(-i Z)] with standard error: char_function at s = 1."""
+        self.char_function(f, 1.0, t_offset)
+        return self._z_cache[("S", f, float(t_offset), 1.0)]
 
     def ell_shift(self, f):
         """The physical-field shift ell = -E~[Z] (real test functions)."""
@@ -226,17 +223,20 @@ class TiltedEnsemble:
         mean, _ = self.expectation(z)
         return -float(mean.real)
 
-    def char_function(self, f, s):
-        """E~[exp(-i s Z_f)] with SE, vectorized over real s."""
-        z = self.z_values(f)
+    def char_function(self, f, s, t_offset=0.0):
+        """E~[exp(-i s Z_{f,t})] with SE, vectorized over real s; each
+        (f, t, s) is estimated once and cached beside Z."""
+        t = float(t_offset)
         s = np.asarray(s, dtype=float)
-        scalar = s.ndim == 0
-        s = np.atleast_1d(s)
-        vals = np.empty(len(s), dtype=complex)
-        ses = np.empty(len(s))
-        for j, sj in enumerate(s):
-            vals[j], ses[j] = self.expectation(np.exp(-1j * sj * z))
-        if scalar:
+        vals = np.empty(s.size, dtype=complex)
+        ses = np.empty(s.size)
+        for j, sj in enumerate(s.ravel()):
+            key = ("S", f, t, float(sj))
+            if key not in self._z_cache:
+                z = self.z_values(f, t)
+                self._z_cache[key] = self.expectation(np.exp(-1j * sj * z))
+            vals[j], ses[j] = self._z_cache[key]
+        if s.ndim == 0:
             return vals[0], ses[0]
         return vals, ses
 

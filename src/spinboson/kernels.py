@@ -245,11 +245,11 @@ class ThermalKernelTable:
             grid = np.linspace(0.0, beta, n_grid + 1)
             psi = self._momentum_sum(thermal_antider2, grid)
             apsi = self._momentum_sum(thermal_antider, grid)
-            spline = UniformHermiteSpline(grid, psi.real, apsi.real)
+            spline = UniformHermiteSpline(grid, psi, apsi)
             # refinement check at midpoints against exact values
             mids = 0.5 * (grid[:-1] + grid[1:])
-            exact = self._momentum_sum(thermal_antider2, mids).real
-            scale = 1.0 + abs(psi.real[-1])
+            exact = self._momentum_sum(thermal_antider2, mids)
+            scale = 1.0 + abs(psi[-1])
             if np.max(np.abs(spline(mids) - exact)) <= self.tol * scale:
                 break
             if n_grid >= 1 << 16:
@@ -257,26 +257,23 @@ class ThermalKernelTable:
             n_grid *= 2
         self.n_grid = n_grid
         self.grid = grid
-        self._psi_vals = psi.real
-        self._apsi_vals = apsi.real
+        self._psi_vals = psi
+        self._apsi_vals = apsi
         self._psi = spline
 
     def _momentum_sum(self, time_fn, tau):
-        """sum_j gw_j * time_fn(tau_i, omega_j) over the momentum rule."""
+        """sum_j gw_j * time_fn(tau_i, omega_j) over the momentum rule, for
+        tau of any shape.  The flattened tau is walked in slabs, so the
+        (tau, k) matrix holds at most 2^22 entries on any grid."""
         gw, om = self._gw, self._om
         tau = np.asarray(tau, dtype=float)
-        if tau.ndim == 1:
-            # slab over tau so the (tau, k) matrix stays a few MB even on
-            # deeply refined grids
-            slab = max(1, (1 << 22) // max(len(om), 1))
-            out = np.empty(len(tau), dtype=complex)
-            for lo in range(0, len(tau), slab):
-                hi = min(lo + slab, len(tau))
-                out[lo:hi] = time_fn(tau[lo:hi, None], om, self.beta) @ gw
-            return out
-        vals = time_fn(tau.reshape(tau.shape + (1,)), om, self.beta)
-        out = vals @ gw
-        return out if out.ndim else out[()]
+        flat = tau.ravel()
+        slab = max(1, (1 << 22) // max(len(om), 1))
+        out = np.empty(len(flat))
+        for lo in range(0, len(flat), slab):
+            out[lo:lo + slab] = time_fn(flat[lo:lo + slab, None], om,
+                                        self.beta) @ gw
+        return out.reshape(tau.shape)[()]
 
     # -- scalar kernel -------------------------------------------------------
 
@@ -289,7 +286,7 @@ class ThermalKernelTable:
             return np.broadcast_to(self._const, tau.shape).copy() \
                 if tau.ndim else self._const
         out = self._momentum_sum(thermal_factor, tau)
-        return out.real if np.ndim(out) else float(np.real(out))
+        return out if np.ndim(out) else float(out)
 
     def Psi(self, u):
         """Second iterated antiderivative of kappa (tabulated spline)."""
@@ -304,8 +301,7 @@ class ThermalKernelTable:
         """Psi by direct momentum quadrature (oracle path, no spline)."""
         if self._const is not None:
             return 0.5 * self._const * np.asarray(u, dtype=float) ** 2
-        out = self._momentum_sum(thermal_antider2, u)
-        return np.real(out)
+        return self._momentum_sum(thermal_antider2, u)
 
     def double_block(self, a, b, c, d):
         """Double integral of kappa(|t-s|) over [a,b] x [c,d] via the

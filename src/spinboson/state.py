@@ -110,29 +110,21 @@ class StateConfig:
         return c
 
 
-def _gauss_prefactor(qtot, s=1.0):
-    return math.exp(-0.25 * qtot * s * s)
-
-
 def charfun(cfg, f, t=0.0):
     """psi(W(e^{i t omega} f)) as (value, standard error)."""
+    return charfun_scaled(cfg, f, 1.0, t)
+
+
+def charfun_scaled(cfg, f, s, t=0.0):
+    """psi(e^{i s Phi(e^{i t omega} f)}) on a real s-grid:
+    exp(-s^2 q / 4) * E~[e^{-isZ_{f,t}}], the one Gaussian x spin assembly."""
     cfg.require_admissible(f)
     # the zero mode is blind to Euclidean damping (omega(0) = 0)
     qtot = cfg.q0(f).real + cfg.q_nonzero(f.damped(t)).real
-    sval, se = cfg.ensemble.spin_factor(f, t)
-    pref = _gauss_prefactor(qtot)
-    return pref * sval, pref * se
-
-
-def charfun_scaled(cfg, f, s):
-    """psi(e^{i s Phi(f)}) on a real s-grid: Gaussian(s^2) * E~[e^{-isZ}]."""
-    cfg.require_admissible(f)
-    qtot = cfg.q0(f).real + cfg.q_nonzero(f).real
-    vals, ses = cfg.ensemble.char_function(f, s)
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    pref = np.array([_gauss_prefactor(qtot, sj) for sj in s_arr])
-    if np.ndim(s) == 0:
-        return pref[0] * vals, pref[0] * ses
+    vals, ses = cfg.ensemble.char_function(f, s, t)
+    s = np.asarray(s, dtype=float)
+    pref = np.array([math.exp(-0.25 * qtot * sj * sj)
+                     for sj in s.ravel()]).reshape(s.shape)
     return pref * vals, pref * ses
 
 
@@ -147,17 +139,13 @@ def transported(g, mode, amount):
 
 
 def two_point_charfun(cfg, f, g, mode="time", amount=0.0):
-    """psi(W(f) W(T g)) via the substitution f + T g, with the zero mode
-    evaluated on the untransported sum."""
+    """psi(W(f) W(T g)) via the substitution f + T g.  The zero mode of
+    f + T g is that of the untransported f + g, since fhat(0) ignores
+    phases and shifts."""
     tg = transported(g, mode, amount)
     cfg.require_admissible(f)
     cfg.require_admissible(tg)
-    fg0 = f + g
-    ftg = f + tg
-    qtot = cfg.q0(fg0).real + cfg.q_nonzero(ftg).real
-    sval, se = cfg.ensemble.spin_factor(ftg, 0.0)
-    pref = _gauss_prefactor(qtot)
-    return pref * sval, pref * se
+    return charfun(cfg, f + tg)
 
 
 def van_hove_charfun(cfg, f, s):

@@ -1,4 +1,7 @@
+import ast
+import inspect
 import os
+import re
 
 import pytest
 
@@ -240,3 +243,131 @@ def test_kernel_cache_round_trip(tmp_path):
     assert _run("kernels", str(p), out) == 0
     body2 = open(os.path.join(out, "kernels.csv"), "rb").read()
     assert body1 == body2
+
+
+@pytest.mark.parametrize("sub, old, new, extra", [
+    pytest.param("kernels", "tau_grid = 256", "tau_grid = 0", (),
+                 id="tau_grid-zero"),
+    pytest.param("kernels", "tau_grid = 256", "tau_grid = -4", (),
+                 id="tau_grid-negative"),
+    pytest.param("cluster", "grid = 1,2,4,8,16", "grid =", (),
+                 id="grid-empty"),
+    pytest.param("cluster", "grid = 1,2,4,8,16", "grid = 4,2", (),
+                 id="grid-decreasing"),
+    pytest.param("spin-check", "eps = 1.0", "eps = nan", (), id="eps-nan"),
+    pytest.param("charfun", "", "", ("--seed", str(2 ** 63)),
+                 id="seed-flag-2^63"),
+    pytest.param("charfun", "seed = 42", f"seed = {2 ** 63}", (),
+                 id="seed-2^63"),
+    pytest.param("kernels", "beta = 1.0", "beta = nan", (), id="beta-nan"),
+    pytest.param("kernels", "beta = 1.0", "beta = inf", (), id="beta-inf"),
+    pytest.param("kernels", "quad_tol = 1e-9", "quad_tol = nan", (),
+                 id="quad_tol-nan"),
+    pytest.param("kernels", "quad_tol = 1e-9", "quad_tol = -1", (),
+                 id="quad_tol-negative"),
+    pytest.param("variance", "tau_grid = 256",
+                 "tau_grid = 256\nvariance_grid = 0", (),
+                 id="variance_grid-zero"),
+    pytest.param("resolvent", "lambda = 1.0", "lambda = nan", (),
+                 id="lambda-nan"),
+    pytest.param("charfun", "s_grid = 0,0.5,1,2", "s_grid =", (),
+                 id="s_grid-empty"),
+    pytest.param("charfun", "s_grid = 0,0.5,1,2", "s_grid = 0,nan", (),
+                 id="s_grid-nan"),
+    pytest.param("resolvent", "mu = 2.0", "mu = 2.0\ndecay_threshold = 0",
+                 (), id="decay_threshold-zero"),
+    pytest.param("charfun", "f = gaussian:width=1,amplitude=1",
+                 "f = gaussian:width=nan,amplitude=1", (),
+                 id="profile-width-nan"),
+    pytest.param("kernels", "cache = false", "cache = maybe", (),
+                 id="cache-not-boolean"),
+    pytest.param("kernels", "[physical]\n", "physical\n", (),
+                 id="no-section-header"),
+    pytest.param("kernels", "source = gaussian:width=1,amplitude=0.4",
+                 "source = gaussian:width=1%", (), id="bad-interpolation"),
+    pytest.param("charfun", "", "", ("--samples", "0"), id="samples-flag-0"),
+    pytest.param("charfun", "", "", ("--samples", "-5"),
+                 id="samples-flag-negative"),
+])
+def test_bad_input_is_config_error(sub, old, new, extra, tmp_path, capsys):
+    # every numeric field and flag is read finite and checked against its
+    # rule, and unreadable INI is a config error: a bad input exits 2 on
+    # one line, never on a traceback, a silent default or another code
+    text = BASE_CONFIG.replace(old, new) if old else BASE_CONFIG
+    assert (text != BASE_CONFIG) != bool(extra)
+    p = tmp_path / "bad.ini"
+    p.write_text(text)
+    assert _run(sub, str(p), str(tmp_path / "out"), extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    if extra:
+        assert extra[0] in err
+
+
+@pytest.mark.parametrize("line", ["source = gaussian:widht=3",
+                                  "source = zero:amplitude=1",
+                                  "source = flat:amplitude=1,width=2",
+                                  "f = bump:exponent=0,cutof=2"],
+                         ids=["widht", "zero", "flat-width", "cutof"])
+def test_unknown_profile_parameter_is_config_error(line, tmp_path, capsys):
+    # a misspelt parameter is rejected instead of running on its default
+    key = line.split(" = ")[0]
+    text = re.sub(rf"^{key} = .*$", line, BASE_CONFIG, count=1, flags=re.M)
+    assert line in text
+    p = tmp_path / "bad.ini"
+    p.write_text(text)
+    assert _run("charfun", str(p), str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unknown parameter ")
+    assert err.count("\n") == 1
+    with pytest.raises(cli.ConfigError):
+        cli.parse_profile(line.split(" = ")[1])
+
+
+def _ini_keys(text):
+    """(section, key) pairs declared in an INI layout, comments left out."""
+    keys, section = set(), None
+    for line in text.splitlines():
+        line = line.strip()
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1]
+        elif "=" in line and not line.startswith((";", "#")):
+            keys.add((section, line.split("=", 1)[0].strip()))
+    return keys
+
+
+def _keys_read_by_cli():
+    """(section, key) pairs cli.py reads, and the sections it reads whole,
+    from the string arguments of its config calls."""
+    reads, whole = set(), set()
+    for node in ast.walk(ast.parse(inspect.getsource(cli))):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        args = [a.value for a in node.args
+                if isinstance(a, ast.Constant) and isinstance(a.value, str)]
+        if name == "items" and len(args) == 1:
+            whole.add(args[0])
+        elif name == "_grid_from_config":
+            reads.add(("experiment", args[0]))
+        elif name in ("_get_num", "get", "getboolean") and len(args) >= 2:
+            reads.add((args[0], args[1]))
+    return reads, whole
+
+
+def test_documented_config_keys_are_read():
+    # every key of the module docstring's layout and of the README example
+    # config is read by the CLI: no documented key is silently ignored
+    layout = cli.__doc__.split("Config layout (flat INI)::")[1] \
+        .split("Results depend")[0]
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir,
+                               "README.md"), encoding="utf-8").read()
+    example = readme.split("```ini")[1].split("```")[0]
+    reads, whole = _keys_read_by_cli()
+    for text in (layout, example):
+        keys = _ini_keys(text)
+        assert ("numerics", "samples") in keys
+        unread = {k for k in keys if k not in reads and k[0] not in whole}
+        assert not unread

@@ -237,6 +237,34 @@ def test_spin_factor_is_memoized_per_t(ensemble, f_gauss):
         np.exp(-1j * ensemble.z_values(f_gauss, 0.25)))
 
 
+def test_char_function_estimates_each_s_once(kernel_table, f_gauss,
+                                             monkeypatch):
+    # char_function is the one estimator: each (f, t, s) reaches
+    # expectation once, and spin_factor is its cached s = 1 value
+    ens = build_ensemble(SpinMeasureParams(BETA, 1.0), kernel_table, 2000,
+                         seed=11)
+    calls = []
+    estimate = ens.expectation
+
+    def counted(values):
+        calls.append(len(values))
+        return estimate(values)
+
+    monkeypatch.setattr(ens, "expectation", counted)
+    vals, ses = ens.char_function(f_gauss, [0.0, 1.0])
+    assert len(calls) == 2
+    assert ens.spin_factor(f_gauss) == (vals[1], ses[1])
+    assert ens.char_function(f_gauss, 1.0) == (vals[1], ses[1])
+    assert len(calls) == 2
+    # a time offset is a new key, shared again by both entry points
+    moved, _ = ens.char_function(f_gauss, [1.0, 0.5], 0.25)
+    assert ens.spin_factor(f_gauss, 0.25)[0] == moved[0]
+    assert ens.char_function(f_gauss, 0.5, t_offset=0.25)[0] == moved[1]
+    assert len(calls) == 4
+    assert moved[0] == estimate(
+        np.exp(-1j * ens.z_values(f_gauss, 0.25)))[0]
+
+
 def test_z_linearity(ensemble, f_gauss, g_gauss):
     zf = ensemble.z_values(f_gauss)
     z2f = ensemble.z_values(f_gauss.scaled(2.0))

@@ -337,6 +337,38 @@ def test_psi_spline_matches_direct_quadrature(kernel_table):
     assert np.max(np.abs(spline - direct)) <= 1e-8 * (1.0 + direct[-1])
 
 
+def test_momentum_sum_is_slabbed_for_any_shape(kernel_table, monkeypatch):
+    # kappa and Psi_exact walk a 2-D tau in slabs of the flattened array,
+    # bit for bit as for the same tau taken 1-D
+    from spinboson import kernels
+    slab = (1 << 22) // len(kernel_table._om)
+    tau = np.linspace(0.0, BETA, 2 * slab + 6).reshape(2, -1)
+    sizes = []
+    for name in ("thermal_factor", "thermal_antider2"):
+        def counted(t, om, beta, fn=getattr(kernels, name)):
+            sizes.append(np.size(t))
+            return fn(t, om, beta)
+        monkeypatch.setattr(kernels, name, counted)
+    for method in (kernel_table.kappa, kernel_table.Psi_exact):
+        two_d = method(tau)
+        assert two_d.shape == tau.shape
+        assert _same_bits(two_d.ravel(), method(tau.ravel()))
+    assert max(sizes) <= slab and len(sizes) == 12
+
+
+@pytest.mark.parametrize("beta", [1.0, 4.0])
+@pytest.mark.parametrize("s", [0.6, 1.0, 1.2, 1.4])
+def test_psi_at_beta_closed_form(s, beta):
+    # Psi(beta) = beta Omega_d int k^{d-1} |rhohat|^2 omega^-2 dk, which for
+    # the d = 3 gaussian source is 2 pi beta A^2 w^{3-2s} Gamma(3/2 - s)
+    amp, width = 0.7, 1.3
+    src = SourceProfile.gaussian(width=width, amplitude=amp, d=3, s=s)
+    table = ThermalKernelTable(src, beta, n_grid=256)
+    exact = (2.0 * math.pi * beta * amp ** 2 * width ** (3.0 - 2.0 * s)
+             * math.gamma(1.5 - s))
+    assert table.Psi(beta) == pytest.approx(exact, rel=1e-9)
+
+
 def test_double_block_degenerate_and_symmetry(kernel_table):
     assert kernel_table.double_block(0.2, 0.2, -0.1, 0.4) == 0.0
     ab = kernel_table.double_block(0.05, 0.35, -0.45, -0.1)

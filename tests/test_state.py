@@ -146,6 +146,19 @@ def test_two_point_trivial_transport(state_cfg, f_gauss, g_gauss):
     assert val0 == pytest.approx(one, rel=1e-9)
 
 
+@pytest.mark.parametrize("mode", ["time", "space"])
+def test_two_point_is_charfun_of_transported_sum(state_cfg, f_gauss,
+                                                 g_gauss, mode):
+    # fhat(0) ignores phases and shifts, so the two-point functional is the
+    # one-point one of f + T g, bit for bit
+    val, se = two_point_charfun(state_cfg, f_gauss, g_gauss, mode, 2.5)
+    ref, ref_se = charfun(state_cfg,
+                          f_gauss + transported(g_gauss, mode, 2.5))
+    assert val == ref and se == ref_se
+    assert state_cfg.q0(f_gauss + g_gauss) \
+        == state_cfg.q0(f_gauss + transported(g_gauss, mode, 2.5))
+
+
 def test_two_point_transport_modes(f_gauss):
     assert transported(f_gauss, "time", 2.0).components[0].time_phase == 2.0
     assert transported(f_gauss, "space", 1.5).components[0].shift[0] == 1.5
