@@ -1,7 +1,8 @@
 """Configuration-driven experiment harness.
 
 INI config, CSV output, deterministic seeding.  Exit codes: 0 success,
-1 assertion failure, 2 config error, 3 numerical non-convergence.
+1 assertion failure, 2 config or output error, 3 numerical
+non-convergence.
 
 Config layout (flat INI)::
 
@@ -572,6 +573,10 @@ def main(argv=None):
             DivergentIntegralError) as exc:
         # one line, whatever the message (parser errors span several)
         print(f"config error: {' '.join(str(exc).split())}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # the output directory, the kernel cache or a result file
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
     except QuadratureError as exc:
         print(f"numerical non-convergence: {exc}", file=sys.stderr)

@@ -18,6 +18,11 @@ with G(u) = sign(u-t) A_f(|u-t|).  These follow from summation by parts
 and make million-loop ensembles cheap.  Z is then two circle-end constants
 G(+-beta/2) plus an alternating sum of G over the jump times.
 
+The two constant paths are atoms of the free measure, of total mass
+1/cosh(beta eps): every constant loop of one sign has the same Z and the
+same log-weight, so per-loop functions run once per distinct loop
+(TiltedEnsemble.map_distinct).
+
 All weights live in log space with log-sum-exp reductions.
 """
 
@@ -26,6 +31,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -148,6 +154,39 @@ class TiltedEnsemble:
             rows = np.ascontiguousarray(bounds.T)
             out[idx] = -0.5 * ((pat[p] * pat[q]) @ psi(rows[q] - rows[p]))
         return out
+
+    # -- distinct loops ------------------------------------------------------
+
+    @cached_property
+    def _distinct(self):
+        """(pick, inverse): the distinct loops, ascending, and each loop's
+        position among them.  The distinct loops are every loop with jumps
+        and the first constant loop of each sign."""
+        const = self.counts == 0
+        keep = ~const
+        atoms = [np.flatnonzero(const & (self.signs == s)) for s in (1, -1)]
+        for atom in atoms:
+            keep[atom[:1]] = True
+        inverse = np.cumsum(keep) - 1
+        for atom in atoms:
+            inverse[atom] = inverse[atom[:1]]
+        return np.flatnonzero(keep), inverse
+
+    def map_distinct(self, fn, *per_loop):
+        """fn(*per_loop), evaluated once per distinct loop.
+
+        fn must act loop by loop, and the per-loop arrays (loops along the
+        first axis) must be functions of the loop, as z_values is: every
+        constant loop of one sign then gives the same result.  So fn runs
+        on the loops with jumps and one constant loop per sign, and its
+        output (an array or a tuple of arrays, loops along the first axis)
+        is gathered back to all n loops.
+        """
+        pick, inverse = self._distinct
+        out = fn(*(np.asarray(a)[pick] for a in per_loop))
+        if isinstance(out, tuple):
+            return tuple(r[inverse] for r in out)
+        return out[inverse]
 
     # -- estimators ----------------------------------------------------------
 

@@ -21,8 +21,12 @@ is computable from the same ensemble because Z is linear in the test
 function; their inner t-integral is the same closed form per loop, which
 leaves one u-quadrature.
 
-Every value and its Monte Carlo error is one TiltedEnsemble.expectation of
-a per-loop array.
+The per-loop closed forms run once per distinct loop
+(TiltedEnsemble.map_distinct): every constant path of one sign has the same
+Z, so the loops with jumps and the two constant-path atoms are all that is
+evaluated.  Every value and its Monte Carlo error is one
+TiltedEnsemble.expectation of the per-loop array this gives back for all
+loops.
 """
 
 from __future__ import annotations
@@ -58,6 +62,15 @@ def _truncation_point(alam, q, log_tol):
     return 2.0 * log_tol / (alam + math.sqrt(alam * alam + q * log_tol))
 
 
+def _row_sum(a):
+    """Sum over the rows of a 2-D array, added in order for every column.
+
+    numpy's sum over axis 0 of a C-ordered array does that when there are
+    two or more columns but goes pairwise on a single column, which would
+    make a loop's u-sum depend on how many loops are distinct."""
+    return a.sum(axis=0) if a.shape[1] > 1 else np.cumsum(a, axis=0)[-1]
+
+
 @dataclass
 class ResolventValue:
     value: complex
@@ -80,10 +93,12 @@ def resolvent_onepoint(cfg, lam, f):
         raise ValueError("lambda must be nonzero")
     cfg.require_admissible(f)
     sgn = 1.0 if lam > 0 else -1.0
-    z = cfg.ensemble.z_values(f)
-    h = -1j * sgn * laplace_gauss(abs(lam) + 1j * sgn * z,
-                                  0.25 * cfg.q_bec(f))
-    return _estimate(cfg.ensemble, h, np.abs(h))
+    b = 0.25 * cfg.q_bec(f)
+    ens = cfg.ensemble
+    h = ens.map_distinct(
+        lambda z: -1j * sgn * laplace_gauss(abs(lam) + 1j * sgn * z, b),
+        ens.z_values(f))
+    return _estimate(ens, h, np.abs(h))
 
 
 def resolvent_twopoint(cfg, lam, f, mu, g, tol=1e-6):
@@ -123,19 +138,26 @@ def resolvent_twopoint(cfg, lam, f, mu, g, tol=1e-6):
     def per_loop(panels):
         u, wu = gauss_legendre_panels(np.linspace(0.0, umax, panels + 1),
                                       order=12)
-        h = np.zeros(ens.n, dtype=complex)
-        h_abs = np.zeros(ens.n)
+        # the slab height is set by all n loops, so each loop's u-sum
+        # rounds the same however many loops are distinct
         step = max(1, _SLAB // ens.n)
-        for lo in range(0, len(u), step):
-            uu = u[lo:lo + step, None]
-            s = sgn_l * uu
-            a = am + sgn_m * (0.5 * qfg * s + 0.5j * sig * s + 1j * zg)
-            body = (wu[lo:lo + step, None]
-                    * np.exp(-al * uu - 0.25 * qff * uu * uu - 1j * s * zf)
-                    * laplace_gauss(a, 0.25 * qgg))
-            h += body.sum(axis=0)
-            h_abs += np.abs(body).sum(axis=0)
-        return -sgn_l * sgn_m * h, h_abs
+
+        def u_sum(zf, zg):
+            h = np.zeros(len(zf), dtype=complex)
+            h_abs = np.zeros(len(zf))
+            for lo in range(0, len(u), step):
+                uu = u[lo:lo + step, None]
+                s = sgn_l * uu
+                a = am + sgn_m * (0.5 * qfg * s + 0.5j * sig * s + 1j * zg)
+                body = (wu[lo:lo + step, None]
+                        * np.exp(-al * uu - 0.25 * qff * uu * uu
+                                 - 1j * s * zf)
+                        * laplace_gauss(a, 0.25 * qgg))
+                h += _row_sum(body)
+                h_abs += _row_sum(np.abs(body))
+            return -sgn_l * sgn_m * h, h_abs
+
+        return ens.map_distinct(u_sum, zf, zg)
 
     panels = 2
     h, h_abs = per_loop(panels)

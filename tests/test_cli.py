@@ -181,6 +181,30 @@ def test_missing_config_file(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("where", ["out-is-file", "cache-is-file",
+                                   "csv-is-directory"])
+def test_unusable_output_path_is_output_error(where, tmp_path, capsys):
+    # an output path that cannot be written exits 2 on one line, not on a
+    # traceback: the --out directory, the kernel cache directory, a CSV
+    text = BASE_CONFIG
+    out = tmp_path / "out"
+    if where == "out-is-file":
+        out.write_bytes(b"x")
+    elif where == "cache-is-file":
+        text = text.replace("cache = false", "cache = true")
+        out.mkdir()
+        (out / "cache").write_bytes(b"x")
+    else:
+        (out / "kernels.csv").mkdir(parents=True)
+    p = tmp_path / "cfg.ini"
+    p.write_text(text)
+    assert _run("kernels", str(p), str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def _read_outputs(out):
     csvs = {}
     summaries = {}

@@ -226,6 +226,66 @@ def test_z_values_evaluates_A_once_per_jump(ensemble, f_gauss, monkeypatch):
     assert sum(points) == ensemble.counts.sum() + 2
 
 
+# loop-wise functions of (Z, log W), odd in Z so that the two constant
+# paths differ: complex, real and tuple outputs
+_LOOPWISE = {
+    "complex": lambda s: lambda z, w: np.exp(-1j * s * z) * w + z,
+    "real": lambda s: lambda z, w: z.real * np.exp(s * w),
+    "tuple": lambda s: lambda z, w: (np.exp(-1j * s * z) + z, z.real * w),
+}
+
+
+@pytest.mark.filterwarnings("ignore:weight degeneracy")
+@pytest.mark.parametrize("out", sorted(_LOOPWISE))
+@pytest.mark.parametrize("kind", ["sampled", "frozen", "two-atoms",
+                                  "no-constant", "one-sign-constants", "n1"])
+@settings(max_examples=20)
+@given(raw=st.lists(st.tuples(st.sampled_from([-1, 1]), _jump_fractions),
+                    min_size=1, max_size=8),
+       s=st.floats(-4.0, 4.0), t=st.floats(-0.5 * BETA, 0.5 * BETA),
+       seed=st.integers(0, 1 << 16))
+def test_map_distinct_is_fn_on_all_loops_property(kernel_table, f_gauss, kind,
+                                                  out, raw, s, t, seed):
+    params = SpinMeasureParams(BETA, 1.0)
+    if kind in ("sampled", "frozen"):
+        ens = build_ensemble(params, kernel_table, 40 * len(raw), seed=seed,
+                             frozen_spin=kind == "frozen")
+    else:
+        if kind == "two-atoms":
+            raw = raw + [(1, []), (-1, [])]
+        elif kind == "no-constant":
+            raw = [(sign, fracs or [0.5]) for sign, fracs in raw]
+        elif kind == "one-sign-constants":
+            raw = [(sign if fracs else raw[0][0], fracs)
+                   for sign, fracs in raw]
+        elif kind == "n1":
+            raw = raw[:1]
+        paths = [(sign, sorted({BETA * (u - 0.5) for u in fracs}))
+                 for sign, fracs in raw]
+        signs = np.array([p[0] for p in paths], dtype=np.int8)
+        counts = np.array([len(p[1]) for p in paths], dtype=np.int64)
+        flat = np.array([x for p in paths for x in p[1]], dtype=float)
+        ens = TiltedEnsemble(params, kernel_table, signs, counts, flat, 0,
+                             DEFAULT_CHUNK)
+    fn = _LOOPWISE[out](s)
+    seen = []
+
+    def counted(*args):
+        seen.append(len(args[0]))
+        return fn(*args)
+
+    z, w = ens.z_values(f_gauss, t), ens.logw
+    got = ens.map_distinct(counted, z, w)
+    want = fn(z, w)
+    pairs = zip(got, want) if out == "tuple" else [(got, want)]
+    for g, h in pairs:
+        assert g.dtype == h.dtype and g.shape == h.shape == (ens.n,)
+        assert g.tobytes() == h.tobytes()
+    # fn ran once, on the loops with jumps and one constant loop per sign
+    const_signs = set(ens.signs[ens.counts == 0].tolist())
+    assert seen == [int(np.sum(ens.counts > 0)) + len(const_signs)]
+
+
 def test_spin_factor_is_memoized_per_t(ensemble, f_gauss):
     first = ensemble.spin_factor(f_gauss, 0.25)
     assert ensemble.spin_factor(f_gauss, 0.25) is first

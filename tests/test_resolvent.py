@@ -240,3 +240,62 @@ def test_ideal_report_singular_direction(gauss_src):
     assert rep.jir_generators == ["bad"]
     assert rep.rows[0].classification == "infrared_singular"
     assert rep.rows[1].classification == "physical"
+
+
+def _distinct_loops(ens):
+    """Loops with jumps plus one constant loop per sign present."""
+    const_signs = set(ens.signs[ens.counts == 0].tolist())
+    return int(np.sum(ens.counts > 0)) + len(const_signs)
+
+
+def test_resolvents_evaluate_wofz_once_per_distinct_loop(state_cfg, f_gauss,
+                                                         g_gauss,
+                                                         monkeypatch):
+    # structural guard: the Faddeeva function runs on the loops with jumps
+    # and the two constant-path atoms, not on every loop
+    from spinboson import resolvent as res_mod
+    points, nodes = [], []
+
+    def counted_wofz(x, wofz=res_mod.wofz):
+        points.append(np.size(x))
+        return wofz(x)
+
+    def counted_panels(*args, rule=res_mod.gauss_legendre_panels, **kw):
+        u, w = rule(*args, **kw)
+        nodes.append(len(u))
+        return u, w
+
+    monkeypatch.setattr(res_mod, "wofz", counted_wofz)
+    monkeypatch.setattr(res_mod, "gauss_legendre_panels", counted_panels)
+    ens = state_cfg.ensemble
+    distinct = _distinct_loops(ens)
+    assert distinct <= np.sum(ens.counts > 0) + 2
+    resolvent_onepoint(state_cfg, 0.7, f_gauss)
+    assert sum(points) == distinct
+    points.clear()
+    resolvent_twopoint(state_cfg, 0.7, f_gauss, 1.3, g_gauss)
+    assert sum(points) == distinct * sum(nodes)
+
+
+@pytest.mark.filterwarnings("ignore:weight degeneracy")
+@pytest.mark.parametrize("kind", ["sampled", "frozen", "n1"])
+def test_resolvents_match_the_all_loop_evaluation(gauss_src, kernel_table,
+                                                  f_gauss, g_gauss, kind,
+                                                  monkeypatch):
+    # the per-loop sums do not depend on how many loops are distinct: a
+    # frozen-spin ensemble has a single distinct loop
+    n = 1 if kind == "n1" else 300
+    ens = build_ensemble(SpinMeasureParams(BETA, 1.0), kernel_table, n,
+                         seed=5, frozen_spin=kind == "frozen")
+    cfg = StateConfig(beta=BETA, eps=1.0, d=3, s=1.0, n0=1e-3,
+                      source=gauss_src, kernels=kernel_table, ensemble=ens)
+
+    def values():
+        return [resolvent_onepoint(cfg, -0.6, f_gauss),
+                resolvent_twopoint(cfg, 0.9, f_gauss, -1.7, g_gauss)]
+
+    distinct = values()
+    monkeypatch.setattr(type(ens), "map_distinct",
+                        lambda self, fn, *per_loop: fn(*per_loop))
+    for a, b in zip(distinct, values()):
+        assert a.value == b.value and a.error == b.error
