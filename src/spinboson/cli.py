@@ -50,7 +50,11 @@ import numpy as np
 from spinboson import cluster as cluster_mod
 from spinboson import state as state_mod
 from spinboson.kernels import QuadratureError
-from spinboson.loops import correlation_trace, two_point_oracle
+from spinboson.loops import (
+    SpinMeasureParams,
+    correlation_trace,
+    two_point_oracle,
+)
 from spinboson.momentum import (
     DivergentIntegralError,
     RadialProfile,
@@ -162,6 +166,10 @@ def load_physical(cp):
     d = _get_num(cp, "physical", "d", 3, int, _POSITIVE)
     s = _get_num(cp, "physical", "s", 1.0, float, _POSITIVE)
     n0 = _get_num(cp, "physical", "n0", 0.0, float, _NON_NEGATIVE)
+    try:
+        SpinMeasureParams(beta, eps)
+    except ValueError as exc:
+        raise ConfigError(f"invalid [physical] block: {exc}") from exc
     src_spec = cp.get("physical", "source", fallback="zero")
     try:
         src = SourceProfile(parse_profile(src_spec), d=d, s=s)
@@ -246,12 +254,17 @@ def write_csv(path, comment, columns, rows):
             writer.writerow([_fmt(x) for x in row])
 
 
-def write_summary(path, seed, config_hash, ess, checks):
+def write_summary(path, seed, config_hash, ensemble, checks):
+    """The run's seed, config hash, weight-degeneracy figures of the
+    ensemble (ESS, ESS/N and the largest normalized weight) and checks."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
         fh.write(f"seed = {seed}\n")
         fh.write(f"config_hash = {config_hash}\n")
-        fh.write(f"ess = {_fmt(ess)}\n")
+        fh.write(f"ess = {_fmt(ensemble.ess)}\n")
+        fh.write(f"ess_frac = {_fmt(ensemble.ess / ensemble.n)}\n")
+        fh.write("max_weight_share = "
+                 f"{_fmt(ensemble.norm_weights.max())}\n")
         for name, ok in checks:
             fh.write(f"check {name} = {'PASS' if ok else 'FAIL'}\n")
     return all(ok for _, ok in checks)
@@ -310,7 +323,7 @@ def run_spin_check(cp, args, outdir):
               "free spin-loop sampler vs transfer-matrix oracle "
               "(dimensionless)",
               ("quantity", "mc", "oracle", "se", "pass"), rows)
-    return checks, ens.ess
+    return checks, ens
 
 
 def run_kernels(cp, args, outdir):
@@ -351,7 +364,7 @@ def run_kernels(cp, args, outdir):
               "its second time antiderivative Psi on [0, beta]",
               ("tau", "kappa", "Psi"),
               list(zip(taus.tolist(), kap.tolist(), psi.tolist())))
-    return checks, cfg.ensemble.ess
+    return checks, cfg.ensemble
 
 
 def run_charfun(cp, args, outdir):
@@ -372,7 +385,7 @@ def run_charfun(cp, args, outdir):
               "characteristic functional psi(e^{is Phi(f)}) sweep "
               "(dimensionless) with van Hove comparator",
               ("s", "re", "im", "se", "van_hove_re", "van_hove_im"), rows)
-    return checks, cfg.ensemble.ess
+    return checks, cfg.ensemble
 
 
 def _grid_from_config(cp, key, default, rule=_NONEMPTY):
@@ -414,7 +427,7 @@ def run_cluster(cp, args, outdir):
         ("nogo_bookkeeping_consistent",
          verdict.contradiction == (verdict.moderate and verdict.q0_f > 1e-12)),
     ]
-    return checks, cfg.ensemble.ess
+    return checks, cfg.ensemble
 
 
 def run_variance(cp, args, outdir):
@@ -439,7 +452,7 @@ def run_variance(cp, args, outdir):
               "(dimensionless)",
               ("s_or_quantity", "lhs_or_value", "bound_or_aux", "margin"),
               rows)
-    return checks, cfg.ensemble.ess
+    return checks, cfg.ensemble
 
 
 def run_resolvent(cp, args, outdir):
@@ -483,7 +496,7 @@ def run_resolvent(cp, args, outdir):
               "resolvent-algebra expectations psi(R(lambda, f)) "
               "(dimensionless) with quadrature+MC error",
               ("quantity", "parameter", "re_or_modulus", "im", "error"), rows)
-    return checks, cfg.ensemble.ess
+    return checks, cfg.ensemble
 
 
 def run_ideals(cp, args, outdir):
@@ -506,7 +519,7 @@ def run_ideals(cp, args, outdir):
                all(r.witness_modulus > r.witness_error
                    for r in report.rows
                    if r.classification in ("physical", "bec_generator")))]
-    return checks, cfg.ensemble.ess
+    return checks, cfg.ensemble
 
 
 def run_gp_scan(cp, args, outdir):
@@ -528,7 +541,7 @@ def run_gp_scan(cp, args, outdir):
               "vs the degenerate law exp(isa)",
               ("member", "s", "re", "im", "se", "gap"), rows)
     checks = [("gp_scan_resolved", not report.inconclusive)]
-    return checks, cfg.ensemble.ess
+    return checks, cfg.ensemble
 
 
 RUNNERS = {
@@ -563,11 +576,12 @@ def main(argv=None):
         with open(args.config, "rb") as fh:
             config_hash = hashlib.sha256(fh.read()).hexdigest()
         os.makedirs(args.out, exist_ok=True)
-        checks, ess = RUNNERS[args.subcommand](cp, args, args.out)
+        checks, ensemble = RUNNERS[args.subcommand](cp, args, args.out)
         _, seed = _mc_settings(cp, args)
         summary = os.path.join(
             args.out, f"{args.subcommand.replace('-', '_')}_summary.txt")
-        all_pass = write_summary(summary, seed, config_hash, ess, checks)
+        all_pass = write_summary(summary, seed, config_hash, ensemble,
+                                 checks)
         return 0 if all_pass else 1
     except (ConfigError, configparser.Error, DirectionRejected,
             DivergentIntegralError) as exc:

@@ -35,7 +35,12 @@ from functools import cached_property
 
 import numpy as np
 
-from spinboson.loops import SpinLoop, SpinMeasureParams, sample_loop_arrays
+from spinboson.loops import (
+    SpinLoop,
+    SpinMeasureParams,
+    jump_count_groups,
+    sample_loop_arrays,
+)
 from spinboson.seeds import substream
 
 DEFAULT_CHUNK = 4096
@@ -133,15 +138,11 @@ class TiltedEnsemble:
     def _groups(self):
         """Yield (indices, boundary matrix) per distinct jump count."""
         beta = self.params.beta
-        # distinct counts, ascending (np.unique would load numpy.ma)
-        for c in np.flatnonzero(np.bincount(self.counts)):
-            idx = np.nonzero(self.counts == c)[0]
+        for c, idx, cols in jump_count_groups(self.counts, self.offsets):
             bounds = np.empty((len(idx), c + 2))
             bounds[:, 0] = -0.5 * beta
             bounds[:, -1] = 0.5 * beta
-            if c:
-                cols = self.offsets[idx][:, None] + np.arange(c)[None, :]
-                bounds[:, 1:-1] = self.jumps_flat[cols]
+            bounds[:, 1:-1] = self.jumps_flat[cols]
             yield idx, bounds
 
     def _log_weights(self):

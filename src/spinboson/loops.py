@@ -7,9 +7,12 @@ condition of the thermal trace.  The jump count 2m is distributed as
     P(2m) = (eps*beta)^{2m} / ((2m)! cosh(eps*beta)),
 
 and given the count the jump times are the order statistics of i.i.d.
-uniforms.  Exact transfer-matrix formulas for the transition
-probabilities and multi-time correlations serve as oracles for the
-sampler.
+uniforms.  The sampler draws every count, sign and uniform of a chunk in
+one pass, then sorts the times loop by loop with one row sort per
+distinct jump count (jump_count_groups), so each time is sorted once, in
+a row of its own loop's length.  Exact transfer-matrix formulas for the
+transition probabilities and multi-time correlations serve as oracles
+for the sampler.
 """
 
 from __future__ import annotations
@@ -37,6 +40,12 @@ class SpinMeasureParams:
             raise ValueError("beta must be positive")
         if self.eps < 0:
             raise ValueError("eps must be >= 0")
+        try:
+            math.cosh(self.eps * self.beta)
+        except OverflowError:
+            raise ValueError(
+                f"eps * beta = {self.eps * self.beta:g} overflows "
+                "cosh(eps * beta), the jump-count normalization") from None
 
 
 @dataclass(frozen=True)
@@ -96,15 +105,23 @@ def transition_prob(eps, t, sigma1, sigma2):
 
 def jump_count_pmf(params):
     """Probabilities of the even jump counts 0, 2, 4, ... truncated where
-    the term drops below 1e-16 of the running sum."""
+    the term drops below 1e-16 of the running sum.
+
+    The terms x^{2m}/(2m)! follow from the recurrence
+    term_m = term_{m-1} x^2 / ((2m-1) 2m), finite wherever cosh(x) is."""
     x = params.eps * params.beta
+    x2 = x * x
     terms = [1.0]
+    total = 1.0
     m = 1
     while True:
-        term = x ** (2 * m) / math.factorial(2 * m)
-        if term < 1e-16 * sum(terms):
+        # the ratio stays near 1 at the largest term, so no product
+        # overflows before cosh(x) does
+        term = terms[-1] * (x2 / ((2 * m - 1) * (2 * m)))
+        if term < 1e-16 * total:
             break
         terms.append(term)
+        total += term
         m += 1
     pmf = np.array(terms) / math.cosh(x)
     return pmf
@@ -122,11 +139,28 @@ def sample_loop(params, rng):
     return SpinLoop(int(sign[0]), tuple(flat))
 
 
+def jump_count_groups(counts, offsets):
+    """Yield (c, idx, cols) per jump count c present, ascending.
+
+    idx are the loops with c jumps and cols the (len(idx), c) positions of
+    their jump times in the flat array whose loop starts are offsets (the
+    first len(counts) entries are read).  Count 0 gets an empty column
+    block; it need not be present at all.
+    """
+    # distinct counts, ascending (np.unique would load numpy.ma)
+    for c in np.flatnonzero(np.bincount(counts)):
+        idx = np.flatnonzero(counts == c)
+        yield c, idx, offsets[idx][:, None] + np.arange(c)
+
+
 def sample_loop_arrays(params, rng, n):
     """Vectorized sampler: (signs, jump counts, flat sorted jump times).
 
     The flat array concatenates each loop's sorted jumps; split points are
-    np.cumsum(counts).
+    np.cumsum(counts).  The draws come in a fixed order (counts, signs,
+    then all uniforms of the chunk); the times are then sorted within each
+    loop by one row sort per distinct jump count, which touches each time
+    once and leaves the draws as they were.
     """
     pmf = jump_count_pmf(params)
     pmf = pmf / pmf.sum()
@@ -135,9 +169,10 @@ def sample_loop_arrays(params, rng, n):
     signs = np.where(rng.random(n) < 0.5, 1, -1).astype(np.int8)
     total = int(counts.sum())
     flat = rng.uniform(-0.5 * params.beta, 0.5 * params.beta, size=total)
-    # sort within each loop: stable sort on (loop id, time)
-    ids = np.repeat(np.arange(n), counts)
-    flat = flat[np.lexsort((flat, ids))]
+    starts = np.cumsum(counts) - counts
+    for c, _, cols in jump_count_groups(counts, starts):
+        if c:
+            flat[cols] = np.sort(flat[cols], axis=1)
     return signs, counts, flat
 
 

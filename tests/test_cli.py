@@ -66,6 +66,16 @@ def test_subcommands_succeed(sub, config_path, tmp_path):
     assert "seed = 42" in text
     assert "config_hash = " in text
     assert "FAIL" not in text
+    # weight-degeneracy figures: ESS/N and the largest normalized weight,
+    # with ESS = 1 / sum p_i^2 >= 1 / max p_i
+    fields = dict(line.split(" = ", 1) for line in text.splitlines()[1:])
+    ess = float(fields["ess"])
+    ess_frac = float(fields["ess_frac"])
+    share = float(fields["max_weight_share"])
+    assert ess_frac == pytest.approx(ess / 2000, rel=1e-12)
+    assert 0 < ess_frac <= 1
+    assert 1 / 2000 <= share <= 1
+    assert ess * share >= 1 - 1e-12
     csvs = [f for f in os.listdir(out) if f.endswith(".csv")]
     assert len(csvs) == 1
     body = open(os.path.join(out, csvs[0])).read()
@@ -79,6 +89,32 @@ def test_negative_beta_is_config_error(tmp_path, capsys):
     code = _run("kernels", str(p), str(tmp_path / "out"))
     assert code == 2
     assert "beta" in capsys.readouterr().err
+
+
+def test_large_eps_beta_spin_check_runs(tmp_path, capsys):
+    # at eps beta = 100 the terms x^{2m}/(2m)! of the jump-count law pass
+    # through (2m)! > 1e308, while cosh(eps beta) stays finite
+    p = tmp_path / "cold.ini"
+    p.write_text(BASE_CONFIG.replace("beta = 1.0", "beta = 100.0")
+                 .replace("source = gaussian:width=1,amplitude=0.4",
+                          "source = zero"))
+    out = tmp_path / "out"
+    assert _run("spin-check", str(p), str(out)) in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
+    assert (out / "spin_check.csv").exists()
+
+
+def test_overflowing_eps_beta_is_config_error(tmp_path, capsys):
+    # cosh(eps beta) overflows a float beyond eps beta ~ 709.8
+    p = tmp_path / "bad.ini"
+    p.write_text(BASE_CONFIG.replace("beta = 1.0", "beta = 800.0")
+                 .replace("source = gaussian:width=1,amplitude=0.4",
+                          "source = zero"))
+    assert _run("spin-check", str(p), str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1
+    assert "eps * beta" in err
 
 
 def test_zero_lambda_is_config_error(tmp_path, capsys):

@@ -226,6 +226,30 @@ def test_z_values_evaluates_A_once_per_jump(ensemble, f_gauss, monkeypatch):
     assert sum(points) == ensemble.counts.sum() + 2
 
 
+def test_sampler_sorts_each_jump_once(kernel_table, monkeypatch):
+    # structural guard: no global lexsort, and the sampler's row sorts
+    # cover each jump time once, in a row of its own loop's length
+    rows = {}
+
+    def no_lexsort(*args, **kw):
+        raise AssertionError("np.lexsort called while sampling")
+
+    def counted(a, axis=-1, sort=np.sort, **kw):
+        n_rows, length = np.shape(a)
+        assert axis == 1
+        rows[length] = rows.get(length, 0) + n_rows
+        return sort(a, axis=axis, **kw)
+
+    monkeypatch.setattr(np, "lexsort", no_lexsort)
+    monkeypatch.setattr(np, "sort", counted)
+    ens = build_ensemble(SpinMeasureParams(BETA, 2.0), kernel_table, 10000,
+                         seed=4, chunk_size=4096)
+    monkeypatch.undo()
+    assert sum(c * r for c, r in rows.items()) == ens.counts.sum()
+    per_count = np.bincount(ens.counts)
+    assert rows == {c: per_count[c] for c in np.flatnonzero(per_count) if c}
+
+
 # loop-wise functions of (Z, log W), odd in Z so that the two constant
 # paths differ: complex, real and tuple outputs
 _LOOPWISE = {

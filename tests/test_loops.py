@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from spinboson.loops import (
     IDENTITY2,
@@ -44,10 +45,17 @@ def test_two_point_oracle_values():
 
 
 def test_total_mass_identity():
-    for beta, eps in ((1.0, 0.5), (2.0, 1.0), (1.0, 2.0), (0.5, 0.0)):
+    for beta, eps in ((1.0, 0.5), (2.0, 1.0), (1.0, 2.0), (0.5, 0.0),
+                      (90.0, 1.0), (1.0, 300.0), (700.0, 1.0)):
         p = SpinMeasureParams(beta, eps)
         assert total_mass(p) == pytest.approx(math.cosh(eps * beta),
                                               rel=1e-12)
+
+
+def test_overflowing_cosh_is_rejected():
+    SpinMeasureParams(709.0, 1.0)
+    with pytest.raises(ValueError, match="overflows"):
+        SpinMeasureParams(800.0, 1.0)
 
 
 def test_jump_count_pmf_frozen():
@@ -153,6 +161,42 @@ def test_sampler_jump_count_mean():
     mean = counts.mean()
     se = counts.std() / math.sqrt(len(counts))
     assert abs(mean - math.tanh(1.0)) <= 3.0 * se
+
+
+def _lexsort_reference(params, rng, n):
+    """The sampler's draws in the same order, sorted within each loop by
+    one global sort on (loop id, time)."""
+    pmf = jump_count_pmf(params)
+    pmf = pmf / pmf.sum()
+    counts = 2 * rng.choice(len(pmf), size=n, p=pmf)
+    signs = np.where(rng.random(n) < 0.5, 1, -1).astype(np.int8)
+    flat = rng.uniform(-0.5 * params.beta, 0.5 * params.beta,
+                       size=int(counts.sum()))
+    ids = np.repeat(np.arange(n), counts)
+    return signs, counts, flat[np.lexsort((flat, ids))]
+
+
+# the examples pin the edge cases: no constant loop in the chunk (at
+# eps beta = 8 a loop is constant with probability 1/cosh 8 ~ 6.7e-4, and
+# at eps beta = 32 never in practice), no jumps at all, a single loop
+@example(beta=8.0, eps=1.0, n=600, seed=2)
+@example(beta=16.0, eps=2.0, n=37, seed=0)
+@example(beta=16.0, eps=2.0, n=1, seed=5)
+@example(beta=3.0, eps=0.0, n=600, seed=1)
+@example(beta=0.05, eps=0.1, n=1, seed=0)
+@given(beta=st.floats(0.05, 16.0),
+       eps=st.one_of(st.just(0.0), st.floats(0.1, 2.0)),
+       n=st.integers(1, 600),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_sampler_matches_the_lexsort_reference(beta, eps, n, seed):
+    # the row sorts per jump count return what one global sort returns,
+    # bit for bit, from the same draws
+    p = SpinMeasureParams(beta, eps)
+    got = sample_loop_arrays(p, np.random.default_rng(seed), n)
+    want = _lexsort_reference(p, np.random.default_rng(seed), n)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
 
 
 def _path_products(signs, counts, flat, times):
