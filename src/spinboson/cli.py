@@ -339,6 +339,12 @@ def run_kernels(cp, args, outdir):
     psi = np.atleast_1d(kern.Psi(taus))
     sym = float(np.max(np.abs(kap - np.atleast_1d(kern.kappa(beta - taus)))))
     checks.append(("kappa_reflection_symmetry", sym <= 1e-10 * (1 + kap.max())))
+    # Psi(beta) = beta Psi'(beta) / 2, on which the log-weights drop every
+    # pair with a circle end
+    psi_beta = float(kern.Psi(beta))
+    checks.append(("psi_circle_identity",
+                   abs(psi_beta - 0.5 * beta * beta * kern.kappa_mean)
+                   <= 1e-12 * (1.0 + abs(psi_beta))))
 
     if not cfg.source.is_zero:
         rho = cfg.source.as_test_function()

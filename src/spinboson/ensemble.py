@@ -18,6 +18,20 @@ with G(u) = sign(u-t) A_f(|u-t|).  These follow from summation by parts
 and make million-loop ensembles cheap.  Z is then two circle-end constants
 G(+-beta/2) plus an alternating sum of G over the jump times.
 
+The log-weight takes the periodic form of the pair sum.  Split
+Psi(u) = kappa_mean u^2 / 2 + Phi(u), with kappa_mean = Psi'(beta) / beta
+the circle mean of kappa (spinboson.kernels).  The quadratic part sums to
+the static (zero-Matsubara) term kappa_mean M^2 / 4, with M = int X dt the
+static moment.  Since kappa(tau) = kappa(beta - tau), Phi is beta-periodic
+and even, so for a loop (an even number c of jumps t_1 < ... < t_c) the
+pairs with a circle end cancel and
+
+    log W = kappa_mean M^2 / 4 - 2 sum_{j<l} (-1)^(l-j) Phi(t_l - t_j):
+
+c(c-1)/2 spline points per loop instead of (c+2)(c+1)/2, and M is one
+boundary sum.  The pairs j < l are walked lag by lag (l = j + k), as
+differences of slices of the loops' jump rows.
+
 The two constant paths are atoms of the free measure, of total mass
 1/cosh(beta eps): every constant loop of one sign has the same Z and the
 same log-weight, so per-loop functions run once per distinct loop
@@ -74,13 +88,13 @@ def loop_z_value(loop, kernels, f, t_offset=0.0):
     return 0.5 * total
 
 
-def _jump_pattern(n_bounds):
-    """The d_p coefficients for initial sign +1: alternating, with the two
-    endpoint entries halved."""
-    pat = np.ones(n_bounds)
-    pat[1:-1] = 2.0
-    pat *= (-1.0) ** np.arange(n_bounds)
-    return pat
+def row_sum(a):
+    """Sum over the rows of a 2-D array, added in order for every column.
+
+    numpy's sum over axis 0 of a C-ordered array does that when there are
+    two or more columns but goes pairwise on a single column, which would
+    make a loop's sum depend on how many other loops share its slab."""
+    return a.sum(axis=0) if a.shape[1] > 1 else np.cumsum(a, axis=0)[-1]
 
 
 @dataclass
@@ -146,15 +160,47 @@ class TiltedEnsemble:
             yield idx, bounds
 
     def _log_weights(self):
-        psi = self.kernels.Psi
-        out = np.empty(self.n)
-        for idx, bounds in self._groups():
-            p, q = np.triu_indices(bounds.shape[1], 1)
-            pat = _jump_pattern(bounds.shape[1])
-            # d_p d_q drops the loop's sign; row gathers copy whole rows
-            rows = np.ascontiguousarray(bounds.T)
-            out[idx] = -0.5 * ((pat[p] * pat[q]) @ psi(rows[q] - rows[p]))
+        """kappa_mean M^2 / 4 - 2 sum_{j<l} (-1)^(l-j) Phi(t_l - t_j) per
+        loop (module docstring).
+
+        Per jump count c, a slab of loops fills a buffer of about JUMP_SLAB
+        pair differences (c(c-1)/2 rows, the odd lags first), which the Phi
+        spline maps in place; each loop's values are then added row by row
+        in a fixed order, so a log-weight does not depend on the other
+        loops."""
+        out = 0.25 * self.kernels.kappa_mean * self.static_moment ** 2
+        phi = self.kernels.phi
+        if phi is None:
+            return out
+        for c, idx, cols in jump_count_groups(self.counts, self.offsets):
+            n_pairs = c * (c - 1) // 2
+            if not n_pairs:
+                continue
+            # the odd lags k = 1, 3, ... fill the first n_odd rows
+            lags = [*range(1, c, 2), *range(2, c, 2)]
+            n_odd = (c // 2) * ((c + 1) // 2)
+            step = max(1, JUMP_SLAB // n_pairs)
+            buf = np.empty(n_pairs * min(step, len(idx)))
+            for a in range(0, len(idx), step):
+                # the (c, loops) jump rows, C-ordered (take, unlike an index
+                # expression, does not follow the transposed index's order):
+                # a lag's differences are the difference of two row blocks
+                rows = self.jumps_flat.take(cols[a:a + step].T)
+                diffs = buf[:n_pairs * rows.shape[1]].reshape(n_pairs, -1)
+                r = 0
+                for k in lags:
+                    np.subtract(rows[k:], rows[:-k], out=diffs[r:r + c - k])
+                    r += c - k
+                phi(diffs, out=diffs)
+                np.negative(diffs[:n_odd], out=diffs[:n_odd])
+                out[idx[a:a + step]] -= 2.0 * row_sum(diffs)
         return out
+
+    @cached_property
+    def static_moment(self):
+        """M = int X dt per loop, the static-mode moment (twice the boundary
+        sum of g(u) = u); log W carries kappa_mean M^2 / 4."""
+        return 2.0 * self._boundary_sum(lambda u: u)
 
     # -- distinct loops ------------------------------------------------------
 

@@ -19,8 +19,13 @@ on the certified radial rule of spinboson.momentum, graded toward k = 0 by
 the integrand's exponent there (the thermal 2/(beta omega) included); each
 table fixes its rule once and sums over it at every tabulation node.
 Double time integrals of kappa then reduce to differences of the tabulated
-second antiderivative Psi, which is the workhorse of the loop-weight
-evaluation.
+second antiderivative Psi.
+
+Since kappa(tau) = kappa(beta - tau), Psi(beta) = beta Psi'(beta) / 2, and
+Phi(u) = Psi(u) - kappa_mean u^2 / 2, with kappa_mean = Psi'(beta) / beta
+the circle mean of kappa, is beta-periodic and even.  The Phi spline,
+built from the same nodal values, is the workhorse of the loop-weight
+evaluation (see spinboson.ensemble); Psi serves the interval-pair blocks.
 """
 
 from __future__ import annotations
@@ -128,19 +133,36 @@ class UniformHermiteSpline:
         self._n = len(x) - 1
         self._scale = self._n / (x[-1] - x[0])
 
-    def __call__(self, x):
+    def __call__(self, x, out=None):
+        """The interpolant at x, of x's shape; ``out`` (C-contiguous, of
+        the spline's dtype) receives it in place and may be x itself."""
         x = np.asarray(x, dtype=float)
-        flat = x.ravel()
-        out = np.empty(flat.shape, dtype=self._c[0].dtype)
+        if out is None:
+            out = np.empty(x.shape, dtype=self._c[0].dtype)
+        flat, res = x.ravel(), out.reshape(-1)
+        n = min(len(flat), _EVAL_SLAB)
+        idx = np.empty(n, dtype=np.intp)
+        dx = np.empty(n)
+        term = np.empty(n, dtype=res.dtype)
         c0, c1, c2, c3 = self._c
         for lo in range(0, len(flat), _EVAL_SLAB):
             v = flat[lo:lo + _EVAL_SLAB]
-            idx = ((v - self._x[0]) * self._scale).astype(np.intp)
-            np.clip(idx, 0, self._n - 1, out=idx)
-            dx = v - self._x[idx]
-            out[lo:lo + _EVAL_SLAB] = (
-                (c0[idx] * dx + c1[idx]) * dx + c2[idx]) * dx + c3[idx]
-        return out.reshape(x.shape)
+            i, d, t = idx[:len(v)], dx[:len(v)], term[:len(v)]
+            np.subtract(v, self._x[0], out=d)
+            d *= self._scale
+            np.copyto(i, d, casting="unsafe")
+            # mode "clip" puts points outside the grid in the end cells
+            # (and spares take its buffered copy of out)
+            np.subtract(v, np.take(self._x[:-1], i, out=d, mode="clip"),
+                        out=d)
+            # Horner's rule in place; v is read for the last time above,
+            # so the result may overwrite it
+            o = res[lo:lo + _EVAL_SLAB]
+            np.take(c0, i, out=o, mode="clip")
+            for c in (c1, c2, c3):
+                o *= d
+                o += np.take(c, i, out=t, mode="clip")
+        return out
 
 
 class _KernelEntry:
@@ -165,7 +187,10 @@ class ThermalKernelTable:
     Psi(u) = int_0^u int_0^v kappa(tau) dtau dv is tabulated on a uniform
     grid (default 2048 cells, doubled until a refinement check passes) with
     exact nodal derivatives, so interval and double-block integrals of the
-    covariance are O(1) spline-difference evaluations.
+    covariance are O(1) spline-difference evaluations.  kappa_mean is the
+    circle mean of kappa and phi the spline of the periodic part Phi of Psi
+    (see _set_psi); on a constant table kappa_mean is the constant and phi
+    is None, since Phi vanishes.
     """
 
     def __init__(self, src, beta, n_grid=2048, tol=1e-9, cache_path=None):
@@ -183,7 +208,8 @@ class ThermalKernelTable:
         self.n_grid_requested = self.n_grid = n_grid
         if src.is_zero:
             # a vanishing source is the constant table with kappa = 0
-            self._const = 0.0
+            self._const = self.kappa_mean = 0.0
+            self.phi = None
             self.grid = np.linspace(0.0, self.beta, 2)
             return
         k, gw = self._rule(src.as_test_function(), -1.0, (
@@ -210,7 +236,8 @@ class ThermalKernelTable:
         obj.s = 1.0
         obj.tol = 0.0
         obj._entries = {}
-        obj._const = float(c0)
+        obj._const = obj.kappa_mean = float(c0)
+        obj.phi = None
         obj.n_grid_requested = obj.n_grid = 0
         obj.grid = np.linspace(0.0, beta, 2)
         return obj
@@ -245,21 +272,36 @@ class ThermalKernelTable:
             grid = np.linspace(0.0, beta, n_grid + 1)
             psi = self._momentum_sum(thermal_antider2, grid)
             apsi = self._momentum_sum(thermal_antider, grid)
-            spline = UniformHermiteSpline(grid, psi, apsi)
+            self._set_psi(grid, psi, apsi)
             # refinement check at midpoints against exact values
             mids = 0.5 * (grid[:-1] + grid[1:])
             exact = self._momentum_sum(thermal_antider2, mids)
             scale = 1.0 + abs(psi[-1])
-            if np.max(np.abs(spline(mids) - exact)) <= self.tol * scale:
+            if np.max(np.abs(self._psi(mids) - exact)) <= self.tol * scale:
                 break
             if n_grid >= 1 << 16:
                 raise QuadratureError("Psi grid refinement did not converge")
             n_grid *= 2
         self.n_grid = n_grid
+
+    def _set_psi(self, grid, psi, apsi):
+        """Take the nodal Psi and Psi' on the grid: the Psi spline, the
+        circle mean kappa_mean = Psi'(beta) / beta of kappa, and the spline
+        of Phi(u) = Psi(u) - kappa_mean u^2 / 2.
+
+        kappa(tau) = kappa(beta - tau) gives Psi(beta) = beta Psi'(beta) / 2,
+        so Phi is beta-periodic and even, Phi(beta - u) = Phi(u), and
+        vanishes at 0 and beta.  A cubic Hermite cell reproduces the
+        quadratic exactly, so the Phi spline is the Psi spline minus
+        kappa_mean u^2 / 2 up to rounding.
+        """
         self.grid = grid
-        self._psi_vals = psi
-        self._apsi_vals = apsi
-        self._psi = spline
+        self._psi_vals, self._apsi_vals = psi, apsi
+        self._psi = UniformHermiteSpline(grid, psi, apsi)
+        self.kappa_mean = float(apsi[-1]) / self.beta
+        self.phi = UniformHermiteSpline(
+            grid, psi - 0.5 * self.kappa_mean * grid ** 2,
+            apsi - self.kappa_mean * grid)
 
     def _momentum_sum(self, time_fn, tau):
         """sum_j gw_j * time_fn(tau_i, omega_j) over the momentum rule, for
@@ -462,10 +504,6 @@ class ThermalKernelTable:
         psi = np.frombuffer(body[:8 * m], dtype="<f8")
         apsi = np.frombuffer(body[8 * m:], dtype="<f8")
         self.n_grid = n
-        grid = np.linspace(0.0, self.beta, n + 1)
-        self.grid = grid
-        self._psi_vals = psi.copy()
-        self._apsi_vals = apsi.copy()
-        self._psi = UniformHermiteSpline(grid, self._psi_vals,
-                                         self._apsi_vals)
+        self._set_psi(np.linspace(0.0, self.beta, n + 1), psi.copy(),
+                      apsi.copy())
         return True

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import wofz
 
+from spinboson.ensemble import row_sum
 from spinboson.momentum import gauss_legendre_panels, symplectic
 
 # relative accuracy of laplace_gauss, pinned against mpmath in the tests
@@ -60,15 +61,6 @@ def _truncation_point(alam, q, log_tol):
     """Smallest u with alam*u + q*u^2/4 >= log_tol (tail certificate),
     in the form that stays exact as q -> 0."""
     return 2.0 * log_tol / (alam + math.sqrt(alam * alam + q * log_tol))
-
-
-def _row_sum(a):
-    """Sum over the rows of a 2-D array, added in order for every column.
-
-    numpy's sum over axis 0 of a C-ordered array does that when there are
-    two or more columns but goes pairwise on a single column, which would
-    make a loop's u-sum depend on how many loops are distinct."""
-    return a.sum(axis=0) if a.shape[1] > 1 else np.cumsum(a, axis=0)[-1]
 
 
 @dataclass
@@ -153,8 +145,8 @@ def resolvent_twopoint(cfg, lam, f, mu, g, tol=1e-6):
                         * np.exp(-al * uu - 0.25 * qff * uu * uu
                                  - 1j * s * zf)
                         * laplace_gauss(a, 0.25 * qgg))
-                h += _row_sum(body)
-                h_abs += _row_sum(np.abs(body))
+                h += row_sum(body)
+                h_abs += row_sum(np.abs(body))
             return -sgn_l * sgn_m * h, h_abs
 
         return ens.map_distinct(u_sum, zf, zg)

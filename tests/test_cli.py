@@ -2,7 +2,9 @@ import ast
 import inspect
 import os
 import re
+import struct
 
+import numpy as np
 import pytest
 
 from spinboson import cli
@@ -303,6 +305,29 @@ def test_kernel_cache_round_trip(tmp_path):
     assert _run("kernels", str(p), out) == 0
     body2 = open(os.path.join(out, "kernels.csv"), "rb").read()
     assert body1 == body2
+
+
+def test_kernels_checks_the_psi_circle_identity(tmp_path):
+    # the log-weights rest on Psi(beta) = beta Psi'(beta) / 2: a cache whose
+    # nodal derivatives break it must fail the check
+    p = tmp_path / "cfg.ini"
+    p.write_text(BASE_CONFIG.replace("cache = false", "cache = true"))
+    out = str(tmp_path / "out")
+    summary = os.path.join(out, "kernels_summary.txt")
+    assert _run("kernels", str(p), out) == 0
+    assert "check psi_circle_identity = PASS\n" in open(summary).read()
+    cache_dir = os.path.join(out, "cache")
+    (name,) = os.listdir(cache_dir)
+    path = os.path.join(cache_dir, name)
+    raw = bytearray(open(path, "rb").read())
+    # the cache ends with the n_grid + 1 nodal values of Psi'
+    n_grid = struct.unpack("<q", raw[40:48])[0]
+    tail = len(raw) - 8 * (n_grid + 1)
+    apsi = np.frombuffer(bytes(raw[tail:]), dtype="<f8") * (1.0 + 1e-9)
+    raw[tail:] = apsi.astype("<f8").tobytes()
+    open(path, "wb").write(bytes(raw))
+    assert _run("kernels", str(p), out) == 1
+    assert "check psi_circle_identity = FAIL\n" in open(summary).read()
 
 
 @pytest.mark.parametrize("sub, old, new, extra", [

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from spinboson import ensemble as ensemble_mod
 from spinboson.ensemble import (
     DEFAULT_CHUNK,
     TiltedEnsemble,
@@ -24,6 +25,8 @@ BETA = 1.0
 
 def test_zero_source_is_untilted(free_ensemble, f_gauss):
     ens = free_ensemble
+    # kappa_mean = 0 and Phi = 0: the log-weights vanish exactly
+    assert ens.kernels.kappa_mean == 0.0 and ens.kernels.phi is None
     assert np.all(ens.logw == 0.0)
     assert ens.ess == pytest.approx(ens.n)
     vals = np.sin(np.arange(ens.n, dtype=float))
@@ -145,6 +148,78 @@ def test_log_weights_rotation_invariance_property(gauss_src, beta, raw,
         m = len(lp.jumps)
         n_pairs = (m + 2) * (m + 1) // 2
         assert abs(r - o) <= 4.0 * n_pairs * scale
+
+
+_long_jump_fractions = st.lists(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    max_size=24, unique=True)
+
+
+@settings(max_examples=20)
+@given(beta=st.floats(0.5, 16.0),
+       raw=st.lists(st.tuples(st.sampled_from([-1, 1]),
+                              _long_jump_fractions),
+                    min_size=1, max_size=4))
+def test_log_weights_match_reference_property(gauss_src, beta, raw):
+    # the periodic pair sum over the jumps plus the static term against the
+    # interval-pair double blocks, for loops of up to 24 jumps
+    loops = []
+    for sign, fracs in raw:
+        jumps = sorted({beta * (u - 0.5) for u in fracs})
+        loops.append(SpinLoop(sign, tuple(jumps[:len(jumps) & ~1])))
+    table = ThermalKernelTable(gauss_src, beta, n_grid=256)
+    logw = _ensemble_of(loops, table).logw
+    for lp, got in zip(loops, logw):
+        assert got == pytest.approx(loop_log_weight(lp, table), rel=1e-9)
+
+
+def test_static_moment_is_the_path_integral(ensemble):
+    m = ensemble.static_moment
+    assert ensemble.static_moment is m
+    const = ensemble.counts == 0
+    assert np.all(m[const] == BETA * ensemble.signs[const])
+    for i in np.flatnonzero(~const)[:50]:
+        lp = ensemble.loop(i)
+        want = np.dot(lp.interval_signs(), np.diff(lp.boundaries(BETA)))
+        assert m[i] == pytest.approx(want, rel=1e-13, abs=1e-14 * BETA)
+
+
+@pytest.mark.filterwarnings("ignore:weight degeneracy")
+@pytest.mark.parametrize("beta, c0", [(1.0, 0.5), (8.0, 2.0)])
+def test_constant_kernel_log_weight_is_the_static_term(beta, c0):
+    # kappa = c0 has Phi = 0, so log W = c0 M^2 / 4 exactly
+    ens = build_ensemble(SpinMeasureParams(beta, 1.0),
+                         ThermalKernelTable.constant(beta, c0), 20000, seed=3)
+    assert np.array_equal(ens.logw, 0.25 * c0 * ens.static_moment ** 2)
+
+
+@pytest.mark.filterwarnings("ignore:weight degeneracy")
+def test_log_weights_evaluate_phi_once_per_jump_pair(gauss_src, monkeypatch):
+    # structural guard: the Phi spline sees each pair of true jumps once,
+    # never a circle end, in calls of at most JUMP_SLAB points, and no
+    # triu_indices gather is formed; the slab size does not change a bit
+    table = ThermalKernelTable(gauss_src, 4.0, n_grid=256)
+    params = SpinMeasureParams(4.0, 1.0)
+    ref = build_ensemble(params, table, 20000, seed=9)
+    calls = []
+
+    def counted(x, out=None, phi=table.phi):
+        calls.append(np.size(x))
+        return phi(x, out=out)
+
+    def no_triu(*args, **kw):
+        raise AssertionError("np.triu_indices called for the log-weights")
+
+    monkeypatch.setattr(table, "phi", counted)
+    monkeypatch.setattr(np, "triu_indices", no_triu)
+    for slab in (ensemble_mod.JUMP_SLAB, 256):
+        monkeypatch.setattr(ensemble_mod, "JUMP_SLAB", slab)
+        calls.clear()
+        ens = build_ensemble(params, table, 20000, seed=9)
+        assert sum(calls) == np.sum(ens.counts * (ens.counts - 1) // 2)
+        assert max(calls) <= slab
+        assert np.array_equal(ens.logw, ref.logw)
+    assert len(calls) > 100
 
 
 def test_z_values_match_reference(ensemble, f_gauss):
@@ -544,9 +619,9 @@ def test_chunk_prefix_property(kernel_table, seed, chunk_size, k, extra):
     assert np.array_equal(a.signs, b.signs[:n])
     assert np.array_equal(a.counts, b.counts[:n])
     assert np.array_equal(a.jumps_flat, b.jumps_flat[:b.offsets[n]])
-    # the pair sums of one jump count are a single matrix product, whose
-    # rounding depends on how many loops share the count
-    np.testing.assert_allclose(a.logw, b.logw[:n], rtol=1e-13, atol=1e-13)
+    # each loop's pair values are added in a fixed order, whatever other
+    # loops share its jump count
+    assert np.array_equal(a.logw, b.logw[:n])
 
 
 def test_seed_changes_sample(kernel_table):

@@ -18,6 +18,7 @@ from spinboson.kernels import (
     thermal_factor,
 )
 from spinboson.momentum import (
+    RadialProfile,
     SourceProfile,
     TestFunction,
     _grading_depth,
@@ -192,6 +193,8 @@ def test_antider2_masked_branch_is_bitwise(beta, fracs, exps):
 def test_constant_table_hook():
     tab = ThermalKernelTable.constant(2.0, 2.5)
     assert tab.kappa(0.7) == 2.5
+    # Psi is the quadratic alone, so Phi vanishes
+    assert tab.kappa_mean == 2.5 and tab.phi is None
     u = np.array([0.0, 0.5, 1.3])
     assert np.allclose(tab.Psi(u), 1.25 * u ** 2)
     h = 0.4
@@ -367,6 +370,39 @@ def test_psi_at_beta_closed_form(s, beta):
     exact = (2.0 * math.pi * beta * amp ** 2 * width ** (3.0 - 2.0 * s)
              * math.gamma(1.5 - s))
     assert table.Psi(beta) == pytest.approx(exact, rel=1e-9)
+
+
+def _identity_source(kind, s):
+    if kind == "gaussian":
+        return SourceProfile.gaussian(width=1.0, amplitude=1.0, d=3, s=s)
+    return SourceProfile(RadialProfile("power_bump", exponent_at_zero=0.5,
+                                       cutoff=2.0), d=3, s=s)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 8.0])
+@pytest.mark.parametrize("s", [0.6, 1.0, 1.4])
+@pytest.mark.parametrize("kind", ["gaussian", "power_bump"])
+def test_psi_circle_identity_and_periodic_phi(kind, s, beta, tmp_path):
+    # kappa(tau) = kappa(beta - tau) gives Psi(beta) = beta Psi'(beta) / 2,
+    # which makes Phi = Psi - kappa_mean u^2 / 2 beta-periodic and even;
+    # the log-weights drop every pair with a circle end on that identity
+    src = _identity_source(kind, s)
+    path = str(tmp_path / "kern.bin")
+    fresh = ThermalKernelTable(src, beta, n_grid=256, cache_path=path)
+    loaded = ThermalKernelTable(src, beta, n_grid=256, cache_path=path)
+    u = np.linspace(0.0, beta, 101)
+    for tab in (fresh, loaded):
+        psi_beta = tab.Psi(beta)
+        assert abs(psi_beta - 0.5 * beta * tab._apsi_vals[-1]) \
+            <= 1e-13 * abs(psi_beta)
+        assert tab.kappa_mean == tab._apsi_vals[-1] / beta
+        scale = tab.tol * (1.0 + psi_beta)
+        assert np.max(np.abs(tab.phi(beta - u) - tab.phi(u))) <= scale
+        assert abs(tab.phi(0.0)) <= scale and abs(tab.phi(beta)) <= scale
+        # the Phi spline is the Psi spline minus the quadratic
+        assert np.max(np.abs(tab.phi(u) + 0.5 * tab.kappa_mean * u ** 2
+                             - tab.Psi(u))) <= 1e-13 * (1.0 + psi_beta)
+    assert _same_bits(fresh.phi._c, loaded.phi._c)
 
 
 def test_double_block_degenerate_and_symmetry(kernel_table):
