@@ -256,7 +256,8 @@ def write_csv(path, comment, columns, rows):
 
 def write_summary(path, seed, config_hash, ensemble, checks):
     """The run's seed, config hash, weight-degeneracy figures of the
-    ensemble (ESS, ESS/N and the largest normalized weight) and checks."""
+    ensemble (ESS, ESS/N and the largest normalized weight), the tilted
+    mass of the two constant paths and checks."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
         fh.write(f"seed = {seed}\n")
@@ -265,6 +266,7 @@ def write_summary(path, seed, config_hash, ensemble, checks):
         fh.write(f"ess_frac = {_fmt(ensemble.ess / ensemble.n)}\n")
         fh.write("max_weight_share = "
                  f"{_fmt(ensemble.norm_weights.max())}\n")
+        fh.write(f"atom_mass = {_fmt(ensemble.atom_mass)}\n")
         for name, ok in checks:
             fh.write(f"check {name} = {'PASS' if ok else 'FAIL'}\n")
     return all(ok for _, ok in checks)

@@ -37,6 +37,33 @@ The two constant paths are atoms of the free measure, of total mass
 same log-weight, so per-loop functions run once per distinct loop
 (TiltedEnsemble.map_distinct).
 
+The estimators are post-stratified by jump count.  The law of the jump
+count is known exactly (loops.jump_count_pmf), so
+
+    E_free[W v] = sum_s p_s E_free[W v | stratum s],
+
+with exact masses p_s, and only the conditional means are sampled.  The
+strata are the two atoms (the constant loops of each sign, mass P(0)/2
+each; W v is the same on every such loop, so an atom is evaluated once,
+at its first loop, and adds no variance) and runs of adjacent jump counts
+c >= 1, merged in ascending order until each holds at least MIN_STRATUM
+loops (the leftover at the top joins the last run, which also takes the
+mass of every count above it).  A stratum without loops drops out and the
+masses of the others are renormalized.  The constant paths carry most of
+the tilted mass (about 95% at beta = eps = 1), so this removes the noise
+of the binomial count of constant loops from every estimate.  Each loop
+with jumps gets the weight w_i = W_i p_s / n_s; the mean is the weighted
+mean over those loops plus the atoms, and the squared standard error is
+summed stratum by stratum, each stratum's deviations taken about its own
+weighted sum:
+
+    SE^2 = sum_s [sum_{i in s} (w_i d_i)^2
+                  - (sum_{i in s} w_i d_i)^2 / n_s] / (sum w)^2,
+
+d = v - mean.  The effective sample size `ess` stays Kish's ESS of the
+FKN weights themselves, (sum W)^2 / sum W^2, a statement about the
+importance weights and not about the strata.
+
 All weights live in log space with log-sum-exp reductions.
 """
 
@@ -53,12 +80,14 @@ from spinboson.loops import (
     SpinLoop,
     SpinMeasureParams,
     jump_count_groups,
+    jump_count_pmf,
     sample_loop_arrays,
 )
 from spinboson.seeds import substream
 
 DEFAULT_CHUNK = 4096
 JUMP_SLAB = 1 << 16
+MIN_STRATUM = 20          # loops per jump-count stratum, at least
 
 
 def loop_log_weight(loop, kernels):
@@ -117,7 +146,8 @@ class TiltedEnsemble:
     """Weighted sample of spin loops with cached Z-values.
 
     Built by build_ensemble; estimates are pure folds over the immutable
-    arrays (signs, jump counts, flat jump times, log-weights).
+    arrays (signs, jump counts, flat jump times, log-weights) and the
+    jump-count strata derived from them (module docstring).
     """
 
     def __init__(self, params, kernels, signs, counts, jumps_flat,
@@ -131,28 +161,97 @@ class TiltedEnsemble:
         self.master_seed = master_seed
         self.chunk_size = chunk_size
         self.n = len(signs)
+        self.hist = np.bincount(counts)      # loops per jump count
         self._z_cache = {}
         self.logw = self._log_weights()
-        # unnormalized weights, shifted so the largest is 1
-        self.weights = np.exp(self.logw - self.logw.max())
-        self.sum_w = float(self.weights.sum())
-        self.ess = float(self.sum_w ** 2 / np.sum(self.weights ** 2))
+        # FKN weights, shifted so the largest is 1
+        fkn = np.exp(self.logw - self.logw.max())
+        sum_fkn = float(fkn.sum())
+        self.ess = float(sum_fkn ** 2 / np.sum(fkn ** 2))
         if self.ess < 0.01 * self.n:
             warnings.warn(
                 f"weight degeneracy: ESS = {self.ess:.1f} of {self.n}",
                 RuntimeWarning)
+        self._stratify(fkn)
+
+    def _stratify(self, fkn):
+        """Derive the jump-count strata from counts and signs, and the
+        estimator's weights from the FKN weights fkn (module docstring).
+
+        Sets weights (W_i p_s / n_s per loop with jumps, 0 on the constant
+        loops), _atoms ((first loop, p_a W) per constant path present),
+        _starts and _sizes (each stratum's first count and its number of
+        loops) and sum_w, the total weight sum_s p_s mean_s(W)."""
+        pmf = jump_count_pmf(self.params)
+        pmf = pmf / pmf.sum()
+        const = self.counts == 0
+        reps = []
+        for sign in (1, -1):
+            atom = const & (self.signs == sign)
+            i = int(np.argmax(atom))
+            if atom[i]:
+                reps.append(i)
+        starts, sizes = [], []
+        for c in np.flatnonzero(self.hist[1:]) + 1:
+            if not sizes or sizes[-1] >= MIN_STRATUM:
+                starts.append(int(c))
+                sizes.append(0)
+            sizes[-1] += int(self.hist[c])
+        if len(sizes) > 1 and sizes[-1] < MIN_STRATUM:
+            starts.pop()
+            leftover = sizes.pop()
+            sizes[-1] += leftover
+        # the runs tile the counts 1, 2, ...: the first takes the counts
+        # below it, the last every count above it
+        top = max(len(self.hist), 2 * len(pmf))
+        bounds = [1] + starts[1:] + [top] if starts else []
+        masses = [float(pmf[(a + 1) // 2:(b + 1) // 2].sum())
+                  for a, b in zip(bounds, bounds[1:])]
+        total = 0.5 * pmf[0] * len(reps) + sum(masses)
+        scale = np.zeros(len(self.hist))
+        for a, b, p, size in zip(bounds, bounds[1:], masses, sizes):
+            scale[a:b] = p / (total * size)
+        self._atoms = [(i, float(fkn[i]) * 0.5 * pmf[0] / total)
+                       for i in reps]
+        self._starts = np.array(bounds[:-1], dtype=np.int64)
+        self._sizes = np.array(sizes, dtype=float)
+        fkn *= scale[self.counts]
+        self.weights = fkn
+        self.sum_w = self._weighted_sum(fkn, np.ones(len(reps)))
+
+    def _weighted_sum(self, wx, x_atoms):
+        """sum_i wx_i plus each atom's weight times its value in x_atoms.
+
+        sum_w is this sum for x = 1, and wx = weights * x equals weights
+        bit for bit then, so x = 1 gives back exactly 1."""
+        total = float(np.sum(wx))
+        for (_, mass), x in zip(self._atoms, x_atoms):
+            total += mass * x
+        return total
+
+    @property
+    def atom_mass(self):
+        """The tilted mass of the two constant paths."""
+        return sum(mass for _, mass in self._atoms) / self.sum_w
 
     @property
     def norm_weights(self):
-        """The weights normalized to sum to 1."""
-        return self.weights / self.sum_w
+        """Each loop's weight in the estimator, normalized to sum to 1: an
+        atom's weight is shared by all of its constant loops."""
+        w = self.weights / self.sum_w
+        const = self.counts == 0
+        for i, mass in self._atoms:
+            atom = const & (self.signs == self.signs[i])
+            w[atom] = mass / (self.sum_w * np.count_nonzero(atom))
+        return w
 
     # -- grouped geometry ----------------------------------------------------
 
     def _groups(self):
         """Yield (indices, boundary matrix) per distinct jump count."""
         beta = self.params.beta
-        for c, idx, cols in jump_count_groups(self.counts, self.offsets):
+        for c, idx, cols in jump_count_groups(self.counts, self.offsets,
+                                              self.hist):
             bounds = np.empty((len(idx), c + 2))
             bounds[:, 0] = -0.5 * beta
             bounds[:, -1] = 0.5 * beta
@@ -172,7 +271,8 @@ class TiltedEnsemble:
         phi = self.kernels.phi
         if phi is None:
             return out
-        for c, idx, cols in jump_count_groups(self.counts, self.offsets):
+        for c, idx, cols in jump_count_groups(self.counts, self.offsets,
+                                              self.hist):
             n_pairs = c * (c - 1) // 2
             if not n_pairs:
                 continue
@@ -208,15 +308,14 @@ class TiltedEnsemble:
     def _distinct(self):
         """(pick, inverse): the distinct loops, ascending, and each loop's
         position among them.  The distinct loops are every loop with jumps
-        and the first constant loop of each sign."""
+        and the first constant loop of each sign, the atoms' loops."""
         const = self.counts == 0
         keep = ~const
-        atoms = [np.flatnonzero(const & (self.signs == s)) for s in (1, -1)]
-        for atom in atoms:
-            keep[atom[:1]] = True
+        for i, _ in self._atoms:
+            keep[i] = True
         inverse = np.cumsum(keep) - 1
-        for atom in atoms:
-            inverse[atom] = inverse[atom[:1]]
+        for i, _ in self._atoms:
+            inverse[const & (self.signs == self.signs[i])] = inverse[i]
         return np.flatnonzero(keep), inverse
 
     def map_distinct(self, fn, *per_loop):
@@ -238,38 +337,51 @@ class TiltedEnsemble:
     # -- estimators ----------------------------------------------------------
 
     def expectation(self, values):
-        """Self-normalized IS mean and standard error of a per-loop array.
+        """Post-stratified IS mean and standard error of a per-loop array.
 
-        Quotient form over the unnormalized weights w:
+        v must be a function of the loop, so that it is the same on every
+        constant loop of one sign (an atom reads it at its first loop).
+        With w_i = W_i p_s / n_s on the loops with jumps, each atom
+        weighing p_a W_a, and d = v - mean (module docstring):
 
-            mean = sum_i w_i v_i / sum_i w_i,
-            SE   = sqrt(sum_i w_i^2 |v_i - mean|^2) / sum_i w_i,
+            mean = (sum_i w_i v_i + sum_a p_a W_a v_a) / sum w,
+            SE^2 = sum_s [sum_{i in s} (w_i d_i)^2
+                          - (sum_{i in s} w_i d_i)^2 / n_s] / (sum w)^2,
 
-        with the real and imaginary parts of v summed as separate float
-        arrays.  Since w_i * 1.0 == w_i, a per-loop array of ones gives
-        exactly 1 (1+0j for complex input) with SE exactly 0.0, so every
+        the atoms adding no variance, and the real and imaginary parts of
+        v summed as separate float arrays.  The per-stratum sums are one
+        np.bincount over the jump counts, folded into runs of counts.
+        Since w_i * 1.0 == w_i, a per-loop array of ones gives exactly 1
+        (1+0j for complex input) with SE exactly 0.0, so every
         characteristic functional is exactly normalized at s = 0.
         """
         values = np.asarray(values)
-        w = self.weights
-        if np.iscomplexobj(values):
-            mean = np.complex128(np.sum(w * values.real) / self.sum_w,
-                                 np.sum(w * values.imag) / self.sum_w)
-        else:
-            mean = np.sum(w * values) / self.sum_w
-        dev = values - mean
-        var = np.sum(w ** 2 * dev.real ** 2)
-        if np.iscomplexobj(values):
-            var = var + np.sum(w ** 2 * dev.imag ** 2)
-        return mean, float(np.sqrt(var)) / self.sum_w
+        parts = ((values.real, values.imag) if np.iscomplexobj(values)
+                 else (values,))
+        reps = [i for i, _ in self._atoms]
+        means, var = [], 0.0
+        for x in parts:
+            mean = self._weighted_sum(self.weights * x, x[reps]) / self.sum_w
+            means.append(mean)
+            # zero on the constant loops, which the atoms stand for
+            wd = x - mean
+            wd *= self.weights
+            var += float(np.dot(wd, wd))
+            if len(self._sizes):
+                per_stratum = np.add.reduceat(
+                    np.bincount(self.counts, wd), self._starts)
+                var -= float(np.sum(per_stratum ** 2 / self._sizes))
+        se = math.sqrt(max(var, 0.0)) / self.sum_w
+        if len(parts) == 2:
+            return np.complex128(complex(*means)), se
+        return np.float64(means[0]), se
 
     def log_partition(self):
-        """log Z_beta = log(2 cosh(eps beta)) + log E_free[W]."""
+        """log Z_beta = log(2 cosh(eps beta)) + log sum_s p_s mean_s(W)."""
         x = self.params.eps * self.params.beta
-        # log sum W = max log W + log sum_w, the weights being shifted by
-        # their largest log
+        # the weights are shifted by the largest log W
         return (math.log(2.0 * math.cosh(x)) + float(self.logw.max())
-                + math.log(self.sum_w) - math.log(self.n))
+                + math.log(self.sum_w))
 
     def _boundary_sum(self, g, t=0.0):
         """-1/2 sum_p d_p g(e_p - t) per loop (Z for g = G): the circle ends

@@ -166,12 +166,17 @@ class UniformHermiteSpline:
 
 
 class _KernelEntry:
-    """Tabulated K_f and its first time antiderivative A_f on [0, beta]."""
+    """Tabulated K_f and its first time antiderivative A_f on [0, beta].
 
-    def __init__(self, grid, kvals, avals, dkvals, m_value):
+    m_value is <f, m> by the half-circle identity A_f(beta/2) = <f, m>
+    (K_f is symmetric about beta/2), read off the A_f spline: a constant
+    path's Z at t = 0 is +-A_f(beta/2) from the same spline, so it equals
+    +-<f, m> bit for bit."""
+
+    def __init__(self, grid, kvals, avals, dkvals):
         self.K = UniformHermiteSpline(grid, kvals, dkvals)
         self.A = UniformHermiteSpline(grid, avals, kvals)
-        self.m_value = m_value
+        self.m_value = complex(self.A(np.array([0.5 * grid[-1]]))[0])
 
 
 _CACHE_MAGIC = b"SBKT"
@@ -365,7 +370,7 @@ class ThermalKernelTable:
             return entry
         if self._const is not None:
             zeros = np.zeros(2)
-            entry = _KernelEntry(self.grid, zeros, zeros, zeros, 0j)
+            entry = _KernelEntry(self.grid, zeros, zeros, zeros)
         else:
             if (f.d, f.s) != (self.d, self.s):
                 raise ValueError("test function on a different (d, s) space")
@@ -373,8 +378,7 @@ class ThermalKernelTable:
                                         (thermal_antider, self.beta)), "K_f")
             grid = np.linspace(0.0, self.beta, self.n_grid + 1)
             kv, av, dk = self._f_tables(grid, *rule)
-            m_value = 0.5 * complex(av[-1])
-            entry = _KernelEntry(grid, kv, av, dk, m_value)
+            entry = _KernelEntry(grid, kv, av, dk)
         self._entries[f] = entry
         return entry
 
@@ -449,8 +453,8 @@ class ThermalKernelTable:
         return complex(G(b) - G(a))
 
     def m_value(self, f):
-        """<f, m> recovered from the exact full-circle identity
-        A_f(beta) = 2 <f, m>."""
+        """<f, m> recovered from the exact half-circle identity
+        A_f(beta/2) = <f, m> (see _KernelEntry)."""
         return self.register(f).m_value
 
     # -- identity / caching --------------------------------------------------

@@ -139,17 +139,26 @@ def sample_loop(params, rng):
     return SpinLoop(int(sign[0]), tuple(flat))
 
 
-def jump_count_groups(counts, offsets):
+def jump_count_groups(counts, offsets, hist=None):
     """Yield (c, idx, cols) per jump count c present, ascending.
 
-    idx are the loops with c jumps and cols the (len(idx), c) positions of
-    their jump times in the flat array whose loop starts are offsets (the
-    first len(counts) entries are read).  Count 0 gets an empty column
-    block; it need not be present at all.
+    idx are the loops with c jumps, ascending, and cols the (len(idx), c)
+    positions of their jump times in the flat array whose loop starts are
+    offsets (the first len(counts) entries are read).  Count 0 gets an
+    empty column block; it need not be present at all.  hist is
+    np.bincount(counts), if the caller has it already.
+
+    One stable sort of the counts groups every loop in a single pass; the
+    counts are cast to the narrowest unsigned type that holds them, which
+    numpy sorts by radix up to 16 bits.
     """
-    # distinct counts, ascending (np.unique would load numpy.ma)
-    for c in np.flatnonzero(np.bincount(counts)):
-        idx = np.flatnonzero(counts == c)
+    if hist is None:
+        hist = np.bincount(counts)
+    order = np.argsort(counts.astype(np.min_scalar_type(len(hist) - 1)),
+                       kind="stable")
+    ends = np.cumsum(hist)
+    for c in np.flatnonzero(hist):
+        idx = order[ends[c] - hist[c]:ends[c]]
         yield c, idx, offsets[idx][:, None] + np.arange(c)
 
 

@@ -269,6 +269,16 @@ def test_reruns_are_byte_identical(config_path, tmp_path):
     assert s1 == s2
 
 
+def test_summary_records_the_atom_mass(config_path, tmp_path):
+    out = str(tmp_path / "out")
+    assert _run("charfun", config_path, out) == 0
+    text = open(os.path.join(out, "charfun_summary.txt")).read()
+    fields = dict(line.split(" = ", 1) for line in text.splitlines()[1:])
+    # the constant paths carry the largest FKN weight, so the tilt can only
+    # raise their free mass 1/cosh(eps beta)
+    assert 1.0 / np.cosh(1.0) <= float(fields["atom_mass"]) <= 1.0
+
+
 def test_functions_are_picked_by_name(config_path, tmp_path):
     # every subcommand takes f and g by sorted name, not by declaration
     # order, so declaring g first changes nothing

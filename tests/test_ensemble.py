@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from spinboson import ensemble as ensemble_mod
 from spinboson.ensemble import (
@@ -14,9 +14,40 @@ from spinboson.ensemble import (
     loop_z_value,
 )
 from spinboson.kernels import ThermalKernelTable
-from spinboson.loops import SpinLoop, SpinMeasureParams
+from spinboson.loops import SpinLoop, SpinMeasureParams, jump_count_pmf
 
 BETA = 1.0
+
+
+def _strata(ens):
+    """(mass, loops) per stratum of the post-stratified estimator, derived
+    afresh: the first constant loop of each sign, of mass P(0)/2, then runs
+    of adjacent jump counts of at least MIN_STRATUM loops (the leftover at
+    the top joins the last run), each of the jump-count law's mass over the
+    counts from its first up to the next run's first (the first run from
+    count 1, the last to the end); masses renormalized over the strata
+    present."""
+    pmf = jump_count_pmf(ens.params)
+    pmf = pmf / pmf.sum()
+    out = []
+    for sign in (1, -1):
+        atom = np.flatnonzero((ens.counts == 0) & (ens.signs == sign))
+        if len(atom):
+            out.append([pmf[0] / 2, atom[:1]])
+    runs = []
+    for c in sorted(set(ens.counts[ens.counts > 0].tolist())):
+        if not runs or len(runs[-1][1]) >= ensemble_mod.MIN_STRATUM:
+            runs.append([c, []])
+        runs[-1][1].extend(np.flatnonzero(ens.counts == c))
+    if len(runs) > 1 and len(runs[-1][1]) < ensemble_mod.MIN_STRATUM:
+        runs[-2][1].extend(runs.pop()[1])
+    for k, (c, loops) in enumerate(runs):
+        lo = 1 if k == 0 else c
+        hi = runs[k + 1][0] if k + 1 < len(runs) else 2 * len(pmf)
+        mass = sum(pmf[m] for m in range(len(pmf)) if lo <= 2 * m < hi)
+        out.append([mass, np.sort(np.array(loops))])
+    total = sum(mass for mass, _ in out)
+    return [(mass / total, loops) for mass, loops in out]
 
 
 # ---------------------------------------------------------------------------
@@ -31,7 +62,9 @@ def test_zero_source_is_untilted(free_ensemble, f_gauss):
     assert ens.ess == pytest.approx(ens.n)
     vals = np.sin(np.arange(ens.n, dtype=float))
     mean, _ = ens.expectation(vals)
-    assert mean == pytest.approx(vals.mean(), rel=1e-14)
+    # all weights are 1: the mass-weighted mean of the stratum means
+    want = sum(p * vals[loops].mean() for p, loops in _strata(ens))
+    assert mean == pytest.approx(want, rel=1e-14)
     sval, se = ens.spin_factor(f_gauss, 0.0)
     assert sval == 1.0 + 0.0j
     assert se == 0.0
@@ -70,8 +103,10 @@ def test_log_partition_matches_scipy_logsumexp(ensemble, which):
     else:
         ens = ensemble
     x = ens.params.eps * ens.params.beta
-    ref = (math.log(2.0 * math.cosh(x)) + float(logsumexp(ens.logw))
-           - math.log(ens.n))
+    # log sum_s p_s mean_s(W), each stratum's mean by logsumexp
+    ref = math.log(2.0 * math.cosh(x)) + float(logsumexp(
+        [math.log(p) + logsumexp(ens.logw[loops]) - math.log(len(loops))
+         for p, loops in _strata(ens)]))
     assert abs(ens.log_partition() - ref) <= 1e-14 * abs(ref)
 
 
@@ -116,27 +151,32 @@ _jump_fractions = st.lists(
     max_size=12, unique=True)
 
 
+# rotation works modulo beta, so the property draws jumps and shift on a
+# grid of ROT_SLOTS slots of the circle: jumps at slot centres, the shift a
+# whole number of slots plus at most a quarter slot.  Every jump then stays
+# at least a slot from the next and a quarter slot from the circle end,
+# before and after the rotation, far above its rounding.
+ROT_SLOTS = 1 << 10
+
+
 @settings(max_examples=25)
 @given(beta=st.floats(0.5, 8.0),
-       raw=st.lists(st.tuples(st.sampled_from([-1, 1]), _jump_fractions),
+       raw=st.lists(st.tuples(st.sampled_from([-1, 1]),
+                              st.lists(st.integers(0, ROT_SLOTS - 1),
+                                       max_size=12, unique=True)),
                     min_size=1, max_size=6),
-       shift=st.floats(-1.0, 1.0))
+       slot_shift=st.integers(-ROT_SLOTS, ROT_SLOTS),
+       frac_shift=st.floats(-0.25, 0.25))
 def test_log_weights_rotation_invariance_property(gauss_src, beta, raw,
-                                                  shift):
+                                                  slot_shift, frac_shift):
     loops = []
-    for sign, fracs in raw:
-        jumps = sorted(beta * (u - 0.5) for u in fracs)
-        jumps = jumps[:len(jumps) - len(jumps) % 2]
-        # rotation works modulo beta: keep jumps apart from one another and
-        # from the circle endpoint by more than its rounding
-        gaps = np.diff([-0.5 * beta] + jumps + [0.5 * beta])
-        assume(np.all(gaps > 1e-9 * beta))
-        loops.append(SpinLoop(sign, tuple(jumps)))
-    rotated = [lp.rotated(shift * beta, beta) for lp in loops]
-    # a jump rotated exactly onto the circle endpoint is dropped; such a
-    # loop is a different path
-    assume(all(len(a.jumps) == len(b.jumps)
-               for a, b in zip(loops, rotated)))
+    for sign, slots in raw:
+        jumps = sorted(beta * ((k + 0.5) / ROT_SLOTS - 0.5) for k in slots)
+        loops.append(SpinLoop(sign, tuple(jumps[:len(jumps) & ~1])))
+    shift = beta * (slot_shift + frac_shift) / ROT_SLOTS
+    rotated = [lp.rotated(shift, beta) for lp in loops]
+    assert all(len(a.jumps) == len(b.jumps)
+               for a, b in zip(loops, rotated))
     table = ThermalKernelTable(gauss_src, beta, n_grid=256)
     orig = _ensemble_of(loops, table).logw
     rot = _ensemble_of(rotated, table).logw
@@ -479,6 +519,109 @@ def test_expectation_of_ones_is_exact(ensemble):
     ones = np.ones(ensemble.n)
     assert ensemble.expectation(ones) == (1.0, 0.0)
     assert ensemble.expectation(ones.astype(complex)) == (1.0 + 0.0j, 0.0)
+
+
+def test_expectation_reads_each_atom_at_its_first_loop(ensemble, f_gauss):
+    # an atom is evaluated once: values on the other constant loops of a
+    # sign do not enter the estimate or its SE
+    z = ensemble.z_values(f_gauss).real
+    _, loops = zip(*_strata(ensemble))
+    firsts = np.concatenate(loops[:2])
+    moved = z.copy()
+    others = np.flatnonzero(ensemble.counts == 0)
+    others = others[~np.isin(others, firsts)]
+    moved[others] = 1e6
+    assert ensemble.expectation(moved) == ensemble.expectation(z)
+
+
+def test_single_stratum_is_the_iid_estimator(kernel_table, f_gauss):
+    # no constant loop and one jump count: one stratum, whose estimate is
+    # the self-normalized mean with the squared SE sum_i w_i^2 d_i^2 /
+    # (sum w)^2 less (sum_i w_i d_i)^2 / n (sum w)^2, a rounding residue
+    rng = np.random.default_rng(5)
+    loops = [SpinLoop(int(s), tuple(sorted(BETA * (u - 0.5))))
+             for s, u in zip(rng.choice([-1, 1], 300),
+                             rng.random((300, 2)))]
+    ens = _ensemble_of(loops, kernel_table)
+    v = np.exp(-1j * ens.z_values(f_gauss))
+    w = np.exp(ens.logw - ens.logw.max())
+    mean = np.sum(w * v) / np.sum(w)
+    se = math.sqrt(np.sum(w ** 2 * np.abs(v - mean) ** 2)) / np.sum(w)
+    got, got_se = ens.expectation(v)
+    assert got == pytest.approx(mean, rel=1e-14)
+    assert got_se == pytest.approx(se, rel=1e-12)
+
+
+def _spin_factors(table, beta, n, seeds, f):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return [build_ensemble(SpinMeasureParams(beta, 1.0), table, n,
+                               seed=seed).spin_factor(f) for seed in seeds]
+
+
+@pytest.mark.parametrize("beta, n", [(1.0, 5000), (4.0, 20000)])
+def test_post_stratified_se_matches_seed_spread(gauss_src, f_gauss, beta,
+                                                n):
+    # the reported SE is honest: over 40 seeds, the spread of S over the
+    # rms reported SE stays within the spread's own sampling error
+    table = ThermalKernelTable(gauss_src, beta, tol=1e-9)
+    vals, ses = zip(*_spin_factors(table, beta, n, range(100, 140),
+                                   f_gauss))
+    vals = np.array(vals)
+    spread = math.sqrt(np.sum(np.abs(vals - vals.mean()) ** 2)
+                       / (len(vals) - 1))
+    ratio = spread / math.sqrt(np.mean(np.square(ses)))
+    assert 0.7 <= ratio <= 1.4
+
+
+@pytest.mark.filterwarnings("ignore:weight degeneracy")
+@pytest.mark.parametrize("beta", [1.0, 2.0, 4.0])
+def test_post_stratified_mean_agrees_with_iid(gauss_src, f_gauss, beta):
+    # the strata change the estimator, not its target: the post-stratified
+    # spin factor agrees with the iid self-normalized one on the same
+    # loops within their combined SE, and its SE is smaller
+    table = ThermalKernelTable(gauss_src, beta, tol=1e-9)
+    ens = build_ensemble(SpinMeasureParams(beta, 1.0), table, 20000, seed=8)
+    val, se = ens.spin_factor(f_gauss)
+    v = np.exp(-1j * ens.z_values(f_gauss))
+    w = np.exp(ens.logw - ens.logw.max())
+    iid = np.sum(w * v) / np.sum(w)
+    iid_se = math.sqrt(np.sum(w ** 2 * np.abs(v - iid) ** 2)) / np.sum(w)
+    assert abs(val - iid) <= 3.0 * math.hypot(se, iid_se)
+    assert se < iid_se
+
+
+def _exact_log_partition(beta, eps, c0):
+    # kappa = c0: log W = c0 M^2 / 4 = log E_h[exp(h M sqrt(c0 / 2))] over
+    # a standard normal h, and the spin trace in a static field b is
+    # 2 cosh(beta sqrt(eps^2 + b^2))
+    from scipy.integrate import quad
+
+    def integrand(h):
+        # phi(h) cosh(beta r), with the Gaussian inside each exponential
+        r = beta * math.sqrt(eps * eps + 0.5 * c0 * h * h)
+        return (0.5 / math.sqrt(2.0 * math.pi)
+                * (math.exp(r - 0.5 * h * h) + math.exp(-r - 0.5 * h * h)))
+
+    val, _ = quad(integrand, -np.inf, np.inf, epsabs=0.0, epsrel=1e-13)
+    return math.log(2.0) + math.log(val)
+
+
+@pytest.mark.filterwarnings("ignore:weight degeneracy")
+@pytest.mark.parametrize("beta, c0", [(1.0, 0.5), (4.0, 0.5)])
+def test_log_partition_matches_exact_constant_kernel(beta, c0):
+    ens = build_ensemble(SpinMeasureParams(beta, 1.0),
+                         ThermalKernelTable.constant(beta, c0), 20000,
+                         seed=12)
+    # delta-method SE of log sum_s p_s mean_s(W): the atoms add none
+    w = np.exp(ens.logw - ens.logw.max())
+    strata = _strata(ens)
+    total = sum(p * w[loops].mean() for p, loops in strata)
+    var = sum(p * p * w[loops].var(ddof=1) / len(loops)
+              for p, loops in strata if len(loops) > 1)
+    se = math.sqrt(var) / total
+    exact = _exact_log_partition(beta, 1.0, c0)
+    assert abs(ens.log_partition() - exact) <= 4.0 * se
 
 
 def test_variance_routes_zero_source(free_ensemble, f_gauss):

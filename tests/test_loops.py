@@ -10,6 +10,7 @@ from spinboson.loops import (
     SpinLoop,
     SpinMeasureParams,
     correlation_trace,
+    jump_count_groups,
     jump_count_pmf,
     sample_loop,
     sample_loop_arrays,
@@ -197,6 +198,22 @@ def test_sampler_matches_the_lexsort_reference(beta, eps, n, seed):
     for a, b in zip(got, want):
         assert a.dtype == b.dtype
         assert np.array_equal(a, b)
+
+
+@given(counts=st.lists(st.integers(0, 300), max_size=200),
+       hist=st.booleans())
+def test_jump_count_groups_match_per_count_scans(counts, hist):
+    # one stable sort gives each count's loops in ascending order, as one
+    # scan of all loops per count did, with or without a passed histogram
+    counts = np.array(counts, dtype=np.int64)
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    groups = list(jump_count_groups(
+        counts, offsets, np.bincount(counts) if hist else None))
+    present = sorted(set(counts.tolist()))
+    assert [int(c) for c, _, _ in groups] == present
+    for c, idx, cols in groups:
+        assert np.array_equal(idx, np.flatnonzero(counts == c))
+        assert np.array_equal(cols, offsets[idx][:, None] + np.arange(c))
 
 
 def _path_products(signs, counts, flat, times):
