@@ -34,8 +34,8 @@ differences of slices of the loops' jump rows.
 
 The two constant paths are atoms of the free measure, of total mass
 1/cosh(beta eps): every constant loop of one sign has the same Z and the
-same log-weight, so per-loop functions run once per distinct loop
-(TiltedEnsemble.map_distinct).
+same log-weight, so Z, M and the estimator weights are kept per distinct
+loop (TiltedEnsemble.distinct: the loops with jumps and one loop per atom).
 
 The estimators are post-stratified by jump count.  The law of the jump
 count is known exactly (loops.jump_count_pmf), so
@@ -126,6 +126,15 @@ def row_sum(a):
     return a.sum(axis=0) if a.shape[1] > 1 else np.cumsum(a, axis=0)[-1]
 
 
+def uniform_interp(x, edges, fp):
+    """np.interp(x, edges, fp) on uniform edges, x in [edges[0], edges[-1]]:
+    each cell comes from the spacing, not from a binary search."""
+    n = len(edges) - 1
+    j = ((x - edges[0]) * (n / (edges[-1] - edges[0]))).astype(np.intp)
+    np.minimum(j, n - 1, out=j)
+    return (np.diff(fp) / np.diff(edges))[j] * (x - edges[j]) + fp[j]
+
+
 @dataclass
 class VarianceReport:
     """Var~(Z) by the direct and the kernel route.
@@ -163,6 +172,11 @@ class TiltedEnsemble:
         self.n = len(signs)
         self.hist = np.bincount(counts)      # loops per jump count
         self._z_cache = {}
+        # the loops with jumps and the atoms' loops, ascending
+        reps = [i for i, _ in self._constant_paths()]
+        keep = counts > 0
+        keep[reps] = True
+        self.distinct = np.flatnonzero(keep)
         self.logw = self._log_weights()
         # FKN weights, shifted so the largest is 1
         fkn = np.exp(self.logw - self.logw.max())
@@ -172,25 +186,18 @@ class TiltedEnsemble:
             warnings.warn(
                 f"weight degeneracy: ESS = {self.ess:.1f} of {self.n}",
                 RuntimeWarning)
-        self._stratify(fkn)
+        self._stratify(fkn, reps)
 
-    def _stratify(self, fkn):
+    def _stratify(self, fkn, reps):
         """Derive the jump-count strata from counts and signs, and the
         estimator's weights from the FKN weights fkn (module docstring).
 
-        Sets weights (W_i p_s / n_s per loop with jumps, 0 on the constant
-        loops), _atoms ((first loop, p_a W) per constant path present),
-        _starts and _sizes (each stratum's first count and its number of
-        loops) and sum_w, the total weight sum_s p_s mean_s(W)."""
+        Sets weights (W_i p_s / n_s per distinct loop, 0 on the atoms'
+        loops reps), _atoms ((position in distinct, p_a W) per constant
+        path present), _starts and _sizes (each stratum's first count and
+        its number of loops) and sum_w, the total weight."""
         pmf = jump_count_pmf(self.params)
         pmf = pmf / pmf.sum()
-        const = self.counts == 0
-        reps = []
-        for sign in (1, -1):
-            atom = const & (self.signs == sign)
-            i = int(np.argmax(atom))
-            if atom[i]:
-                reps.append(i)
         starts, sizes = [], []
         for c in np.flatnonzero(self.hist[1:]) + 1:
             if not sizes or sizes[-1] >= MIN_STRATUM:
@@ -211,13 +218,12 @@ class TiltedEnsemble:
         scale = np.zeros(len(self.hist))
         for a, b, p, size in zip(bounds, bounds[1:], masses, sizes):
             scale[a:b] = p / (total * size)
-        self._atoms = [(i, float(fkn[i]) * 0.5 * pmf[0] / total)
-                       for i in reps]
+        self._atoms = [(int(np.searchsorted(self.distinct, i)),
+                        float(fkn[i]) * 0.5 * pmf[0] / total) for i in reps]
         self._starts = np.array(bounds[:-1], dtype=np.int64)
         self._sizes = np.array(sizes, dtype=float)
-        fkn *= scale[self.counts]
-        self.weights = fkn
-        self.sum_w = self._weighted_sum(fkn, np.ones(len(reps)))
+        self.weights = fkn[self.distinct] * scale[self.counts[self.distinct]]
+        self.sum_w = self._weighted_sum(self.weights, np.ones(len(reps)))
 
     def _weighted_sum(self, wx, x_atoms):
         """sum_i wx_i plus each atom's weight times its value in x_atoms.
@@ -238,10 +244,8 @@ class TiltedEnsemble:
     def norm_weights(self):
         """Each loop's weight in the estimator, normalized to sum to 1: an
         atom's weight is shared by all of its constant loops."""
-        w = self.weights / self.sum_w
-        const = self.counts == 0
-        for i, mass in self._atoms:
-            atom = const & (self.signs == self.signs[i])
+        w = self._spread(self.weights / self.sum_w)
+        for (_, atom), (_, mass) in zip(self._constant_paths(), self._atoms):
             w[atom] = mass / (self.sum_w * np.count_nonzero(atom))
         return w
 
@@ -267,7 +271,8 @@ class TiltedEnsemble:
         spline maps in place; each loop's values are then added row by row
         in a fixed order, so a log-weight does not depend on the other
         loops."""
-        out = 0.25 * self.kernels.kappa_mean * self.static_moment ** 2
+        m = 2.0 * self._boundary_sum(lambda u: u)    # M, left uncached
+        out = self._spread(0.25 * self.kernels.kappa_mean * m ** 2)
         phi = self.kernels.phi
         if phi is None:
             return out
@@ -298,25 +303,26 @@ class TiltedEnsemble:
 
     @cached_property
     def static_moment(self):
-        """M = int X dt per loop, the static-mode moment (twice the boundary
-        sum of g(u) = u); log W carries kappa_mean M^2 / 4."""
+        """M = int X dt per distinct loop, the static-mode moment (twice the
+        boundary sum of g(u) = u); log W carries kappa_mean M^2 / 4."""
         return 2.0 * self._boundary_sum(lambda u: u)
 
     # -- distinct loops ------------------------------------------------------
 
-    @cached_property
-    def _distinct(self):
-        """(pick, inverse): the distinct loops, ascending, and each loop's
-        position among them.  The distinct loops are every loop with jumps
-        and the first constant loop of each sign, the atoms' loops."""
-        const = self.counts == 0
-        keep = ~const
-        for i, _ in self._atoms:
-            keep[i] = True
-        inverse = np.cumsum(keep) - 1
-        for i, _ in self._atoms:
-            inverse[const & (self.signs == self.signs[i])] = inverse[i]
-        return np.flatnonzero(keep), inverse
+    def _constant_paths(self):
+        """Yield (first loop, loop mask) per constant path, +1 first."""
+        for sign in (1, -1):
+            atom = (self.counts == 0) & (self.signs == sign)
+            if atom.any():
+                yield int(np.argmax(atom)), atom
+
+    def _spread(self, v):
+        """Spread rows per distinct loop to all loops, atoms to their loops."""
+        out = np.empty((self.n,) + v.shape[1:], v.dtype)
+        out[self.distinct] = v
+        for i, atom in self._constant_paths():
+            out[atom] = out[i]
+        return out
 
     def map_distinct(self, fn, *per_loop):
         """fn(*per_loop), evaluated once per distinct loop.
@@ -324,20 +330,20 @@ class TiltedEnsemble:
         fn must act loop by loop, and the per-loop arrays (loops along the
         first axis) must be functions of the loop, as z_values is: every
         constant loop of one sign then gives the same result.  So fn runs
-        on the loops with jumps and one constant loop per sign, and its
-        output (an array or a tuple of arrays, loops along the first axis)
-        is gathered back to all n loops.
+        on the distinct loops, the loops with jumps and one constant loop
+        per sign, and its output (an array or a tuple of arrays, loops
+        along the first axis) is spread back to all n loops.
         """
-        pick, inverse = self._distinct
-        out = fn(*(np.asarray(a)[pick] for a in per_loop))
+        out = fn(*(np.asarray(a)[self.distinct] for a in per_loop))
         if isinstance(out, tuple):
-            return tuple(r[inverse] for r in out)
-        return out[inverse]
+            return tuple(self._spread(r) for r in out)
+        return self._spread(out)
 
     # -- estimators ----------------------------------------------------------
 
     def expectation(self, values):
-        """Post-stratified IS mean and standard error of a per-loop array.
+        """Post-stratified IS mean and standard error of a per-loop array,
+        over all n loops (values[distinct] is read) or the distinct loops.
 
         v must be a function of the loop, so that it is the same on every
         constant loop of one sign (an atom reads it at its first loop).
@@ -356,20 +362,23 @@ class TiltedEnsemble:
         characteristic functional is exactly normalized at s = 0.
         """
         values = np.asarray(values)
+        if len(values) == self.n > len(self.distinct):
+            values = values[self.distinct]
         parts = ((values.real, values.imag) if np.iscomplexobj(values)
                  else (values,))
-        reps = [i for i, _ in self._atoms]
+        reps = [pos for pos, _ in self._atoms]
+        counts = self.counts[self.distinct]
         means, var = [], 0.0
         for x in parts:
             mean = self._weighted_sum(self.weights * x, x[reps]) / self.sum_w
             means.append(mean)
-            # zero on the constant loops, which the atoms stand for
+            # zero on the atoms' loops
             wd = x - mean
             wd *= self.weights
             var += float(np.dot(wd, wd))
             if len(self._sizes):
                 per_stratum = np.add.reduceat(
-                    np.bincount(self.counts, wd), self._starts)
+                    np.bincount(counts, wd), self._starts)
                 var -= float(np.sum(per_stratum ** 2 / self._sizes))
         se = math.sqrt(max(var, 0.0)) / self.sum_w
         if len(parts) == 2:
@@ -384,31 +393,40 @@ class TiltedEnsemble:
                 + math.log(self.sum_w))
 
     def _boundary_sum(self, g, t=0.0):
-        """-1/2 sum_p d_p g(e_p - t) per loop (Z for g = G): the circle ends
-        have d_0 = X_0, d_{c+1} = (-1)^(c+1) X_0, and jump j at flat index
+        """-1/2 sum_p d_p g(e_p - t) per distinct loop (Z for g = G): ends
+        d_0 = X_0, d_{c+1} = (-1)^(c+1) X_0; jump j at flat index
         k = offset + j - 1 has d = 2 (-1)^j X_0 = -2 X_0 (-1)^(offset + k)."""
+        counts = self.counts[self.distinct]
         lo, hi = g(0.5 * self.params.beta * np.array([-1.0, 1.0]) - t)
-        out = -0.5 * np.array([lo - hi, lo + hi])[self.counts & 1]
-        # g runs on slabs of jump times, so its temporaries stay small
-        gj = np.empty(len(self.jumps_flat), out.dtype)
-        for a in range(0, len(gj), JUMP_SLAB):
-            gj[a:a + JUMP_SLAB] = g(self.jumps_flat[a:a + JUMP_SLAB] - t)
-        gj[1::2] *= -1.0
-        has = np.flatnonzero(self.counts > 0)
-        starts = self.offsets[has]
-        sums = np.add.reduceat(gj, starts)
+        out = -0.5 * np.array([lo - hi, lo + hi])[counts & 1]
+        has = np.flatnonzero(counts)
+        starts = self.offsets[self.distinct[has]]
+        # g runs on slabs of whole loops' jumps; jump k has the sign (-1)^k
+        sums = np.empty(len(has), out.dtype)
+        cuts = np.append(np.searchsorted(starts, np.arange(
+            0, len(self.jumps_flat), JUMP_SLAB), "right") - 1, len(has))
+        for i, j in zip(cuts, cuts[1:]):
+            a = starts[i]
+            b = starts[j] if j < len(has) else len(self.jumps_flat)
+            gj = g(self.jumps_flat[a:b] - t)
+            gj[1 - a % 2::2] *= -1.0
+            sums[i:j] = np.add.reduceat(gj, starts[i:j] - a)
         out[has] += np.where(starts & 1, -sums, sums)
-        out *= self.signs
+        out *= self.signs[self.distinct]
         return out
 
-    def z_values(self, f, t_offset=0.0):
-        """Z_{beta,t,f} for every loop (cached per (f, t_offset))."""
+    def _z(self, f, t_offset=0.0):
+        """Z_{beta,t,f} per distinct loop (cached per (f, t_offset))."""
         key = (f, float(t_offset))
         if key not in self._z_cache:
             a_f = self.kernels.register(f).A
             self._z_cache[key] = self._boundary_sum(
                 lambda x: np.sign(x) * a_f(np.abs(x)), float(t_offset))
         return self._z_cache[key]
+
+    def z_values(self, f, t_offset=0.0):
+        """Z_{beta,t,f} for every loop, spread from the cached _z."""
+        return self._spread(self._z(f, t_offset))
 
     def spin_factor(self, f, t_offset=0.0):
         """S = E~[exp(-i Z)] with standard error: char_function at s = 1."""
@@ -417,25 +435,23 @@ class TiltedEnsemble:
 
     def ell_shift(self, f):
         """The physical-field shift ell = -E~[Z] (real test functions)."""
-        z = self.z_values(f).real
-        mean, _ = self.expectation(z)
-        return -float(mean.real)
+        return -float(self.expectation(self._z(f).real)[0].real)
 
     def char_function(self, f, s, t_offset=0.0):
-        """E~[exp(-i s Z_{f,t})] with SE, vectorized over real s; each
+        """E~[exp(-i s Z_{f,t})] with SE, shaped like the real s; each
         (f, t, s) is estimated once and cached beside Z."""
         t = float(t_offset)
         s = np.asarray(s, dtype=float)
-        vals = np.empty(s.size, dtype=complex)
-        ses = np.empty(s.size)
-        for j, sj in enumerate(s.ravel()):
+        vals = np.empty(s.shape, dtype=complex)
+        ses = np.empty(s.shape)
+        for j, sj in np.ndenumerate(s):
             key = ("S", f, t, float(sj))
             if key not in self._z_cache:
-                z = self.z_values(f, t)
+                z = self._z(f, t)
                 self._z_cache[key] = self.expectation(np.exp(-1j * sj * z))
             vals[j], ses[j] = self._z_cache[key]
         if s.ndim == 0:
-            return vals[0], ses[0]
+            return vals[()], ses[()]
         return vals, ses
 
     # -- variance diagnostics ------------------------------------------------
@@ -464,11 +480,14 @@ class TiltedEnsemble:
         return out
 
     def _z_moments(self, f):
-        """Tilted mean of the real Z of f and its variance, each with SE."""
-        z = self.z_values(f).real
-        mean, mean_se = self.expectation(z)
-        var, var_se = self.expectation((z - mean) ** 2)
-        return mean, mean_se, float(var), var_se
+        """Tilted mean and variance of the real Z of f, with SEs (cached)."""
+        key = ("moments", f)
+        if key not in self._z_cache:
+            z = self._z(f).real
+            mean, mean_se = self.expectation(z)
+            var, var_se = self.expectation((z - mean) ** 2)
+            self._z_cache[key] = (mean, mean_se, float(var), var_se)
+        return self._z_cache[key]
 
     def variance_two_routes(self, f, n_cells=64):
         """Var~(Z) directly and through the cell-averaged covariance kernel.
@@ -507,7 +526,7 @@ class TiltedEnsemble:
         # antiderivative of K(|u|) at the edges; its cell differences are
         # h times the cell averages of K
         g = np.sign(edges) * self.kernels.register(f).A(np.abs(edges)).real
-        y = 2.0 * self._boundary_sum(lambda u: np.interp(u, edges, g))
+        y = 2.0 * self._boundary_sum(lambda u: uniform_interp(u, edges, g))
         mean, _ = self.expectation(y)
         var, _ = self.expectation((y - mean) ** 2)
         return 0.25 * float(var)

@@ -214,14 +214,16 @@ def test_log_weights_match_reference_property(gauss_src, beta, raw):
 
 
 def test_static_moment_is_the_path_integral(ensemble):
+    # one value per distinct loop
     m = ensemble.static_moment
     assert ensemble.static_moment is m
-    const = ensemble.counts == 0
-    assert np.all(m[const] == BETA * ensemble.signs[const])
-    for i in np.flatnonzero(~const)[:50]:
-        lp = ensemble.loop(i)
+    loops = ensemble.distinct
+    const = ensemble.counts[loops] == 0
+    assert np.all(m[const] == BETA * ensemble.signs[loops[const]])
+    for k in np.flatnonzero(~const)[:50]:
+        lp = ensemble.loop(loops[k])
         want = np.dot(lp.interval_signs(), np.diff(lp.boundaries(BETA)))
-        assert m[i] == pytest.approx(want, rel=1e-13, abs=1e-14 * BETA)
+        assert m[k] == pytest.approx(want, rel=1e-13, abs=1e-14 * BETA)
 
 
 @pytest.mark.filterwarnings("ignore:weight degeneracy")
@@ -230,7 +232,9 @@ def test_constant_kernel_log_weight_is_the_static_term(beta, c0):
     # kappa = c0 has Phi = 0, so log W = c0 M^2 / 4 exactly
     ens = build_ensemble(SpinMeasureParams(beta, 1.0),
                          ThermalKernelTable.constant(beta, c0), 20000, seed=3)
-    assert np.array_equal(ens.logw, 0.25 * c0 * ens.static_moment ** 2)
+    assert np.array_equal(ens.logw[ens.distinct],
+                          0.25 * c0 * ens.static_moment ** 2)
+    assert np.all(ens.logw[ens.counts == 0] == 0.25 * c0 * beta ** 2)
 
 
 @pytest.mark.filterwarnings("ignore:weight degeneracy")
@@ -341,6 +345,25 @@ def test_z_values_evaluates_A_once_per_jump(ensemble, f_gauss, monkeypatch):
     assert sum(points) == ensemble.counts.sum() + 2
 
 
+@pytest.mark.parametrize("slab", [2, 7, 256])
+def test_boundary_sums_do_not_depend_on_the_slab(kernel_table, f_gauss, slab,
+                                                 monkeypatch):
+    # the jump slabs hold whole loops, however many per slab, and with odd
+    # jump counts a loop or a slab may start at an odd flat index: a loop's
+    # sum does not change a bit
+    rng = np.random.default_rng(6)
+    raw = [(int(sign), list(rng.random(c))) for sign, c in
+           zip(rng.choice([-1, 1], 300), rng.integers(0, 9, 300))]
+    ens = _ensemble_of_kind(kernel_table, "two-atoms", raw, 0)
+    assert np.any(ens.offsets[:-1][ens.counts > 0] % 2)
+    a_f = kernel_table.register(f_gauss).A
+    per_loop = [lambda x: np.sign(x) * a_f(np.abs(x)), lambda u: u]
+    want = [ens._boundary_sum(g, 0.2) for g in per_loop]
+    monkeypatch.setattr(ensemble_mod, "JUMP_SLAB", slab)
+    for g, w in zip(per_loop, want):
+        assert ens._boundary_sum(g, 0.2).tobytes() == w.tobytes()
+
+
 def test_sampler_sorts_each_jump_once(kernel_table, monkeypatch):
     # structural guard: no global lexsort, and the sampler's row sorts
     # cover each jump time once, in a row of its own loop's length
@@ -367,6 +390,36 @@ def test_sampler_sorts_each_jump_once(kernel_table, monkeypatch):
 
 # loop-wise functions of (Z, log W), odd in Z so that the two constant
 # paths differ: complex, real and tuple outputs
+_KINDS = ["sampled", "frozen", "two-atoms", "no-constant",
+          "one-sign-constants", "n1"]
+
+
+def _ensemble_of_kind(kernel_table, kind, raw, seed):
+    """A sampled or frozen ensemble of 40 len(raw) loops, or one built from
+    the drawn paths raw, (sign, jump fractions) each: with both constant
+    paths added, with no constant path, with constant paths of one sign
+    only, or the first path alone."""
+    params = SpinMeasureParams(BETA, 1.0)
+    if kind in ("sampled", "frozen"):
+        return build_ensemble(params, kernel_table, 40 * len(raw), seed=seed,
+                              frozen_spin=kind == "frozen")
+    if kind == "two-atoms":
+        raw = raw + [(1, []), (-1, [])]
+    elif kind == "no-constant":
+        raw = [(sign, fracs or [0.5]) for sign, fracs in raw]
+    elif kind == "one-sign-constants":
+        raw = [(sign if fracs else raw[0][0], fracs) for sign, fracs in raw]
+    elif kind == "n1":
+        raw = raw[:1]
+    paths = [(sign, sorted({BETA * (u - 0.5) for u in fracs}))
+             for sign, fracs in raw]
+    signs = np.array([p[0] for p in paths], dtype=np.int8)
+    counts = np.array([len(p[1]) for p in paths], dtype=np.int64)
+    flat = np.array([x for p in paths for x in p[1]], dtype=float)
+    return TiltedEnsemble(params, kernel_table, signs, counts, flat, 0,
+                          DEFAULT_CHUNK)
+
+
 _LOOPWISE = {
     "complex": lambda s: lambda z, w: np.exp(-1j * s * z) * w + z,
     "real": lambda s: lambda z, w: z.real * np.exp(s * w),
@@ -376,8 +429,7 @@ _LOOPWISE = {
 
 @pytest.mark.filterwarnings("ignore:weight degeneracy")
 @pytest.mark.parametrize("out", sorted(_LOOPWISE))
-@pytest.mark.parametrize("kind", ["sampled", "frozen", "two-atoms",
-                                  "no-constant", "one-sign-constants", "n1"])
+@pytest.mark.parametrize("kind", _KINDS)
 @settings(max_examples=20)
 @given(raw=st.lists(st.tuples(st.sampled_from([-1, 1]), _jump_fractions),
                     min_size=1, max_size=8),
@@ -385,27 +437,7 @@ _LOOPWISE = {
        seed=st.integers(0, 1 << 16))
 def test_map_distinct_is_fn_on_all_loops_property(kernel_table, f_gauss, kind,
                                                   out, raw, s, t, seed):
-    params = SpinMeasureParams(BETA, 1.0)
-    if kind in ("sampled", "frozen"):
-        ens = build_ensemble(params, kernel_table, 40 * len(raw), seed=seed,
-                             frozen_spin=kind == "frozen")
-    else:
-        if kind == "two-atoms":
-            raw = raw + [(1, []), (-1, [])]
-        elif kind == "no-constant":
-            raw = [(sign, fracs or [0.5]) for sign, fracs in raw]
-        elif kind == "one-sign-constants":
-            raw = [(sign if fracs else raw[0][0], fracs)
-                   for sign, fracs in raw]
-        elif kind == "n1":
-            raw = raw[:1]
-        paths = [(sign, sorted({BETA * (u - 0.5) for u in fracs}))
-                 for sign, fracs in raw]
-        signs = np.array([p[0] for p in paths], dtype=np.int8)
-        counts = np.array([len(p[1]) for p in paths], dtype=np.int64)
-        flat = np.array([x for p in paths for x in p[1]], dtype=float)
-        ens = TiltedEnsemble(params, kernel_table, signs, counts, flat, 0,
-                             DEFAULT_CHUNK)
+    ens = _ensemble_of_kind(kernel_table, kind, raw, seed)
     fn = _LOOPWISE[out](s)
     seen = []
 
@@ -423,6 +455,156 @@ def test_map_distinct_is_fn_on_all_loops_property(kernel_table, f_gauss, kind,
     # fn ran once, on the loops with jumps and one constant loop per sign
     const_signs = set(ens.signs[ens.counts == 0].tolist())
     assert seen == [int(np.sum(ens.counts > 0)) + len(const_signs)]
+
+
+def _all_loop_boundary_sum(ens, g, t=0.0):
+    # -1/2 sum_p d_p g(e_p - t) on every loop, constant loops included
+    lo, hi = g(0.5 * ens.params.beta * np.array([-1.0, 1.0]) - t)
+    out = -0.5 * np.array([lo - hi, lo + hi])[ens.counts & 1]
+    gj = g(ens.jumps_flat - t)
+    gj[1::2] *= -1.0
+    has = np.flatnonzero(ens.counts)
+    starts = ens.offsets[has]
+    sums = np.add.reduceat(gj, starts)
+    out[has] += np.where(starts & 1, -sums, sums)
+    return out * ens.signs
+
+
+def _all_loop_expectation(ens, v):
+    """(mean, se) of the post-stratified estimator over every loop, from
+    the strata derived afresh, with the uncancelled magnitudes of the mean
+    and of the squared SE that bound their rounding."""
+    w = np.exp(ens.logw - ens.logw.max())
+    per_loop, atoms, runs = np.zeros(ens.n), [], []
+    for mass, loops in _strata(ens):
+        if ens.counts[loops[0]] == 0:
+            atoms.append((loops[0], mass * w[loops[0]]))
+        else:
+            per_loop[loops] = w[loops] * mass / len(loops)
+            runs.append(loops)
+    sum_w = np.sum(per_loop) + sum(a for _, a in atoms)
+    v = np.asarray(v)
+    parts = (v.real, v.imag) if np.iscomplexobj(v) else (v,)
+    means, var, mean_scale, var_scale = [], 0.0, 0.0, 0.0
+    for x in parts:
+        mean = (np.sum(per_loop * x) + sum(a * x[i] for i, a in atoms)) / sum_w
+        means.append(mean)
+        mean_scale += (np.sum(per_loop * np.abs(x))
+                       + sum(a * abs(x[i]) for i, a in atoms)) / sum_w
+        wd = per_loop * (x - mean)
+        var += np.dot(wd, wd) - sum(np.sum(wd[r]) ** 2 / len(r) for r in runs)
+        var_scale += np.sum((per_loop * (np.abs(x) + abs(mean))) ** 2)
+    se = math.sqrt(max(var, 0.0)) / sum_w
+    mean = complex(*means) if len(parts) == 2 else means[0]
+    return mean, se, mean_scale, var_scale / sum_w ** 2
+
+
+def _assert_estimate(got, want, rel=1e-14):
+    # the mean and SE agree to rel of their uncancelled magnitudes
+    (val, se), (mean, want_se, mean_scale, var_scale) = got, want
+    assert abs(val - mean) <= rel * max(abs(mean), mean_scale)
+    assert abs(se * se - want_se * want_se) <= rel * max(want_se ** 2,
+                                                         var_scale)
+
+
+def _all_loop_kernel_variance(ens, f, n_cells):
+    beta = ens.params.beta
+    edges = np.linspace(-0.5 * beta, 0.5 * beta, n_cells + 1)
+    g = np.sign(edges) * ens.kernels.register(f).A(np.abs(edges)).real
+    y = 2.0 * _all_loop_boundary_sum(ens, lambda u: np.interp(u, edges, g))
+    mean = _all_loop_expectation(ens, y)[0]
+    return 0.25 * _all_loop_expectation(ens, (y - mean) ** 2)[0]
+
+
+@pytest.mark.filterwarnings("ignore:weight degeneracy")
+@pytest.mark.parametrize("kind", _KINDS)
+@settings(max_examples=10)
+@given(raw=st.lists(st.tuples(st.sampled_from([-1, 1]), _jump_fractions),
+                    min_size=1, max_size=8),
+       s=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=3),
+       t=st.floats(-0.5 * BETA, 0.5 * BETA), seed=st.integers(0, 1 << 16))
+def test_estimators_on_distinct_loops_match_all_loops_property(
+        kernel_table, f_gauss, kind, raw, s, t, seed):
+    # char_function, variance_two_routes and ell_shift read only the
+    # distinct loops; the same formulas over every loop agree with them
+    ens = _ensemble_of_kind(kernel_table, kind, raw, seed)
+    a_f = kernel_table.register(f_gauss).A
+    z = _all_loop_boundary_sum(ens, lambda x: np.sign(x) * a_f(np.abs(x)),
+                               t)
+    vals, ses = ens.char_function(f_gauss, s, t)
+    for sj, val, se in zip(s, vals, ses):
+        _assert_estimate((val, se),
+                         _all_loop_expectation(ens, np.exp(-1j * sj * z)))
+    z0 = _all_loop_boundary_sum(
+        ens, lambda x: np.sign(x) * a_f(np.abs(x))).real
+    mean = _all_loop_expectation(ens, z0)
+    assert ens.ell_shift(f_gauss) == pytest.approx(
+        -mean[0], rel=0.0, abs=1e-14 * max(abs(mean[0]), mean[2]))
+    rep = ens.variance_two_routes(f_gauss, 64)
+    _assert_estimate((rep.var_direct, rep.var_direct_se),
+                     _all_loop_expectation(ens, (z0 - mean[0]) ** 2))
+    for got, n_cells in ((rep.var_kernel, 64), (rep.var_kernel_fine, 128)):
+        want = _all_loop_kernel_variance(ens, f_gauss, n_cells)
+        assert got == pytest.approx(want, rel=1e-14, abs=1e-300)
+
+
+def test_char_function_exponentiates_only_distinct_loops(
+        ensemble, f_gauss, monkeypatch):
+    # structural guard: exp(-i s Z) runs on the distinct loops, once per s
+    ensemble.z_values(f_gauss, 0.0625)
+    points = []
+
+    def counted(x, *args, exp=np.exp, **kw):
+        points.append(np.size(x))
+        return exp(x, *args, **kw)
+
+    monkeypatch.setattr(np, "exp", counted)
+    ensemble.char_function(f_gauss, [0.125, 0.375], 0.0625)
+    assert points == [len(ensemble.distinct)] * 2
+    assert len(ensemble.distinct) < ensemble.n
+
+
+def test_per_loop_state_lives_on_the_distinct_loops(ensemble, f_gauss,
+                                                    g_gauss):
+    # structural guard: the cached estimator arrays hold one value per
+    # distinct loop, and the only n-length arrays are the loop data
+    ens = ensemble
+    ens.char_function(f_gauss, [0.5, 1.0], 0.2)
+    ens.variance_two_routes(g_gauss)
+    ens.ell_shift(f_gauss)
+    ens.deviation_bound_check(f_gauss, [0.5])
+    ens.static_moment
+    ens.z_values(g_gauss, 0.3)
+    ens.norm_weights
+    d = len(ens.distinct)
+    assert np.all(np.diff(ens.distinct) > 0) and d < ens.n
+    arrays = [v for v in ens._z_cache.values() if isinstance(v, np.ndarray)]
+    assert len(arrays) >= 3
+    assert all(len(a) == d for a in arrays + [ens.weights])
+    full = {k for k, v in vars(ens).items()
+            if isinstance(v, np.ndarray) and len(v) in (ens.n, ens.n + 1)}
+    assert full <= {"signs", "counts", "offsets", "jumps_flat", "logw"}
+
+
+def test_z_moments_are_memoized(ensemble, g_gauss, monkeypatch):
+    # the variance routes and the deviation bound share one estimate
+    h = g_gauss.scaled(0.5)
+    first = ensemble._z_moments(h)
+    monkeypatch.setattr(ensemble, "expectation", None)
+    assert ensemble._z_moments(h) is first
+
+
+def test_uniform_interp_matches_np_interp(kernel_table, f_gauss):
+    rng = np.random.default_rng(4)
+    for n_cells in (1, 7, 64, 128):
+        edges = np.linspace(-0.5 * BETA, 0.5 * BETA, n_cells + 1)
+        g = np.sign(edges) * kernel_table.register(f_gauss).A(
+            np.abs(edges)).real
+        x = np.concatenate((rng.uniform(edges[0], edges[-1], 20000), edges))
+        got = ensemble_mod.uniform_interp(x, edges, g)
+        want = np.interp(x, edges, g)
+        tol = 4.0 * np.spacing(np.max(np.abs(g)))
+        assert np.max(np.abs(got - want)) <= tol
 
 
 def test_spin_factor_is_memoized_per_t(ensemble, f_gauss):

@@ -122,6 +122,19 @@ def test_charfun_scaled_properties(state_cfg, f_gauss):
     assert vm == pytest.approx(np.conj(vp), rel=1e-12)
 
 
+def test_charfun_on_a_2d_grid_is_the_flat_grid_reshaped(state_cfg, f_gauss):
+    # values and SEs come back shaped like s, bit for bit the flat grid's
+    s = np.array([[0.0, 0.4, -1.1], [2.0, 0.7, 3.3]])
+    f = f_gauss.scaled(1.25)
+    for fn in (state_cfg.ensemble.char_function,
+               lambda f, s: charfun_scaled(state_cfg, f, s)):
+        vals, ses = fn(f, s)
+        flat_vals, flat_ses = fn(f, s.ravel())
+        assert vals.shape == ses.shape == s.shape
+        assert vals.tobytes() == flat_vals.reshape(s.shape).tobytes()
+        assert ses.tobytes() == flat_ses.reshape(s.shape).tobytes()
+
+
 def test_charfun_scaled_gaussian_width(free_cfg, f_gauss):
     # with S = 1 the log-modulus is exactly quadratic in s
     q = free_cfg.q_bec(f_gauss)
