@@ -34,8 +34,11 @@ differences of slices of the loops' jump rows.
 
 The two constant paths are atoms of the free measure, of total mass
 1/cosh(beta eps): every constant loop of one sign has the same Z and the
-same log-weight, so Z, M and the estimator weights are kept per distinct
-loop (TiltedEnsemble.distinct: the loops with jumps and one loop per atom).
+same log-weight.  So the sample arrays (signs, counts, jump times,
+log-weights) hold one value per loop, and every estimator array (Z, M,
+the estimator weights and whatever expectation is given) one value per
+distinct loop, in the order of TiltedEnsemble.distinct: the loops with
+jumps and the first loop of each atom, ascending.
 
 The estimators are post-stratified by jump count.  The law of the jump
 count is known exactly (loops.jump_count_pmf), so
@@ -324,29 +327,12 @@ class TiltedEnsemble:
             out[atom] = out[i]
         return out
 
-    def map_distinct(self, fn, *per_loop):
-        """fn(*per_loop), evaluated once per distinct loop.
-
-        fn must act loop by loop, and the per-loop arrays (loops along the
-        first axis) must be functions of the loop, as z_values is: every
-        constant loop of one sign then gives the same result.  So fn runs
-        on the distinct loops, the loops with jumps and one constant loop
-        per sign, and its output (an array or a tuple of arrays, loops
-        along the first axis) is spread back to all n loops.
-        """
-        out = fn(*(np.asarray(a)[self.distinct] for a in per_loop))
-        if isinstance(out, tuple):
-            return tuple(self._spread(r) for r in out)
-        return self._spread(out)
-
     # -- estimators ----------------------------------------------------------
 
     def expectation(self, values):
-        """Post-stratified IS mean and standard error of a per-loop array,
-        over all n loops (values[distinct] is read) or the distinct loops.
+        """Post-stratified IS mean and standard error of an array with one
+        value per distinct loop (an atom's value at its first loop).
 
-        v must be a function of the loop, so that it is the same on every
-        constant loop of one sign (an atom reads it at its first loop).
         With w_i = W_i p_s / n_s on the loops with jumps, each atom
         weighing p_a W_a, and d = v - mean (module docstring):
 
@@ -357,13 +343,13 @@ class TiltedEnsemble:
         the atoms adding no variance, and the real and imaginary parts of
         v summed as separate float arrays.  The per-stratum sums are one
         np.bincount over the jump counts, folded into runs of counts.
-        Since w_i * 1.0 == w_i, a per-loop array of ones gives exactly 1
-        (1+0j for complex input) with SE exactly 0.0, so every
-        characteristic functional is exactly normalized at s = 0.
+        Since w_i * 1.0 == w_i, an array of ones gives exactly 1 (1+0j for
+        complex input) with SE exactly 0.0, so every characteristic
+        functional is exactly normalized at s = 0.
         """
         values = np.asarray(values)
-        if len(values) == self.n > len(self.distinct):
-            values = values[self.distinct]
+        if len(values) != len(self.distinct):
+            raise ValueError("expectation takes one value per distinct loop")
         parts = ((values.real, values.imag) if np.iscomplexobj(values)
                  else (values,))
         reps = [pos for pos, _ in self._atoms]
@@ -375,7 +361,8 @@ class TiltedEnsemble:
             # zero on the atoms' loops
             wd = x - mean
             wd *= self.weights
-            var += float(np.dot(wd, wd))
+            # numpy's own loop: a BLAS dot rounds by its thread count
+            var += float(np.einsum("i,i->", wd, wd))
             if len(self._sizes):
                 per_stratum = np.add.reduceat(
                     np.bincount(counts, wd), self._starts)
@@ -415,18 +402,17 @@ class TiltedEnsemble:
         out *= self.signs[self.distinct]
         return out
 
-    def _z(self, f, t_offset=0.0):
-        """Z_{beta,t,f} per distinct loop (cached per (f, t_offset))."""
+    def z_values(self, f, t_offset=0.0):
+        """Z_{beta,t,f} per distinct loop, cached per (f, t_offset) and
+        shared read-only."""
         key = (f, float(t_offset))
         if key not in self._z_cache:
             a_f = self.kernels.register(f).A
-            self._z_cache[key] = self._boundary_sum(
-                lambda x: np.sign(x) * a_f(np.abs(x)), float(t_offset))
+            z = self._boundary_sum(lambda x: np.sign(x) * a_f(np.abs(x)),
+                                   float(t_offset))
+            z.flags.writeable = False
+            self._z_cache[key] = z
         return self._z_cache[key]
-
-    def z_values(self, f, t_offset=0.0):
-        """Z_{beta,t,f} for every loop, spread from the cached _z."""
-        return self._spread(self._z(f, t_offset))
 
     def spin_factor(self, f, t_offset=0.0):
         """S = E~[exp(-i Z)] with standard error: char_function at s = 1."""
@@ -435,7 +421,7 @@ class TiltedEnsemble:
 
     def ell_shift(self, f):
         """The physical-field shift ell = -E~[Z] (real test functions)."""
-        return -float(self.expectation(self._z(f).real)[0].real)
+        return -float(self.expectation(self.z_values(f).real)[0].real)
 
     def char_function(self, f, s, t_offset=0.0):
         """E~[exp(-i s Z_{f,t})] with SE, shaped like the real s; each
@@ -447,7 +433,7 @@ class TiltedEnsemble:
         for j, sj in np.ndenumerate(s):
             key = ("S", f, t, float(sj))
             if key not in self._z_cache:
-                z = self._z(f, t)
+                z = self.z_values(f, t)
                 self._z_cache[key] = self.expectation(np.exp(-1j * sj * z))
             vals[j], ses[j] = self._z_cache[key]
         if s.ndim == 0:
@@ -483,7 +469,7 @@ class TiltedEnsemble:
         """Tilted mean and variance of the real Z of f, with SEs (cached)."""
         key = ("moments", f)
         if key not in self._z_cache:
-            z = self._z(f).real
+            z = self.z_values(f).real
             mean, mean_se = self.expectation(z)
             var, var_se = self.expectation((z - mean) ** 2)
             self._z_cache[key] = (mean, mean_se, float(var), var_se)

@@ -21,12 +21,11 @@ is computable from the same ensemble because Z is linear in the test
 function; their inner t-integral is the same closed form per loop, which
 leaves one u-quadrature.
 
-The per-loop closed forms run once per distinct loop
-(TiltedEnsemble.map_distinct): every constant path of one sign has the same
-Z, so the loops with jumps and the two constant-path atoms are all that is
+The per-loop closed forms run on TiltedEnsemble.z_values, one Z per
+distinct loop: every constant path of one sign has the same Z, so the
+loops with jumps and the two constant-path atoms are all that is
 evaluated.  Every value and its Monte Carlo error is one
-TiltedEnsemble.expectation of the per-loop array this gives back for all
-loops.
+TiltedEnsemble.expectation of the array this gives.
 """
 
 from __future__ import annotations
@@ -87,9 +86,7 @@ def resolvent_onepoint(cfg, lam, f):
     sgn = 1.0 if lam > 0 else -1.0
     b = 0.25 * cfg.q_bec(f)
     ens = cfg.ensemble
-    h = ens.map_distinct(
-        lambda z: -1j * sgn * laplace_gauss(abs(lam) + 1j * sgn * z, b),
-        ens.z_values(f))
+    h = -1j * sgn * laplace_gauss(abs(lam) + 1j * sgn * ens.z_values(f), b)
     return _estimate(ens, h, np.abs(h))
 
 
@@ -133,23 +130,18 @@ def resolvent_twopoint(cfg, lam, f, mu, g, tol=1e-6):
         # the slab height is set by all n loops, so each loop's u-sum
         # rounds the same however many loops are distinct
         step = max(1, _SLAB // ens.n)
-
-        def u_sum(zf, zg):
-            h = np.zeros(len(zf), dtype=complex)
-            h_abs = np.zeros(len(zf))
-            for lo in range(0, len(u), step):
-                uu = u[lo:lo + step, None]
-                s = sgn_l * uu
-                a = am + sgn_m * (0.5 * qfg * s + 0.5j * sig * s + 1j * zg)
-                body = (wu[lo:lo + step, None]
-                        * np.exp(-al * uu - 0.25 * qff * uu * uu
-                                 - 1j * s * zf)
-                        * laplace_gauss(a, 0.25 * qgg))
-                h += row_sum(body)
-                h_abs += row_sum(np.abs(body))
-            return -sgn_l * sgn_m * h, h_abs
-
-        return ens.map_distinct(u_sum, zf, zg)
+        h = np.zeros(len(zf), dtype=complex)
+        h_abs = np.zeros(len(zf))
+        for lo in range(0, len(u), step):
+            uu = u[lo:lo + step, None]
+            s = sgn_l * uu
+            a = am + sgn_m * (0.5 * qfg * s + 0.5j * sig * s + 1j * zg)
+            body = (wu[lo:lo + step, None]
+                    * np.exp(-al * uu - 0.25 * qff * uu * uu - 1j * s * zf)
+                    * laplace_gauss(a, 0.25 * qgg))
+            h += row_sum(body)
+            h_abs += row_sum(np.abs(body))
+        return -sgn_l * sgn_m * h, h_abs
 
     panels = 2
     h, h_abs = per_loop(panels)

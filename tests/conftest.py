@@ -123,3 +123,14 @@ def quad_radial(fn, breakpoints=(), tol=1e-13):
                            epsabs=tol, epsrel=tol, limit=2000)
             total += unit * part
     return total
+
+
+def distinct_rows(ens):
+    """Each loop's row in the ensemble's per-distinct-loop arrays, derived
+    afresh: a loop with jumps has its own row, and a constant loop the row
+    of the first constant loop of its sign."""
+    rep = np.arange(ens.n)
+    for sign in (1, -1):
+        atom = np.flatnonzero((ens.counts == 0) & (ens.signs == sign))
+        rep[atom] = atom[:1]
+    return np.searchsorted(ens.distinct, rep)

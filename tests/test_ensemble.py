@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -15,6 +18,8 @@ from spinboson.ensemble import (
 )
 from spinboson.kernels import ThermalKernelTable
 from spinboson.loops import SpinLoop, SpinMeasureParams, jump_count_pmf
+
+from conftest import distinct_rows
 
 BETA = 1.0
 
@@ -61,7 +66,7 @@ def test_zero_source_is_untilted(free_ensemble, f_gauss):
     assert np.all(ens.logw == 0.0)
     assert ens.ess == pytest.approx(ens.n)
     vals = np.sin(np.arange(ens.n, dtype=float))
-    mean, _ = ens.expectation(vals)
+    mean, _ = ens.expectation(vals[ens.distinct])
     # all weights are 1: the mass-weighted mean of the stratum means
     want = sum(p * vals[loops].mean() for p, loops in _strata(ens))
     assert mean == pytest.approx(want, rel=1e-14)
@@ -84,8 +89,8 @@ def test_frozen_coupling_closed_forms(eps0_ensemble, kernel_table, f_gauss):
     assert np.allclose(z.imag, 0.0, atol=1e-12)
     sval, se = ens.spin_factor(f_gauss, 0.0)
     assert sval.real == pytest.approx(math.cos(m), abs=3.0 * se + 1e-10)
-    assert abs(ens.ell_shift(f_gauss)) <= 3.0 * z.real.std() \
-        / math.sqrt(ens.n) + 1e-12
+    assert abs(ens.ell_shift(f_gauss)) <= 3.0 * z.real[
+        distinct_rows(ens)].std() / math.sqrt(ens.n) + 1e-12
     # both signs carry the same quadratic weight, so the partition
     # function reduces to 2 exp(Psi(beta)/2)
     assert ens.log_partition() == pytest.approx(
@@ -267,11 +272,13 @@ def test_log_weights_evaluate_phi_once_per_jump_pair(gauss_src, monkeypatch):
 
 
 def test_z_values_match_reference(ensemble, f_gauss):
+    # one value per distinct loop; loop 0 is always distinct
     z = ensemble.z_values(f_gauss, t_offset=0.1)
-    idx = list(np.nonzero(ensemble.counts > 0)[0][:10]) + [0]
-    for i in idx:
-        ref = loop_z_value(ensemble.loop(i), ensemble.kernels, f_gauss, 0.1)
-        assert z[i] == pytest.approx(ref, rel=1e-9, abs=1e-12)
+    d = ensemble.distinct
+    for k in list(np.flatnonzero(ensemble.counts[d] > 0)[:10]) + [0]:
+        ref = loop_z_value(ensemble.loop(d[k]), ensemble.kernels, f_gauss,
+                           0.1)
+        assert z[k] == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
 
 def _boundary_vector_z(kernels, f, t, sign, jumps):
@@ -310,13 +317,15 @@ def test_z_values_match_oracles_property(gauss_src, f_gauss, beta, raw,
     ens = TiltedEnsemble(SpinMeasureParams(beta, 1.0), table, signs, counts,
                          flat, 0, DEFAULT_CHUNK)
     z = ens.z_values(f_gauss, t)
-    for i, (sign, jumps) in enumerate(paths):
+    assert len(z) == len(ens.distinct)
+    for k, i in enumerate(ens.distinct):
+        sign, jumps = paths[i]
         ref, scale = _boundary_vector_z(table, f_gauss, t, sign, jumps)
-        assert abs(z[i] - ref) <= 1e-14 * scale
+        assert abs(z[k] - ref) <= 1e-14 * scale
         if len(jumps) % 2 == 0:
             loop = loop_z_value(SpinLoop(sign, tuple(jumps)), table, f_gauss,
                                 t)
-            assert abs(z[i] - loop) <= 1e-12 * scale
+            assert abs(z[k] - loop) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("t", [0.0, 0.3 * BETA, -0.5 * BETA, 0.5 * BETA])
@@ -388,8 +397,6 @@ def test_sampler_sorts_each_jump_once(kernel_table, monkeypatch):
     assert rows == {c: per_count[c] for c in np.flatnonzero(per_count) if c}
 
 
-# loop-wise functions of (Z, log W), odd in Z so that the two constant
-# paths differ: complex, real and tuple outputs
 _KINDS = ["sampled", "frozen", "two-atoms", "no-constant",
           "one-sign-constants", "n1"]
 
@@ -420,6 +427,8 @@ def _ensemble_of_kind(kernel_table, kind, raw, seed):
                           DEFAULT_CHUNK)
 
 
+# loop-wise functions of (Z, log W), odd in Z so that the two constant
+# paths differ: complex, real and tuple outputs
 _LOOPWISE = {
     "complex": lambda s: lambda z, w: np.exp(-1j * s * z) * w + z,
     "real": lambda s: lambda z, w: z.real * np.exp(s * w),
@@ -437,24 +446,30 @@ _LOOPWISE = {
        seed=st.integers(0, 1 << 16))
 def test_map_distinct_is_fn_on_all_loops_property(kernel_table, f_gauss, kind,
                                                   out, raw, s, t, seed):
+    # the distinct loops are the loops with jumps and the first constant
+    # loop of each sign, ascending; every loop's Z, M and log W is its
+    # distinct row's bit for bit, so a loop-wise fn mapped over the distinct
+    # loops and read back through each loop's row is fn on all loops
     ens = _ensemble_of_kind(kernel_table, kind, raw, seed)
+    const_signs = set(ens.signs[ens.counts == 0].tolist())
+    assert len(ens.distinct) == int(np.sum(ens.counts > 0)) + len(const_signs)
+    assert np.all(np.diff(ens.distinct) > 0)
+    rows = distinct_rows(ens)
+    a_f = kernel_table.register(f_gauss).A
+    z_all = _all_loop_boundary_sum(ens, lambda x: np.sign(x) * a_f(np.abs(x)),
+                                   t)
+    z = ens.z_values(f_gauss, t)
+    assert z[rows].tobytes() == z_all.tobytes()
+    m_all = 2.0 * _all_loop_boundary_sum(ens, lambda u: u)
+    assert ens.static_moment[rows].tobytes() == m_all.tobytes()
+    w = ens.logw[ens.distinct]
+    assert w[rows].tobytes() == ens.logw.tobytes()
     fn = _LOOPWISE[out](s)
-    seen = []
-
-    def counted(*args):
-        seen.append(len(args[0]))
-        return fn(*args)
-
-    z, w = ens.z_values(f_gauss, t), ens.logw
-    got = ens.map_distinct(counted, z, w)
-    want = fn(z, w)
+    got, want = fn(z, w), fn(z_all, ens.logw)
     pairs = zip(got, want) if out == "tuple" else [(got, want)]
     for g, h in pairs:
-        assert g.dtype == h.dtype and g.shape == h.shape == (ens.n,)
-        assert g.tobytes() == h.tobytes()
-    # fn ran once, on the loops with jumps and one constant loop per sign
-    const_signs = set(ens.signs[ens.counts == 0].tolist())
-    assert seen == [int(np.sum(ens.counts > 0)) + len(const_signs)]
+        assert g.dtype == h.dtype and g.shape == (len(ens.distinct),)
+        assert g[rows].tobytes() == h.tobytes()
 
 
 def _all_loop_boundary_sum(ens, g, t=0.0):
@@ -698,22 +713,65 @@ def test_char_function_vectorization(ensemble, f_gauss):
 def test_expectation_of_ones_is_exact(ensemble):
     # the normalized weights of this ensemble do not sum to 1 in floating
     # point; the quotient-form estimator must still reproduce a constant
-    ones = np.ones(ensemble.n)
+    ones = np.ones(len(ensemble.distinct))
     assert ensemble.expectation(ones) == (1.0, 0.0)
     assert ensemble.expectation(ones.astype(complex)) == (1.0 + 0.0j, 0.0)
 
 
-def test_expectation_reads_each_atom_at_its_first_loop(ensemble, f_gauss):
-    # an atom is evaluated once: values on the other constant loops of a
-    # sign do not enter the estimate or its SE
-    z = ensemble.z_values(f_gauss).real
-    _, loops = zip(*_strata(ensemble))
-    firsts = np.concatenate(loops[:2])
-    moved = z.copy()
-    others = np.flatnonzero(ensemble.counts == 0)
-    others = others[~np.isin(others, firsts)]
-    moved[others] = 1e6
-    assert ensemble.expectation(moved) == ensemble.expectation(z)
+@pytest.mark.parametrize("frozen", [False, True])
+def test_expectation_rejects_all_loop_arrays(kernel_table, frozen):
+    # one value per distinct loop: an array over all n loops is refused,
+    # also when a single distinct loop would broadcast against it
+    ens = build_ensemble(SpinMeasureParams(BETA, 1.0), kernel_table, 2000,
+                         seed=11, frozen_spin=frozen)
+    assert len(ens.distinct) < ens.n
+    with pytest.raises(ValueError, match="per distinct loop"):
+        ens.expectation(np.ones(ens.n))
+    with pytest.raises(ValueError, match="per distinct loop"):
+        ens.expectation(np.ones(ens.n, dtype=complex))
+
+
+def test_z_values_are_cached_read_only(ensemble, f_gauss):
+    # Z is computed once per (f, t) and shared: one value per distinct loop
+    z = ensemble.z_values(f_gauss, 0.375)
+    assert ensemble.z_values(f_gauss, 0.375) is z
+    assert z.shape == (len(ensemble.distinct),)
+    assert not z.flags.writeable
+    with pytest.raises(ValueError):
+        z[0] = 0.0
+
+
+_THREADS_CASE = """
+import warnings
+from spinboson import SourceProfile, TestFunction
+from spinboson.ensemble import build_ensemble
+from spinboson.kernels import ThermalKernelTable
+from spinboson.loops import SpinMeasureParams
+src = SourceProfile.gaussian(width=1.0, amplitude=1.0, d=3, s=1.0)
+f = TestFunction.gaussian(width=1.0, amplitude=1.0, d=3, s=1.0)
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", RuntimeWarning)
+    ens = build_ensemble(SpinMeasureParams(4.0, 1.0),
+                         ThermalKernelTable(src, 4.0), 200000, seed=7)
+val, se = ens.spin_factor(f)
+print(val.real.hex(), val.imag.hex(), se.hex())
+"""
+
+
+def test_se_does_not_depend_on_blas_threads():
+    # a multi-threaded BLAS dot splits its sum by the thread count; the SE
+    # must come out bit for bit the same under one and two threads
+    root = os.path.dirname(os.path.dirname(ensemble_mod.__file__))
+    path = os.pathsep.join([root] + ([os.environ["PYTHONPATH"]]
+                                     if os.environ.get("PYTHONPATH") else []))
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        outs.append(subprocess.run(
+            [sys.executable, "-c", _THREADS_CASE], env=env, check=True,
+            capture_output=True, text=True, timeout=300).stdout)
+    assert outs[0] == outs[1] != ""
 
 
 def test_single_stratum_is_the_iid_estimator(kernel_table, f_gauss):
@@ -765,7 +823,7 @@ def test_post_stratified_mean_agrees_with_iid(gauss_src, f_gauss, beta):
     table = ThermalKernelTable(gauss_src, beta, tol=1e-9)
     ens = build_ensemble(SpinMeasureParams(beta, 1.0), table, 20000, seed=8)
     val, se = ens.spin_factor(f_gauss)
-    v = np.exp(-1j * ens.z_values(f_gauss))
+    v = np.exp(-1j * ens.z_values(f_gauss))[distinct_rows(ens)]
     w = np.exp(ens.logw - ens.logw.max())
     iid = np.sum(w * v) / np.sum(w)
     iid_se = math.sqrt(np.sum(w ** 2 * np.abs(v - iid) ** 2)) / np.sum(w)
