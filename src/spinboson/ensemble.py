@@ -1,73 +1,58 @@
 """The tilted (interacting) loop ensemble.
 
 Loops are drawn from the free spin measure and carry the FKN log-weight
-
-    log W = 1/4 * int int X_t X_s kappa(|t-s|) dt ds,
-
-so every interacting expectation is a self-normalized importance-sampling
-average.  With interval boundaries e_0 < ... < e_{m+1} of a loop and the
-jump coefficients d_p (the discrete derivative of the interval signs,
-including the two circle endpoints), both the quadratic weight and the
-spin random variable Z reduce to small boundary sums:
+log W = 1/4 int int X_t X_s kappa(|t-s|) dt ds, so every interacting
+expectation is a self-normalized importance-sampling average.  With a
+loop's interval boundaries e_0 < ... < e_{m+1} and jump coefficients d_p
+(the discrete derivative of the interval signs, circle ends included),
+summation by parts turns the weight and the spin variable Z into boundary
+sums:
 
     int int X_t X_s kappa = - 2 sum_{p<q} d_p d_q Psi(e_q - e_p),
     Z = 1/2 int X_u K_f(|t-u|) du = -1/2 sum_p d_p G(e_p),
 
-with G(u) = sign(u-t) A_f(|u-t|).  These follow from summation by parts
-(the d_p sum telescopes to zero; the boundaries are sorted and Psi(0) = 0)
-and make million-loop ensembles cheap.  Z is then two circle-end constants
-G(+-beta/2) plus an alternating sum of G over the jump times.
+with G(u) = sign(u-t) A_f(|u-t|): two circle-end constants G(+-beta/2)
+plus an alternating sum of G over the jump times.  The log-weight takes
+the periodic form of the pair sum: with Psi(u) = kappa_mean u^2 / 2 +
+Phi(u), kappa_mean = Psi'(beta) / beta the circle mean of kappa and Phi
+beta-periodic and even, the pairs with a circle end cancel and
 
-The log-weight takes the periodic form of the pair sum.  Split
-Psi(u) = kappa_mean u^2 / 2 + Phi(u), with kappa_mean = Psi'(beta) / beta
-the circle mean of kappa (spinboson.kernels).  The quadratic part sums to
-the static (zero-Matsubara) term kappa_mean M^2 / 4, with M = int X dt the
-static moment.  Since kappa(tau) = kappa(beta - tau), Phi is beta-periodic
-and even, so for a loop (an even number c of jumps t_1 < ... < t_c) the
-pairs with a circle end cancel and
+    log W = kappa_mean M^2 / 4 - 2 sum_{j<l} (-1)^(l-j) Phi(t_l - t_j)
 
-    log W = kappa_mean M^2 / 4 - 2 sum_{j<l} (-1)^(l-j) Phi(t_l - t_j):
-
-c(c-1)/2 spline points per loop instead of (c+2)(c+1)/2, and M is one
-boundary sum.  The pairs j < l are walked lag by lag (l = j + k), as
-differences of slices of the loops' jump rows.
+for the c jumps t_1 < ... < t_c of a loop, M = int X dt its static moment.
 
 The two constant paths are atoms of the free measure, of total mass
-1/cosh(beta eps): every constant loop of one sign has the same Z and the
-same log-weight.  So the sample arrays (signs, counts, jump times,
-log-weights) hold one value per loop, and every estimator array (Z, M,
-the estimator weights and whatever expectation is given) one value per
-distinct loop, in the order of TiltedEnsemble.distinct: the loops with
-jumps and the first loop of each atom, ascending.
+1/cosh(beta eps): every constant loop of one sign has the same Z and
+log-weight.  The sample arrays (signs, counts, jump times, log-weights)
+hold one value per loop, every estimator array (Z, M, the estimator
+weights and whatever expectation is given) one value per distinct loop,
+in the order of TiltedEnsemble.distinct: the loops with jumps and the
+first loop of each atom, ascending.
 
-The estimators are post-stratified by jump count.  The law of the jump
-count is known exactly (loops.jump_count_pmf), so
-
-    E_free[W v] = sum_s p_s E_free[W v | stratum s],
-
-with exact masses p_s, and only the conditional means are sampled.  The
-strata are the two atoms (the constant loops of each sign, mass P(0)/2
-each; W v is the same on every such loop, so an atom is evaluated once,
-at its first loop, and adds no variance) and runs of adjacent jump counts
-c >= 1, merged in ascending order until each holds at least MIN_STRATUM
-loops (the leftover at the top joins the last run, which also takes the
-mass of every count above it).  A stratum without loops drops out and the
-masses of the others are renormalized.  The constant paths carry most of
-the tilted mass (about 95% at beta = eps = 1), so this removes the noise
-of the binomial count of constant loops from every estimate.  Each loop
-with jumps gets the weight w_i = W_i p_s / n_s; the mean is the weighted
-mean over those loops plus the atoms, and the squared standard error is
-summed stratum by stratum, each stratum's deviations taken about its own
-weighted sum:
+The estimators are post-stratified by jump count, whose law is exact
+(loops.jump_count_pmf): E_free[W v] = sum_s p_s E_free[W v | stratum s].
+The strata are the two atoms (mass P(0)/2 each, read once at their first
+loop and adding no variance) and runs of adjacent counts c >= 1, merged
+upwards until each holds MIN_STRATUM loops (the leftover at the top joins
+the last run, which takes the mass of every count above it).  Empty
+strata drop out and the other masses are renormalized.  A loop with jumps
+weighs w_i = W_i p_s / n_s, and with d = v - mean
 
     SE^2 = sum_s [sum_{i in s} (w_i d_i)^2
-                  - (sum_{i in s} w_i d_i)^2 / n_s] / (sum w)^2,
+                  - (sum_{i in s} w_i d_i)^2 / n_s] / (sum w)^2.
 
-d = v - mean.  The effective sample size `ess` stays Kish's ESS of the
-FKN weights themselves, (sum W)^2 / sum W^2, a statement about the
-importance weights and not about the strata.
+`ess` stays Kish's ESS of the FKN weights, (sum W)^2 / sum W^2.
 
-All weights live in log space with log-sum-exp reductions.
+The free measure is invariant under the global spin flip X -> -X: the
+initial sign is a fair coin, independent of the jumps.  The flip keeps a
+loop's jump times, its stratum and its log-weight (quadratic in X) and
+negates Z (linear in X).  So every estimator of a loop function v(Z)
+reads, on a loop with jumps, its flip-even part (v(Z) + v(-Z)) / 2, the
+odd part having mean zero; an atom's row keeps v(Z), since each atom is
+a stratum read exactly and the two atoms already form a flip pair
+(TiltedEnsemble.flip_even).  The characteristic function thus reads
+cos(s Z) on the loops with jumps; its imaginary part comes from the atoms
+alone and vanishes when both are present.
 """
 
 from __future__ import annotations
@@ -196,9 +181,9 @@ class TiltedEnsemble:
         estimator's weights from the FKN weights fkn (module docstring).
 
         Sets weights (W_i p_s / n_s per distinct loop, 0 on the atoms'
-        loops reps), _atoms ((position in distinct, p_a W) per constant
-        path present), _starts and _sizes (each stratum's first count and
-        its number of loops) and sum_w, the total weight."""
+        loops reps), atom_rows and _atom_w (each atom's position in
+        distinct and its weight p_a W), _starts and _sizes (each stratum's
+        first count and its number of loops) and sum_w, the total weight."""
         pmf = jump_count_pmf(self.params)
         pmf = pmf / pmf.sum()
         starts, sizes = [], []
@@ -221,8 +206,8 @@ class TiltedEnsemble:
         scale = np.zeros(len(self.hist))
         for a, b, p, size in zip(bounds, bounds[1:], masses, sizes):
             scale[a:b] = p / (total * size)
-        self._atoms = [(int(np.searchsorted(self.distinct, i)),
-                        float(fkn[i]) * 0.5 * pmf[0] / total) for i in reps]
+        self.atom_rows = np.searchsorted(self.distinct, reps)
+        self._atom_w = [float(fkn[i]) * 0.5 * pmf[0] / total for i in reps]
         self._starts = np.array(bounds[:-1], dtype=np.int64)
         self._sizes = np.array(sizes, dtype=float)
         self.weights = fkn[self.distinct] * scale[self.counts[self.distinct]]
@@ -234,21 +219,21 @@ class TiltedEnsemble:
         sum_w is this sum for x = 1, and wx = weights * x equals weights
         bit for bit then, so x = 1 gives back exactly 1."""
         total = float(np.sum(wx))
-        for (_, mass), x in zip(self._atoms, x_atoms):
+        for mass, x in zip(self._atom_w, x_atoms):
             total += mass * x
         return total
 
     @property
     def atom_mass(self):
         """The tilted mass of the two constant paths."""
-        return sum(mass for _, mass in self._atoms) / self.sum_w
+        return sum(self._atom_w) / self.sum_w
 
     @property
     def norm_weights(self):
         """Each loop's weight in the estimator, normalized to sum to 1: an
         atom's weight is shared by all of its constant loops."""
         w = self._spread(self.weights / self.sum_w)
-        for (_, atom), (_, mass) in zip(self._constant_paths(), self._atoms):
+        for (_, atom), mass in zip(self._constant_paths(), self._atom_w):
             w[atom] = mass / (self.sum_w * np.count_nonzero(atom))
         return w
 
@@ -266,14 +251,11 @@ class TiltedEnsemble:
             yield idx, bounds
 
     def _log_weights(self):
-        """kappa_mean M^2 / 4 - 2 sum_{j<l} (-1)^(l-j) Phi(t_l - t_j) per
-        loop (module docstring).
-
-        Per jump count c, a slab of loops fills a buffer of about JUMP_SLAB
-        pair differences (c(c-1)/2 rows, the odd lags first), which the Phi
-        spline maps in place; each loop's values are then added row by row
-        in a fixed order, so a log-weight does not depend on the other
-        loops."""
+        """log W per loop (module docstring).  Per jump count c, a slab of
+        loops fills a buffer of about JUMP_SLAB pair differences (c(c-1)/2
+        rows, walked lag by lag, the odd lags first), which the Phi spline
+        maps in place; each loop's values are added row by row in a fixed
+        order, so a log-weight does not depend on the other loops."""
         m = 2.0 * self._boundary_sum(lambda u: u)    # M, left uncached
         out = self._spread(0.25 * self.kernels.kappa_mean * m ** 2)
         phi = self.kernels.phi
@@ -331,32 +313,23 @@ class TiltedEnsemble:
 
     def expectation(self, values):
         """Post-stratified IS mean and standard error of an array with one
-        value per distinct loop (an atom's value at its first loop).
-
-        With w_i = W_i p_s / n_s on the loops with jumps, each atom
-        weighing p_a W_a, and d = v - mean (module docstring):
-
-            mean = (sum_i w_i v_i + sum_a p_a W_a v_a) / sum w,
-            SE^2 = sum_s [sum_{i in s} (w_i d_i)^2
-                          - (sum_{i in s} w_i d_i)^2 / n_s] / (sum w)^2,
-
-        the atoms adding no variance, and the real and imaginary parts of
-        v summed as separate float arrays.  The per-stratum sums are one
-        np.bincount over the jump counts, folded into runs of counts.
-        Since w_i * 1.0 == w_i, an array of ones gives exactly 1 (1+0j for
+        value per distinct loop (an atom's value at its first loop):
+        mean = (sum_i w_i v_i + sum_a p_a W_a v_a) / sum w and the SE of
+        the module docstring, the atoms adding no variance and the real
+        and imaginary parts of v summed as separate float arrays.  Since
+        w_i * 1.0 == w_i, an array of ones gives exactly 1 (1+0j for
         complex input) with SE exactly 0.0, so every characteristic
-        functional is exactly normalized at s = 0.
-        """
+        functional is exactly normalized at s = 0."""
         values = np.asarray(values)
         if len(values) != len(self.distinct):
             raise ValueError("expectation takes one value per distinct loop")
         parts = ((values.real, values.imag) if np.iscomplexobj(values)
                  else (values,))
-        reps = [pos for pos, _ in self._atoms]
         counts = self.counts[self.distinct]
         means, var = [], 0.0
         for x in parts:
-            mean = self._weighted_sum(self.weights * x, x[reps]) / self.sum_w
+            mean = (self._weighted_sum(self.weights * x, x[self.atom_rows])
+                    / self.sum_w)
             means.append(mean)
             # zero on the atoms' loops
             wd = x - mean
@@ -371,6 +344,15 @@ class TiltedEnsemble:
         if len(parts) == 2:
             return np.complex128(complex(*means)), se
         return np.float64(means[0]), se
+
+    def flip_even(self, even, atoms):
+        """The estimator array of a loop function v of Z (module
+        docstring): even, a fresh array of the flip-even parts
+        (v(Z) + v(-Z)) / 2 per distinct loop, with each atom's row set to
+        v(Z) from atoms (one value per atom, in atom_rows order)."""
+        out = even.astype(np.result_type(even, atoms), copy=False)
+        out[self.atom_rows] = atoms
+        return out
 
     def log_partition(self):
         """log Z_beta = log(2 cosh(eps beta)) + log sum_s p_s mean_s(W)."""
@@ -420,21 +402,32 @@ class TiltedEnsemble:
         return self._z_cache[("S", f, float(t_offset), 1.0)]
 
     def ell_shift(self, f):
-        """The physical-field shift ell = -E~[Z] (real test functions)."""
-        return -float(self.expectation(self.z_values(f).real)[0].real)
+        """The physical-field shift ell = -E~[Z] (real test functions);
+        0.0, not -0.0, when the atoms cancel."""
+        return 0.0 - float(self._z_moments(f)[0])
 
     def char_function(self, f, s, t_offset=0.0):
         """E~[exp(-i s Z_{f,t})] with SE, shaped like the real s; each
-        (f, t, s) is estimated once and cached beside Z."""
+        (f, t, s) is estimated once and cached beside Z.
+
+        The loops with jumps read cos(s Z), a real array when Z is real,
+        and the atoms exp(-i s Z) = cos(s Z) - i sin(s Z)."""
         t = float(t_offset)
         s = np.asarray(s, dtype=float)
         vals = np.empty(s.shape, dtype=complex)
         ses = np.empty(s.shape)
+        z = None
         for j, sj in np.ndenumerate(s):
             key = ("S", f, t, float(sj))
             if key not in self._z_cache:
-                z = self.z_values(f, t)
-                self._z_cache[key] = self.expectation(np.exp(-1j * sj * z))
+                if z is None:
+                    z = self.z_values(f, t)
+                    z = z if z.imag.any() else z.real
+                x = sj * z
+                c = np.cos(x)
+                rows = self.atom_rows
+                self._z_cache[key] = self.expectation(self.flip_even(
+                    c, c[rows] - 1j * np.sin(x[rows])))
             vals[j], ses[j] = self._z_cache[key]
         if s.ndim == 0:
             return vals[()], ses[()]
@@ -443,12 +436,8 @@ class TiltedEnsemble:
     # -- variance diagnostics ------------------------------------------------
 
     def cell_integrals(self, edges, slab=20000):
-        """Per-loop integrals of the path over each grid cell (exact for
-        piecewise-constant paths).
-
-        Reference path: an (n, n_cells) matrix, kept as the oracle for the
-        projected kernel route of variance_two_routes.
-        """
+        """Per-loop integrals of the path over each grid cell: the (n,
+        n_cells) reference matrix behind the kernel route's oracle."""
         n_cells = len(edges) - 1
         out = np.empty((self.n, n_cells))
         for idx, bounds in self._groups():
@@ -466,26 +455,25 @@ class TiltedEnsemble:
         return out
 
     def _z_moments(self, f):
-        """Tilted mean and variance of the real Z of f, with SEs (cached)."""
+        """Tilted mean and variance of the real Z of f, with SEs (cached):
+        the flip-even parts of Z and (Z - mean)^2 on the loops with jumps
+        are 0 and Z^2 + mean^2."""
         key = ("moments", f)
         if key not in self._z_cache:
             z = self.z_values(f).real
-            mean, mean_se = self.expectation(z)
-            var, var_se = self.expectation((z - mean) ** 2)
+            za = z[self.atom_rows]
+            mean, mean_se = self.expectation(
+                self.flip_even(np.zeros(len(z)), za))
+            var, var_se = self.expectation(
+                self.flip_even(z * z + mean * mean, (za - mean) ** 2))
             self._z_cache[key] = (mean, mean_se, float(var), var_se)
         return self._z_cache[key]
 
     def variance_two_routes(self, f, n_cells=64):
-        """Var~(Z) directly and through the cell-averaged covariance kernel.
-
-        The kernel route projects every loop onto the cell-constant kernel
-        (see _kernel_variance), so both routes take O(N) memory.
-
-        At beta ~ 1 nearly all of Var~(Z) is the static mode, so the kernel
-        route agrees with the direct one even with a single cell (a flat
-        kernel): there routes_agree and grid_flagged (the CLI's
-        variance_grid_converged) do not test the kernel's shape.
-        """
+        """Var~(Z) directly and through the cell-averaged covariance kernel
+        (_kernel_variance), both in O(N) memory.  Where the static mode
+        carries nearly all of Var~(Z), as at beta ~ 1, even a single flat
+        cell agrees, so routes_agree does not test the kernel's shape."""
         _, _, var, var_se = self._z_moments(f)
         coarse = self._kernel_variance(f, n_cells)
         fine = self._kernel_variance(f, 2 * n_cells)
@@ -497,16 +485,12 @@ class TiltedEnsemble:
                               n_cells)
 
     def _kernel_variance(self, f, n_cells):
-        """1/4 kcell^T Cov~ kcell, with kcell the cell average of K_f on a
-        uniform grid of n_cells cells and Cov~ the tilted covariance of the
-        per-loop cell integrals.
-
-        That quadratic form is the tilted variance of the projection
-        y_i = int X_i kbar dt, kbar the cell-constant kernel.  Since
-        kcell_c h = g[c+1] - g[c], the antiderivative of kbar is the linear
-        interpolant of g on the edges, and y is a boundary sum like Z:
-        O(total boundaries) work and O(N) memory, no N x n_cells matrix.
-        """
+        """1/4 kcell^T Cov~ kcell, kcell the cell averages of K_f on n_cells
+        uniform cells and Cov~ the tilted covariance of the per-loop cell
+        integrals: the tilted variance of y = int X kbar dt, kbar the
+        cell-constant kernel.  kbar's antiderivative is the linear
+        interpolant of A_f on the edges, so y is a boundary sum like Z.
+        This cross-check reads y un-averaged over the spin flip."""
         beta = self.params.beta
         edges = np.linspace(-0.5 * beta, 0.5 * beta, n_cells + 1)
         # antiderivative of K(|u|) at the edges; its cell differences are
@@ -571,8 +555,7 @@ def build_ensemble(params, kernels, n, seed, chunk_size=DEFAULT_CHUNK,
     Substreams are derived per chunk index, so the result depends only on
     (seed, n, chunk_size).  frozen_spin replaces every path by the constant
     +1 loop (diagnostic mode).  workers is accepted and ignored: the chunks
-    are sampled in order in this thread, since a thread pool gave no
-    speed-up; the perfbench scripts still pass it.
+    are sampled in order in this thread.
     """
     if n < 1:
         raise ValueError("need at least one loop")

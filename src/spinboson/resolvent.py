@@ -26,6 +26,16 @@ distinct loop: every constant path of one sign has the same Z, so the
 loops with jumps and the two constant-path atoms are all that is
 evaluated.  Every value and its Monte Carlo error is one
 TiltedEnsemble.expectation of the array this gives.
+
+The one-point value reads, on a loop with jumps, the mean over the loop
+and its global spin flip (Z -> -Z; see spinboson.ensemble).  For real b,
+L(conj a, b) = conj L(a, b), so for real Z that mean is
+-i sgn Re L(|lambda| + i sgn Z, b): one Faddeeva call per loop, and the
+Laplace transform of TiltedEnsemble.char_function on the same sample.
+The two-point value is left un-averaged: its Weyl phase sigma is not
+negated by the flip, so the flipped loop's L is not the conjugate of the
+loop's own, and averaging would cost a second Faddeeva pass over every
+(u-node, loop) pair.
 """
 
 from __future__ import annotations
@@ -86,8 +96,14 @@ def resolvent_onepoint(cfg, lam, f):
     sgn = 1.0 if lam > 0 else -1.0
     b = 0.25 * cfg.q_bec(f)
     ens = cfg.ensemble
-    h = -1j * sgn * laplace_gauss(abs(lam) + 1j * sgn * ens.z_values(f), b)
-    return _estimate(ens, h, np.abs(h))
+    z = ens.z_values(f)
+    lap = laplace_gauss(abs(lam) + 1j * sgn * z, b)
+    # the flipped loop's L(|lam| - i sgn Z) = conj L(|lam| + i sgn conj Z)
+    flip = np.conj(lap if not z.imag.any() else
+                   laplace_gauss(abs(lam) + 1j * sgn * np.conj(z), b))
+    h = ens.flip_even(-0.5j * sgn * (lap + flip),
+                      -1j * sgn * lap[ens.atom_rows])
+    return _estimate(ens, h, 0.5 * (np.abs(lap) + np.abs(flip)))
 
 
 def resolvent_twopoint(cfg, lam, f, mu, g, tol=1e-6):

@@ -134,3 +134,17 @@ def distinct_rows(ens):
         atom = np.flatnonzero((ens.counts == 0) & (ens.signs == sign))
         rep[atom] = atom[:1]
     return np.searchsorted(ens.distinct, rep)
+
+
+def flip_even(counts, z, v):
+    """The estimator array of the loop function v, derived afresh: over
+    rows of Z with jump counts counts, the mean (v(z) + v(-z)) / 2 of a
+    loop with jumps and of its global spin flip, and v(z) itself on a
+    constant loop, whose flip is the other atom."""
+    return np.where(counts > 0, 0.5 * (v(z) + v(-z)), v(z))
+
+
+def phase(s):
+    """z -> exp(-i s z), written cos(s z) - i sin(s z) as char_function
+    evaluates it on real Z."""
+    return lambda z: np.cos(s * z) - 1j * np.sin(s * z)

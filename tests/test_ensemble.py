@@ -18,8 +18,10 @@ from spinboson.ensemble import (
 )
 from spinboson.kernels import ThermalKernelTable
 from spinboson.loops import SpinLoop, SpinMeasureParams, jump_count_pmf
+from spinboson.resolvent import resolvent_onepoint
+from spinboson.state import StateConfig
 
-from conftest import distinct_rows
+from conftest import distinct_rows, flip_even, phase
 
 BETA = 1.0
 
@@ -541,41 +543,102 @@ def _all_loop_kernel_variance(ens, f, n_cells):
 def test_estimators_on_distinct_loops_match_all_loops_property(
         kernel_table, f_gauss, kind, raw, s, t, seed):
     # char_function, variance_two_routes and ell_shift read only the
-    # distinct loops; the same formulas over every loop agree with them
+    # distinct loops; the same formulas over every loop, each loop with
+    # jumps averaged with its spin flip, agree with them
     ens = _ensemble_of_kind(kernel_table, kind, raw, seed)
     a_f = kernel_table.register(f_gauss).A
     z = _all_loop_boundary_sum(ens, lambda x: np.sign(x) * a_f(np.abs(x)),
                                t)
     vals, ses = ens.char_function(f_gauss, s, t)
     for sj, val, se in zip(s, vals, ses):
-        _assert_estimate((val, se),
-                         _all_loop_expectation(ens, np.exp(-1j * sj * z)))
+        _assert_estimate((val, se), _all_loop_expectation(
+            ens, flip_even(ens.counts, z, lambda x: np.exp(-1j * sj * x))))
     z0 = _all_loop_boundary_sum(
         ens, lambda x: np.sign(x) * a_f(np.abs(x))).real
-    mean = _all_loop_expectation(ens, z0)
+    mean = _all_loop_expectation(ens, flip_even(ens.counts, z0,
+                                                lambda x: x))
     assert ens.ell_shift(f_gauss) == pytest.approx(
         -mean[0], rel=0.0, abs=1e-14 * max(abs(mean[0]), mean[2]))
     rep = ens.variance_two_routes(f_gauss, 64)
     _assert_estimate((rep.var_direct, rep.var_direct_se),
-                     _all_loop_expectation(ens, (z0 - mean[0]) ** 2))
+                     _all_loop_expectation(ens, flip_even(
+                         ens.counts, z0, lambda x: (x - mean[0]) ** 2)))
     for got, n_cells in ((rep.var_kernel, 64), (rep.var_kernel_fine, 128)):
         want = _all_loop_kernel_variance(ens, f_gauss, n_cells)
         assert got == pytest.approx(want, rel=1e-14, abs=1e-300)
 
 
+def _flip_estimates(ens, src, f, s, t, lam):
+    # (value, SE) of the spin-sign estimators, the SE of ell being that of
+    # the mean of Z and the one-point value's error its SE plus evaluation
+    cfg = StateConfig(beta=BETA, eps=1.0, d=3, s=1.0, n0=1e-3, source=src,
+                      kernels=ens.kernels, ensemble=ens)
+    _, mean_se, var, var_se = ens._z_moments(f)
+    one = resolvent_onepoint(cfg, lam, f)
+    return {"S": ens.char_function(f, s, t), "ell": (ens.ell_shift(f),
+                                                     mean_se),
+            "var": (var, var_se), "R": (one.value, one.error)}
+
+
+@pytest.mark.filterwarnings("ignore:weight degeneracy")
+@pytest.mark.parametrize("kind", _KINDS)
+@settings(max_examples=10)
+@given(raw=st.lists(st.tuples(st.sampled_from([-1, 1]), _jump_fractions),
+                    min_size=1, max_size=8),
+       s=st.floats(-4.0, 4.0), t=st.floats(-0.5 * BETA, 0.5 * BETA),
+       lam=st.sampled_from([-0.8, 1.3]), seed=st.integers(0, 1 << 16))
+def test_estimates_are_invariant_under_the_spin_flip_property(
+        kernel_table, gauss_src, f_gauss, kind, raw, s, t, lam, seed):
+    # the free measure and log W are invariant under X -> -X, which
+    # negates Z: the same loops with every sign negated give the same
+    # values and SEs when the atoms present form a flip pair (both or
+    # none); a lone atom turns into the other one, which conjugates S,
+    # negates ell and takes R to -conj(R)
+    ens = _ensemble_of_kind(kernel_table, kind, raw, seed)
+    flipped = TiltedEnsemble(ens.params, kernel_table, -ens.signs,
+                             ens.counts, ens.jumps_flat, 0, DEFAULT_CHUNK)
+    got = _flip_estimates(flipped, gauss_src, f_gauss, s, t, lam)
+    want = _flip_estimates(ens, gauss_src, f_gauss, s, t, lam)
+    if len(ens.atom_rows) == 1:
+        want["S"] = (np.conj(want["S"][0]), want["S"][1])
+        want["ell"] = (-want["ell"][0], want["ell"][1])
+        want["R"] = (-np.conj(want["R"][0]), want["R"][1])
+    for key, (val, se) in want.items():
+        assert abs(got[key][0] - val) <= 1e-14 * abs(val), key
+        assert abs(got[key][1] - se) <= 1e-14 * se, key
+
+
+def test_frozen_spin_reads_its_atom_unaveraged(kernel_table, f_gauss):
+    # a single atom and no loop with jumps: nothing is averaged, so the
+    # spin factor is exp(-i <f, m>) and ell = -<f, m>
+    ens = build_ensemble(SpinMeasureParams(BETA, 1.0), kernel_table, 1000,
+                         seed=0, frozen_spin=True)
+    m = kernel_table.m_value(f_gauss).real
+    val, se = ens.spin_factor(f_gauss)
+    assert abs(val - np.exp(-1j * m)) <= 1e-12 and se == 0.0
+    assert ens.ell_shift(f_gauss) == pytest.approx(-m, rel=1e-12)
+
+
 def test_char_function_exponentiates_only_distinct_loops(
         ensemble, f_gauss, monkeypatch):
-    # structural guard: exp(-i s Z) runs on the distinct loops, once per s
+    # structural guard: cos(s Z) runs on the distinct loops and sin(s Z)
+    # on the two atoms, once per s; nothing is exponentiated
     ensemble.z_values(f_gauss, 0.0625)
-    points = []
+    points = {"cos": [], "sin": [], "exp": []}
 
-    def counted(x, *args, exp=np.exp, **kw):
-        points.append(np.size(x))
-        return exp(x, *args, **kw)
+    def counted(name):
+        fn = getattr(np, name)
 
-    monkeypatch.setattr(np, "exp", counted)
+        def call(x, *args, **kw):
+            points[name].append(np.size(x))
+            return fn(x, *args, **kw)
+        return call
+
+    for name in points:
+        monkeypatch.setattr(np, name, counted(name))
     ensemble.char_function(f_gauss, [0.125, 0.375], 0.0625)
-    assert points == [len(ensemble.distinct)] * 2
+    assert points == {"cos": [len(ensemble.distinct)] * 2, "sin": [2, 2],
+                      "exp": []}
     assert len(ensemble.distinct) < ensemble.n
 
 
@@ -627,10 +690,10 @@ def test_spin_factor_is_memoized_per_t(ensemble, f_gauss):
     assert ensemble.spin_factor(f_gauss, 0.25) is first
     other = ensemble.spin_factor(f_gauss, -0.25)
     assert other is not first
-    assert other == ensemble.expectation(
-        np.exp(-1j * ensemble.z_values(f_gauss, -0.25)))
-    assert first == ensemble.expectation(
-        np.exp(-1j * ensemble.z_values(f_gauss, 0.25)))
+    counts = ensemble.counts[ensemble.distinct]
+    for t, got in ((-0.25, other), (0.25, first)):
+        assert got == ensemble.expectation(flip_even(
+            counts, ensemble.z_values(f_gauss, t).real, phase(1.0)))
 
 
 def test_char_function_estimates_each_s_once(kernel_table, f_gauss,
@@ -657,8 +720,9 @@ def test_char_function_estimates_each_s_once(kernel_table, f_gauss,
     assert ens.spin_factor(f_gauss, 0.25)[0] == moved[0]
     assert ens.char_function(f_gauss, 0.5, t_offset=0.25)[0] == moved[1]
     assert len(calls) == 4
-    assert moved[0] == estimate(
-        np.exp(-1j * ens.z_values(f_gauss, 0.25)))[0]
+    assert moved[0] == estimate(flip_even(
+        ens.counts[ens.distinct], ens.z_values(f_gauss, 0.25).real,
+        phase(1.0)))[0]
 
 
 def test_z_linearity(ensemble, f_gauss, g_gauss):
@@ -702,9 +766,10 @@ def test_char_function_vectorization(ensemble, f_gauss):
     s = [0.0, 0.7, 1.9]
     vals, ses = ensemble.char_function(f_gauss, s)
     assert vals[0] == 1.0 + 0.0j and ses[0] == 0.0
-    z = ensemble.z_values(f_gauss)
+    z = ensemble.z_values(f_gauss).real
+    counts = ensemble.counts[ensemble.distinct]
     for j, sj in enumerate(s):
-        ref, ref_se = ensemble.expectation(np.exp(-1j * sj * z))
+        ref, ref_se = ensemble.expectation(flip_even(counts, z, phase(sj)))
         assert vals[j] == ref and ses[j] == ref_se
     scalar_val, _ = ensemble.char_function(f_gauss, 0.7)
     assert scalar_val == vals[1]
@@ -799,7 +864,8 @@ def _spin_factors(table, beta, n, seeds, f):
                                seed=seed).spin_factor(f) for seed in seeds]
 
 
-@pytest.mark.parametrize("beta, n", [(1.0, 5000), (4.0, 20000)])
+@pytest.mark.parametrize("beta, n", [(1.0, 5000), (4.0, 20000),
+                                     (8.0, 50000)])
 def test_post_stratified_se_matches_seed_spread(gauss_src, f_gauss, beta,
                                                 n):
     # the reported SE is honest: over 40 seeds, the spread of S over the
@@ -900,10 +966,13 @@ def test_kernel_variance_zero_source_is_exactly_zero(free_ensemble, f_gauss):
 
 def _cli_routes_rule(rep, ens, f):
     # the routes-agree rule as the command line applied it from the report's
-    # variances: 5% relative, else 3 SE of the direct route
+    # variances: 5% relative, else 3 SE of the direct route, each loop
+    # with jumps averaged with its spin flip
     z = ens.z_values(f).real
-    mean, _ = ens.expectation(z)
-    _, se = ens.expectation((z - mean.real) ** 2)
+    counts = ens.counts[ens.distinct]
+    mean, _ = ens.expectation(flip_even(counts, z, lambda x: x))
+    _, se = ens.expectation(flip_even(counts, z,
+                                      lambda x: (x - mean.real) ** 2))
     scale = max(rep.var_direct, rep.var_kernel, 1e-300)
     gap = abs(rep.var_direct - rep.var_kernel)
     return gap <= 0.05 * scale or gap <= 3.0 * se, se

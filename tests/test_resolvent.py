@@ -8,7 +8,7 @@ from scipy.integrate import simpson
 from spinboson.momentum import RadialProfile, SourceProfile, TestFunction
 from spinboson.kernels import ThermalKernelTable
 from spinboson.loops import SpinMeasureParams
-from spinboson.ensemble import build_ensemble
+from spinboson.ensemble import TiltedEnsemble, build_ensemble
 from spinboson.state import StateConfig
 from spinboson.resolvent import (
     LAPLACE_RTOL,
@@ -67,6 +67,30 @@ def test_onepoint_interacting_vs_simpson(gauss_src, kernel_table,
     umax = 2.0 * log_tol / (abs(lam) + math.sqrt(lam * lam + q * log_tol))
     u = np.linspace(0.0, umax, (1 << 13) + 1)
     char, _ = small_ensemble.char_function(f_gauss, sgn * u)
+    body = np.exp(-abs(lam) * u - 0.25 * q * u * u) * char
+    oracle = -1j * sgn * simpson(body, x=u)
+    assert rv.value == pytest.approx(oracle, rel=1e-8)
+
+
+@pytest.mark.parametrize("lam", [1.0, -1.5])
+def test_onepoint_complex_z_vs_simpson(gauss_src, kernel_table,
+                                       small_ensemble, f_gauss, lam):
+    # a time-evolved direction has complex Z, whose flipped loop needs its
+    # own Faddeeva value: the one-point value is still the Laplace
+    # transform of the characteristic function, which reads cos(s Z)
+    f = f_gauss.scaled(0.2).time_evolved(0.7)
+    z = small_ensemble.z_values(f)
+    growth = np.abs(z.imag).max()
+    assert 0.1 < growth < 0.8
+    cfg = StateConfig(beta=BETA, eps=1.0, d=3, s=1.0, n0=1e-3,
+                      source=gauss_src, kernels=kernel_table,
+                      ensemble=small_ensemble)
+    rv = resolvent_onepoint(cfg, lam, f)
+    sgn = math.copysign(1.0, lam)
+    q = cfg.q_bec(f)
+    # |cos(u Z)| <= cosh(u |Im Z|): the body is below 1e-16 beyond umax
+    u = np.linspace(0.0, 37.0 / (abs(lam) - growth), (1 << 14) + 1)
+    char, _ = small_ensemble.char_function(f, sgn * u)
     body = np.exp(-abs(lam) * u - 0.25 * q * u * u) * char
     oracle = -1j * sgn * simpson(body, x=u)
     assert rv.value == pytest.approx(oracle, rel=1e-8)
@@ -281,7 +305,8 @@ def test_resolvents_evaluate_wofz_once_per_distinct_loop(state_cfg, f_gauss,
 
 class _AllLoops:
     """An ensemble seen loop by loop: Z on all n loops, each loop taking
-    its distinct row, and every estimate read off the distinct loops."""
+    its distinct row, the atoms at their first loops, and every estimate
+    read off the distinct loops."""
 
     def __init__(self, ens):
         self._ens = ens
@@ -295,6 +320,13 @@ class _AllLoops:
 
     def expectation(self, values):
         return self._ens.expectation(np.asarray(values)[self._ens.distinct])
+
+    @property
+    def atom_rows(self):
+        return self._ens.distinct[self._ens.atom_rows]
+
+    def flip_even(self, even, atoms):
+        return TiltedEnsemble.flip_even(self, even, atoms)
 
 
 @pytest.mark.filterwarnings("ignore:weight degeneracy")
