@@ -18,7 +18,6 @@ Config layout (flat INI)::
     samples = 20000
     seed = 12345
     quad_tol = 1e-9
-    tau_grid = 2048
     variance_grid = 64
 
     [functions]
@@ -26,9 +25,6 @@ Config layout (flat INI)::
 
     [experiment]
     ; subcommand-specific keys, see the individual runners
-
-    [output]
-    cache = false
 
 Results depend only on the config and the seed: the loops are drawn in
 fixed chunks from substreams of the seed.
@@ -212,22 +208,9 @@ def build_state(cp, args):
     beta, eps, d, s, n0, src = load_physical(cp)
     samples, seed = _mc_settings(cp, args)
     tol = _get_num(cp, "numerics", "quad_tol", 1e-9, float, _POSITIVE)
-    n_grid = _get_num(cp, "numerics", "tau_grid", 2048, int, _POSITIVE)
-    cache_path = None
-    try:
-        cache = cp.getboolean("output", "cache", fallback=False)
-    except ValueError as exc:
-        raise ConfigError(f"config field [output] cache: {exc}") from exc
-    if cache:
-        cache_dir = os.path.join(args.out, "cache")
-        os.makedirs(cache_dir, exist_ok=True)
-        tag = hashlib.sha256(
-            f"{beta}|{n_grid}|{tol}|{src!r}".encode()).hexdigest()[:16]
-        cache_path = os.path.join(cache_dir, f"kernel_{tag}.bin")
     try:
         cfg = StateConfig.build(src, beta, eps, n0=n0, n_loops=samples,
-                                seed=seed, n_grid=n_grid, tol=tol,
-                                cache_path=cache_path)
+                                seed=seed, tol=tol)
     except DivergentIntegralError as exc:
         raise ConfigError(f"inadmissible physical block: {exc}") from exc
     return cfg
@@ -493,7 +476,7 @@ def run_resolvent(cp, args, outdir):
     rows.append(("twopoint", mu, two.value.real, two.value.imag, two.error))
     checks.append(("twopoint_norm_bound", bound2))
 
-    if cfg.q_bec(f) > 1e-6:
+    if cfg.q_bec(f) > resolvent_mod.DECAY_Q_FLOOR:
         rep = resolvent_mod.bec_decay_scan(cfg, lam, f, (1.0, 2.0, 4.0),
                                            threshold=thresh)
         for t, m, e in zip(rep.amplitudes, rep.moduli, rep.errors):
@@ -597,7 +580,7 @@ def main(argv=None):
         print(f"config error: {' '.join(str(exc).split())}", file=sys.stderr)
         return 2
     except OSError as exc:
-        # the output directory, the kernel cache or a result file
+        # the output directory or a result file
         print(f"output error: {exc}", file=sys.stderr)
         return 2
     except QuadratureError as exc:

@@ -76,6 +76,7 @@ from spinboson.seeds import substream
 DEFAULT_CHUNK = 4096
 JUMP_SLAB = 1 << 16
 MIN_STRATUM = 20          # loops per jump-count stratum, at least
+CNUMBER_TOL = 1e-6        # relative variance bound of cnumber_criterion
 
 
 def loop_log_weight(loop, kernels):
@@ -515,11 +516,11 @@ class TiltedEnsemble:
             ok = ok and lhs <= bound
         return ok, rows
 
-    def cnumber_criterion(self, f, tol=1e-6):
+    def cnumber_criterion(self, f):
         """Z almost-surely constant (c-number substitution) iff the tilted
-        variance vanishes at tolerance."""
+        variance is at most CNUMBER_TOL (E~[Z]^2 + 1)."""
         mean, se, var, _ = self._z_moments(f)
-        verdict = var <= tol * (mean ** 2 + 1.0)
+        verdict = var <= CNUMBER_TOL * (mean ** 2 + 1.0)
         evidence = {
             "var_direct": var,
             "mean_z": float(mean),

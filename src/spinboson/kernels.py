@@ -11,7 +11,9 @@ with the periodic thermal factor
     tau in [0, beta].
 
 The per-test-function kernel K_f(tau) pairs f against the interaction
-direction omega^{-1/2} rho with the same thermal factor.
+direction omega^{-1/2} rho with the same thermal factor; its time
+antiderivative A_f is tabulated, and K_f itself is summed over its
+momentum rule where it is read.
 
 Time integrals of T_beta are exponentials and are carried out in closed
 form (see thermal_antider / thermal_antider2).  The momentum integral runs
@@ -19,7 +21,10 @@ on the certified radial rule of spinboson.momentum, graded toward k = 0 by
 the integrand's exponent there (the thermal 2/(beta omega) included); each
 table fixes its rule once and sums over it at every tabulation node.
 Double time integrals of kappa then reduce to differences of the tabulated
-second antiderivative Psi.
+second antiderivative Psi.  The Psi and A_f tables are cubic Hermite
+splines on uniform time grids, each sized by one nested refinement
+(_refine_table): the grid doubles from 16 cells until a level matches the
+next one at its cell midpoints.
 
 Since kappa(tau) = kappa(beta - tau), Psi(beta) = beta Psi'(beta) / 2, and
 Phi(u) = Psi(u) - kappa_mean u^2 / 2, with kappa_mean = Psi'(beta) / beta
@@ -30,9 +35,7 @@ evaluation (see spinboson.ensemble); Psi serves the interval-pair blocks.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import struct
 
 import numpy as np
 
@@ -166,39 +169,66 @@ class UniformHermiteSpline:
 
 
 class _KernelEntry:
-    """Tabulated K_f and its first time antiderivative A_f on [0, beta].
+    """A_f, the first time antiderivative of K_f, tabulated on [0, beta],
+    and the momentum rule (om, gw) of K_f(tau) = sum gw T_beta(tau, om).
 
     m_value is <f, m> by the half-circle identity A_f(beta/2) = <f, m>
     (K_f is symmetric about beta/2), read off the A_f spline: a constant
     path's Z at t = 0 is +-A_f(beta/2) from the same spline, so it equals
     +-<f, m> bit for bit."""
 
-    def __init__(self, grid, kvals, avals, dkvals):
-        self.K = UniformHermiteSpline(grid, kvals, dkvals)
+    def __init__(self, grid, avals, kvals, om, gw):
         self.A = UniformHermiteSpline(grid, avals, kvals)
+        self.om, self.gw = om, gw
         self.m_value = complex(self.A(np.array([0.5 * grid[-1]]))[0])
 
 
-_CACHE_MAGIC = b"SBKT"
-# version 2: Psi tables from the nested, exponent-graded momentum rule;
-# version 3: nodal derivatives from the small-omega-exact thermal_antider
-_CACHE_VERSION = 3
+# cells of the coarsest time grid, and the most a table may refine to
+_START_CELLS = 16
+_MAX_CELLS = 1 << 16
+
+
+def _refine_table(beta, nodal, tol):
+    """The Hermite table (grid, y, dy) of a function on a uniform grid of
+    [0, beta], doubled until it is accurate.
+
+    nodal(tau) gives (y, dy) at points tau that are symmetric under
+    tau -> beta - tau.  Each level's new nodes are the midpoints of the
+    coarser level's cells, so every node is evaluated once and the new
+    nodes are the exact values the coarser spline is checked against:
+    the levels agree when they differ there by at most
+    tol * (1 + |y(beta)|), and the finer level is returned.
+    """
+    n = _START_CELLS
+    grid = np.linspace(0.0, beta, n + 1)
+    y, dy = nodal(grid)
+    while n < _MAX_CELLS:
+        fine = np.linspace(0.0, beta, 2 * n + 1)
+        mid = nodal(fine[1::2])
+        err = np.max(np.abs(UniformHermiteSpline(grid, y, dy)(fine[1::2])
+                            - mid[0]))
+        y, dy = (np.insert(c, np.arange(1, n + 1), m)
+                 for c, m in zip((y, dy), mid))
+        grid, n = fine, 2 * n
+        if err <= tol * (1.0 + abs(y[-1])):
+            return grid, y, dy
+    raise QuadratureError("time grid refinement did not converge")
 
 
 class ThermalKernelTable:
     """Precomputed kappa, Psi and per-test-function kernels at fixed
     (beta, source).
 
-    Psi(u) = int_0^u int_0^v kappa(tau) dtau dv is tabulated on a uniform
-    grid (default 2048 cells, doubled until a refinement check passes) with
-    exact nodal derivatives, so interval and double-block integrals of the
-    covariance are O(1) spline-difference evaluations.  kappa_mean is the
-    circle mean of kappa and phi the spline of the periodic part Phi of Psi
-    (see _set_psi); on a constant table kappa_mean is the constant and phi
-    is None, since Phi vanishes.
+    Psi(u) = int_0^u int_0^v kappa(tau) dtau dv is tabulated with exact
+    nodal derivatives on the uniform grid that _refine_table sizes (n_grid
+    cells), so interval and double-block integrals of the covariance are
+    O(1) spline-difference evaluations.  kappa_mean is the circle mean of
+    kappa and phi the spline of the periodic part Phi of Psi (see
+    _set_psi); on a constant table kappa_mean is the constant and phi is
+    None, since Phi vanishes.
     """
 
-    def __init__(self, src, beta, n_grid=2048, tol=1e-9, cache_path=None):
+    def __init__(self, src, beta, tol=1e-9):
         if beta <= 0:
             raise ValueError("inverse temperature must be positive")
         self.src = src
@@ -207,26 +237,19 @@ class ThermalKernelTable:
         self.s = src.s
         self.tol = float(tol)
         self._entries = {}
-        self._const = None
-        # the cache is keyed on the requested grid; n_grid becomes the
-        # refined one once the table is tabulated or loaded
-        self.n_grid_requested = self.n_grid = n_grid
         if src.is_zero:
             # a vanishing source is the constant table with kappa = 0
-            self._const = self.kappa_mean = 0.0
-            self.phi = None
-            self.grid = np.linspace(0.0, self.beta, 2)
+            self._set_const(0.0)
             return
+        self._const = None
         k, gw = self._rule(src.as_test_function(), -1.0, (
             (thermal_factor, 0.0), (thermal_factor, 0.5 * self.beta),
             (thermal_antider2, self.beta)), "kappa")
         # kappa's weights are real: rho is paired with itself, unshifted
         self._k, self._gw, self._om = k, gw.real, dispersion(k, self.s)
-        if cache_path is not None and self.load_cache(cache_path):
-            return
-        self._tabulate(n_grid)
-        if cache_path is not None:
-            self.save_cache(cache_path)
+        self._set_psi(*_refine_table(self.beta, lambda tau: (
+            self._momentum_sum(thermal_antider2, tau),
+            self._momentum_sum(thermal_antider, tau)), self.tol))
 
     # -- construction hooks --------------------------------------------------
 
@@ -241,11 +264,14 @@ class ThermalKernelTable:
         obj.s = 1.0
         obj.tol = 0.0
         obj._entries = {}
-        obj._const = obj.kappa_mean = float(c0)
-        obj.phi = None
-        obj.n_grid_requested = obj.n_grid = 0
-        obj.grid = np.linspace(0.0, beta, 2)
+        obj._set_const(c0)
         return obj
+
+    def _set_const(self, c0):
+        self._const = self.kappa_mean = float(c0)
+        self.phi = None
+        self.n_grid = 1
+        self.grid = np.linspace(0.0, self.beta, 2)
 
     def _rule(self, f, power, probes, label):
         """Momentum rule (k, gw) of f against the source with weight
@@ -271,24 +297,6 @@ class ThermalKernelTable:
                                probe, self.tol)
         return k, gw
 
-    def _tabulate(self, n_grid):
-        beta = self.beta
-        while True:
-            grid = np.linspace(0.0, beta, n_grid + 1)
-            psi = self._momentum_sum(thermal_antider2, grid)
-            apsi = self._momentum_sum(thermal_antider, grid)
-            self._set_psi(grid, psi, apsi)
-            # refinement check at midpoints against exact values
-            mids = 0.5 * (grid[:-1] + grid[1:])
-            exact = self._momentum_sum(thermal_antider2, mids)
-            scale = 1.0 + abs(psi[-1])
-            if np.max(np.abs(self._psi(mids) - exact)) <= self.tol * scale:
-                break
-            if n_grid >= 1 << 16:
-                raise QuadratureError("Psi grid refinement did not converge")
-            n_grid *= 2
-        self.n_grid = n_grid
-
     def _set_psi(self, grid, psi, apsi):
         """Take the nodal Psi and Psi' on the grid: the Psi spline, the
         circle mean kappa_mean = Psi'(beta) / beta of kappa, and the spline
@@ -300,7 +308,7 @@ class ThermalKernelTable:
         quadratic exactly, so the Phi spline is the Psi spline minus
         kappa_mean u^2 / 2 up to rounding.
         """
-        self.grid = grid
+        self.grid, self.n_grid = grid, len(grid) - 1
         self._psi_vals, self._apsi_vals = psi, apsi
         self._psi = UniformHermiteSpline(grid, psi, apsi)
         self.kappa_mean = float(apsi[-1]) / self.beta
@@ -362,80 +370,81 @@ class ThermalKernelTable:
     # -- per-test-function kernels -------------------------------------------
 
     def register(self, f):
-        """Tabulate K_f and its antiderivative; cached per test function."""
+        """Tabulate A_f and keep K_f's momentum rule; cached per test
+        function."""
         if self.src is None:
             raise ValueError("constant test tables carry no source")
         entry = self._entries.get(f)
         if entry is not None:
             return entry
         if self._const is not None:
-            zeros = np.zeros(2)
-            entry = _KernelEntry(self.grid, zeros, zeros, zeros)
+            zeros, empty = np.zeros(2), np.zeros(0)
+            entry = _KernelEntry(self.grid, zeros, zeros, empty, empty)
         else:
             if (f.d, f.s) != (self.d, self.s):
                 raise ValueError("test function on a different (d, s) space")
-            rule = self._rule(f, -0.5, ((thermal_factor, 0.0),
-                                        (thermal_antider, self.beta)), "K_f")
-            grid = np.linspace(0.0, self.beta, self.n_grid + 1)
-            kv, av, dk = self._f_tables(grid, *rule)
-            entry = _KernelEntry(grid, kv, av, dk)
+            k, gw = self._rule(f, -0.5, ((thermal_factor, 0.0),
+                                         (thermal_antider, self.beta)), "K_f")
+            entry = _KernelEntry(*_refine_table(
+                self.beta, lambda tau: self._f_tables(tau, k, gw), self.tol),
+                dispersion(k, self.s), gw)
         self._entries[f] = entry
         return entry
 
-    def _f_tables(self, grid, k, gw):
-        """K_f, A_f and dK_f/dtau on the grid from the rule (k, gw) of
-        _rule, with one expm1 per (tau, omega) entry.
+    def _f_tables(self, tau, k, gw):
+        """A_f and K_f at the ascending points tau, symmetric under
+        tau -> beta - tau, from the rule (k, gw) of _rule, with one expm1
+        per (tau, omega) entry.
 
-        The grid is uniform on [0, beta], so row n - i sits at beta - tau_i
-        and its E = expm1(-tau w) stands in for row i's
-        e^{-(beta-tau_i) w} - 1.  Rows i <= n/2 are walked in slabs beside
-        their mirror rows; with Et, Eb the E of a row and of its mirror,
-        and weights [gw2 | gw2 w | gw2 / w] for gw2 = [Re gw, Im gw] /
-        (1 - e^{-beta w}),
+        Row m - 1 - i of the m rows sits at beta - tau_i, so its
+        E = expm1(-tau w) stands in for row i's e^{-(beta-tau_i) w} - 1.
+        The first half of the rows is walked in slabs beside their mirror
+        rows; with Et, Eb the E of a row and of its mirror, and weights
+        [gw2 | gw2 / w] for gw2 = [Re gw, Im gw] / (1 - e^{-beta w}),
 
             K  = sum gw2 (2 + Et + Eb)          (the same on both rows)
-            dK = sum gw2 w (Eb - Et)            (odd under the mirror)
             A  = sum gw2 / w (-2 Et - Et Eb)    (thermal_antider's exact
                                                  numerator)
 
-        so each slab costs one 6-column matmul per block and one 2-column
+        so each slab costs one 4-column matmul per block and one 2-column
         matmul of the product Et Eb, which both rows share."""
         om = dispersion(k, self.s)
         omc = om[:, None]
         gw2 = (np.stack([gw.real, gw.imag], axis=1)
                / -np.expm1(-self.beta * omc))
-        w = np.concatenate([gw2, gw2 * omc, gw2 / omc], axis=1)
+        w = np.concatenate([gw2, gw2 / omc], axis=1)
         k_const = 2.0 * gw2.sum(axis=0)
-        n = len(grid) - 1
-        out = np.empty((3, n + 1, 2))
+        m = len(tau)
+        half = (m + 1) // 2
+        out = np.empty((2, m, 2))
         slab = max(1, _EVAL_SLAB // len(om))
         # the two E blocks are reused across slabs: fresh ones cost a
         # page-faulting allocation each
         buf_t, buf_b = np.empty((2, slab, len(om)))
         neg_om = -om
-        for lo in range(0, n // 2 + 1, slab):
-            top = np.arange(lo, min(lo + slab, n // 2 + 1))
-            bot = n - top
-            et = np.multiply(grid[top, None], neg_om, out=buf_t[:len(top)])
-            eb = np.multiply(grid[bot, None], neg_om, out=buf_b[:len(top)])
+        for lo in range(0, half, slab):
+            top = np.arange(lo, min(lo + slab, half))
+            bot = m - 1 - top
+            et = np.multiply(tau[top, None], neg_om, out=buf_t[:len(top)])
+            eb = np.multiply(tau[bot, None], neg_om, out=buf_b[:len(top)])
             np.expm1(et, out=et)
             np.expm1(eb, out=eb)
             st, sb = et @ w, eb @ w
             et *= eb
-            prod = et @ w[:, 4:]
-            out[0, top] = out[0, bot] = k_const + st[:, :2] + sb[:, :2]
-            out[2, top] = sb[:, 2:4] - st[:, 2:4]
-            out[2, bot] = st[:, 2:4] - sb[:, 2:4]
-            out[1, top] = -2.0 * st[:, 4:] - prod
-            out[1, bot] = -2.0 * sb[:, 4:] - prod
+            prod = et @ w[:, 2:]
+            out[0, top] = -2.0 * st[:, 2:] - prod
+            out[0, bot] = -2.0 * sb[:, 2:] - prod
+            out[1, top] = out[1, bot] = k_const + st[:, :2] + sb[:, :2]
         return out[..., 0] + 1j * out[..., 1]
 
     def kernel_K(self, f, t, s_time):
-        """K_{f,t}(s) = <f, T_beta(|t-s|) omega m> via the tabulated entry."""
+        """K_{f,t}(s) = <f, T_beta(|t-s|) omega m>, summed over the entry's
+        momentum rule."""
         tau = abs(t - s_time)
         if tau > self.beta:
             raise ValueError("|t - s| exceeds beta")
-        return complex(self.register(f).K(tau))
+        entry = self.register(f)
+        return complex(thermal_factor(tau, entry.om, self.beta) @ entry.gw)
 
     def interval_K_integral(self, f, t, a, b):
         """int_a^b K_{f,t}(u) du from the tabulated antiderivative."""
@@ -456,58 +465,3 @@ class ThermalKernelTable:
         """<f, m> recovered from the exact half-circle identity
         A_f(beta/2) = <f, m> (see _KernelEntry)."""
         return self.register(f).m_value
-
-    # -- identity / caching --------------------------------------------------
-
-    def content_hash(self):
-        """Hash of the table's inputs (beta, source, requested grid, tol).
-
-        The refined grid is an output of those inputs and is stored in the
-        cache file, so a refined table still hits its cache.
-        """
-        h = hashlib.sha256()
-        h.update(struct.pack("<dqd", self.beta, self.n_grid_requested,
-                             self.tol))
-        h.update(repr(self.src).encode())
-        return h.hexdigest()
-
-    def save_cache(self, path):
-        """Write the Psi table as versioned little-endian float64."""
-        if self._const is not None:
-            raise ValueError("nothing to cache for degenerate tables")
-        with open(path, "wb") as fh:
-            fh.write(_CACHE_MAGIC)
-            fh.write(struct.pack("<I", _CACHE_VERSION))
-            fh.write(bytes.fromhex(self.content_hash()))
-            fh.write(struct.pack("<qd", self.n_grid, self.beta))
-            fh.write(self._psi_vals.astype("<f8").tobytes())
-            fh.write(self._apsi_vals.astype("<f8").tobytes())
-
-    def load_cache(self, path):
-        """Load a Psi table written by save_cache, on its stored refined
-        grid; returns False on any mismatch (wrong magic, version, content
-        hash, or a truncated file)."""
-        try:
-            with open(path, "rb") as fh:
-                if fh.read(4) != _CACHE_MAGIC:
-                    return False
-                (ver,) = struct.unpack("<I", fh.read(4))
-                if ver != _CACHE_VERSION:
-                    return False
-                if fh.read(32) != bytes.fromhex(self.content_hash()):
-                    return False
-                n, beta = struct.unpack("<qd", fh.read(16))
-                if beta != self.beta:
-                    return False
-                m = n + 1
-                body = fh.read(16 * m)
-        except (OSError, struct.error):
-            return False
-        if len(body) != 16 * m:
-            return False
-        psi = np.frombuffer(body[:8 * m], dtype="<f8")
-        apsi = np.frombuffer(body[8 * m:], dtype="<f8")
-        self.n_grid = n
-        self._set_psi(np.linspace(0.0, self.beta, n + 1), psi.copy(),
-                      apsi.copy())
-        return True

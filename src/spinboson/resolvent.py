@@ -55,6 +55,13 @@ LAPLACE_RTOL = 1e-13
 # (u-node x loop) elements per slab of the two-point quadrature
 _SLAB = 1 << 19
 
+# panel doubling of the two-point u-quadrature stops when two levels agree
+# to this over |lambda| |mu|, which also bounds its truncation tail
+TWOPOINT_TOL = 1e-6
+
+# a decay scan is asserted only when q_bec(f) exceeds this floor
+DECAY_Q_FLOOR = 1e-6
+
 
 def laplace_gauss(a, b):
     """L(a, b) = int_0^inf exp(-a u - b u^2) du for complex a and real
@@ -106,7 +113,7 @@ def resolvent_onepoint(cfg, lam, f):
     return _estimate(ens, h, 0.5 * (np.abs(lap) + np.abs(flip)))
 
 
-def resolvent_twopoint(cfg, lam, f, mu, g, tol=1e-6):
+def resolvent_twopoint(cfg, lam, f, mu, g):
     """Expectation of R(lambda, f) R(mu, g).
 
     Per loop the t-integral is L(a(u), q_gg / 4) with s = sgn(lambda) u and
@@ -114,8 +121,9 @@ def resolvent_twopoint(cfg, lam, f, mu, g, tol=1e-6):
         a(u) = |mu| + sgn(mu) (q_fg s / 2 + i sigma s / 2 + i Z_g);
 
     the u-integral runs on Gauss-Legendre panels, doubled until two rules
-    agree to tol / (|lambda| |mu|).  The error is that difference, the
-    truncation tail, the Monte Carlo SE and the evaluation error.
+    agree to TWOPOINT_TOL / (|lambda| |mu|).  The error is that
+    difference, the truncation tail, the Monte Carlo SE and the evaluation
+    error.
     """
     if lam == 0 or mu == 0:
         raise ValueError("lambda and mu must be nonzero")
@@ -136,7 +144,7 @@ def resolvent_twopoint(cfg, lam, f, mu, g, tol=1e-6):
     # for every t, so truncating u at umax leaves a tail below
     # e^{-al umax - q_s umax^2 / 4} / (al am)
     q_s = max(qff - qfg * qfg / qgg if qgg > 0 else qff, 0.0)
-    log_tol = -math.log(tol) + 2.0
+    log_tol = -math.log(TWOPOINT_TOL) + 2.0
     umax = _truncation_point(al, q_s, log_tol)
     tail = math.exp(-al * umax - 0.25 * q_s * umax * umax) / (al * am)
 
@@ -167,7 +175,7 @@ def resolvent_twopoint(cfg, lam, f, mu, g, tol=1e-6):
         h, h_abs = per_loop(panels)
         val, _ = ens.expectation(h)
         delta = abs(val - prev)
-        if delta <= tol / (al * am) or panels >= 64:
+        if delta <= TWOPOINT_TOL / (al * am) or panels >= 64:
             break
         prev = val
     return _estimate(ens, h, h_abs, delta + tail)
@@ -185,10 +193,10 @@ class DecayScanReport:
     passed: bool
 
 
-def bec_decay_scan(cfg, lam, f, t_grid, threshold=0.1, q_floor=1e-6):
+def bec_decay_scan(cfg, lam, f, t_grid, threshold=0.1):
     """|psi(R(lambda, t f))| along increasing amplitudes t.
 
-    When q_bec(f) exceeds the floor, the scan is asserted: it passes when
+    When q_bec(f) exceeds DECAY_Q_FLOOR, the scan is asserted: it passes when
     the moduli decrease strictly and the final/first ratio is below the
     threshold.  An unasserted scan passes."""
     t_grid = [float(t) for t in t_grid]
@@ -202,7 +210,7 @@ def bec_decay_scan(cfg, lam, f, t_grid, threshold=0.1, q_floor=1e-6):
     monotone = all(b < a for a, b in zip(moduli, moduli[1:]))
     final_ratio = moduli[-1] / moduli[0] if moduli[0] > 0 else math.inf
     qb = cfg.q_bec(f)
-    asserted = qb > q_floor
+    asserted = qb > DECAY_Q_FLOOR
     passed = not asserted or (monotone and final_ratio < threshold)
     return DecayScanReport(t_grid, moduli, errors, qb, monotone,
                            final_ratio, asserted, passed)

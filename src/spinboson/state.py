@@ -68,10 +68,8 @@ class StateConfig:
             raise ValueError("ensemble built at different (beta, eps)")
 
     @classmethod
-    def build(cls, source, beta, eps, n0=0.0, n_loops=20000, seed=0,
-              n_grid=2048, tol=1e-9, cache_path=None):
-        kernels = ThermalKernelTable(source, beta, n_grid=n_grid, tol=tol,
-                                     cache_path=cache_path)
+    def build(cls, source, beta, eps, n0=0.0, n_loops=20000, seed=0, tol=1e-9):
+        kernels = ThermalKernelTable(source, beta, tol=tol)
         ens = build_ensemble(SpinMeasureParams(beta, eps), kernels, n_loops,
                              seed)
         return cls(beta=beta, eps=eps, d=source.d, s=source.s, n0=n0,

@@ -2,13 +2,12 @@ import ast
 import inspect
 import os
 import re
-import struct
 
 import numpy as np
 import pytest
 
 from spinboson import cli
-from spinboson.kernels import QuadratureError
+from spinboson.kernels import QuadratureError, ThermalKernelTable
 from spinboson.momentum import TestFunction, form_nonzero
 
 BASE_CONFIG = """\
@@ -24,7 +23,6 @@ source = gaussian:width=1,amplitude=0.4
 samples = 2000
 seed = 42
 quad_tol = 1e-9
-tau_grid = 256
 
 [functions]
 f = gaussian:width=1,amplitude=1
@@ -39,7 +37,6 @@ mu = 2.0
 [output]
 directory = out
 csv = true
-cache = false
 """
 
 SUBCOMMANDS = sorted(cli.RUNNERS)
@@ -219,23 +216,17 @@ def test_missing_config_file(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("where", ["out-is-file", "cache-is-file",
-                                   "csv-is-directory"])
+@pytest.mark.parametrize("where", ["out-is-file", "csv-is-directory"])
 def test_unusable_output_path_is_output_error(where, tmp_path, capsys):
     # an output path that cannot be written exits 2 on one line, not on a
-    # traceback: the --out directory, the kernel cache directory, a CSV
-    text = BASE_CONFIG
+    # traceback: the --out directory, a CSV
     out = tmp_path / "out"
     if where == "out-is-file":
         out.write_bytes(b"x")
-    elif where == "cache-is-file":
-        text = text.replace("cache = false", "cache = true")
-        out.mkdir()
-        (out / "cache").write_bytes(b"x")
     else:
         (out / "kernels.csv").mkdir(parents=True)
     p = tmp_path / "cfg.ini"
-    p.write_text(text)
+    p.write_text(BASE_CONFIG)
     assert _run("kernels", str(p), str(out)) == 2
     err = capsys.readouterr().err
     assert err.startswith("output error: ")
@@ -302,49 +293,25 @@ def test_seed_flag_overrides_config(config_path, tmp_path):
     assert c1 != c2
 
 
-def test_kernel_cache_round_trip(tmp_path):
-    p = tmp_path / "cfg.ini"
-    p.write_text(BASE_CONFIG.replace("cache = false", "cache = true"))
-    out = str(tmp_path / "out")
-    assert _run("kernels", str(p), out) == 0
-    cache_dir = os.path.join(out, "cache")
-    files = os.listdir(cache_dir)
-    assert len(files) == 1 and files[0].startswith("kernel_")
-    # second run reuses the cache and reproduces the csv bytes
-    body1 = open(os.path.join(out, "kernels.csv"), "rb").read()
-    assert _run("kernels", str(p), out) == 0
-    body2 = open(os.path.join(out, "kernels.csv"), "rb").read()
-    assert body1 == body2
-
-
-def test_kernels_checks_the_psi_circle_identity(tmp_path):
-    # the log-weights rest on Psi(beta) = beta Psi'(beta) / 2: a cache whose
+def test_kernels_checks_the_psi_circle_identity(config_path, tmp_path,
+                                                monkeypatch):
+    # the log-weights rest on Psi(beta) = beta Psi'(beta) / 2: a table whose
     # nodal derivatives break it must fail the check
-    p = tmp_path / "cfg.ini"
-    p.write_text(BASE_CONFIG.replace("cache = false", "cache = true"))
     out = str(tmp_path / "out")
     summary = os.path.join(out, "kernels_summary.txt")
-    assert _run("kernels", str(p), out) == 0
+    assert _run("kernels", config_path, out) == 0
     assert "check psi_circle_identity = PASS\n" in open(summary).read()
-    cache_dir = os.path.join(out, "cache")
-    (name,) = os.listdir(cache_dir)
-    path = os.path.join(cache_dir, name)
-    raw = bytearray(open(path, "rb").read())
-    # the cache ends with the n_grid + 1 nodal values of Psi'
-    n_grid = struct.unpack("<q", raw[40:48])[0]
-    tail = len(raw) - 8 * (n_grid + 1)
-    apsi = np.frombuffer(bytes(raw[tail:]), dtype="<f8") * (1.0 + 1e-9)
-    raw[tail:] = apsi.astype("<f8").tobytes()
-    open(path, "wb").write(bytes(raw))
-    assert _run("kernels", str(p), out) == 1
+    set_psi = ThermalKernelTable._set_psi
+
+    def scaled_derivatives(self, grid, psi, apsi):
+        set_psi(self, grid, psi, apsi * (1.0 + 1e-9))
+
+    monkeypatch.setattr(ThermalKernelTable, "_set_psi", scaled_derivatives)
+    assert _run("kernels", config_path, out) == 1
     assert "check psi_circle_identity = FAIL\n" in open(summary).read()
 
 
 @pytest.mark.parametrize("sub, old, new, extra", [
-    pytest.param("kernels", "tau_grid = 256", "tau_grid = 0", (),
-                 id="tau_grid-zero"),
-    pytest.param("kernels", "tau_grid = 256", "tau_grid = -4", (),
-                 id="tau_grid-negative"),
     pytest.param("cluster", "grid = 1,2,4,8,16", "grid =", (),
                  id="grid-empty"),
     pytest.param("cluster", "grid = 1,2,4,8,16", "grid = 4,2", (),
@@ -360,8 +327,8 @@ def test_kernels_checks_the_psi_circle_identity(tmp_path):
                  id="quad_tol-nan"),
     pytest.param("kernels", "quad_tol = 1e-9", "quad_tol = -1", (),
                  id="quad_tol-negative"),
-    pytest.param("variance", "tau_grid = 256",
-                 "tau_grid = 256\nvariance_grid = 0", (),
+    pytest.param("variance", "quad_tol = 1e-9",
+                 "quad_tol = 1e-9\nvariance_grid = 0", (),
                  id="variance_grid-zero"),
     pytest.param("resolvent", "lambda = 1.0", "lambda = nan", (),
                  id="lambda-nan"),
@@ -374,8 +341,6 @@ def test_kernels_checks_the_psi_circle_identity(tmp_path):
     pytest.param("charfun", "f = gaussian:width=1,amplitude=1",
                  "f = gaussian:width=nan,amplitude=1", (),
                  id="profile-width-nan"),
-    pytest.param("kernels", "cache = false", "cache = maybe", (),
-                 id="cache-not-boolean"),
     pytest.param("kernels", "[physical]\n", "physical\n", (),
                  id="no-section-header"),
     pytest.param("kernels", "source = gaussian:width=1,amplitude=0.4",

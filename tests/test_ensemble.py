@@ -184,7 +184,7 @@ def test_log_weights_rotation_invariance_property(gauss_src, beta, raw,
     rotated = [lp.rotated(shift, beta) for lp in loops]
     assert all(len(a.jumps) == len(b.jumps)
                for a, b in zip(loops, rotated))
-    table = ThermalKernelTable(gauss_src, beta, n_grid=256)
+    table = ThermalKernelTable(gauss_src, beta)
     orig = _ensemble_of(loops, table).logw
     rot = _ensemble_of(rotated, table).logw
     # each Psi value is within the table's tol (1e-9) of the exact one,
@@ -214,7 +214,7 @@ def test_log_weights_match_reference_property(gauss_src, beta, raw):
     for sign, fracs in raw:
         jumps = sorted({beta * (u - 0.5) for u in fracs})
         loops.append(SpinLoop(sign, tuple(jumps[:len(jumps) & ~1])))
-    table = ThermalKernelTable(gauss_src, beta, n_grid=256)
+    table = ThermalKernelTable(gauss_src, beta)
     logw = _ensemble_of(loops, table).logw
     for lp, got in zip(loops, logw):
         assert got == pytest.approx(loop_log_weight(lp, table), rel=1e-9)
@@ -249,7 +249,7 @@ def test_log_weights_evaluate_phi_once_per_jump_pair(gauss_src, monkeypatch):
     # structural guard: the Phi spline sees each pair of true jumps once,
     # never a circle end, in calls of at most JUMP_SLAB points, and no
     # triu_indices gather is formed; the slab size does not change a bit
-    table = ThermalKernelTable(gauss_src, 4.0, n_grid=256)
+    table = ThermalKernelTable(gauss_src, 4.0)
     params = SpinMeasureParams(4.0, 1.0)
     ref = build_ensemble(params, table, 20000, seed=9)
     calls = []
@@ -315,7 +315,7 @@ def test_z_values_match_oracles_property(gauss_src, f_gauss, beta, raw,
     t = data.draw(st.one_of(
         st.floats(-0.5 * beta, 0.5 * beta),
         st.sampled_from([-0.5 * beta, 0.5 * beta] + flat.tolist())))
-    table = ThermalKernelTable(gauss_src, beta, n_grid=256)
+    table = ThermalKernelTable(gauss_src, beta)
     ens = TiltedEnsemble(SpinMeasureParams(beta, 1.0), table, signs, counts,
                          flat, 0, DEFAULT_CHUNK)
     z = ens.z_values(f_gauss, t)

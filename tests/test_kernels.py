@@ -1,5 +1,4 @@
 import math
-import struct
 import tracemalloc
 
 import numpy as np
@@ -8,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad, simpson
 from scipy.interpolate import CubicHermiteSpline
 
+from spinboson import kernels
 from spinboson.kernels import (
     _EVAL_SLAB,
     QuadratureError,
@@ -207,6 +207,9 @@ def test_zero_source_table(zero_table, f_gauss):
     assert np.all(zero_table.Psi(taus) == 0.0)
     assert zero_table.m_value(f_gauss) == 0.0
     assert zero_table.interval_K_integral(f_gauss, 0.0, -0.5, 0.5) == 0.0
+    # K_f and A_f vanish exactly
+    assert np.all(zero_table.register(f_gauss).A(taus) == 0.0)
+    assert zero_table.kernel_K(f_gauss, 0.3, -0.2) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +312,10 @@ def test_table_spline_cells_match_scipy_exactly(kernel_table, f_gauss):
     tab = kernel_table
     assert _same_bits(tab._psi._c,
                       _scipy_cells(tab.grid, tab._psi_vals, tab._apsi_vals))
-    grid = np.linspace(0.0, tab.beta, tab.n_grid + 1)
-    kv, av, dk = tab._f_tables(grid, *tab._rule(
-        f_gauss, -0.5, ((thermal_factor, 0.0), (thermal_antider, tab.beta)),
-        "K_f"))
+    k, gw = _f_rule(tab, f_gauss)
+    grid, av, kv = kernels._refine_table(
+        tab.beta, lambda tau: tab._f_tables(tau, k, gw), tab.tol)
     entry = tab.register(f_gauss)
-    assert _same_bits(entry.K._c, _scipy_cells(grid, kv, dk))
     assert _same_bits(entry.A._c, _scipy_cells(grid, av, kv))
 
 
@@ -366,7 +367,7 @@ def test_psi_at_beta_closed_form(s, beta):
     # the d = 3 gaussian source is 2 pi beta A^2 w^{3-2s} Gamma(3/2 - s)
     amp, width = 0.7, 1.3
     src = SourceProfile.gaussian(width=width, amplitude=amp, d=3, s=s)
-    table = ThermalKernelTable(src, beta, n_grid=256)
+    table = ThermalKernelTable(src, beta)
     exact = (2.0 * math.pi * beta * amp ** 2 * width ** (3.0 - 2.0 * s)
              * math.gamma(1.5 - s))
     assert table.Psi(beta) == pytest.approx(exact, rel=1e-9)
@@ -382,27 +383,22 @@ def _identity_source(kind, s):
 @pytest.mark.parametrize("beta", [0.5, 1.0, 8.0])
 @pytest.mark.parametrize("s", [0.6, 1.0, 1.4])
 @pytest.mark.parametrize("kind", ["gaussian", "power_bump"])
-def test_psi_circle_identity_and_periodic_phi(kind, s, beta, tmp_path):
+def test_psi_circle_identity_and_periodic_phi(kind, s, beta):
     # kappa(tau) = kappa(beta - tau) gives Psi(beta) = beta Psi'(beta) / 2,
     # which makes Phi = Psi - kappa_mean u^2 / 2 beta-periodic and even;
     # the log-weights drop every pair with a circle end on that identity
-    src = _identity_source(kind, s)
-    path = str(tmp_path / "kern.bin")
-    fresh = ThermalKernelTable(src, beta, n_grid=256, cache_path=path)
-    loaded = ThermalKernelTable(src, beta, n_grid=256, cache_path=path)
+    tab = ThermalKernelTable(_identity_source(kind, s), beta)
     u = np.linspace(0.0, beta, 101)
-    for tab in (fresh, loaded):
-        psi_beta = tab.Psi(beta)
-        assert abs(psi_beta - 0.5 * beta * tab._apsi_vals[-1]) \
-            <= 1e-13 * abs(psi_beta)
-        assert tab.kappa_mean == tab._apsi_vals[-1] / beta
-        scale = tab.tol * (1.0 + psi_beta)
-        assert np.max(np.abs(tab.phi(beta - u) - tab.phi(u))) <= scale
-        assert abs(tab.phi(0.0)) <= scale and abs(tab.phi(beta)) <= scale
-        # the Phi spline is the Psi spline minus the quadratic
-        assert np.max(np.abs(tab.phi(u) + 0.5 * tab.kappa_mean * u ** 2
-                             - tab.Psi(u))) <= 1e-13 * (1.0 + psi_beta)
-    assert _same_bits(fresh.phi._c, loaded.phi._c)
+    psi_beta = tab.Psi(beta)
+    assert abs(psi_beta - 0.5 * beta * tab._apsi_vals[-1]) \
+        <= 1e-13 * abs(psi_beta)
+    assert tab.kappa_mean == tab._apsi_vals[-1] / beta
+    scale = tab.tol * (1.0 + psi_beta)
+    assert np.max(np.abs(tab.phi(beta - u) - tab.phi(u))) <= scale
+    assert abs(tab.phi(0.0)) <= scale and abs(tab.phi(beta)) <= scale
+    # the Phi spline is the Psi spline minus the quadratic
+    assert np.max(np.abs(tab.phi(u) + 0.5 * tab.kappa_mean * u ** 2
+                         - tab.Psi(u))) <= 1e-13 * (1.0 + psi_beta)
 
 
 def test_double_block_degenerate_and_symmetry(kernel_table):
@@ -496,7 +492,8 @@ def test_transported_kernels_match_oracle(kernel_table, mode, u):
     # 15% at u = 128)
     f = TestFunction.gaussian(width=1.0, amplitude=1.0)
     g = TestFunction.gaussian(width=1.2, amplitude=0.8)
-    entry = kernel_table.register(f + transported(g, mode, u))
+    h = f + transported(g, mode, u)
+    entry = kernel_table.register(h)
 
     def conj_h(k):
         # the angular integral of conj(hhat) at |k| = k
@@ -510,15 +507,15 @@ def test_transported_kernels_match_oracle(kernel_table, mode, u):
     k0 = quad_radial(lambda k: k ** 1.5 * _gauss_k(k) * conj_h(k)
                      / np.tanh(0.5 * BETA * k))
     a_beta = quad_radial(lambda k: 2.0 * k ** 0.5 * _gauss_k(k) * conj_h(k))
-    assert abs(entry.K(0.0) - k0) <= 1e-8 * abs(k0)
+    assert abs(kernel_table.kernel_K(h, 0.0, 0.0) - k0) <= 1e-8 * abs(k0)
     assert abs(entry.A(BETA) - a_beta) <= 1e-8 * abs(a_beta)
 
 
 # s reaches 1.43, close to s = 1.5 where kappa stops being integrable at
 # k -> 0; there the momentum rules reach omega ~ 1e-68, and the Psi tables
-# keep their 256 cells only while thermal_antider stays exact at small
-# beta omega (a rounded one made the nodal derivatives disagree with the
-# values, and the grid refined to 32768 cells, about 40 s per table).
+# stay small only while thermal_antider stays exact at small beta omega (a
+# rounded one made the nodal derivatives disagree with the values, and a
+# 256-cell grid refined to 32768 cells, about 40 s per table).
 # From s = 1.44 on, the kappa rule's grading toward k = 0 hits its depth
 # cap and raises QuadratureError.
 @settings(max_examples=8)
@@ -526,7 +523,7 @@ def test_transported_kernels_match_oracle(kernel_table, mode, u):
        s=st.floats(0.6, 1.43))
 def test_table_identities_property(beta, width, s):
     src = SourceProfile.gaussian(width=width, amplitude=1.0, s=s)
-    tab = ThermalKernelTable(src, beta, n_grid=256)
+    tab = ThermalKernelTable(src, beta)
     taus = np.linspace(0.0, beta, 17)
     kap = tab.kappa(taus)
     assert np.max(np.abs(kap - tab.kappa(beta - taus))) \
@@ -546,8 +543,8 @@ def test_full_circle_identity_near_the_integrability_edge(beta):
     # at s = 1.4 the rule reaches beta omega ~ 1e-68, where A_f's numerator
     # must keep its tau omega term for A_f(beta) to equal 2 <f, m>
     src = SourceProfile.gaussian(width=1.0, amplitude=1.0, s=1.4)
-    tab = ThermalKernelTable(src, beta, n_grid=256)
-    assert tab.n_grid == 256
+    tab = ThermalKernelTable(src, beta)
+    assert tab.n_grid <= 256
     f = TestFunction.gaussian(width=1.0, amplitude=1.0, s=1.4)
     m_val = m_pairing(f, src).value.value
     assert abs(tab.register(f).A(beta) - 2.0 * m_val) \
@@ -555,13 +552,11 @@ def test_full_circle_identity_near_the_integrability_edge(beta):
 
 
 def _direct_f_tables(tab, tau, k, gw):
-    """K_f, A_f and dK_f/dtau at tau by direct momentum sums."""
+    """A_f and K_f at tau by direct momentum sums."""
     om = dispersion(k, tab.s)
     tau = tau[:, None]
-    dtau = (om * (np.exp(-(tab.beta - tau) * om) - np.exp(-tau * om))
-            / -np.expm1(-tab.beta * om))
-    return (thermal_factor(tau, om, tab.beta) @ gw,
-            thermal_antider(tau, om, tab.beta) @ gw, dtau @ gw)
+    return (thermal_antider(tau, om, tab.beta) @ gw,
+            thermal_factor(tau, om, tab.beta) @ gw)
 
 
 def _f_rule(tab, f):
@@ -589,6 +584,58 @@ def test_f_tables_match_direct_sums(kernel_table, f_gauss, g_gauss, u, n):
         assert np.max(np.abs(g[rows] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("beta", [1.0, 8.0])
+def test_tables_meet_tol_at_their_own_midpoints(gauss_src, f_gauss, g_gauss,
+                                                beta):
+    # the refinement checks the coarser of two levels and keeps the finer;
+    # the kept grid must meet tol at its own cell midpoints too, against
+    # the direct momentum sums
+    tab = ThermalKernelTable(gauss_src, beta)
+    mids = 0.5 * (tab.grid[:-1] + tab.grid[1:])
+    assert np.max(np.abs(tab.Psi(mids) - tab.Psi_exact(mids))) \
+        <= tab.tol * (1.0 + abs(tab.Psi(beta)))
+    for h in (f_gauss, f_gauss + transported(g_gauss, "time", 128.0)):
+        entry = tab.register(h)
+        x = entry.A._x
+        mids = 0.5 * (x[:-1] + x[1:])
+        a_ref, k_ref = _direct_f_tables(tab, mids, *_f_rule(tab, h))
+        assert np.max(np.abs(entry.A(mids) - a_ref)) \
+            <= tab.tol * (1.0 + abs(entry.A(beta)))
+        # K_f is the momentum sum itself, between the nodes too
+        for tau, ref in zip(mids[::5], k_ref[::5]):
+            assert abs(tab.kernel_K(h, tau, 0.0) - ref) <= 1e-13 * abs(ref)
+
+
+# final cells of the Psi grid and of f's A_f grid at the benchmark's source
+# and f (gaussians of width 1 and amplitude 1, d = 3, s = 1), as measured
+# when the nested refinement replaced the fixed 2048-cell grid
+_GRID_CELLS = {1.0: (128, 128), 8.0: (512, 1024)}
+
+
+@pytest.mark.parametrize("beta", [1.0, 8.0])
+def test_table_grids_stay_at_their_measured_sizes(gauss_src, f_gauss,
+                                                  g_gauss, beta, monkeypatch):
+    tab = ThermalKernelTable(gauss_src, beta)
+    psi_cells, a_cells = _GRID_CELLS[beta]
+    assert psi_cells / 2 <= tab.n_grid <= 2 * psi_cells
+    assert a_cells / 2 <= tab.register(f_gauss).A._n <= 2 * a_cells
+    # all levels of register(f + T_128 g) together evaluate each node of
+    # the kept grid once, and no more (tau, omega) entries than one pass
+    # over the earlier 2049-row grid
+    entries = []
+    f_tables = ThermalKernelTable._f_tables
+
+    def counted(self, tau, k, gw):
+        entries.append(len(tau) * len(k))
+        return f_tables(self, tau, k, gw)
+
+    monkeypatch.setattr(ThermalKernelTable, "_f_tables", counted)
+    entry = tab.register(f_gauss + transported(g_gauss, "time", 128.0))
+    assert len(entries) > 1
+    assert sum(entries) == (entry.A._n + 1) * len(entry.gw)
+    assert sum(entries) <= 2049 * len(entry.gw)
+
+
 def test_register_memory_stays_slabbed(gauss_src, f_gauss, g_gauss):
     # the u = 128 rule has 9216 nodes: one unslabbed (2049, 9216) float
     # block alone would be 151 MB
@@ -604,75 +651,8 @@ def test_register_memory_stays_slabbed(gauss_src, f_gauss, g_gauss):
 
 
 # ---------------------------------------------------------------------------
-# cache and failure paths
+# failure paths
 # ---------------------------------------------------------------------------
-
-def test_cache_round_trip(gauss_src, tmp_path):
-    path = tmp_path / "kern.bin"
-    tab1 = ThermalKernelTable(gauss_src, BETA, n_grid=256, tol=1e-8,
-                              cache_path=str(path))
-    assert path.exists()
-    tab2 = ThermalKernelTable(gauss_src, BETA, n_grid=256, tol=1e-8,
-                              cache_path=str(path))
-    u = np.linspace(0.0, BETA, 41)
-    assert np.array_equal(tab1.Psi(u), tab2.Psi(u))
-
-
-def test_cache_hits_after_grid_refinement(gauss_src, tmp_path,
-                                          monkeypatch):
-    # a 16-cell request refines; the cache is keyed on the request and
-    # stores the refined grid, so the second build must not tabulate
-    path = tmp_path / "kern.bin"
-    tab1 = ThermalKernelTable(gauss_src, BETA, n_grid=16,
-                              cache_path=str(path))
-    assert tab1.n_grid > 16
-
-    def no_tabulate(self, n_grid):
-        raise AssertionError("table rebuilt despite a cache file")
-
-    monkeypatch.setattr(ThermalKernelTable, "_tabulate", no_tabulate)
-    tab2 = ThermalKernelTable(gauss_src, BETA, n_grid=16,
-                              cache_path=str(path))
-    assert tab2.n_grid == tab1.n_grid
-    assert np.array_equal(tab2.grid, tab1.grid)
-    u = np.linspace(0.0, BETA, 41)
-    assert np.array_equal(tab1.Psi(u), tab2.Psi(u))
-
-
-def test_cache_rejects_mismatch(gauss_src, tmp_path):
-    path = tmp_path / "kern.bin"
-    tab = ThermalKernelTable(gauss_src, BETA, n_grid=256, tol=1e-8)
-    tab.save_cache(str(path))
-    other = ThermalKernelTable(gauss_src, BETA, n_grid=512, tol=1e-8)
-    assert not other.load_cache(str(path))
-    path.write_bytes(b"garbage")
-    assert not tab.load_cache(str(path))
-    assert not tab.load_cache(str(tmp_path / "missing.bin"))
-
-
-def test_cache_rejects_old_version(gauss_src, tmp_path):
-    # a version-1 table came from the earlier momentum rule, a version-2
-    # one stores nodal derivatives of the rounded small-omega antiderivative
-    path = tmp_path / "kern.bin"
-    tab = ThermalKernelTable(gauss_src, BETA, n_grid=256, tol=1e-8,
-                             cache_path=str(path))
-    assert tab.load_cache(str(path))
-    body = path.read_bytes()
-    for version in (1, 2):
-        path.write_bytes(body[:4] + struct.pack("<I", version) + body[8:])
-        assert not tab.load_cache(str(path))
-
-
-def test_cache_rejects_truncated_file(gauss_src, tmp_path):
-    path = tmp_path / "kern.bin"
-    tab = ThermalKernelTable(gauss_src, BETA, n_grid=256, tol=1e-8,
-                             cache_path=str(path))
-    body = path.read_bytes()
-    # cut inside the header, inside the Psi values, and before the end
-    for cut in (50, len(body) // 2, len(body) - 8):
-        path.write_bytes(body[:cut])
-        assert not tab.load_cache(str(path))
-
 
 def test_unattainable_tolerance_raises(gauss_src):
     with pytest.raises(QuadratureError):

@@ -657,7 +657,7 @@ from spinboson.cluster import cluster_scan
 from spinboson.momentum import SourceProfile, TestFunction
 from spinboson.state import StateConfig
 cfg = StateConfig.build(SourceProfile.gaussian(amplitude=0.4), 1.0, 1.0,
-                        n0=1e-3, n_loops=2000, seed=1, n_grid=256)
+                        n0=1e-3, n_loops=2000, seed=1)
 f = TestFunction.gaussian()
 g = TestFunction.gaussian(width=1.2, amplitude=0.8)
 ens = cfg.ensemble

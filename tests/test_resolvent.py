@@ -256,7 +256,7 @@ def test_ideal_report_singular_direction(gauss_src):
     sing_src = SourceProfile(
         RadialProfile("power_bump", exponent_at_zero=-0.4, cutoff=1.0),
         d=3, s=1.0)
-    kern = ThermalKernelTable(sing_src, BETA, n_grid=256, tol=1e-7)
+    kern = ThermalKernelTable(sing_src, BETA, tol=1e-7)
     ens = build_ensemble(SpinMeasureParams(BETA, 1.0), kern, 1000, seed=0)
     cfg = StateConfig(beta=BETA, eps=1.0, d=3, s=1.0, n0=0.0,
                       source=sing_src, kernels=kern, ensemble=ens)
