@@ -26,6 +26,9 @@ Config layout (flat INI)::
     [experiment]
     ; subcommand-specific keys, see the individual runners
 
+A key in [physical], [numerics] or [experiment] that no subcommand reads
+is a config error.
+
 Results depend only on the config and the seed: the loops are drawn in
 fixed chunks from substreams of the seed.
 """
@@ -81,6 +84,26 @@ _SEED = (lambda n: -(1 << 63) <= n < 1 << 63, "a signed 64-bit integer")
 _NONEMPTY = (lambda g: len(g) > 0, "a non-empty comma list")
 _INCREASING = (lambda g: len(g) > 0 and all(a < b for a, b in zip(g, g[1:])),
                "a non-empty, strictly increasing comma list")
+
+
+# every key some subcommand reads, by section; [functions] names are free
+_KNOWN_KEYS = {
+    "physical": ("beta", "eps", "d", "s", "n0", "source"),
+    "numerics": ("samples", "seed", "quad_tol", "variance_grid"),
+    "experiment": ("s_grid", "grid", "mode", "lambda", "mu",
+                   "decay_threshold"),
+}
+
+
+def check_keys(cp):
+    """Reject any key of a read section that no subcommand reads, so a
+    misspelt or removed key is an error instead of a silent default."""
+    for section, known in _KNOWN_KEYS.items():
+        if cp.has_section(section):
+            for key in cp.options(section):
+                if key not in known:
+                    raise ConfigError(
+                        f"unknown config field [{section}] {key}")
 
 
 def _require(name, value, rule):
@@ -566,6 +589,7 @@ def main(argv=None):
             raise ConfigError(f"cannot read config file {args.config}")
         with open(args.config, "rb") as fh:
             config_hash = hashlib.sha256(fh.read()).hexdigest()
+        check_keys(cp)
         os.makedirs(args.out, exist_ok=True)
         checks, ensemble = RUNNERS[args.subcommand](cp, args, args.out)
         _, seed = _mc_settings(cp, args)

@@ -348,6 +348,8 @@ _BASE_PANELS = 8
 _MAX_LEVEL = 7
 # deepest grading toward k = 0, so powers of k stay clear of underflow
 _MAX_DEPTH = 200
+# Gauss order of the embedded Gauss-Kronrod pair (K25 on GL12)
+_KRONROD_GAUSS_ORDER = 12
 
 
 @functools.cache
@@ -359,16 +361,89 @@ def _leggauss(order):
     return x, w
 
 
-def gauss_legendre_panels(edges, order=_GL_ORDER):
-    """Composite Gauss-Legendre nodes and weights on the given panel
-    edges."""
-    x, w = _leggauss(order)
+def _on_panels(edges, x, *weights):
+    """Nodes x and weights of a rule on [-1, 1], mapped onto every panel
+    of the given edges."""
     a = edges[:-1]
     b = edges[1:]
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    return nodes, (half[:, None] * w[None, :]).ravel()
+    return (nodes,) + tuple((half[:, None] * w[None, :]).ravel()
+                            for w in weights)
+
+
+def gauss_legendre_panels(edges, order=_GL_ORDER):
+    """Composite Gauss-Legendre nodes and weights on the given panel
+    edges."""
+    return _on_panels(edges, *_leggauss(order))
+
+
+def _kronrod_recurrence(n):
+    """Recurrence coefficients (a, b) of the Jacobi-Kronrod matrix of
+    order 2n + 1 for the Legendre weight (Laurie, Math. Comp. 66 (1997)
+    1133): its eigenvalues are the 2n + 1 Kronrod nodes, n of them the
+    Gauss-Legendre nodes of order n."""
+    m3 = (3 * n + 1) // 2 + 1
+    a = np.zeros(2 * n + 1)
+    b = np.zeros(2 * n + 1)
+    b[0] = 2.0
+    k = np.arange(1, m3)
+    b[1:m3] = k * k / (4.0 * k * k - 1.0)
+    s = np.zeros(n // 2 + 2)
+    t = np.zeros(n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        k = np.arange((m + 1) // 2, -1, -1)
+        l = m - k
+        s[k + 1] = np.cumsum((a[k + n + 1] - a[l]) * t[k + 1]
+                             + b[k + n + 1] * s[k] - b[l] * s[k + 1])
+        s, t = t, s
+    j = np.arange(n // 2, -1, -1)
+    s[j + 1] = s[j]
+    for m in range(n - 1, 2 * n - 2):
+        k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
+        l = m - k
+        j = n - 1 - l
+        s[j + 1] = np.cumsum(-(a[k + n + 1] - a[l]) * t[j + 1]
+                             - b[k + n + 1] * s[j + 1] + b[l] * s[j + 2])
+        j = j[-1]
+        k = (m + 1) // 2
+        if m % 2 == 0:
+            a[k + n + 1] = a[k] + (s[j + 1] - b[k + n + 1] * s[j + 2]) \
+                / t[j + 2]
+        else:
+            b[k + n + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    a[2 * n] = a[n - 1] - b[2 * n] * s[1] / t[1]
+    return a, b
+
+
+@functools.cache
+def _gauss_kronrod():
+    """Nodes of K25, the 25-point Kronrod extension of GL12 on [-1, 1],
+    its weights, and the GL12 weights on the same nodes (0 on the
+    Kronrod-only ones), built on first use and shared read-only."""
+    a, b = _kronrod_recurrence(_KRONROD_GAUSS_ORDER)
+    x, v = np.linalg.eigh(np.diag(a) + np.diag(np.sqrt(b[1:]), 1)
+                         + np.diag(np.sqrt(b[1:]), -1))
+    w = b[0] * v[0] ** 2
+    # the rule is symmetric: mirror away the eigensolver's rounding
+    x = 0.5 * (x - x[::-1])
+    w = 0.5 * (w + w[::-1])
+    # the Gauss nodes are every other Kronrod node, starting at the second
+    wg = np.zeros_like(w)
+    wg[1::2] = _leggauss(_KRONROD_GAUSS_ORDER)[1]
+    for arr in (x, w, wg):
+        arr.flags.writeable = False
+    return x, w, wg
+
+
+def gauss_kronrod_panels(edges):
+    """Composite embedded G12/K25 rule on the given panel edges: nodes,
+    K25 weights, and GL12 weights on the same nodes (0 on the Kronrod-only
+    ones), so one pass over the integrand gives both sums."""
+    return _on_panels(edges, *_gauss_kronrod())
 
 
 def _grading_depth(exponent, tol):

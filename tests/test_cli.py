@@ -386,6 +386,32 @@ def test_unknown_profile_parameter_is_config_error(line, tmp_path, capsys):
         cli.parse_profile(line.split(" = ")[1])
 
 
+@pytest.mark.parametrize("section, old, new", [
+    ("physical", "n0 = 0.001", "n0 = 0.001\nbata = 2.0"),
+    ("numerics", "quad_tol = 1e-9", "quad_tol = 1e-9\nquad_tl = -1"),
+    ("experiment", "lambda = 1.0", "lamda = 0"),
+], ids=["physical", "numerics", "experiment"])
+def test_unknown_config_key_is_config_error(section, old, new, tmp_path,
+                                            capsys):
+    # a misspelt or removed key is rejected instead of running on the
+    # default of the key it was meant to set
+    text = BASE_CONFIG.replace(old, new)
+    assert text != BASE_CONFIG
+    p = tmp_path / "bad.ini"
+    p.write_text(text)
+    key = new.split("\n")[-1].split(" = ")[0]
+    assert _run("resolvent", str(p), str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: unknown config field [{section}] {key}\n"
+
+
+def test_known_config_keys_are_the_keys_read():
+    # the accepted keys are exactly those some subcommand reads
+    reads, _ = _keys_read_by_cli()
+    known = {(sec, k) for sec, keys in cli._KNOWN_KEYS.items() for k in keys}
+    assert known == {r for r in reads if r[0] in cli._KNOWN_KEYS}
+
+
 def _ini_keys(text):
     """(section, key) pairs declared in an INI layout, comments left out."""
     keys, section = set(), None

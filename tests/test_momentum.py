@@ -19,6 +19,7 @@ from spinboson.momentum import (
     RadialProfile,
     SourceProfile,
     TestFunction,
+    _gauss_kronrod,
     _leggauss,
     _m_divergence,
     classify_direction,
@@ -26,6 +27,7 @@ from spinboson.momentum import (
     dispersion,
     form_nonzero,
     form_zero,
+    gauss_kronrod_panels,
     gauss_legendre_panels,
     inner_product,
     m_pairing,
@@ -540,6 +542,46 @@ def test_gauss_legendre_panels_reuse_one_rule(order):
     assert _leggauss(order) is _leggauss(order)
     with pytest.raises(ValueError):
         _leggauss(order)[0][0] = 0.0
+
+
+def test_kronrod_rule_extends_gauss_legendre_12():
+    # K25 is exact to degree 3 * 12 + 1 = 37 on [-1, 1], its Gauss weights
+    # sit on every other node and reproduce GL12 there, every weight is
+    # positive and the rule is symmetric
+    x, wk, wg = _gauss_kronrod()
+    assert len(x) == 25 and np.all(np.diff(x) > 0)
+    for k in range(38):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(np.dot(wk, x ** k) - exact) <= 1e-14
+    xg, wgl = _leggauss(12)
+    assert np.max(np.abs(x[1::2] - xg)) <= 1e-15
+    assert np.max(np.abs(wg[1::2] - wgl)) <= 1e-15
+    assert not wg[0::2].any()
+    assert np.all(wk > 0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(wk, wk[::-1])
+    assert _gauss_kronrod() is _gauss_kronrod()
+    with pytest.raises(ValueError):
+        _gauss_kronrod()[1][0] = 0.0
+
+
+def test_gauss_kronrod_panels_embed_the_gauss_legendre_panels():
+    # on every panel the Gauss weights are the GL12 composite rule's, and
+    # the Kronrod sum integrates a degree-37 polynomial exactly
+    edges = np.array([0.0, 0.1, 0.25, 0.7, 1.5])
+    nodes, wk, wg = gauss_kronrod_panels(edges)
+    gl_nodes, gl_w = gauss_legendre_panels(edges, 12)
+    on = wg != 0
+    assert np.max(np.abs(nodes[on] - gl_nodes)) <= 1e-15
+    assert np.max(np.abs(wg[on] - gl_w)) <= 1e-16
+    assert np.dot(wk, nodes ** 37) == pytest.approx(1.5 ** 38 / 38,
+                                                    rel=1e-14)
+
+
+def test_kronrod_rule_is_built_on_first_use():
+    code = ("import spinboson.resolvent, spinboson.momentum as m; "
+            "print(m._gauss_kronrod.cache_info().currsize)")
+    assert _fresh_run(code).strip() == "0"
+
 
 def test_forms_match_quadpack(f_gauss, g_gauss, gauss_src):
     # the forms of this file, each with its weight for the oracle

@@ -274,25 +274,32 @@ def _distinct_loops(ens):
     return int(np.sum(ens.counts > 0)) + len(const_signs)
 
 
-def test_resolvents_evaluate_wofz_once_per_distinct_loop(state_cfg, f_gauss,
-                                                         g_gauss,
-                                                         monkeypatch):
-    # structural guard: the Faddeeva function runs on the loops with jumps
-    # and the two constant-path atoms, not on every loop
-    from spinboson import resolvent as res_mod
-    points, nodes = [], []
+def _counted(res_mod, monkeypatch):
+    """Faddeeva points per call, and the panels of each two-point level."""
+    points, panels = [], []
 
     def counted_wofz(x, wofz=res_mod.wofz):
         points.append(np.size(x))
         return wofz(x)
 
-    def counted_panels(*args, rule=res_mod.gauss_legendre_panels, **kw):
-        u, w = rule(*args, **kw)
-        nodes.append(len(u))
-        return u, w
+    def counted_panels(edges, rule=res_mod.gauss_kronrod_panels):
+        panels.append(len(edges) - 1)
+        return rule(edges)
 
     monkeypatch.setattr(res_mod, "wofz", counted_wofz)
-    monkeypatch.setattr(res_mod, "gauss_legendre_panels", counted_panels)
+    monkeypatch.setattr(res_mod, "gauss_kronrod_panels", counted_panels)
+    return points, panels
+
+
+def test_resolvents_evaluate_wofz_once_per_distinct_loop(state_cfg, f_gauss,
+                                                         g_gauss,
+                                                         monkeypatch):
+    # structural guard: the Faddeeva function runs on the loops with jumps
+    # and the two constant-path atoms, not on every loop, and the two-point
+    # product evaluates it once per Kronrod node: the Gauss sum it is
+    # checked against reuses 12 of every 25 nodes
+    from spinboson import resolvent as res_mod
+    points, panels = _counted(res_mod, monkeypatch)
     ens = state_cfg.ensemble
     distinct = _distinct_loops(ens)
     assert distinct <= np.sum(ens.counts > 0) + 2
@@ -300,7 +307,60 @@ def test_resolvents_evaluate_wofz_once_per_distinct_loop(state_cfg, f_gauss,
     assert sum(points) == distinct
     points.clear()
     resolvent_twopoint(state_cfg, 0.7, f_gauss, 1.3, g_gauss)
-    assert sum(points) == distinct * sum(nodes)
+    assert panels == [2]
+    assert sum(points) == distinct * 25 * 2
+
+
+def test_twopoint_doubling_stays_within_the_first_levels_budget(
+        state_cfg, f_gauss, g_gauss, monkeypatch):
+    # a tolerance no first level meets forces the panels to double: each
+    # level evaluates the Faddeeva function once per (Kronrod node,
+    # distinct loop), and the refined value agrees with the first level's
+    # within that level's Kronrod-Gauss gap (the tolerance also moves the
+    # truncation point; the two values differ by about 4e-17 here)
+    from spinboson import resolvent as res_mod
+    ens = state_cfg.ensemble
+    lam, mu = 0.7, 1.3
+    seen = []
+
+    def expectation(values, real=ens.expectation):
+        seen.append(real(values))
+        return seen[-1]
+
+    # the first level's K25 and GL12 estimates, then the returned value's
+    monkeypatch.setattr(ens, "expectation", expectation)
+    first = resolvent_twopoint(state_cfg, lam, f_gauss, mu, g_gauss)
+    (kron, _), (gauss, _) = seen[:2]
+    assert len(seen) == 4 and kron == first.value
+    delta = abs(kron - gauss)
+    assert 0 < delta <= res_mod.TWOPOINT_TOL / (lam * mu)
+
+    points, panels = _counted(res_mod, monkeypatch)
+    monkeypatch.setattr(res_mod, "TWOPOINT_TOL", 1e-14)
+    forced = resolvent_twopoint(state_cfg, lam, f_gauss, mu, g_gauss)
+    assert len(panels) >= 2
+    assert panels == [2 << i for i in range(len(panels))]
+    assert sum(points) == _distinct_loops(ens) * 25 * sum(panels)
+    assert abs(forced.value - first.value) <= delta
+
+
+@pytest.mark.parametrize("lam, mu", [(1.0, 2.0), (0.9, -1.7), (-1.0, 0.5)])
+def test_twopoint_adjoint_identity(gauss_src, kernel_table, ensemble,
+                                   f_gauss, g_gauss, lam, mu):
+    # (R(lam, f) R(mu, g))* = R(-mu, g) R(-lam, f): the same loops enter
+    # both sides, so they agree within the two quadrature budgets (gap plus
+    # tail, each at most (1 + e^-2) TWOPOINT_TOL / (|lam| |mu|)) and the
+    # evaluation error, a bound below the Monte Carlo error
+    from spinboson.resolvent import TWOPOINT_TOL
+    cfg = StateConfig(beta=BETA, eps=1.0, d=3, s=1.0, n0=1e-3,
+                      source=gauss_src, kernels=kernel_table,
+                      ensemble=ensemble)
+    ab = resolvent_twopoint(cfg, lam, f_gauss, mu, g_gauss)
+    ba = resolvent_twopoint(cfg, -mu, g_gauss, -lam, f_gauss)
+    budget = 2.0 * (1.0 + math.exp(-2.0)) * TWOPOINT_TOL / abs(lam * mu)
+    bound = budget + LAPLACE_RTOL * (abs(ab.value) + abs(ba.value))
+    assert bound < min(ab.error, ba.error)
+    assert abs(np.conj(ab.value) - ba.value) <= bound
 
 
 class _AllLoops:
