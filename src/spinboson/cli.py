@@ -26,8 +26,8 @@ Config layout (flat INI)::
     [experiment]
     ; subcommand-specific keys, see the individual runners
 
-A key in [physical], [numerics] or [experiment] that no subcommand reads
-is a config error.
+Any other section, and a key in [physical], [numerics] or [experiment]
+that no subcommand reads, is a config error.
 
 Results depend only on the config and the seed: the loops are drawn in
 fixed chunks from substreams of the seed.
@@ -96,14 +96,15 @@ _KNOWN_KEYS = {
 
 
 def check_keys(cp):
-    """Reject any key of a read section that no subcommand reads, so a
-    misspelt or removed key is an error instead of a silent default."""
-    for section, known in _KNOWN_KEYS.items():
-        if cp.has_section(section):
-            for key in cp.options(section):
-                if key not in known:
-                    raise ConfigError(
-                        f"unknown config field [{section}] {key}")
+    """Reject any section, and any key outside [functions], that no
+    subcommand reads, so a misspelt or removed name is an error instead of
+    a silent default."""
+    for section in cp.sections():
+        if section not in _KNOWN_KEYS and section != "functions":
+            raise ConfigError(f"unknown config section [{section}]")
+        for key in cp.options(section):
+            if section in _KNOWN_KEYS and key not in _KNOWN_KEYS[section]:
+                raise ConfigError(f"unknown config field [{section}] {key}")
 
 
 def _require(name, value, rule):
@@ -262,8 +263,9 @@ def write_csv(path, comment, columns, rows):
 
 def write_summary(path, seed, config_hash, ensemble, checks):
     """The run's seed, config hash, weight-degeneracy figures of the
-    ensemble (ESS, ESS/N and the largest normalized weight), the tilted
-    mass of the two constant paths and checks."""
+    ensemble (ESS, ESS/N and max_weight_share, the largest normalized
+    weight of a sampled loop, the constant paths being read exactly), the
+    tilted mass of the two constant paths and checks."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
         fh.write(f"seed = {seed}\n")

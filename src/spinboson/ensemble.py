@@ -21,38 +21,39 @@ beta-periodic and even, the pairs with a circle end cancel and
 
 for the c jumps t_1 < ... < t_c of a loop, M = int X dt its static moment.
 
-The two constant paths are atoms of the free measure, of total mass
-1/cosh(beta eps): every constant loop of one sign has the same Z and
-log-weight.  The sample arrays (signs, counts, jump times, log-weights)
-hold one value per loop, every estimator array (Z, M, the estimator
-weights and whatever expectation is given) one value per distinct loop,
-in the order of TiltedEnsemble.distinct: the loops with jumps and the
-first loop of each atom, ascending.
+The two constant paths are atoms of the free measure, each of mass
+P(0)/2 = 1/(2 cosh(beta eps)) and with the exact log-weight
+log W = kappa_mean beta^2 / 4.  The sample arrays (signs, counts, jump
+times, log-weights) hold one value per loop, and every estimator array
+(Z, M, the estimator weights and whatever expectation is given) one
+value per row.  Rows 0 and 1 are the constant +1 and -1 paths, whether
+or not the sample drew a constant loop of that sign, and the rows from 2
+on are the loops with jumps, ascending.  A constant loop is no sample:
+its atom is read exactly.
 
 The estimators are post-stratified by jump count, whose law is exact
 (loops.jump_count_pmf): E_free[W v] = sum_s p_s E_free[W v | stratum s].
-The strata are the two atoms (mass P(0)/2 each, read once at their first
-loop and adding no variance) and runs of adjacent counts c >= 1, merged
-upwards until each holds MIN_STRATUM loops (the leftover at the top joins
-the last run, which takes the mass of every count above it).  Empty
-strata drop out and the other masses are renormalized.  A loop with jumps
-weighs w_i = W_i p_s / n_s, and with d = v - mean
+The strata are the two atoms (mass P(0)/2 each, adding no variance) and
+runs of adjacent counts c >= 2, merged upwards until each holds
+MIN_STRATUM loops (the leftover at the top joins the last run, which
+takes the mass of every count above it).  A run no loop fell into drops
+out and the other masses are renormalized.  An atom row weighs p_a W_a,
+a row with jumps w_i = W_i p_s / n_s, and with d = v - mean, summed over
+the runs s,
 
     SE^2 = sum_s [sum_{i in s} (w_i d_i)^2
                   - (sum_{i in s} w_i d_i)^2 / n_s] / (sum w)^2.
 
-`ess` stays Kish's ESS of the FKN weights, (sum W)^2 / sum W^2.
+`ess` stays Kish's ESS of the FKN weights of the n loops,
+(sum W)^2 / sum W^2.
 
 The free measure is invariant under the global spin flip X -> -X: the
 initial sign is a fair coin, independent of the jumps.  The flip keeps a
-loop's jump times, its stratum and its log-weight (quadratic in X) and
-negates Z (linear in X).  So every estimator of a loop function v(Z)
-reads, on a loop with jumps, its flip-even part (v(Z) + v(-Z)) / 2, the
-odd part having mean zero; an atom's row keeps v(Z), since each atom is
-a stratum read exactly and the two atoms already form a flip pair
-(TiltedEnsemble.flip_even).  The characteristic function thus reads
-cos(s Z) on the loops with jumps; its imaginary part comes from the atoms
-alone and vanishes when both are present.
+loop's jump times, its stratum and its log-weight (quadratic in X),
+negates Z (linear in X) and swaps the two atoms.  So every estimator of
+a loop function v(Z) reads the flip-even part (v(Z) + v(-Z)) / 2 on
+every row, the odd part having mean zero: the characteristic function
+reads cos(s Z), and E~[Z] = 0 exactly.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ import numpy as np
 
 from spinboson.loops import (
     SpinLoop,
-    SpinMeasureParams,
     jump_count_groups,
     jump_count_pmf,
     sample_loop_arrays,
@@ -76,7 +76,7 @@ from spinboson.seeds import substream
 DEFAULT_CHUNK = 4096
 JUMP_SLAB = 1 << 16
 MIN_STRATUM = 20          # loops per jump-count stratum, at least
-CNUMBER_TOL = 1e-6        # relative variance bound of cnumber_criterion
+CNUMBER_TOL = 1e-6        # variance bound of cnumber_criterion
 
 
 def loop_log_weight(loop, kernels):
@@ -144,12 +144,14 @@ class TiltedEnsemble:
     """Weighted sample of spin loops with cached Z-values.
 
     Built by build_ensemble; estimates are pure folds over the immutable
-    arrays (signs, jump counts, flat jump times, log-weights) and the
-    jump-count strata derived from them (module docstring).
+    arrays (signs, jump counts, flat jump times, log-weights), the rows
+    and the jump-count strata derived from them (module docstring).
     """
 
     def __init__(self, params, kernels, signs, counts, jumps_flat,
                  master_seed, chunk_size):
+        if np.any(counts & 1):
+            raise ValueError("a loop has an odd number of jumps")
         self.params = params
         self.kernels = kernels
         self.signs = signs
@@ -161,30 +163,32 @@ class TiltedEnsemble:
         self.n = len(signs)
         self.hist = np.bincount(counts)      # loops per jump count
         self._z_cache = {}
-        # the loops with jumps and the atoms' loops, ascending
-        reps = [i for i, _ in self._constant_paths()]
-        keep = counts > 0
-        keep[reps] = True
-        self.distinct = np.flatnonzero(keep)
-        self.logw = self._log_weights()
+        # the rows: the +1 and -1 constant paths, then the loops with jumps
+        has = np.flatnonzero(counts)
+        self._row_signs = np.empty(2 + len(has), dtype=np.int8)
+        self._row_signs[:2] = (1, -1)
+        self._row_signs[2:] = signs[has]
+        self._row_starts = self.offsets[has]
+        self.logw, atom_logw = self._log_weights()
         # FKN weights, shifted so the largest is 1
-        fkn = np.exp(self.logw - self.logw.max())
+        top = self.logw.max()
+        fkn = np.exp(self.logw - top)
         sum_fkn = float(fkn.sum())
         self.ess = float(sum_fkn ** 2 / np.sum(fkn ** 2))
         if self.ess < 0.01 * self.n:
             warnings.warn(
                 f"weight degeneracy: ESS = {self.ess:.1f} of {self.n}",
                 RuntimeWarning)
-        self._stratify(fkn, reps)
+        self._stratify(fkn[has], counts[has], np.exp(atom_logw - top))
 
-    def _stratify(self, fkn, reps):
-        """Derive the jump-count strata from counts and signs, and the
-        estimator's weights from the FKN weights fkn (module docstring).
+    def _stratify(self, fkn, counts, fkn_atom):
+        """Derive the jump-count strata, and the estimator's weights from
+        the FKN weights: fkn and counts of the rows with jumps, fkn_atom of
+        an atom (module docstring).
 
-        Sets weights (W_i p_s / n_s per distinct loop, 0 on the atoms'
-        loops reps), atom_rows and _atom_w (each atom's position in
-        distinct and its weight p_a W), _starts and _sizes (each stratum's
-        first count and its number of loops) and sum_w, the total weight."""
+        Sets weights (p_a W per atom row, W_i p_s / n_s per row with
+        jumps), _stratum (the stratum of each row with jumps), _sizes
+        (each stratum's number of loops) and sum_w, the total weight."""
         pmf = jump_count_pmf(self.params)
         pmf = pmf / pmf.sum()
         starts, sizes = [], []
@@ -203,45 +207,39 @@ class TiltedEnsemble:
         bounds = [1] + starts[1:] + [top] if starts else []
         masses = [float(pmf[(a + 1) // 2:(b + 1) // 2].sum())
                   for a, b in zip(bounds, bounds[1:])]
-        total = 0.5 * pmf[0] * len(reps) + sum(masses)
+        total = pmf[0] + sum(masses)
         scale = np.zeros(len(self.hist))
-        for a, b, p, size in zip(bounds, bounds[1:], masses, sizes):
+        stratum = np.zeros(len(self.hist),
+                           np.min_scalar_type(max(len(sizes) - 1, 0)))
+        for k, (a, b, p, size) in enumerate(
+                zip(bounds, bounds[1:], masses, sizes)):
             scale[a:b] = p / (total * size)
-        self.atom_rows = np.searchsorted(self.distinct, reps)
-        self._atom_w = [float(fkn[i]) * 0.5 * pmf[0] / total for i in reps]
-        self._starts = np.array(bounds[:-1], dtype=np.int64)
+            stratum[a:b] = k
+        self._stratum = stratum[counts]
         self._sizes = np.array(sizes, dtype=float)
-        self.weights = fkn[self.distinct] * scale[self.counts[self.distinct]]
-        self.sum_w = self._weighted_sum(self.weights, np.ones(len(reps)))
-
-    def _weighted_sum(self, wx, x_atoms):
-        """sum_i wx_i plus each atom's weight times its value in x_atoms.
-
-        sum_w is this sum for x = 1, and wx = weights * x equals weights
-        bit for bit then, so x = 1 gives back exactly 1."""
-        total = float(np.sum(wx))
-        for mass, x in zip(self._atom_w, x_atoms):
-            total += mass * x
-        return total
+        self.weights = np.empty(2 + len(counts))
+        self.weights[:2] = fkn_atom * 0.5 * pmf[0] / total
+        self.weights[2:] = fkn * scale[counts]
+        self.sum_w = float(np.sum(self.weights))
 
     @property
     def atom_mass(self):
         """The tilted mass of the two constant paths."""
-        return sum(self._atom_w) / self.sum_w
+        return float(np.sum(self.weights[:2])) / self.sum_w
 
     @property
     def norm_weights(self):
-        """Each loop's weight in the estimator, normalized to sum to 1: an
-        atom's weight is shared by all of its constant loops."""
-        w = self._spread(self.weights / self.sum_w)
-        for (_, atom), mass in zip(self._constant_paths(), self._atom_w):
-            w[atom] = mass / (self.sum_w * np.count_nonzero(atom))
+        """Each loop's weight in the estimator, normalized so that these
+        weights and atom_mass sum to 1: 0 on a constant loop, which is no
+        sample (its atom is read exactly)."""
+        w = np.zeros(self.n)
+        w[self.counts > 0] = self.weights[2:] / self.sum_w
         return w
 
     # -- grouped geometry ----------------------------------------------------
 
     def _groups(self):
-        """Yield (indices, boundary matrix) per distinct jump count."""
+        """Yield (indices, boundary matrix) per jump count present."""
         beta = self.params.beta
         for c, idx, cols in jump_count_groups(self.counts, self.offsets,
                                               self.hist):
@@ -252,16 +250,20 @@ class TiltedEnsemble:
             yield idx, bounds
 
     def _log_weights(self):
-        """log W per loop (module docstring).  Per jump count c, a slab of
-        loops fills a buffer of about JUMP_SLAB pair differences (c(c-1)/2
-        rows, walked lag by lag, the odd lags first), which the Phi spline
-        maps in place; each loop's values are added row by row in a fixed
-        order, so a log-weight does not depend on the other loops."""
+        """log W per loop (module docstring), and an atom's log W.  Per
+        jump count c, a slab of loops fills a buffer of about JUMP_SLAB
+        pair differences (c(c-1)/2 rows, walked lag by lag, the odd lags
+        first), which the Phi spline maps in place; each loop's values are
+        added row by row in a fixed order, so a log-weight does not depend
+        on the other loops."""
         m = 2.0 * self._boundary_sum(lambda u: u)    # M, left uncached
-        out = self._spread(0.25 * self.kernels.kappa_mean * m ** 2)
+        static = 0.25 * self.kernels.kappa_mean * m ** 2
+        # a constant loop has its atom's log W, kappa_mean beta^2 / 4
+        out = np.full(self.n, static[0])
+        out[self.counts > 0] = static[2:]
         phi = self.kernels.phi
         if phi is None:
-            return out
+            return out, static[0]
         for c, idx, cols in jump_count_groups(self.counts, self.offsets,
                                               self.hist):
             n_pairs = c * (c - 1) // 2
@@ -285,75 +287,43 @@ class TiltedEnsemble:
                 phi(diffs, out=diffs)
                 np.negative(diffs[:n_odd], out=diffs[:n_odd])
                 out[idx[a:a + step]] -= 2.0 * row_sum(diffs)
-        return out
+        return out, static[0]
 
     @cached_property
     def static_moment(self):
-        """M = int X dt per distinct loop, the static-mode moment (twice the
+        """M = int X dt per row, the static-mode moment (twice the
         boundary sum of g(u) = u); log W carries kappa_mean M^2 / 4."""
         return 2.0 * self._boundary_sum(lambda u: u)
-
-    # -- distinct loops ------------------------------------------------------
-
-    def _constant_paths(self):
-        """Yield (first loop, loop mask) per constant path, +1 first."""
-        for sign in (1, -1):
-            atom = (self.counts == 0) & (self.signs == sign)
-            if atom.any():
-                yield int(np.argmax(atom)), atom
-
-    def _spread(self, v):
-        """Spread rows per distinct loop to all loops, atoms to their loops."""
-        out = np.empty((self.n,) + v.shape[1:], v.dtype)
-        out[self.distinct] = v
-        for i, atom in self._constant_paths():
-            out[atom] = out[i]
-        return out
 
     # -- estimators ----------------------------------------------------------
 
     def expectation(self, values):
         """Post-stratified IS mean and standard error of an array with one
-        value per distinct loop (an atom's value at its first loop):
-        mean = (sum_i w_i v_i + sum_a p_a W_a v_a) / sum w and the SE of
-        the module docstring, the atoms adding no variance and the real
-        and imaginary parts of v summed as separate float arrays.  Since
-        w_i * 1.0 == w_i, an array of ones gives exactly 1 (1+0j for
-        complex input) with SE exactly 0.0, so every characteristic
-        functional is exactly normalized at s = 0."""
+        value per row: mean = sum_i w_i v_i / sum w over all rows, and the
+        SE of the module docstring, summed over the rows with jumps (the
+        atoms add no variance), the real and imaginary parts of v summed
+        as separate float arrays.  Since w_i * 1.0 == w_i, an array of ones
+        gives exactly 1 (1+0j for complex input) with SE exactly 0.0, so
+        every characteristic functional is exactly normalized at s = 0."""
         values = np.asarray(values)
-        if len(values) != len(self.distinct):
-            raise ValueError("expectation takes one value per distinct loop")
+        if len(values) != len(self.weights):
+            raise ValueError("expectation takes one value per row")
         parts = ((values.real, values.imag) if np.iscomplexobj(values)
                  else (values,))
-        counts = self.counts[self.distinct]
         means, var = [], 0.0
         for x in parts:
-            mean = (self._weighted_sum(self.weights * x, x[self.atom_rows])
-                    / self.sum_w)
+            mean = float(np.sum(self.weights * x)) / self.sum_w
             means.append(mean)
-            # zero on the atoms' loops
-            wd = x - mean
-            wd *= self.weights
+            wd = x[2:] - mean
+            wd *= self.weights[2:]
             # numpy's own loop: a BLAS dot rounds by its thread count
             var += float(np.einsum("i,i->", wd, wd))
-            if len(self._sizes):
-                per_stratum = np.add.reduceat(
-                    np.bincount(counts, wd), self._starts)
-                var -= float(np.sum(per_stratum ** 2 / self._sizes))
+            per_stratum = np.bincount(self._stratum, wd, len(self._sizes))
+            var -= float(np.sum(per_stratum ** 2 / self._sizes))
         se = math.sqrt(max(var, 0.0)) / self.sum_w
         if len(parts) == 2:
             return np.complex128(complex(*means)), se
         return np.float64(means[0]), se
-
-    def flip_even(self, even, atoms):
-        """The estimator array of a loop function v of Z (module
-        docstring): even, a fresh array of the flip-even parts
-        (v(Z) + v(-Z)) / 2 per distinct loop, with each atom's row set to
-        v(Z) from atoms (one value per atom, in atom_rows order)."""
-        out = even.astype(np.result_type(even, atoms), copy=False)
-        out[self.atom_rows] = atoms
-        return out
 
     def log_partition(self):
         """log Z_beta = log(2 cosh(eps beta)) + log sum_s p_s mean_s(W)."""
@@ -363,31 +333,28 @@ class TiltedEnsemble:
                 + math.log(self.sum_w))
 
     def _boundary_sum(self, g, t=0.0):
-        """-1/2 sum_p d_p g(e_p - t) per distinct loop (Z for g = G): ends
-        d_0 = X_0, d_{c+1} = (-1)^(c+1) X_0; jump j at flat index
-        k = offset + j - 1 has d = 2 (-1)^j X_0 = -2 X_0 (-1)^(offset + k)."""
-        counts = self.counts[self.distinct]
+        """-1/2 sum_p d_p g(e_p - t) per row (Z for g = G).  Every jump
+        count c is even: the ends have d_0 = X_0 and d_{c+1} = -X_0, and
+        jump j, at the flat index k = offset + j - 1 with an even offset,
+        has d = 2 (-1)^j X_0 = -2 X_0 (-1)^k."""
         lo, hi = g(0.5 * self.params.beta * np.array([-1.0, 1.0]) - t)
-        out = -0.5 * np.array([lo - hi, lo + hi])[counts & 1]
-        has = np.flatnonzero(counts)
-        starts = self.offsets[self.distinct[has]]
+        out = np.full(len(self._row_signs), -0.5 * (lo - hi))
+        starts = self._row_starts
         # g runs on slabs of whole loops' jumps; jump k has the sign (-1)^k
-        sums = np.empty(len(has), out.dtype)
         cuts = np.append(np.searchsorted(starts, np.arange(
-            0, len(self.jumps_flat), JUMP_SLAB), "right") - 1, len(has))
+            0, len(self.jumps_flat), JUMP_SLAB), "right") - 1, len(starts))
         for i, j in zip(cuts, cuts[1:]):
             a = starts[i]
-            b = starts[j] if j < len(has) else len(self.jumps_flat)
+            b = starts[j] if j < len(starts) else len(self.jumps_flat)
             gj = g(self.jumps_flat[a:b] - t)
-            gj[1 - a % 2::2] *= -1.0
-            sums[i:j] = np.add.reduceat(gj, starts[i:j] - a)
-        out[has] += np.where(starts & 1, -sums, sums)
-        out *= self.signs[self.distinct]
+            gj[1::2] *= -1.0
+            out[2 + i:2 + j] += np.add.reduceat(gj, starts[i:j] - a)
+        out *= self._row_signs
         return out
 
     def z_values(self, f, t_offset=0.0):
-        """Z_{beta,t,f} per distinct loop, cached per (f, t_offset) and
-        shared read-only."""
+        """Z_{beta,t,f} per row, cached per (f, t_offset) and shared
+        read-only."""
         key = (f, float(t_offset))
         if key not in self._z_cache:
             a_f = self.kernels.register(f).A
@@ -403,16 +370,15 @@ class TiltedEnsemble:
         return self._z_cache[("S", f, float(t_offset), 1.0)]
 
     def ell_shift(self, f):
-        """The physical-field shift ell = -E~[Z] (real test functions);
-        0.0, not -0.0, when the atoms cancel."""
-        return 0.0 - float(self._z_moments(f)[0])
+        """The physical-field shift ell = -E~[Z]: exactly 0.0 for every
+        test function, Z being odd under the spin flip (module
+        docstring)."""
+        return 0.0
 
     def char_function(self, f, s, t_offset=0.0):
         """E~[exp(-i s Z_{f,t})] with SE, shaped like the real s; each
-        (f, t, s) is estimated once and cached beside Z.
-
-        The loops with jumps read cos(s Z), a real array when Z is real,
-        and the atoms exp(-i s Z) = cos(s Z) - i sin(s Z)."""
+        (f, t, s) is estimated once and cached beside Z.  Every row reads
+        the flip-even part cos(s Z), a real array when Z is real."""
         t = float(t_offset)
         s = np.asarray(s, dtype=float)
         vals = np.empty(s.shape, dtype=complex)
@@ -424,11 +390,8 @@ class TiltedEnsemble:
                 if z is None:
                     z = self.z_values(f, t)
                     z = z if z.imag.any() else z.real
-                x = sj * z
-                c = np.cos(x)
-                rows = self.atom_rows
-                self._z_cache[key] = self.expectation(self.flip_even(
-                    c, c[rows] - 1j * np.sin(x[rows])))
+                val, se = self.expectation(np.cos(sj * z))
+                self._z_cache[key] = np.complex128(val), se
             vals[j], ses[j] = self._z_cache[key]
         if s.ndim == 0:
             return vals[()], ses[()]
@@ -456,18 +419,13 @@ class TiltedEnsemble:
         return out
 
     def _z_moments(self, f):
-        """Tilted mean and variance of the real Z of f, with SEs (cached):
-        the flip-even parts of Z and (Z - mean)^2 on the loops with jumps
-        are 0 and Z^2 + mean^2."""
+        """Tilted variance of the real Z of f with its SE (cached): E~[Z]
+        is 0, so Var~(Z) = E~[Z^2]."""
         key = ("moments", f)
         if key not in self._z_cache:
             z = self.z_values(f).real
-            za = z[self.atom_rows]
-            mean, mean_se = self.expectation(
-                self.flip_even(np.zeros(len(z)), za))
-            var, var_se = self.expectation(
-                self.flip_even(z * z + mean * mean, (za - mean) ** 2))
-            self._z_cache[key] = (mean, mean_se, float(var), var_se)
+            var, se = self.expectation(z * z)
+            self._z_cache[key] = (float(var), se)
         return self._z_cache[key]
 
     def variance_two_routes(self, f, n_cells=64):
@@ -475,7 +433,7 @@ class TiltedEnsemble:
         (_kernel_variance), both in O(N) memory.  Where the static mode
         carries nearly all of Var~(Z), as at beta ~ 1, even a single flat
         cell agrees, so routes_agree does not test the kernel's shape."""
-        _, _, var, var_se = self._z_moments(f)
+        var, var_se = self._z_moments(f)
         coarse = self._kernel_variance(f, n_cells)
         fine = self._kernel_variance(f, 2 * n_cells)
         gap = abs(var - coarse)
@@ -503,13 +461,14 @@ class TiltedEnsemble:
         return 0.25 * float(var)
 
     def deviation_bound_check(self, f, s_grid):
-        """|S(sf) - exp(-i s E~[Z])| <= s^2/2 Var~(Z) + 5 SE, per s."""
-        mean, _, var, _ = self._z_moments(f)
+        """|S(sf) - exp(-i s E~[Z])| <= s^2/2 Var~(Z) + 5 SE, per s, with
+        E~[Z] = 0."""
+        var, _ = self._z_moments(f)
         vals, ses = self.char_function(f, s_grid)
         rows = []
         ok = True
         for s, val, se in zip(s_grid, vals, ses):
-            lhs = abs(val - np.exp(-1j * s * mean))
+            lhs = abs(val - 1.0)
             bound = 0.5 * s * s * var + 5.0 * se + 1e-12
             rows.append((float(s), float(lhs), float(bound),
                          float(bound - lhs)))
@@ -518,13 +477,12 @@ class TiltedEnsemble:
 
     def cnumber_criterion(self, f):
         """Z almost-surely constant (c-number substitution) iff the tilted
-        variance is at most CNUMBER_TOL (E~[Z]^2 + 1)."""
-        mean, se, var, _ = self._z_moments(f)
-        verdict = var <= CNUMBER_TOL * (mean ** 2 + 1.0)
+        variance is at most CNUMBER_TOL; the constant is then E~[Z] = 0."""
+        var, _ = self._z_moments(f)
+        verdict = var <= CNUMBER_TOL
         evidence = {
             "var_direct": var,
-            "mean_z": float(mean),
-            "se": se,
+            "mean_z": 0.0,
             "ess": self.ess,
         }
         return verdict, evidence
@@ -550,23 +508,15 @@ class TiltedEnsemble:
 
 
 def build_ensemble(params, kernels, n, seed, chunk_size=DEFAULT_CHUNK,
-                   workers=1, frozen_spin=False):
+                   workers=1):
     """Sample n loops in deterministic chunks and attach FKN weights.
 
     Substreams are derived per chunk index, so the result depends only on
-    (seed, n, chunk_size).  frozen_spin replaces every path by the constant
-    +1 loop (diagnostic mode).  workers is accepted and ignored: the chunks
+    (seed, n, chunk_size).  workers is accepted and ignored: the chunks
     are sampled in order in this thread.
     """
     if n < 1:
         raise ValueError("need at least one loop")
-    if frozen_spin:
-        signs = np.ones(n, dtype=np.int8)
-        counts = np.zeros(n, dtype=np.int64)
-        flat = np.empty(0)
-        return TiltedEnsemble(params, kernels, signs, counts, flat,
-                              seed, chunk_size)
-
     parts = [sample_loop_arrays(params, substream(seed, i),
                                 min(chunk_size, n - lo))
              for i, lo in enumerate(range(0, n, chunk_size))]

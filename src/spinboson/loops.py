@@ -8,8 +8,8 @@ condition of the thermal trace.  The jump count 2m is distributed as
 
 and given the count the jump times are the order statistics of i.i.d.
 uniforms.  The sampler draws every count, sign and uniform of a chunk in
-one pass, then sorts the times loop by loop with one row sort per
-distinct jump count (jump_count_groups), so each time is sorted once, in
+one pass, then sorts the times loop by loop with one row sort per jump
+count present (jump_count_groups), so each time is sorted once, in
 a row of its own loop's length.  Exact transfer-matrix formulas for the
 transition probabilities and multi-time correlations serve as oracles
 for the sampler.
@@ -168,7 +168,7 @@ def sample_loop_arrays(params, rng, n):
     The flat array concatenates each loop's sorted jumps; split points are
     np.cumsum(counts).  The draws come in a fixed order (counts, signs,
     then all uniforms of the chunk); the times are then sorted within each
-    loop by one row sort per distinct jump count, which touches each time
+    loop by one row sort per jump count present, which touches each time
     once and leaves the draws as they were.
     """
     pmf = jump_count_pmf(params)

@@ -26,20 +26,19 @@ which is returned, and the GL12 sum over the 12 Gauss nodes among them,
 whose distance from it is the quadrature error.
 
 The per-loop closed forms run on TiltedEnsemble.z_values, one Z per
-distinct loop: every constant path of one sign has the same Z, so the
-loops with jumps and the two constant-path atoms are all that is
-evaluated.  Every value and its Monte Carlo error is one
-TiltedEnsemble.expectation of the array this gives.
+row: the two constant paths, then the loops with jumps.  Every value and
+its Monte Carlo error is one TiltedEnsemble.expectation of the array
+this gives.
 
-The one-point value reads, on a loop with jumps, the mean over the loop
-and its global spin flip (Z -> -Z; see spinboson.ensemble).  For real b,
+The one-point value reads, on every row, the mean over the path and its
+global spin flip (Z -> -Z; see spinboson.ensemble).  For real b,
 L(conj a, b) = conj L(a, b), so for real Z that mean is
--i sgn Re L(|lambda| + i sgn Z, b): one Faddeeva call per loop, and the
+-i sgn Re L(|lambda| + i sgn Z, b): one Faddeeva call per row, and the
 Laplace transform of TiltedEnsemble.char_function on the same sample.
 The two-point value is left un-averaged: its Weyl phase sigma is not
-negated by the flip, so the flipped loop's L is not the conjugate of the
-loop's own, and averaging would cost a second Faddeeva pass over every
-(u-node, loop) pair.
+negated by the flip, so the flipped path's L is not the conjugate of the
+path's own, and averaging would cost a second Faddeeva pass over every
+(u-node, row) pair.
 """
 
 from __future__ import annotations
@@ -112,8 +111,7 @@ def resolvent_onepoint(cfg, lam, f):
     # the flipped loop's L(|lam| - i sgn Z) = conj L(|lam| + i sgn conj Z)
     flip = np.conj(lap if not z.imag.any() else
                    laplace_gauss(abs(lam) + 1j * sgn * np.conj(z), b))
-    h = ens.flip_even(-0.5j * sgn * (lap + flip),
-                      -1j * sgn * lap[ens.atom_rows])
+    h = -0.5j * sgn * (lap + flip)
     return _estimate(ens, h, 0.5 * (np.abs(lap) + np.abs(flip)))
 
 
@@ -154,8 +152,8 @@ def resolvent_twopoint(cfg, lam, f, mu, g):
     umax = _truncation_point(al, q_s, log_tol)
     tail = math.exp(-al * umax - 0.25 * q_s * umax * umax) / (al * am)
 
-    # the slab height is set by all n loops, so each loop's u-sum rounds
-    # the same however many loops are distinct
+    # the slab height is set by all n loops, so each row's u-sum rounds
+    # the same however many rows there are
     step = max(1, _SLAB // ens.n)
     panels = 2
     while True:

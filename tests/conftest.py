@@ -125,23 +125,19 @@ def quad_radial(fn, breakpoints=(), tol=1e-13):
     return total
 
 
-def distinct_rows(ens):
-    """Each loop's row in the ensemble's per-distinct-loop arrays, derived
-    afresh: a loop with jumps has its own row, and a constant loop the row
-    of the first constant loop of its sign."""
-    rep = np.arange(ens.n)
-    for sign in (1, -1):
-        atom = np.flatnonzero((ens.counts == 0) & (ens.signs == sign))
-        rep[atom] = atom[:1]
-    return np.searchsorted(ens.distinct, rep)
+def loop_rows(ens):
+    """Each loop's row in the ensemble's per-row arrays, derived afresh: a
+    constant loop reads its atom, row 0 (+1) or row 1 (-1), and the loops
+    with jumps take rows 2, 3, ... in order."""
+    has = ens.counts > 0
+    return np.where(has, 1 + np.cumsum(has), (ens.signs < 0).astype(int))
 
 
-def flip_even(counts, z, v):
-    """The estimator array of the loop function v, derived afresh: over
-    rows of Z with jump counts counts, the mean (v(z) + v(-z)) / 2 of a
-    loop with jumps and of its global spin flip, and v(z) itself on a
-    constant loop, whose flip is the other atom."""
-    return np.where(counts > 0, 0.5 * (v(z) + v(-z)), v(z))
+def flip_even(z, v):
+    """The estimator array of the loop function v over the values z of Z,
+    derived afresh: the mean (v(z) + v(-z)) / 2 of a path and of its
+    global spin flip."""
+    return 0.5 * (v(z) + v(-z))
 
 
 def phase(s):

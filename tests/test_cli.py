@@ -33,10 +33,6 @@ s_grid = 0,0.5,1,2
 grid = 1,2,4,8,16
 lambda = 1.0
 mu = 2.0
-
-[output]
-directory = out
-csv = true
 """
 
 SUBCOMMANDS = sorted(cli.RUNNERS)
@@ -403,6 +399,17 @@ def test_unknown_config_key_is_config_error(section, old, new, tmp_path,
     assert _run("resolvent", str(p), str(tmp_path / "out")) == 2
     err = capsys.readouterr().err
     assert err == f"config error: unknown config field [{section}] {key}\n"
+
+
+@pytest.mark.parametrize("section", ["numeric", "output"])
+def test_unknown_config_section_is_config_error(section, tmp_path, capsys):
+    # a misspelt section is rejected instead of leaving every key in it at
+    # its default, and so is a section that nothing reads
+    p = tmp_path / "bad.ini"
+    p.write_text(BASE_CONFIG + f"\n[{section}]\nsamples = 1000000\n")
+    assert _run("charfun", str(p), str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: unknown config section [{section}]\n"
 
 
 def test_known_config_keys_are_the_keys_read():

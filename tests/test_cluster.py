@@ -108,17 +108,6 @@ def test_gp_scan_zero_source(free_cfg, f_gauss):
     assert report.a_value == 0.0
 
 
-def test_gp_scan_frozen_spin(gauss_src, kernel_table, f_gauss):
-    ens = build_ensemble(SpinMeasureParams(BETA, 1.0), kernel_table,
-                         1000, seed=0, frozen_spin=True)
-    cfg = StateConfig(beta=BETA, eps=1.0, d=3, s=1.0, n0=0.0,
-                      source=gauss_src, kernels=kernel_table, ensemble=ens)
-    report = gp_limit_scan(cfg, [f_gauss, f_gauss], [0.0, 0.4, 1.1])
-    assert report.classical
-    m = kernel_table.m_value(f_gauss).real
-    assert report.a_value == pytest.approx(-m, rel=1e-10)
-
-
 def test_gp_scan_two_sign_mixture_not_classical(gauss_src, kernel_table,
                                                 f_gauss):
     ens = build_ensemble(SpinMeasureParams(BETA, 0.0), kernel_table,

@@ -8,7 +8,7 @@ from scipy.integrate import simpson
 from spinboson.momentum import RadialProfile, SourceProfile, TestFunction
 from spinboson.kernels import ThermalKernelTable
 from spinboson.loops import SpinMeasureParams
-from spinboson.ensemble import TiltedEnsemble, build_ensemble
+from spinboson.ensemble import DEFAULT_CHUNK, TiltedEnsemble, build_ensemble
 from spinboson.state import StateConfig
 from spinboson.resolvent import (
     LAPLACE_RTOL,
@@ -19,7 +19,7 @@ from spinboson.resolvent import (
     resolvent_twopoint,
 )
 
-from conftest import distinct_rows
+from conftest import loop_rows
 
 BETA = 1.0
 
@@ -268,10 +268,9 @@ def test_ideal_report_singular_direction(gauss_src):
     assert rep.rows[1].classification == "physical"
 
 
-def _distinct_loops(ens):
-    """Loops with jumps plus one constant loop per sign present."""
-    const_signs = set(ens.signs[ens.counts == 0].tolist())
-    return int(np.sum(ens.counts > 0)) + len(const_signs)
+def _n_rows(ens):
+    """The rows: the two constant paths plus the loops with jumps."""
+    return 2 + int(np.sum(ens.counts > 0))
 
 
 def _counted(res_mod, monkeypatch):
@@ -294,28 +293,28 @@ def _counted(res_mod, monkeypatch):
 def test_resolvents_evaluate_wofz_once_per_distinct_loop(state_cfg, f_gauss,
                                                          g_gauss,
                                                          monkeypatch):
-    # structural guard: the Faddeeva function runs on the loops with jumps
-    # and the two constant-path atoms, not on every loop, and the two-point
+    # structural guard: the Faddeeva function runs on the two constant paths
+    # and the loops with jumps, not on every loop, and the two-point
     # product evaluates it once per Kronrod node: the Gauss sum it is
     # checked against reuses 12 of every 25 nodes
     from spinboson import resolvent as res_mod
     points, panels = _counted(res_mod, monkeypatch)
     ens = state_cfg.ensemble
-    distinct = _distinct_loops(ens)
-    assert distinct <= np.sum(ens.counts > 0) + 2
+    rows = _n_rows(ens)
+    assert rows < ens.n
     resolvent_onepoint(state_cfg, 0.7, f_gauss)
-    assert sum(points) == distinct
+    assert sum(points) == rows
     points.clear()
     resolvent_twopoint(state_cfg, 0.7, f_gauss, 1.3, g_gauss)
     assert panels == [2]
-    assert sum(points) == distinct * 25 * 2
+    assert sum(points) == rows * 25 * 2
 
 
 def test_twopoint_doubling_stays_within_the_first_levels_budget(
         state_cfg, f_gauss, g_gauss, monkeypatch):
     # a tolerance no first level meets forces the panels to double: each
-    # level evaluates the Faddeeva function once per (Kronrod node,
-    # distinct loop), and the refined value agrees with the first level's
+    # level evaluates the Faddeeva function once per (Kronrod node, row),
+    # and the refined value agrees with the first level's
     # within that level's Kronrod-Gauss gap (the tolerance also moves the
     # truncation point; the two values differ by about 4e-17 here)
     from spinboson import resolvent as res_mod
@@ -340,7 +339,7 @@ def test_twopoint_doubling_stays_within_the_first_levels_budget(
     forced = resolvent_twopoint(state_cfg, lam, f_gauss, mu, g_gauss)
     assert len(panels) >= 2
     assert panels == [2 << i for i in range(len(panels))]
-    assert sum(points) == _distinct_loops(ens) * 25 * sum(panels)
+    assert sum(points) == _n_rows(ens) * 25 * sum(panels)
     assert abs(forced.value - first.value) <= delta
 
 
@@ -364,13 +363,14 @@ def test_twopoint_adjoint_identity(gauss_src, kernel_table, ensemble,
 
 
 class _AllLoops:
-    """An ensemble seen loop by loop: Z on all n loops, each loop taking
-    its distinct row, the atoms at their first loops, and every estimate
-    read off the distinct loops."""
+    """An ensemble seen loop by loop: Z on the two constant paths and then
+    on all n loops, each loop taking its row, and every estimate read off
+    the rows."""
 
     def __init__(self, ens):
         self._ens = ens
-        self._rows = distinct_rows(ens)
+        self._rows = np.concatenate(([0, 1], loop_rows(ens)))
+        self._back = np.concatenate(([0, 1], 2 + np.flatnonzero(ens.counts)))
 
     def __getattr__(self, name):
         return getattr(self._ens, name)
@@ -379,27 +379,27 @@ class _AllLoops:
         return self._ens.z_values(f, t_offset)[self._rows]
 
     def expectation(self, values):
-        return self._ens.expectation(np.asarray(values)[self._ens.distinct])
-
-    @property
-    def atom_rows(self):
-        return self._ens.distinct[self._ens.atom_rows]
-
-    def flip_even(self, even, atoms):
-        return TiltedEnsemble.flip_even(self, even, atoms)
+        return self._ens.expectation(np.asarray(values)[self._back])
 
 
 @pytest.mark.filterwarnings("ignore:weight degeneracy")
 @pytest.mark.parametrize("kind", ["sampled", "frozen", "n1"])
 def test_resolvents_match_the_all_loop_evaluation(gauss_src, kernel_table,
                                                   f_gauss, g_gauss, kind):
-    # the per-loop sums do not depend on how many loops are distinct: the
+    # the per-row sums do not depend on how many rows there are: the
     # closed forms over every loop give the same values and errors (a
-    # frozen-spin ensemble has a single distinct loop); at 20000 loops the
-    # two-point u-sum takes more than one slab
+    # sample of constant +1 loops, as a frozen spin draws, has the two
+    # atom rows only); at 20000 loops the two-point u-sum takes more than
+    # one slab
     n = 1 if kind == "n1" else 20000
-    ens = build_ensemble(SpinMeasureParams(BETA, 1.0), kernel_table, n,
-                         seed=5, frozen_spin=kind == "frozen")
+    if kind == "frozen":
+        ens = TiltedEnsemble(SpinMeasureParams(BETA, 1.0), kernel_table,
+                             np.ones(n, dtype=np.int8),
+                             np.zeros(n, dtype=np.int64), np.empty(0), 5,
+                             DEFAULT_CHUNK)
+    else:
+        ens = build_ensemble(SpinMeasureParams(BETA, 1.0), kernel_table, n,
+                             seed=5)
 
     def values(ensemble):
         cfg = StateConfig(beta=BETA, eps=1.0, d=3, s=1.0, n0=1e-3,

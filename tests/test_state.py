@@ -38,15 +38,6 @@ def eps0_cfg(gauss_src, kernel_table):
                        source=gauss_src, kernels=kernel_table, ensemble=ens)
 
 
-@pytest.fixture(scope="module")
-def frozen_cfg(gauss_src, kernel_table):
-    params = SpinMeasureParams(BETA, 1.0)
-    ens = build_ensemble(params, kernel_table, 1000, seed=3,
-                         frozen_spin=True)
-    return StateConfig(beta=BETA, eps=1.0, d=3, s=1.0, n0=0.0,
-                       source=gauss_src, kernels=kernel_table, ensemble=ens)
-
-
 # ---------------------------------------------------------------------------
 # configuration plumbing
 # ---------------------------------------------------------------------------
@@ -208,13 +199,13 @@ def test_van_hove_basics(state_cfg, f_gauss):
         assert abs(vh) == pytest.approx(free, rel=1e-12)
 
 
-def test_van_hove_equality_iff_deterministic(frozen_cfg, eps0_cfg, f_gauss):
-    # frozen spin: Z is deterministic, both functionals coincide
+def test_van_hove_equality_iff_deterministic(free_cfg, eps0_cfg, f_gauss):
+    # zero source: Z = 0 is deterministic, both functionals coincide
     for s in (0.3, 1.0, 2.0):
-        got, se = charfun_scaled(frozen_cfg, f_gauss, s)
-        ref = van_hove_charfun(frozen_cfg, f_gauss, s)
+        got, se = charfun_scaled(free_cfg, f_gauss, s)
+        ref = van_hove_charfun(free_cfg, f_gauss, s)
         assert got == pytest.approx(ref, rel=1e-8)
-    assert frozen_cfg.ensemble.cnumber_criterion(f_gauss)[0]
+    assert free_cfg.ensemble.cnumber_criterion(f_gauss)[0]
     # two-sign mixture: unequal at s = pi / (2 <f, m>)
     m = eps0_cfg.kernels.m_value(f_gauss).real
     s_bad = 0.5 * math.pi / m
