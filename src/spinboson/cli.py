@@ -47,7 +47,9 @@ from datetime import datetime, timezone
 import numpy as np
 
 from spinboson import cluster as cluster_mod
+from spinboson import resolvent as resolvent_mod
 from spinboson import state as state_mod
+from spinboson.ensemble import CNUMBER_TOL
 from spinboson.kernels import QuadratureError
 from spinboson.loops import (
     SpinMeasureParams,
@@ -453,7 +455,7 @@ def run_variance(cp, args, outdir):
     f, _ = load_f_g(cp, cfg)
     rep = cfg.ensemble.variance_two_routes(f, n_cells)
     dev_ok, dev_rows = cfg.ensemble.deviation_bound_check(f, s_grid)
-    cn, evidence = cfg.ensemble.cnumber_criterion(f)
+    _, evidence = cfg.ensemble.cnumber_criterion(f)
     checks = [
         ("variance_routes_agree", rep.routes_agree),
         ("variance_grid_converged", not rep.grid_flagged),
@@ -462,7 +464,8 @@ def run_variance(cp, args, outdir):
     rows = [(s, lhs, bound, margin) for s, lhs, bound, margin in dev_rows]
     rows.append(("var_direct", rep.var_direct, "", ""))
     rows.append(("var_kernel", rep.var_kernel, "", ""))
-    rows.append(("cnumber", cn, evidence["var_direct"], evidence["mean_z"]))
+    var = evidence["var_direct"]
+    rows.append(("cnumber", var, CNUMBER_TOL, CNUMBER_TOL - var))
     write_csv(os.path.join(outdir, "variance.csv"),
               "fluctuation diagnostics of the spin random variable Z "
               "(dimensionless)",
@@ -472,10 +475,6 @@ def run_variance(cp, args, outdir):
 
 
 def run_resolvent(cp, args, outdir):
-    # resolvent loads scipy.special for the Faddeeva function, so only the
-    # subcommands that need it import it
-    from spinboson import resolvent as resolvent_mod
-
     lam = _get_num(cp, "experiment", "lambda", 1.0, float, _NONZERO)
     mu = _get_num(cp, "experiment", "mu", 2.0, float, _NONZERO)
     thresh = _get_num(cp, "experiment", "decay_threshold", 1.0, float,
@@ -516,8 +515,6 @@ def run_resolvent(cp, args, outdir):
 
 
 def run_ideals(cp, args, outdir):
-    from spinboson import resolvent as resolvent_mod
-
     cfg = build_state(cp, args)
     report = resolvent_mod.ideal_report(
         cfg, load_functions(cp, cfg.d, cfg.s).items())

@@ -482,7 +482,6 @@ class TiltedEnsemble:
         verdict = var <= CNUMBER_TOL
         evidence = {
             "var_direct": var,
-            "mean_z": 0.0,
             "ess": self.ess,
         }
         return verdict, evidence

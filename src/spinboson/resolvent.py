@@ -14,12 +14,29 @@ is fixed for each loop, so the u-integral is done per loop:
     L(a, b) = int_0^inf e^{-a u - b u^2} du
             = sqrt(pi) / (2 sqrt(b)) * w(i a / (2 sqrt(b))),
 
-with w the Faddeeva function (Poppe & Wijers, ACM TOMS 16, 1990) and
-L(a, 0) = 1/a.  Two-point expectations add the Weyl phase
-exp(-(i/2) s t sigma(f, g)) and the joint characteristic function, which
-is computable from the same ensemble because Z is linear in the test
-function; their inner t-integral is the same closed form per loop, which
-leaves one u-quadrature.  It runs on an embedded Gauss-Kronrod pair
+with w the Faddeeva function and L(a, 0) = 1/a.  The module evaluates w
+itself, by Weideman's rational approximation with N = 36 terms (J. A. C.
+Weideman, "Computation of the complex error function", SIAM J. Numer.
+Anal. 31 (1994) 1497-1518):
+
+    w(z) = 2 p(Z) / (L - i z)^2 + pi^{-1/2} / (L - i z),
+    Z = (L + i z) / (L - i z),  L = sqrt(N / sqrt(2)),
+
+with p a polynomial of degree N - 1 whose real coefficients come from one
+FFT at import, and w(z) = 2 exp(-z^2) - w(-z) for Im z < 0.  Against
+30-digit mpmath on 20 000 random points per region its relative error is
+at most 7.4e-15 on the upper half-plane (|z| from 1e-3 to 1e7), 7.6e-15
+on the real axis and 1.9e-14 for Im z in [-5, 0) (scipy.special.wofz:
+1.6e-14, 2.0e-15, 3.9e-14); for Im z in [-25, -5), where w is
+2 exp(-z^2) to that accuracy, both reach 1.8e-13.  On the upper
+half-plane against scipy, N = 36 gives 2.0e-14, N = 34 5.2e-14 and
+N = 32 3.1e-13, above LAPLACE_RTOL.
+
+Two-point expectations add the Weyl phase exp(-(i/2) s t sigma(f, g))
+and the joint characteristic function, which is computable from the same
+ensemble because Z is linear in the test function; their inner
+t-integral is the same closed form per loop, which leaves one
+u-quadrature.  It runs on an embedded Gauss-Kronrod pair
 (momentum.gauss_kronrod_panels): each (u-node, loop) body is evaluated
 once, at the 25 Kronrod nodes of each panel, and gives both the K25 sum,
 which is returned, and the GL12 sum over the 12 Gauss nodes among them,
@@ -47,13 +64,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import wofz
 
 from spinboson.ensemble import row_sum
 from spinboson.momentum import gauss_kronrod_panels, symplectic
 
 # relative accuracy of laplace_gauss, pinned against mpmath in the tests
 LAPLACE_RTOL = 1e-13
+
+# terms of Weideman's approximation of w, and the points per Horner pass,
+# which keeps its working arrays in cache
+_FADDEEVA_N = 36
+_FADDEEVA_SLAB = 8192
 
 # (u-node x loop) elements per slab of the two-point quadrature
 _SLAB = 1 << 19
@@ -64,6 +85,55 @@ TWOPOINT_TOL = 1e-6
 
 # a decay scan is asserted only when q_bec(f) exceeds this floor
 DECAY_Q_FLOOR = 1e-6
+
+
+def _weideman_coefficients(n):
+    """L and the coefficients of 2 p, highest power first, for n terms."""
+    m = 2 * n
+    ell = math.sqrt(n / math.sqrt(2.0))
+    t = ell * np.tan(np.arange(1 - m, m) * (math.pi / (2 * m)))
+    f = np.concatenate(([0.0], np.exp(-t * t) * (ell * ell + t * t)))
+    a = np.fft.fft(np.fft.fftshift(f)).real / (2 * m)
+    return ell, 2.0 * a[n:0:-1]
+
+
+_W_L, _W_COEFFS = _weideman_coefficients(_FADDEEVA_N)
+_RSQRT_PI = 1.0 / math.sqrt(math.pi)
+
+
+def wofz(z):
+    """Faddeeva function w(z) = exp(-z^2) erfc(-i z), elementwise."""
+    z = np.asarray(z, dtype=complex)
+    flat = z.ravel()
+    out = np.empty(flat.shape, dtype=complex)
+    size = min(flat.size, _FADDEEVA_SLAB)
+    inv_buf = np.empty(size, dtype=complex)
+    big_z_buf = np.empty(size, dtype=complex)
+    for lo in range(0, flat.size, _FADDEEVA_SLAB):
+        zs = flat[lo:lo + _FADDEEVA_SLAB]
+        w = out[lo:lo + len(zs)]
+        inv, big_z = inv_buf[:len(zs)], big_z_buf[:len(zs)]
+        # the lower half-plane is read as -z and reflected at the end
+        lower = np.flatnonzero(zs.imag < 0)
+        np.multiply(zs, -1j, out=inv)
+        if lower.size:
+            inv[lower] *= -1
+        inv += _W_L
+        np.divide(1.0, inv, out=inv)             # 1 / (L - i z)
+        np.multiply(inv, 2.0 * _W_L, out=big_z)
+        big_z -= 1.0                             # (L + i z) / (L - i z)
+        np.multiply(big_z, _W_COEFFS[0], out=w)
+        w += _W_COEFFS[1]
+        for c in _W_COEFFS[2:]:
+            w *= big_z
+            w += c
+        w *= inv
+        w += _RSQRT_PI
+        w *= inv
+        if lower.size:
+            zl = zs[lower]
+            w[lower] = 2.0 * np.exp(-zl * zl) - w[lower]
+    return out.reshape(z.shape)[()]
 
 
 def laplace_gauss(a, b):

@@ -1,4 +1,5 @@
 import ast
+import csv
 import inspect
 import os
 import re
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from spinboson import cli
+from spinboson.ensemble import CNUMBER_TOL
 from spinboson.kernels import QuadratureError, ThermalKernelTable
 from spinboson.momentum import TestFunction, form_nonzero
 
@@ -287,6 +289,19 @@ def test_seed_flag_overrides_config(config_path, tmp_path):
     c1, _ = _read_outputs(out1)
     c2, _ = _read_outputs(out2)
     assert c1 != c2
+
+
+def test_variance_cnumber_row_is_value_bound_margin(config_path, tmp_path):
+    # the c-number criterion's row reads like the deviation rows: the
+    # tilted variance of Z, the bound CNUMBER_TOL and the margin between
+    out = str(tmp_path / "out")
+    assert _run("variance", config_path, out) == 0
+    lines = open(os.path.join(out, "variance.csv")).read().splitlines()
+    rows = {r[0]: r[1:] for r in csv.reader(lines[2:])}
+    var, bound, margin = (float(x) for x in rows["cnumber"])
+    assert var == float(rows["var_direct"][0]) > 0
+    assert bound == CNUMBER_TOL
+    assert margin == CNUMBER_TOL - var
 
 
 def test_kernels_checks_the_psi_circle_identity(config_path, tmp_path,

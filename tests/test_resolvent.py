@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
+from scipy.special import wofz as scipy_wofz
 
 from spinboson.momentum import RadialProfile, SourceProfile, TestFunction
 from spinboson.kernels import ThermalKernelTable
@@ -17,6 +18,7 @@ from spinboson.resolvent import (
     laplace_gauss,
     resolvent_onepoint,
     resolvent_twopoint,
+    wofz,
 )
 
 from conftest import loop_rows
@@ -180,6 +182,38 @@ def test_laplace_gauss_against_mpmath():
                                 * mpmath.erfc(ma / r))
         got = complex(laplace_gauss(a, b))
         assert abs(got - exact) <= LAPLACE_RTOL * abs(exact)
+
+
+def test_wofz_against_scipy():
+    # scipy.special.wofz is the Faddeeva oracle that needs no mpmath
+    radius = np.logspace(-3.0, 6.0, 400)
+    angle = np.linspace(0.0, math.pi, 91)
+    upper = (radius[:, None] * np.exp(1j * angle)).ravel()
+    x = np.logspace(-3.0, 2.0, 400)
+    real = np.concatenate((-x, x)) + 0j
+    near_real = (real[:, None]
+                 + 1j * np.array([-1e-8, -1e-12, 1e-12, 1e-8])).ravel()
+    for z in (upper, real, near_real):
+        exact = scipy_wofz(z)
+        assert np.all(np.abs(wofz(z) - exact) <= LAPLACE_RTOL * np.abs(exact))
+
+    # Im z in [-5, 0), where a(u) of the two-point t-integral goes when
+    # mu < 0: both evaluate 2 exp(-z^2) - w(-z), whose terms cancel near
+    # the zeros of w, so the error is measured against their magnitudes
+    lower = (np.linspace(-30.0, 30.0, 241)[:, None]
+             - 1j * np.linspace(5.0, 0.01, 120)).ravel()
+    exact = scipy_wofz(lower)
+    scale = 2.0 * np.abs(np.exp(-lower * lower)) + np.abs(scipy_wofz(-lower))
+    assert np.all(np.abs(wofz(lower) - exact) <= LAPLACE_RTOL * scale)
+
+    assert wofz(0.0) == pytest.approx(1.0, rel=LAPLACE_RTOL, abs=0.0)
+    for z in (upper, near_real, lower):
+        np.testing.assert_allclose(wofz(-np.conj(z)), np.conj(wofz(z)),
+                                   rtol=1e-15, atol=0.0)
+    # any shape in, the same shape out, evaluated in several slabs
+    grid = lower[:20000].reshape(100, 200)
+    assert wofz(grid).shape == grid.shape
+    assert np.array_equal(wofz(grid).ravel(), wofz(lower[:20000]))
 
 
 def test_scaling_identity(state_cfg, f_gauss):
