@@ -6,7 +6,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 from scipy.special import wofz as scipy_wofz
 
-from spinboson.momentum import RadialProfile, SourceProfile, TestFunction
+from spinboson.momentum import (
+    RadialProfile,
+    SourceProfile,
+    TestFunction,
+    gauss_kronrod_panels,
+)
 from spinboson.kernels import ThermalKernelTable
 from spinboson.loops import SpinMeasureParams
 from spinboson.ensemble import DEFAULT_CHUNK, TiltedEnsemble, build_ensemble
@@ -324,13 +329,35 @@ def _counted(res_mod, monkeypatch):
     return points, panels
 
 
+def _truncations(res_mod, monkeypatch):
+    """The (umax, tail) of each two-point call."""
+    cuts = []
+
+    def recorded(*args, real=res_mod._truncation_point):
+        cuts.append(real(*args))
+        return cuts[-1]
+
+    monkeypatch.setattr(res_mod, "_truncation_point", recorded)
+    return cuts
+
+
+def _on_panels(res_mod, monkeypatch, panels, stretch=1.0):
+    """Two-point levels on `panels` equal panels of [0, stretch * umax]."""
+    monkeypatch.setattr(
+        res_mod, "gauss_kronrod_panels",
+        lambda edges: gauss_kronrod_panels(
+            np.linspace(0.0, stretch * edges[-1], panels + 1)))
+
+
 def test_resolvents_evaluate_wofz_once_per_distinct_loop(state_cfg, f_gauss,
                                                          g_gauss,
                                                          monkeypatch):
     # structural guard: the Faddeeva function runs on the two constant paths
     # and the loops with jumps, not on every loop, and the two-point
     # product evaluates it once per Kronrod node: the Gauss sum it is
-    # checked against reuses 12 of every 25 nodes
+    # checked against reuses 12 of every 25 nodes.  A same-sign pair, whose
+    # cross term damps it, passes on one panel; an opposite-sign pair
+    # starts on two
     from spinboson import resolvent as res_mod
     points, panels = _counted(res_mod, monkeypatch)
     ens = state_cfg.ensemble
@@ -340,20 +367,28 @@ def test_resolvents_evaluate_wofz_once_per_distinct_loop(state_cfg, f_gauss,
     assert sum(points) == rows
     points.clear()
     resolvent_twopoint(state_cfg, 0.7, f_gauss, 1.3, g_gauss)
+    assert panels == [1]
+    assert sum(points) == rows * 25
+    points.clear()
+    panels.clear()
+    resolvent_twopoint(state_cfg, 0.9, f_gauss, -1.7, g_gauss)
     assert panels == [2]
     assert sum(points) == rows * 25 * 2
 
 
 def test_twopoint_doubling_stays_within_the_first_levels_budget(
         state_cfg, f_gauss, g_gauss, monkeypatch):
-    # a tolerance no first level meets forces the panels to double: each
-    # level evaluates the Faddeeva function once per (Kronrod node, row),
-    # and the refined value agrees with the first level's
-    # within that level's Kronrod-Gauss gap (the tolerance also moves the
-    # truncation point; the two values differ by about 4e-17 here)
+    # a tolerance no first level meets forces the panels to double from
+    # one: each level evaluates the Faddeeva function once per (Kronrod
+    # node, row).  The first level agrees with a 16-panel value on its own
+    # [0, umax] within its Kronrod-Gauss gap (they differ by about 2e-17
+    # here), and the refined value, whose tolerance also moves the
+    # truncation point out, differs from that one by the truncated part,
+    # which the first level's tail bounds
     from spinboson import resolvent as res_mod
     ens = state_cfg.ensemble
     lam, mu = 0.7, 1.3
+    tol = res_mod.TWOPOINT_TOL
     seen = []
 
     def expectation(values, real=ens.expectation):
@@ -362,19 +397,61 @@ def test_twopoint_doubling_stays_within_the_first_levels_budget(
 
     # the first level's K25 and GL12 estimates, then the returned value's
     monkeypatch.setattr(ens, "expectation", expectation)
+    cuts = _truncations(res_mod, monkeypatch)
     first = resolvent_twopoint(state_cfg, lam, f_gauss, mu, g_gauss)
     (kron, _), (gauss, _) = seen[:2]
     assert len(seen) == 4 and kron == first.value
     delta = abs(kron - gauss)
-    assert 0 < delta <= res_mod.TWOPOINT_TOL / (lam * mu)
+    assert 0 < delta <= tol / (lam * mu)
+    _, tail = cuts[0]
 
     points, panels = _counted(res_mod, monkeypatch)
     monkeypatch.setattr(res_mod, "TWOPOINT_TOL", 1e-14)
     forced = resolvent_twopoint(state_cfg, lam, f_gauss, mu, g_gauss)
     assert len(panels) >= 2
-    assert panels == [2 << i for i in range(len(panels))]
+    assert panels == [1 << i for i in range(len(panels))]
     assert sum(points) == _n_rows(ens) * 25 * sum(panels)
-    assert abs(forced.value - first.value) <= delta
+
+    monkeypatch.setattr(res_mod, "TWOPOINT_TOL", tol)
+    _on_panels(res_mod, monkeypatch, 16)
+    many = resolvent_twopoint(state_cfg, lam, f_gauss, mu, g_gauss)
+    assert cuts[2] == cuts[0]
+    assert abs(many.value - first.value) <= delta
+    assert abs(forced.value - many.value) <= tail
+
+
+@pytest.mark.parametrize("lam, mu, tf, tg", [(1.0, 2.0, 0.0, 0.0),
+                                            (0.9, -1.7, 0.0, 0.0),
+                                            (-1.0, 0.5, 0.0, 0.0),
+                                            (1.0, 2.0, 1.0, 0.0),
+                                            (1.0, 0.5, 0.0, 1.0),
+                                            (1.0, -0.5, 0.0, 1.0)])
+def test_twopoint_tail_bounds_the_truncated_remainder(
+        gauss_src, kernel_table, small_ensemble, f_gauss, g_gauss, lam, mu,
+        tf, tg, monkeypatch):
+    # the part of the u-integral beyond umax, read as 64 panels on
+    # [0, 4 umax] less 16 panels on [0, umax], is at most the tail bound
+    # that resolvent_twopoint adds to its error.  A time-evolved f or g has
+    # complex Z, and |e^{-i s Z}| grows with u or t faster than
+    # e^{-|lam| u} or e^{-|mu| t} decays: a bound that took it as 1 was 23
+    # times too small at (1, 2) with f evolved
+    from spinboson import resolvent as res_mod
+    f, g = f_gauss.time_evolved(tf), g_gauss.time_evolved(tg)
+    for h, rate, phase in ((f, lam, tf), (g, mu, tg)):
+        if phase:
+            growth = np.abs(small_ensemble.z_values(h).imag).max()
+            assert growth > 4 * abs(rate)
+    cfg = StateConfig(beta=BETA, eps=1.0, d=3, s=1.0, n0=1e-3,
+                      source=gauss_src, kernels=kernel_table,
+                      ensemble=small_ensemble)
+    cuts = _truncations(res_mod, monkeypatch)
+    values = []
+    for panels, stretch in ((16, 1.0), (64, 4.0)):
+        _on_panels(res_mod, monkeypatch, panels, stretch)
+        values.append(resolvent_twopoint(cfg, lam, f, mu, g).value)
+    assert cuts[1] == cuts[0]
+    _, tail = cuts[0]
+    assert abs(values[1] - values[0]) <= tail
 
 
 @pytest.mark.parametrize("lam, mu", [(1.0, 2.0), (0.9, -1.7), (-1.0, 0.5)])
