@@ -263,11 +263,14 @@ def write_csv(path, comment, columns, rows):
             writer.writerow([_fmt(x) for x in row])
 
 
-def write_summary(path, seed, config_hash, ensemble, checks):
+def write_summary(path, seed, config_hash, ensemble, checks, f=None):
     """The run's seed, config hash, weight-degeneracy figures of the
     ensemble (ESS, ESS/N and max_weight_share, the largest normalized
-    weight of a sampled loop, the constant paths being read exactly), the
-    tilted mass of the two constant paths and checks."""
+    weight of a sampled loop, the constant paths and the c = 2 stratum
+    being read exactly), the tilted mass of the two constant paths, the
+    c = 2 rule's nodes per level and, for a test function f, the two parts
+    of the error of its spin factor S = E~[cos Z]: the Monte Carlo SE and
+    the c = 2 level gap; then the checks."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
         fh.write(f"seed = {seed}\n")
@@ -277,6 +280,13 @@ def write_summary(path, seed, config_hash, ensemble, checks):
         fh.write("max_weight_share = "
                  f"{_fmt(ensemble.norm_weights.max())}\n")
         fh.write(f"atom_mass = {_fmt(ensemble.atom_mass)}\n")
+        fh.write(f"c2_nodes = {','.join(map(str, ensemble.c2_nodes))}\n")
+        if f is not None:
+            z = ensemble.z_values(f)
+            _, se, gap = ensemble.estimate(
+                np.cos(z if z.imag.any() else z.real))
+            fh.write(f"spin_factor_se = {_fmt(se)}\n")
+            fh.write(f"c2_quadrature_error = {_fmt(gap)}\n")
         for name, ok in checks:
             fh.write(f"check {name} = {'PASS' if ok else 'FAIL'}\n")
     return all(ok for _, ok in checks)
@@ -335,7 +345,7 @@ def run_spin_check(cp, args, outdir):
               "free spin-loop sampler vs transfer-matrix oracle "
               "(dimensionless)",
               ("quantity", "mc", "oracle", "se", "pass"), rows)
-    return checks, ens
+    return checks, ens, None
 
 
 def run_kernels(cp, args, outdir):
@@ -382,7 +392,7 @@ def run_kernels(cp, args, outdir):
               "its second time antiderivative Psi on [0, beta]",
               ("tau", "kappa", "Psi"),
               list(zip(taus.tolist(), kap.tolist(), psi.tolist())))
-    return checks, cfg.ensemble
+    return checks, cfg.ensemble, f
 
 
 def run_charfun(cp, args, outdir):
@@ -403,7 +413,7 @@ def run_charfun(cp, args, outdir):
               "characteristic functional psi(e^{is Phi(f)}) sweep "
               "(dimensionless) with van Hove comparator",
               ("s", "re", "im", "se", "van_hove_re", "van_hove_im"), rows)
-    return checks, cfg.ensemble
+    return checks, cfg.ensemble, f
 
 
 def _grid_from_config(cp, key, default, rule=_NONEMPTY):
@@ -445,7 +455,7 @@ def run_cluster(cp, args, outdir):
         ("nogo_bookkeeping_consistent",
          verdict.contradiction == (verdict.moderate and verdict.q0_f > 1e-12)),
     ]
-    return checks, cfg.ensemble
+    return checks, cfg.ensemble, f
 
 
 def run_variance(cp, args, outdir):
@@ -471,7 +481,7 @@ def run_variance(cp, args, outdir):
               "(dimensionless)",
               ("s_or_quantity", "lhs_or_value", "bound_or_aux", "margin"),
               rows)
-    return checks, cfg.ensemble
+    return checks, cfg.ensemble, f
 
 
 def run_resolvent(cp, args, outdir):
@@ -511,13 +521,13 @@ def run_resolvent(cp, args, outdir):
               "resolvent-algebra expectations psi(R(lambda, f)) "
               "(dimensionless) with quadrature+MC error",
               ("quantity", "parameter", "re_or_modulus", "im", "error"), rows)
-    return checks, cfg.ensemble
+    return checks, cfg.ensemble, f
 
 
 def run_ideals(cp, args, outdir):
     cfg = build_state(cp, args)
-    report = resolvent_mod.ideal_report(
-        cfg, load_functions(cp, cfg.d, cfg.s).items())
+    funcs = load_functions(cp, cfg.d, cfg.s)
+    report = resolvent_mod.ideal_report(cfg, funcs.items())
     rows = [(r.name, r.classification, r.witness_modulus, r.witness_error,
              r.decay_summary) for r in report.rows]
     rows.append(("summary", f"J_ir={','.join(report.jir_generators) or '-'}",
@@ -532,7 +542,7 @@ def run_ideals(cp, args, outdir):
                all(r.witness_modulus > r.witness_error
                    for r in report.rows
                    if r.classification in ("physical", "bec_generator")))]
-    return checks, cfg.ensemble
+    return checks, cfg.ensemble, next(iter(funcs.values()))
 
 
 def run_gp_scan(cp, args, outdir):
@@ -554,7 +564,7 @@ def run_gp_scan(cp, args, outdir):
               "vs the degenerate law exp(isa)",
               ("member", "s", "re", "im", "se", "gap"), rows)
     checks = [("gp_scan_resolved", not report.inconclusive)]
-    return checks, cfg.ensemble
+    return checks, cfg.ensemble, seq[0]
 
 
 RUNNERS = {
@@ -590,12 +600,12 @@ def main(argv=None):
             config_hash = hashlib.sha256(fh.read()).hexdigest()
         check_keys(cp)
         os.makedirs(args.out, exist_ok=True)
-        checks, ensemble = RUNNERS[args.subcommand](cp, args, args.out)
+        checks, ensemble, f = RUNNERS[args.subcommand](cp, args, args.out)
         _, seed = _mc_settings(cp, args)
         summary = os.path.join(
             args.out, f"{args.subcommand.replace('-', '_')}_summary.txt")
         all_pass = write_summary(summary, seed, config_hash, ensemble,
-                                 checks)
+                                 checks, f)
         return 0 if all_pass else 1
     except (ConfigError, configparser.Error, DirectionRejected,
             DivergentIntegralError) as exc:

@@ -21,36 +21,65 @@ beta-periodic and even, the pairs with a circle end cancel and
 
 for the c jumps t_1 < ... < t_c of a loop, M = int X dt its static moment.
 
-The two constant paths are atoms of the free measure, each of mass
-P(0)/2 = 1/(2 cosh(beta eps)) and with the exact log-weight
-log W = kappa_mean beta^2 / 4.  The sample arrays (signs, counts, jump
-times, log-weights) hold one value per loop, and every estimator array
-(Z, M, the estimator weights and whatever expectation is given) one
-value per row.  Rows 0 and 1 are the constant +1 and -1 paths, whether
-or not the sample drew a constant loop of that sign, and the rows from 2
-on are the loops with jumps, ascending.  A constant loop is no sample:
-its atom is read exactly.
+The sample arrays (signs, counts, jump times, log-weights) hold one
+value per loop, and every estimator array (Z, M, the estimator weights
+and whatever expectation is given) one value per row.  The rows are, in
+order:
+
+- the constant +1 and -1 paths, atoms of the free measure, each of mass
+  P(0)/2 = 1/(2 cosh(beta eps)) and with the exact log-weight
+  log W = kappa_mean beta^2 / 4, whether or not the sample drew a
+  constant loop of that sign;
+- the nodes of the c = 2 rule (c2_rule), fine level then coarse level
+  (C2_LEVELS), each node as two rows, X_0 = +1 and then X_0 = -1;
+- the sampled loops with c >= 4 jumps, ascending.
+
+A sampled loop with c = 0 or c = 2 is no sample: it keeps its place in
+the sample arrays, but its stratum is read exactly and it has no row.
 
 The estimators are post-stratified by jump count, whose law is exact
 (loops.jump_count_pmf): E_free[W v] = sum_s p_s E_free[W v | stratum s].
-The strata are the two atoms (mass P(0)/2 each, adding no variance) and
-runs of adjacent counts c >= 2, merged upwards until each holds
-MIN_STRATUM loops (the leftover at the top joins the last run, which
-takes the mass of every count above it).  A run no loop fell into drops
-out and the other masses are renormalized.  An atom row weighs p_a W_a,
-a row with jumps w_i = W_i p_s / n_s, and with d = v - mean, summed over
-the runs s,
+The strata are:
+
+- the two atoms, mass P(0)/2 each;
+- c = 2, mass P(2), read by quadrature.  Given two jumps t_1 < t_2,
+  log W depends on ell = t_2 - t_1 alone (|M| = beta - 2 ell, and the pair
+  term is 2 Phi(ell)), and Z is a smooth function of (t_1, t_2) on each
+  side of the offset.  Under the free law (t_1, t_2) is uniform on the
+  triangle -beta/2 < t_1 < t_2 < beta/2, so E_free[W v | c = 2] is a 2-D
+  integral, which c2_rule evaluates on nodes that never straddle t = 0.
+  A node row's log W and Z come from the same boundary sums as a loop's.
+  At an offset t != 0 the node rows read Z at t = 0: the free law given
+  c = 2 and log W are invariant under rotation of the circle, so
+  E~[v(Z_{f,t}) | c = 2] = E~[v(Z_{f,0}) | c = 2] for every v, which is
+  exact for any estimator that reads a single offset;
+- runs of adjacent counts c >= 4, merged upwards until each holds
+  MIN_STRATUM loops (the leftover at the top joins the last run, which
+  takes the mass of every count above it).  A run no loop fell into drops
+  out and the other masses are renormalized.
+
+An atom row weighs p_a W_a, a fine node row p_2 w_k W_k / 2 (w_k the
+node's weight; a level's weights sum to 1), a coarse node row 0 and a
+loop row w_i = W_i p_s / n_s.  The atoms and the nodes add no variance;
+with d = v - mean, summed over the runs s,
 
     SE^2 = sum_s [sum_{i in s} (w_i d_i)^2
                   - (sum_{i in s} w_i d_i)^2 / n_s] / (sum w)^2.
 
-`ess` stays Kish's ESS of the FKN weights of the n loops,
-(sum W)^2 / sum W^2.
+The error that expectation returns is SE plus the level gap: the
+distance of the mean from the same estimator with the coarse nodes, each
+row weighing p_2 w_k W_k / 2, in place of the fine ones.  It bounds the
+fine level's quadrature error conservatively, as the two-point
+resolvent's delta does its own.  norm_weights, one per loop, is 0 on the
+constant loops and on the loops with two jumps, and `ess` stays Kish's
+ESS of the FKN weights of the n sampled loops, (sum W)^2 / sum W^2, of
+which the estimator now reads only the loops with c >= 4.
 
 The free measure is invariant under the global spin flip X -> -X: the
 initial sign is a fair coin, independent of the jumps.  The flip keeps a
 loop's jump times, its stratum and its log-weight (quadratic in X),
-negates Z (linear in X) and swaps the two atoms.  So every estimator of
+negates Z (linear in X), swaps the two atoms and swaps the two rows of
+each c = 2 node.  So every estimator of
 a loop function v(Z) reads the flip-even part (v(Z) + v(-Z)) / 2 on
 every row, the odd part having mean zero: the characteristic function
 reads cos(s Z), and E~[Z] = 0 exactly.
@@ -71,12 +100,16 @@ from spinboson.loops import (
     jump_count_pmf,
     sample_loop_arrays,
 )
+from spinboson.momentum import gauss_legendre_panels
 from spinboson.seeds import substream
 
 DEFAULT_CHUNK = 4096
 JUMP_SLAB = 1 << 16
 MIN_STRATUM = 20          # loops per jump-count stratum, at least
 CNUMBER_TOL = 1e-6        # variance bound of cnumber_criterion
+# the two levels of the c = 2 rule, fine first: (ratio-4 layers in ell,
+# Gauss-Legendre nodes per layer, Gauss-Legendre nodes in u)
+C2_LEVELS = ((5, 12, 16), (3, 10, 12))
 
 
 def loop_log_weight(loop, kernels):
@@ -104,6 +137,72 @@ def loop_z_value(loop, kernels, f, t_offset=0.0):
         total += x[i] * kernels.interval_K_integral(
             f, t_offset, e[i], e[i + 1])
     return 0.5 * total
+
+
+def c2_rule(beta, layers, n_ell, n_u):
+    """Jump pairs (t_1, t_2), shape (N, 2), and weights summing to 1 of a
+    tensor rule for E[h(t_1, t_2) | c = 2] under the free law, whose
+    density on -beta/2 < t_1 < t_2 < beta/2 is 2 / beta^2.
+
+    The triangle is cut into four pieces that do not cross t = 0, each
+    read in ell = t_2 - t_1 and a fraction u of the range of t_1 given
+    ell: t_1 < t_2 < 0 and 0 < t_1 < t_2 (ell < beta/2), and t_1 < 0 < t_2
+    with ell < beta/2 or ell > beta/2.  With x = ell on the first three and
+    x = beta - ell on the last, x runs over (0, beta/2) on Gauss-Legendre
+    panels graded toward x = 0, where Phi is not smooth, by layers of
+    ratio 4; u runs over one Gauss-Legendre panel."""
+    half = 0.5 * beta
+    edges = half * np.concatenate(([0.0], 4.0 ** np.arange(1.0 - layers, 1.0)))
+    x, wx = gauss_legendre_panels(edges, n_ell)
+    u, wu = gauss_legendre_panels(np.array([0.0, 1.0]), n_u)
+    x, u = x[:, None], u[None, :]
+    w = (2.0 / beta ** 2) * wx[:, None] * wu[None, :]
+    lo = u * (half - x) - half
+    # (t_1, t_2, the length of t_1's range) on each piece
+    pieces = ((lo, lo + x, half - x),
+              (-lo - x, -lo, half - x),
+              (x * (u - 1.0), x * u, x),
+              (u * x - half, half + x * (u - 1.0), x))
+    jumps = np.concatenate([np.stack(np.broadcast_arrays(a, b), -1).reshape(
+        -1, 2) for a, b, _ in pieces])
+    return jumps, np.concatenate([(w * span).ravel() for *_, span in pieces])
+
+
+def _boundary_sums(g, t, ends, signs, starts, counts, jumps, out):
+    """Fill out with -1/2 sum_p d_p g(e_p - t) per path and return it: the
+    paths have initial signs `signs` and jump counts[k] times, at the flat
+    positions of `jumps` from starts[k] on; ends is the circle ends' part
+    -1/2 (g(-beta/2 - t) - g(beta/2 - t)) of a path with X_0 = +1.  Every
+    jump count c is even: the ends have d_0 = X_0 and d_{c+1} = -X_0, and
+    jump j has d = 2 (-1)^j X_0."""
+    out[...] = ends
+    # g runs on slabs of whole paths' jumps, gathered and packed: a path
+    # starts at an even packed index, so packed jump k has the sign (-1)^k
+    total = int(np.sum(counts, dtype=np.int64))
+    if len(counts) and starts[0] == 0 and starts[-1] + counts[-1] == total:
+        packed = starts          # the paths' jumps fill the flat array
+    else:
+        packed = np.cumsum(counts, dtype=np.int64)
+        packed -= counts
+    cuts = np.append(np.searchsorted(packed, np.arange(
+        0, total, JUMP_SLAB), "right") - 1, len(counts))
+    for i, j in zip(cuts, cuts[1:]):
+        if i == j:
+            continue
+        local = packed[i:j] - packed[i]
+        a, n_jumps = starts[i], int(local[-1] + counts[j - 1])
+        if starts[j - 1] - a == local[-1]:
+            # the slab's jumps are one run of the flat array
+            gj = g(jumps[a:a + n_jumps] - t)
+        else:
+            pos = np.repeat(starts[i:j] - local, counts[i:j])
+            pos += np.arange(n_jumps)
+            gj = g(jumps[pos] - t)
+        gj[1::2] *= -1.0
+        has = np.flatnonzero(counts[i:j])
+        out[i + has] += np.add.reduceat(gj, local[has])
+    out *= signs
+    return out
 
 
 def row_sum(a):
@@ -163,14 +262,30 @@ class TiltedEnsemble:
         self.n = len(signs)
         self.hist = np.bincount(counts)      # loops per jump count
         self._z_cache = {}
-        # the rows: the +1 and -1 constant paths, then the loops with jumps
-        has = np.flatnonzero(counts)
-        self._row_signs = np.empty(2 + len(has), dtype=np.int8)
-        self._row_signs[:2] = (1, -1)
-        self._row_signs[2:] = signs[has]
-        self._row_starts = self.offsets[has]
-        self.logw, atom_logw = self._log_weights()
-        # FKN weights, shifted so the largest is 1
+        # the rows: the +1 and -1 constant paths, the c = 2 nodes of each
+        # level with X_0 = +1 and then -1, and the loops with c >= 4
+        pmf = jump_count_pmf(params)
+        pmf = pmf / pmf.sum()
+        # where jump_count_pmf drops P(2) (below 1e-16 of P(0)), no c = 2 rows
+        levels = [c2_rule(params.beta, *level) if len(pmf) > 1
+                  else (np.empty((0, 2)), np.empty(0))
+                  for level in C2_LEVELS]
+        self.c2_nodes = tuple(len(w) for _, w in levels)
+        n_nodes = sum(self.c2_nodes)
+        self._first_loop_row = 2 + 2 * n_nodes
+        # each node once, with X_0 = +1: its row with X_0 = -1 has the same
+        # log W and the negated boundary sums
+        self._nodes = (np.ones(n_nodes, np.int8), np.arange(0, 2 * n_nodes, 2),
+                       np.full(n_nodes, 2, np.uint8),
+                       np.concatenate([t for t, _ in levels]).ravel())
+        self.logw, atom_logw = self._log_weights(
+            signs, self.offsets[:-1], counts, jumps_flat, self.hist)
+        node_logw, _ = self._log_weights(*self._nodes)
+        sampled = np.flatnonzero(counts >= 4)
+        self._loops = (signs[sampled], self.offsets[sampled],
+                       counts[sampled].astype(np.min_scalar_type(
+                           len(self.hist) - 1)))
+        # FKN weights, shifted so the largest loop weight is 1
         top = self.logw.max()
         fkn = np.exp(self.logw - top)
         sum_fkn = float(fkn.sum())
@@ -179,20 +294,26 @@ class TiltedEnsemble:
             warnings.warn(
                 f"weight degeneracy: ESS = {self.ess:.1f} of {self.n}",
                 RuntimeWarning)
-        self._stratify(fkn[has], counts[has], np.exp(atom_logw - top))
+        self._stratify(fkn[sampled], counts[sampled],
+                       np.exp(node_logw - top), np.exp(atom_logw - top),
+                       [w for _, w in levels], pmf)
 
-    def _stratify(self, fkn, counts, fkn_atom):
+    def _stratify(self, fkn, counts, fkn_nodes, fkn_atom, node_weights,
+                  pmf):
         """Derive the jump-count strata, and the estimator's weights from
-        the FKN weights: fkn and counts of the rows with jumps, fkn_atom of
-        an atom (module docstring).
+        the FKN weights: fkn and counts of the loops with c >= 4,
+        fkn_nodes of the nodes (fine level first), fkn_atom of an atom, and
+        each level's node weights (module docstring).
 
-        Sets weights (p_a W per atom row, W_i p_s / n_s per row with
-        jumps), _stratum (the stratum of each row with jumps), _sizes
-        (each stratum's number of loops) and sum_w, the total weight."""
-        pmf = jump_count_pmf(self.params)
-        pmf = pmf / pmf.sum()
+        Sets weights (p_a W per atom row, p_2 w_k W_k / 2 per fine node
+        row, W_i p_s / n_s per loop row, 0 on the coarse node rows), the
+        coarse node rows' weights _coarse, _stratum (the stratum of each
+        loop row), _sizes (each stratum's number of loops), sum_w, the
+        total weight, and the fine and coarse node rows' sums; pmf is the
+        normalized jump-count law."""
+        p2 = pmf[1] if len(pmf) > 1 else 0.0
         starts, sizes = [], []
-        for c in np.flatnonzero(self.hist[1:]) + 1:
+        for c in np.flatnonzero(self.hist[4:]) + 4:
             if not sizes or sizes[-1] >= MIN_STRATUM:
                 starts.append(int(c))
                 sizes.append(0)
@@ -201,13 +322,13 @@ class TiltedEnsemble:
             starts.pop()
             leftover = sizes.pop()
             sizes[-1] += leftover
-        # the runs tile the counts 1, 2, ...: the first takes the counts
-        # below it, the last every count above it
+        # the runs tile the counts 4, 6, ...: the first starts at 4, the
+        # last takes every count above it
         top = max(len(self.hist), 2 * len(pmf))
-        bounds = [1] + starts[1:] + [top] if starts else []
+        bounds = [4] + starts[1:] + [top] if starts else []
         masses = [float(pmf[(a + 1) // 2:(b + 1) // 2].sum())
                   for a, b in zip(bounds, bounds[1:])]
-        total = pmf[0] + sum(masses)
+        total = pmf[0] + p2 + sum(masses)
         scale = np.zeros(len(self.hist))
         stratum = np.zeros(len(self.hist),
                            np.min_scalar_type(max(len(sizes) - 1, 0)))
@@ -217,10 +338,21 @@ class TiltedEnsemble:
             stratum[a:b] = k
         self._stratum = stratum[counts]
         self._sizes = np.array(sizes, dtype=float)
-        self.weights = np.empty(2 + len(counts))
+        n_fine = self.c2_nodes[0]
+        # a node row weighs half the node's p_2 w_k W_k, for either sign
+        fine, coarse = (np.tile(0.5 * p2 / total * w * x, 2) for w, x in zip(
+            node_weights, (fkn_nodes[:n_fine], fkn_nodes[n_fine:])))
+        first = self._first_loop_row
+        self._fine_rows = slice(2, 2 + len(fine))
+        self._coarse_rows = slice(2 + len(fine), first)
+        self.weights = np.zeros(first + len(counts))
         self.weights[:2] = fkn_atom * 0.5 * pmf[0] / total
-        self.weights[2:] = fkn * scale[counts]
+        self.weights[self._fine_rows] = fine
+        self.weights[first:] = fkn * scale[counts]
+        self._coarse = coarse
         self.sum_w = float(np.sum(self.weights))
+        self._sum_fine = float(np.sum(self.weights[self._fine_rows]))
+        self._sum_coarse = float(np.sum(self._coarse))
 
     @property
     def atom_mass(self):
@@ -230,42 +362,61 @@ class TiltedEnsemble:
     @property
     def norm_weights(self):
         """Each loop's weight in the estimator, normalized so that these
-        weights and atom_mass sum to 1: 0 on a constant loop, which is no
-        sample (its atom is read exactly)."""
+        weights, atom_mass and the c = 2 node rows' mass sum to 1: 0 on a
+        constant loop and on a loop with two jumps, which are no sample
+        (their strata are read exactly)."""
         w = np.zeros(self.n)
-        w[self.counts > 0] = self.weights[2:] / self.sum_w
+        w[self.counts >= 4] = self.weights[self._first_loop_row:] / self.sum_w
         return w
 
     # -- grouped geometry ----------------------------------------------------
 
-    def _groups(self):
-        """Yield (indices, boundary matrix) per jump count present."""
+    def _groups(self, signs, counts, offsets, jumps):
+        """Yield (indices, initial signs, boundary matrix) per jump count
+        present among the paths of the given arrays."""
         beta = self.params.beta
-        for c, idx, cols in jump_count_groups(self.counts, self.offsets,
-                                              self.hist):
+        for c, idx, cols in jump_count_groups(counts, offsets):
             bounds = np.empty((len(idx), c + 2))
             bounds[:, 0] = -0.5 * beta
             bounds[:, -1] = 0.5 * beta
-            bounds[:, 1:-1] = self.jumps_flat[cols]
-            yield idx, bounds
+            bounds[:, 1:-1] = jumps[cols]
+            yield idx, signs[idx], bounds
 
-    def _log_weights(self):
-        """log W per loop (module docstring), and an atom's log W.  Per
-        jump count c, a slab of loops fills a buffer of about JUMP_SLAB
-        pair differences (c(c-1)/2 rows, walked lag by lag, the odd lags
-        first), which the Phi spline maps in place; each loop's values are
-        added row by row in a fixed order, so a log-weight does not depend
-        on the other loops."""
-        m = 2.0 * self._boundary_sum(lambda u: u)    # M, left uncached
-        static = 0.25 * self.kernels.kappa_mean * m ** 2
-        # a constant loop has its atom's log W, kappa_mean beta^2 / 4
-        out = np.full(self.n, static[0])
-        out[self.counts > 0] = static[2:]
+    def _row_paths(self):
+        """(signs, counts, offsets, flat jumps) of the rows' paths."""
+        node_jumps = self._nodes[3]
+        cut = 2 * self.c2_nodes[0]
+        loops = self.counts >= 4
+        counts = np.concatenate(([0, 0], np.full(2 * sum(self.c2_nodes), 2),
+                                 self.counts[loops]))
+        jumps = np.concatenate((
+            np.tile(node_jumps[:cut], 2), np.tile(node_jumps[cut:], 2),
+            self.jumps_flat[np.repeat(loops, self.counts)]))
+        signs = np.concatenate([[1, -1]] + [np.repeat([1, -1], n)
+                                            for n in self.c2_nodes]
+                               + [self.signs[loops]])
+        return signs, counts, np.concatenate(([0], np.cumsum(counts))), jumps
+
+    def _log_weights(self, signs, starts, counts, jumps, hist=None):
+        """log W per path of the given arrays (module docstring), and a
+        constant path's log W.  Per jump count c, a slab of paths fills a
+        buffer of about JUMP_SLAB pair differences (c(c-1)/2 rows, walked
+        lag by lag, the odd lags first), which the Phi spline maps in
+        place; each path's values are added row by row in a fixed order, so
+        a log-weight does not depend on the other paths."""
+        # the static term kappa_mean M^2 / 4, in place; M of a constant path
+        # is beta, so its static term is the atom's
+        half = 0.5 * self.params.beta
+        out = _boundary_sums(lambda u: u, 0.0, half, signs, starts, counts,
+                             jumps, np.empty(len(counts)))
+        out *= 2.0
+        np.square(out, out=out)
+        out *= 0.25 * self.kernels.kappa_mean
+        atom = 0.25 * self.kernels.kappa_mean * self.params.beta ** 2
         phi = self.kernels.phi
         if phi is None:
-            return out, static[0]
-        for c, idx, cols in jump_count_groups(self.counts, self.offsets,
-                                              self.hist):
+            return out, atom
+        for c, idx, cols in jump_count_groups(counts, starts, hist):
             n_pairs = c * (c - 1) // 2
             if not n_pairs:
                 continue
@@ -275,10 +426,10 @@ class TiltedEnsemble:
             step = max(1, JUMP_SLAB // n_pairs)
             buf = np.empty(n_pairs * min(step, len(idx)))
             for a in range(0, len(idx), step):
-                # the (c, loops) jump rows, C-ordered (take, unlike an index
+                # the (c, paths) jump rows, C-ordered (take, unlike an index
                 # expression, does not follow the transposed index's order):
                 # a lag's differences are the difference of two row blocks
-                rows = self.jumps_flat.take(cols[a:a + step].T)
+                rows = jumps.take(cols[a:a + step].T)
                 diffs = buf[:n_pairs * rows.shape[1]].reshape(n_pairs, -1)
                 r = 0
                 for k in lags:
@@ -287,7 +438,7 @@ class TiltedEnsemble:
                 phi(diffs, out=diffs)
                 np.negative(diffs[:n_odd], out=diffs[:n_odd])
                 out[idx[a:a + step]] -= 2.0 * row_sum(diffs)
-        return out, static[0]
+        return out, atom
 
     @cached_property
     def static_moment(self):
@@ -297,33 +448,47 @@ class TiltedEnsemble:
 
     # -- estimators ----------------------------------------------------------
 
-    def expectation(self, values):
-        """Post-stratified IS mean and standard error of an array with one
-        value per row: mean = sum_i w_i v_i / sum w over all rows, and the
-        SE of the module docstring, summed over the rows with jumps (the
-        atoms add no variance), the real and imaginary parts of v summed
-        as separate float arrays.  Since w_i * 1.0 == w_i, an array of ones
-        gives exactly 1 (1+0j for complex input) with SE exactly 0.0, so
+    def estimate(self, values):
+        """(mean, SE, gap) of an array with one value per row: the mean
+        sum_i w_i v_i / sum w over all rows; the Monte Carlo SE of the
+        module docstring, summed over the loop rows (the atoms and the
+        nodes add no variance); and the gap, the distance of the mean from
+        the same estimator with the coarse c = 2 level in place of the
+        fine one.  The real and imaginary parts of v are summed as separate
+        float arrays.  Since w_i * 1.0 == w_i, an array of ones gives
+        exactly 1 (1+0j for complex input) with SE and gap exactly 0.0, so
         every characteristic functional is exactly normalized at s = 0."""
         values = np.asarray(values)
         if len(values) != len(self.weights):
             raise ValueError("expectation takes one value per row")
         parts = ((values.real, values.imag) if np.iscomplexobj(values)
                  else (values,))
-        means, var = [], 0.0
+        first, fine = self._first_loop_row, self._fine_rows
+        coarse_sum = self.sum_w - self._sum_fine + self._sum_coarse
+        means, var, gap = [], 0.0, 0.0
         for x in parts:
-            mean = float(np.sum(self.weights * x)) / self.sum_w
+            total = float(np.sum(self.weights * x))
+            mean = total / self.sum_w
             means.append(mean)
-            wd = x[2:] - mean
-            wd *= self.weights[2:]
+            coarse = (total - float(np.sum(self.weights[fine] * x[fine]))
+                      + float(np.sum(self._coarse * x[self._coarse_rows])))
+            gap += (mean - coarse / coarse_sum) ** 2
+            wd = x[first:] - mean
+            wd *= self.weights[first:]
             # numpy's own loop: a BLAS dot rounds by its thread count
             var += float(np.einsum("i,i->", wd, wd))
             per_stratum = np.bincount(self._stratum, wd, len(self._sizes))
             var -= float(np.sum(per_stratum ** 2 / self._sizes))
         se = math.sqrt(max(var, 0.0)) / self.sum_w
-        if len(parts) == 2:
-            return np.complex128(complex(*means)), se
-        return np.float64(means[0]), se
+        mean = (np.complex128(complex(*means)) if len(parts) == 2
+                else np.float64(means[0]))
+        return mean, se, math.sqrt(gap)
+
+    def expectation(self, values):
+        """Post-stratified IS mean of an array with one value per row and
+        its error: the Monte Carlo SE plus the c = 2 level gap (estimate)."""
+        mean, se, gap = self.estimate(values)
+        return mean, se + gap
 
     def log_partition(self):
         """log Z_beta = log(2 cosh(eps beta)) + log sum_s p_s mean_s(W)."""
@@ -333,23 +498,23 @@ class TiltedEnsemble:
                 + math.log(self.sum_w))
 
     def _boundary_sum(self, g, t=0.0):
-        """-1/2 sum_p d_p g(e_p - t) per row (Z for g = G).  Every jump
-        count c is even: the ends have d_0 = X_0 and d_{c+1} = -X_0, and
-        jump j, at the flat index k = offset + j - 1 with an even offset,
-        has d = 2 (-1)^j X_0 = -2 X_0 (-1)^k."""
-        lo, hi = g(0.5 * self.params.beta * np.array([-1.0, 1.0]) - t)
-        out = np.full(len(self._row_signs), -0.5 * (lo - hi))
-        starts = self._row_starts
-        # g runs on slabs of whole loops' jumps; jump k has the sign (-1)^k
-        cuts = np.append(np.searchsorted(starts, np.arange(
-            0, len(self.jumps_flat), JUMP_SLAB), "right") - 1, len(starts))
-        for i, j in zip(cuts, cuts[1:]):
-            a = starts[i]
-            b = starts[j] if j < len(starts) else len(self.jumps_flat)
-            gj = g(self.jumps_flat[a:b] - t)
-            gj[1::2] *= -1.0
-            out[2 + i:2 + j] += np.add.reduceat(gj, starts[i:j] - a)
-        out *= self._row_signs
+        """-1/2 sum_p d_p g(e_p - t) per row (Z for g = G); the c = 2 node
+        rows read t = 0 (module docstring)."""
+        half = 0.5 * self.params.beta * np.array([-1.0, 1.0])
+        ends = [-0.5 * (lo - hi) for lo, hi in (g(half - x) for x in (t, 0.0))]
+        first, n_fine = self._first_loop_row, self.c2_nodes[0]
+        out = np.empty(first + len(self._loops[0]), np.result_type(*ends))
+        # the signs multiply, as in _boundary_sums, zeros included
+        np.multiply(ends[0], np.array([1, -1], np.int8), out=out[:2])
+        nodes = _boundary_sums(g, 0.0, ends[1], *self._nodes,
+                               np.empty(sum(self.c2_nodes), out.dtype))
+        k = 2
+        for part in (nodes[:n_fine], nodes[n_fine:]):
+            out[k:k + len(part)] = part
+            np.multiply(part, -1, out=out[k + len(part):k + 2 * len(part)])
+            k += 2 * len(part)
+        _boundary_sums(g, t, ends[0], *self._loops, self.jumps_flat,
+                       out[first:])
         return out
 
     def z_values(self, f, t_offset=0.0):
@@ -400,15 +565,15 @@ class TiltedEnsemble:
     # -- variance diagnostics ------------------------------------------------
 
     def cell_integrals(self, edges, slab=20000):
-        """Per-loop integrals of the path over each grid cell: the (n,
+        """Per-row integrals of the path over each grid cell: the (rows,
         n_cells) reference matrix behind the kernel route's oracle."""
-        n_cells = len(edges) - 1
-        out = np.empty((self.n, n_cells))
-        for idx, bounds in self._groups():
+        signs, counts, offsets, jumps = self._row_paths()
+        out = np.empty((len(signs), len(edges) - 1))
+        for idx, x0, bounds in self._groups(signs, counts, offsets, jumps):
             starts = bounds[:, :-1]
             lens = np.diff(bounds, axis=1)
             c = bounds.shape[1] - 2
-            xs = self.signs[idx, None] * (-1.0) ** np.arange(c + 1)[None, :]
+            xs = x0[:, None] * (-1.0) ** np.arange(c + 1)[None, :]
             for lo in range(0, len(idx), slab):
                 hi = min(lo + slab, len(idx))
                 clipped = np.clip(
@@ -490,11 +655,12 @@ class TiltedEnsemble:
         """Matrix of path values X_i(t_j) over all loops (n, len(times))."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
         out = np.empty((self.n, len(times)), dtype=np.int64)
-        for idx, bounds in self._groups():
+        for idx, x0, bounds in self._groups(self.signs, self.counts,
+                                            self.offsets, self.jumps_flat):
             jumps = bounds[:, 1:-1]
             crossings = np.sum(jumps[:, :, None] <= times[None, None, :],
                                axis=1)
-            out[idx] = (self.signs[idx, None].astype(np.int64)
+            out[idx] = (x0[:, None].astype(np.int64)
                         * np.where(crossings % 2, -1, 1))
         return out
 

@@ -127,12 +127,6 @@ def jump_count_pmf(params):
     return pmf
 
 
-def total_mass(params):
-    """Truncated even series sum; should equal cosh(eps*beta)."""
-    return float(np.sum(jump_count_pmf(params)) * math.cosh(
-        params.eps * params.beta))
-
-
 def sample_loop(params, rng):
     """Draw one loop from the free spin measure."""
     sign, counts, flat = sample_loop_arrays(params, rng, 1)

@@ -23,14 +23,10 @@ Anal. 31 (1994) 1497-1518):
     Z = (L + i z) / (L - i z),  L = sqrt(N / sqrt(2)),
 
 with p a polynomial of degree N - 1 whose real coefficients come from one
-FFT at import, and w(z) = 2 exp(-z^2) - w(-z) for Im z < 0.  Against
-30-digit mpmath on 20 000 random points per region its relative error is
-at most 7.4e-15 on the upper half-plane (|z| from 1e-3 to 1e7), 7.6e-15
-on the real axis and 1.9e-14 for Im z in [-5, 0) (scipy.special.wofz:
-1.6e-14, 2.0e-15, 3.9e-14); for Im z in [-25, -5), where w is
-2 exp(-z^2) to that accuracy, both reach 1.8e-13.  On the upper
-half-plane against scipy, N = 36 gives 2.0e-14, N = 34 5.2e-14 and
-N = 32 3.1e-13, above LAPLACE_RTOL.
+FFT at import, and w(z) = 2 exp(-z^2) - w(-z) for Im z < 0.  Where a
+positive factor multiplies w, wofz_scaled takes it into the reflection's
+exponent, so that a large exp(-z^2) and a small factor never meet as
+inf x 0.
 
 Two-point expectations add the Weyl phase exp(-(i/2) s t sigma(f, g))
 and the joint characteristic function, which is computable from the same
@@ -46,12 +42,15 @@ Mills-type bound on the pair's integrand over the quadrant u, t >= 0
 (its Gaussian, less the growth of e^{-i s Z} where Z is complex) falls
 below the tolerance, and that bound joins the error.  Where the signs of
 lambda and mu make the cross term q_fg damp the pair, the quadrature
-starts on one panel, otherwise on two.
+starts on one panel, otherwise on two.  The factor common to a u-node's
+rows rides in the Faddeeva reflection's exponent (wofz_scaled), which
+keeps the value finite where the Schur complement of the pair's Gaussian
+vanishes, as for g = f and mu = -lambda.
 
 The per-loop closed forms run on TiltedEnsemble.z_values, one Z per
-row: the two constant paths, then the loops with jumps.  Every value and
-its Monte Carlo error is one TiltedEnsemble.expectation of the array
-this gives.
+row: the two constant paths, the c = 2 quadrature nodes and the loops
+with c >= 4 jumps.  Every value and its Monte Carlo and c = 2 quadrature
+error is one TiltedEnsemble.expectation of the array this gives.
 
 The one-point value reads, on every row, the mean over the path and its
 global spin flip (Z -> -Z; see spinboson.ensemble).  For real b,
@@ -87,8 +86,9 @@ _SLAB = 1 << 19
 
 # panel doubling of the two-point u-quadrature stops when the K25 and GL12
 # sums agree to this over |lambda| |mu|; e^{-2} times it bounds the
-# truncation tail
-TWOPOINT_TOL = 1e-6
+# truncation tail.  It sits below the Monte Carlo error of the two-point
+# value at 5e4 loops, beta = 1
+TWOPOINT_TOL = 1e-7
 
 # halvings of the bracket of the two-point truncation point
 _BISECTIONS = 50
@@ -144,6 +144,23 @@ def wofz(z):
             zl = zs[lower]
             w[lower] = 2.0 * np.exp(-zl * zl) - w[lower]
     return out.reshape(z.shape)[()]
+
+
+def wofz_scaled(z, log_scale):
+    """e^{log_scale} w(z) elementwise, log_scale real and broadcast against
+    z.  On the lower half-plane the reflection takes the factor into its
+    exponent, 2 exp(log_scale - z^2) - e^{log_scale} w(-z), so a large
+    exp(-z^2) meets a small factor before either can overflow or
+    underflow; wofz itself is called on the upper half-plane only."""
+    z = np.asarray(z, dtype=complex)
+    lower = z.imag < 0
+    out = wofz(np.where(lower, -z, z))
+    out *= np.exp(log_scale)
+    if lower.any():
+        zl = z[lower]
+        log_lower = np.broadcast_to(log_scale, z.shape)[lower]
+        out[lower] = 2.0 * np.exp(log_lower - zl * zl) - out[lower]
+    return out
 
 
 def laplace_gauss(a, b):
@@ -284,11 +301,9 @@ def resolvent_twopoint(cfg, lam, f, mu, g):
     and it has two.
 
     The K25 value is returned; its error is delta, the truncation tail,
-    the Monte Carlo SE and the evaluation error.  delta is the error of
-    the GL12 sum, so it is a conservative bound for the K25 value it
-    accompanies: on one panel at beta = 1, n0 = 1e-3, 5e4 loops and
-    (lambda, mu) = (1, 2), the K25 value is within 1e-17 of a 16-panel
-    value on the same [0, umax] while delta reads 1.7e-9.
+    the Monte Carlo SE with the c = 2 level gap, and the evaluation error.
+    delta is the error of the GL12 sum, so it is a conservative bound for
+    the K25 value it accompanies.
     """
     if lam == 0 or mu == 0:
         raise ValueError("lambda and mu must be nonzero")
@@ -320,9 +335,11 @@ def resolvent_twopoint(cfg, lam, f, mu, g):
         u, wk, wg = gauss_kronrod_panels(np.linspace(0.0, umax, panels + 1))
         s = sgn_l * u
         k = (1j * (am + 0.5 * c * u) - 0.5 * sgn_m * sig * s) / r
-        # the positive factors common to every row ride on the weights
-        node = scale * np.exp(-al * u - 0.25 * qff * u * u)
-        wk, wg = wk * node, wg * node
+        # the positive factors common to every row: inside the Faddeeva
+        # reflection's exponent where q_gg > 0, else on the weights
+        log_node = math.log(scale) - al * u - 0.25 * qff * u * u
+        if qgg == 0:
+            wk, wg = wk * np.exp(log_node), wg * np.exp(log_node)
         h = np.zeros(len(zf), dtype=complex)
         h_gauss = np.zeros(len(zf), dtype=complex)
         h_abs = np.zeros(len(zf))
@@ -331,8 +348,8 @@ def resolvent_twopoint(cfg, lam, f, mu, g):
             arg = np.subtract.outer(k[nodes], zg_r)
             body = np.multiply.outer(-1j * s[nodes], zf)
             np.exp(body, out=body)
-            body *= (wofz(arg) if qgg > 0 else
-                     laplace_gauss(-1j * arg, 0.0))
+            body *= (wofz_scaled(arg, log_node[nodes, None]) if qgg > 0
+                     else laplace_gauss(-1j * arg, 0.0))
             h_gauss += row_sum(wg[nodes, None] * body)
             body *= wk[nodes, None]
             h += row_sum(body)

@@ -127,10 +127,14 @@ def quad_radial(fn, breakpoints=(), tol=1e-13):
 
 def loop_rows(ens):
     """Each loop's row in the ensemble's per-row arrays, derived afresh: a
-    constant loop reads its atom, row 0 (+1) or row 1 (-1), and the loops
-    with jumps take rows 2, 3, ... in order."""
-    has = ens.counts > 0
-    return np.where(has, 1 + np.cumsum(has), (ens.signs < 0).astype(int))
+    constant loop reads its atom, row 0 (+1) or row 1 (-1); a loop with two
+    jumps has none (-1), its stratum being read by the c = 2 rule, whose
+    nodes take the next rows, two per node of each level; and the loops
+    with c >= 4 jumps take the rows after them, in order."""
+    first = 2 + 2 * sum(ens.c2_nodes)
+    big = ens.counts >= 4
+    return np.where(big, first - 1 + np.cumsum(big),
+                    np.where(ens.counts == 0, (ens.signs < 0).astype(int), -1))
 
 
 def flip_even(z, v):

@@ -1,4 +1,6 @@
+import argparse
 import ast
+import configparser
 import csv
 import inspect
 import os
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 from spinboson import cli
+from spinboson import ensemble as ensemble_mod
 from spinboson.ensemble import CNUMBER_TOL
 from spinboson.kernels import QuadratureError, ThermalKernelTable
 from spinboson.momentum import TestFunction, form_nonzero
@@ -266,6 +269,56 @@ def test_summary_records_the_atom_mass(config_path, tmp_path):
     # the constant paths carry the largest FKN weight, so the tilt can only
     # raise their free mass 1/cosh(eps beta)
     assert 1.0 / np.cosh(1.0) <= float(fields["atom_mass"]) <= 1.0
+
+
+@pytest.mark.parametrize("sub", ["charfun", "spin-check"])
+def test_summary_records_both_parts_of_the_spin_factor_error(
+        sub, config_path, tmp_path):
+    # the c = 2 rule's nodes per level, and for a run with a test function
+    # the Monte Carlo SE of its spin factor and the c = 2 level gap, each
+    # as the estimator computes it; the reported error is their sum
+    out = str(tmp_path / "out")
+    assert _run(sub, config_path, out) == 0
+    stem = sub.replace("-", "_")
+    text = open(os.path.join(out, f"{stem}_summary.txt")).read()
+    fields = dict(line.split(" = ", 1) for line in text.splitlines()[1:])
+    assert fields["c2_nodes"] == ",".join(
+        str(4 * a * b * c) for a, b, c in ensemble_mod.C2_LEVELS)
+    if sub == "spin-check":
+        assert "spin_factor_se" not in fields
+        return
+    cp, args = _parsed(config_path)
+    cfg = cli.build_state(cp, args)
+    f, _ = cli.load_f_g(cp, cfg)
+    _, err = cfg.ensemble.spin_factor(f)
+    se, gap = float(fields["spin_factor_se"]), float(
+        fields["c2_quadrature_error"])
+    assert se > 0 and 0 <= gap <= 0.01 * se
+    assert se + gap == err
+
+
+def _parsed(config_path):
+    """The config as the command line reads it, with no --samples or
+    --seed override."""
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    cp.read(config_path)
+    return cp, argparse.Namespace(samples=None, seed=None)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_twopoint_row_is_finite_for_an_opposite_parallel_pair(tmp_path):
+    # one declared function (g = f) and mu = -lambda: the Schur complement
+    # of the two-point Gaussian vanishes, yet the value and its error are
+    # finite and the run passes
+    p = tmp_path / "cfg.ini"
+    p.write_text(BASE_CONFIG.replace("mu = 2.0", "mu = -1.0").replace(
+        "g = gaussian:width=1.2,amplitude=0.8\n", ""))
+    out = str(tmp_path / "out")
+    assert _run("resolvent", str(p), out) == 0
+    with open(os.path.join(out, "resolvent.csv")) as fh:
+        rows = [r for r in csv.reader(fh) if r and r[0] == "twopoint"]
+    assert len(rows) == 1 and rows[0][1] == "-1.0"
+    assert all(np.isfinite(float(x)) for x in rows[0][2:])
 
 
 def test_functions_are_picked_by_name(config_path, tmp_path):

@@ -27,30 +27,65 @@ BETA = 1.0
 
 
 def _strata(ens):
-    """The mass of each atom and (mass, loops) per run of the
-    post-stratified estimator, derived afresh: the two constant paths, of
-    mass P(0)/2 each, and runs of adjacent jump counts of at least
-    MIN_STRATUM loops (the leftover at the top joins the last run), each of
-    the jump-count law's mass over the counts from its first up to the next
-    run's first (the first run from count 1, the last to the end); masses
-    renormalized over the atoms and the runs present."""
+    """The mass of each atom, that of the c = 2 stratum and (mass, loops)
+    per run of the post-stratified estimator, derived afresh: the two
+    constant paths, of mass P(0)/2 each; the loops with two jumps, of mass
+    P(2), read by quadrature; and runs of adjacent jump counts c >= 4 of at
+    least MIN_STRATUM loops (the leftover at the top joins the last run),
+    each of the jump-count law's mass over the counts from its first up to
+    the next run's first (the first run from count 4, the last to the
+    end); masses renormalized over the atoms, c = 2 and the runs present."""
     pmf = jump_count_pmf(ens.params)
     pmf = pmf / pmf.sum()
+    p2 = pmf[1] if len(pmf) > 1 else 0.0
     out = []
     runs = []
-    for c in sorted(set(ens.counts[ens.counts > 0].tolist())):
+    for c in sorted(set(ens.counts[ens.counts >= 4].tolist())):
         if not runs or len(runs[-1][1]) >= ensemble_mod.MIN_STRATUM:
             runs.append([c, []])
         runs[-1][1].extend(np.flatnonzero(ens.counts == c))
     if len(runs) > 1 and len(runs[-1][1]) < ensemble_mod.MIN_STRATUM:
         runs[-2][1].extend(runs.pop()[1])
     for k, (c, loops) in enumerate(runs):
-        lo = 1 if k == 0 else c
+        lo = 4 if k == 0 else c
         hi = runs[k + 1][0] if k + 1 < len(runs) else 2 * len(pmf)
         mass = sum(pmf[m] for m in range(len(pmf)) if lo <= 2 * m < hi)
         out.append([mass, np.sort(np.array(loops))])
-    total = pmf[0] + sum(mass for mass, _ in out)
-    return pmf[0] / 2 / total, [(mass / total, loops) for mass, loops in out]
+    total = pmf[0] + p2 + sum(mass for mass, _ in out)
+    return (pmf[0] / 2 / total, p2 / total,
+            [(mass / total, loops) for mass, loops in out])
+
+
+def _levels(ens):
+    """The node rows of each level of the c = 2 rule, fine first, derived
+    afresh from c2_rule: their initial signs (every node with X_0 = +1,
+    then -1), jump pairs and weights (half the node's weight each)."""
+    out = []
+    for level, n in zip(ensemble_mod.C2_LEVELS, ens.c2_nodes):
+        t, w = ensemble_mod.c2_rule(ens.params.beta, *level)
+        assert len(w) == n
+        out.append((np.repeat([1, -1], n), np.tile(t, (2, 1)),
+                    np.tile(w, 2) / 2))
+    return out
+
+
+def _node_logw(ens, t):
+    """log W of two-jump paths, jump pairs t: kappa_mean M^2 / 4 with
+    |M| = beta - 2 ell, plus 2 Phi(ell), ell = t_2 - t_1."""
+    ell = t[:, 1] - t[:, 0]
+    logw = 0.25 * ens.kernels.kappa_mean * (ens.params.beta - 2.0 * ell) ** 2
+    phi = ens.kernels.phi
+    return logw if phi is None else logw + 2.0 * phi(ell)
+
+
+def _node_sums(ens, g):
+    """The boundary sum of g on every node row at t = 0, fine level first:
+    -1/2 X_0 (g(-beta/2) - 2 g(t_1) + 2 g(t_2) - g(beta/2))."""
+    h = 0.5 * ens.params.beta
+    lo, hi = g(np.array([-h, h]))
+    return np.concatenate([
+        -0.5 * signs * (lo - 2.0 * g(t[:, 0]) + 2.0 * g(t[:, 1]) - hi)
+        for signs, t, _ in _levels(ens)])
 
 
 def _atom_logw(ens):
@@ -79,11 +114,13 @@ def test_zero_source_is_untilted(free_ensemble, f_gauss):
     assert ens.ess == pytest.approx(ens.n)
     vals = np.sin(np.arange(len(ens.weights), dtype=float))
     mean, _ = ens.expectation(vals)
-    # all weights are 1: the mass-weighted mean of the atoms' values and
-    # of the runs' means
-    p_atom, runs = _strata(ens)
+    # all weights are 1: the mass-weighted mean of the atoms' values, of
+    # the fine c = 2 nodes' weighted values and of the runs' means
+    p_atom, p2, runs = _strata(ens)
     rows = loop_rows(ens)
-    want = p_atom * (vals[0] + vals[1]) + sum(
+    _, _, w_fine = _levels(ens)[0]
+    want = p_atom * (vals[0] + vals[1]) + p2 * np.dot(
+        w_fine, vals[2:2 + len(w_fine)]) + sum(
         p * vals[rows[loops]].mean() for p, loops in runs)
     assert mean == pytest.approx(want, rel=1e-14)
     sval, se = ens.spin_factor(f_gauss, 0.0)
@@ -126,10 +163,13 @@ def test_log_partition_matches_scipy_logsumexp(ensemble, which):
     else:
         ens = ensemble
     x = ens.params.eps * ens.params.beta
-    # log sum_s p_s mean_s(W), each run's mean by logsumexp
-    p_atom, runs = _strata(ens)
+    # log sum_s p_s mean_s(W), each run's mean by logsumexp and c = 2 by
+    # the fine nodes
+    p_atom, p2, runs = _strata(ens)
+    _, t, w = _levels(ens)[0]
     ref = math.log(2.0 * math.cosh(x)) + float(logsumexp(
-        [math.log(2.0 * p_atom) + _atom_logw(ens)]
+        [math.log(2.0 * p_atom) + _atom_logw(ens),
+         math.log(p2) + logsumexp(_node_logw(ens, t), b=w)]
         + [math.log(p) + logsumexp(ens.logw[loops]) - math.log(len(loops))
            for p, loops in runs]))
     assert abs(ens.log_partition() - ref) <= 1e-14 * abs(ref)
@@ -239,17 +279,23 @@ def test_log_weights_match_reference_property(gauss_src, beta, raw):
 
 
 def test_static_moment_is_the_path_integral(ensemble):
-    # one value per row: the constant +1 and -1 paths, then the loops with
-    # jumps
+    # one value per row: the constant +1 and -1 paths, the c = 2 nodes,
+    # X_0 (beta - 2 ell) each, then the loops with c >= 4 jumps
     m = ensemble.static_moment
     assert ensemble.static_moment is m
-    loops = np.flatnonzero(ensemble.counts)
-    assert len(m) == 2 + len(loops)
+    loops = np.flatnonzero(ensemble.counts >= 4)
+    assert len(m) == len(ensemble.weights) == 2 + 2 * sum(
+        ensemble.c2_nodes) + len(loops)
     assert m[0] == BETA and m[1] == -BETA
-    for k, i in enumerate(loops[:50]):
+    nodes = np.concatenate([signs * (BETA - 2.0 * (t[:, 1] - t[:, 0]))
+                            for signs, t, _ in _levels(ensemble)])
+    assert np.allclose(m[2:2 + len(nodes)], nodes, rtol=0, atol=1e-14)
+    rows = loop_rows(ensemble)
+    for i in loops[:50]:
         lp = ensemble.loop(i)
         want = np.dot(lp.interval_signs(), np.diff(lp.boundaries(BETA)))
-        assert m[2 + k] == pytest.approx(want, rel=1e-13, abs=1e-14 * BETA)
+        assert m[rows[i]] == pytest.approx(want, rel=1e-13,
+                                           abs=1e-14 * BETA)
 
 
 @pytest.mark.filterwarnings("ignore:weight degeneracy")
@@ -258,16 +304,17 @@ def test_constant_kernel_log_weight_is_the_static_term(beta, c0):
     # kappa = c0 has Phi = 0, so log W = c0 M^2 / 4 exactly
     ens = build_ensemble(SpinMeasureParams(beta, 1.0),
                          ThermalKernelTable.constant(beta, c0), 20000, seed=3)
-    assert np.array_equal(ens.logw,
-                          (0.25 * c0 * ens.static_moment ** 2)[loop_rows(ens)])
+    m = 2.0 * _all_loop_boundary_sum(ens, lambda u: u)
+    assert np.array_equal(ens.logw, 0.25 * c0 * m ** 2)
     assert np.all(ens.logw[ens.counts == 0] == 0.25 * c0 * beta ** 2)
 
 
 @pytest.mark.filterwarnings("ignore:weight degeneracy")
 def test_log_weights_evaluate_phi_once_per_jump_pair(gauss_src, monkeypatch):
     # structural guard: the Phi spline sees each pair of true jumps once,
-    # never a circle end, in calls of at most JUMP_SLAB points, and no
-    # triu_indices gather is formed; the slab size does not change a bit
+    # and each c = 2 node's pair once, never a circle end, in calls of at
+    # most JUMP_SLAB points, and no triu_indices gather is formed; the slab
+    # size does not change a bit
     table = ThermalKernelTable(gauss_src, 4.0)
     params = SpinMeasureParams(4.0, 1.0)
     ref = build_ensemble(params, table, 20000, seed=9)
@@ -286,21 +333,31 @@ def test_log_weights_evaluate_phi_once_per_jump_pair(gauss_src, monkeypatch):
         monkeypatch.setattr(ensemble_mod, "JUMP_SLAB", slab)
         calls.clear()
         ens = build_ensemble(params, table, 20000, seed=9)
-        assert sum(calls) == np.sum(ens.counts * (ens.counts - 1) // 2)
+        assert sum(calls) == np.sum(ens.counts * (ens.counts - 1) // 2) \
+            + sum(ens.c2_nodes)
         assert max(calls) <= slab
         assert np.array_equal(ens.logw, ref.logw)
     assert len(calls) > 100
 
 
 def test_z_values_match_reference(ensemble, f_gauss):
-    # one value per row: the constant +1 and -1 paths, then the loops with
-    # jumps
-    z = ensemble.z_values(f_gauss, t_offset=0.1)
-    paths = [SpinLoop(1, ()), SpinLoop(-1, ())] + [
-        ensemble.loop(i) for i in np.flatnonzero(ensemble.counts)[:10]]
-    for k, lp in enumerate(paths):
-        ref = loop_z_value(lp, ensemble.kernels, f_gauss, 0.1)
-        assert z[k] == pytest.approx(ref, rel=1e-9, abs=1e-12)
+    # one value per row: the constant +1 and -1 paths and the loops with
+    # c >= 4 jumps at t, and the c = 2 nodes at t = 0
+    t = 0.1
+    z = ensemble.z_values(f_gauss, t_offset=t)
+    rows = loop_rows(ensemble)
+    paths = [(0, SpinLoop(1, ()), t), (1, SpinLoop(-1, ()), t)] + [
+        (rows[i], ensemble.loop(i), t)
+        for i in np.flatnonzero(ensemble.counts >= 4)[:10]]
+    k = 2
+    for signs, jumps, _ in _levels(ensemble):
+        for j in (0, len(signs) // 2 + 5, len(signs) - 1):
+            paths.append((k + j, SpinLoop(int(signs[j]), tuple(jumps[j])),
+                          0.0))
+        k += len(signs)
+    for row, lp, at in paths:
+        ref = loop_z_value(lp, ensemble.kernels, f_gauss, at)
+        assert z[row] == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
 
 def _boundary_vector_z(kernels, f, t, sign, jumps):
@@ -339,13 +396,23 @@ def test_z_values_match_oracles_property(gauss_src, f_gauss, beta, raw,
     ens = TiltedEnsemble(SpinMeasureParams(beta, 1.0), table, signs, counts,
                          flat, 0, DEFAULT_CHUNK)
     z = ens.z_values(f_gauss, t)
-    rows = [(1, []), (-1, [])] + [p for p in paths if p[1]]
-    assert len(z) == len(rows)
-    for k, (sign, jumps) in enumerate(rows):
-        ref, scale = _boundary_vector_z(table, f_gauss, t, sign, jumps)
-        assert abs(z[k] - ref) <= 1e-14 * scale
-        loop = loop_z_value(SpinLoop(sign, tuple(jumps)), table, f_gauss, t)
-        assert abs(z[k] - loop) <= 1e-12 * scale
+    # the constant paths and the loops with c >= 4 at t, after the c = 2
+    # nodes, of which every 701st row is checked, at t = 0
+    rows = [(0, 1, [], t), (1, -1, [], t)]
+    k = 2
+    for node_signs, jumps, _ in _levels(ens):
+        rows += [(k + j, node_signs[j], jumps[j], 0.0)
+                 for j in range(0, len(node_signs), 701)]
+        k += len(node_signs)
+    rows += [(k + j, sign, jumps, t) for j, (sign, jumps) in enumerate(
+        p for p in paths if len(p[1]) >= 4)]
+    assert len(z) == k + int(np.sum(counts >= 4))
+    for row, sign, jumps, at in rows:
+        ref, scale = _boundary_vector_z(table, f_gauss, at, sign, jumps)
+        assert abs(z[row] - ref) <= 1e-14 * scale
+        loop = loop_z_value(SpinLoop(int(sign), tuple(jumps)), table,
+                            f_gauss, at)
+        assert abs(z[row] - loop) <= 1e-12 * scale
 
 
 def test_odd_jump_count_is_refused(kernel_table):
@@ -371,8 +438,10 @@ def test_frozen_spin_z_is_the_endpoint_terms(ensemble, f_gauss, t):
 
 
 def test_z_values_evaluates_A_once_per_jump(ensemble, f_gauss, monkeypatch):
-    # structural guard: two circle ends shared by every loop plus one point
-    # per jump, not two ends per loop
+    # structural guard: two circle ends shared by the loops at t and two by
+    # the c = 2 nodes at t = 0, plus one point per jump of a loop row and
+    # per jump of a node (its X_0 = -1 row negates the X_0 = +1 one), not
+    # two ends per loop, and no point for a sampled loop with two jumps
     entry = ensemble.kernels.register(f_gauss)
     points = []
 
@@ -382,7 +451,9 @@ def test_z_values_evaluates_A_once_per_jump(ensemble, f_gauss, monkeypatch):
 
     monkeypatch.setattr(entry, "A", counted)
     ensemble.z_values(f_gauss, 0.0123)
-    assert sum(points) == ensemble.counts.sum() + 2
+    counts = ensemble.counts
+    assert sum(points) == (counts[counts >= 4].sum() + 2
+                           + 2 * sum(ensemble.c2_nodes) + 2)
 
 
 @pytest.mark.parametrize("slab", [2, 7, 256])
@@ -481,26 +552,30 @@ _LOOPWISE = {
        seed=st.integers(0, 1 << 16))
 def test_map_distinct_is_fn_on_all_loops_property(kernel_table, f_gauss, kind,
                                                   out, raw, s, t, seed):
-    # the rows are the constant +1 and -1 paths, then the loops with jumps,
-    # ascending; every loop's Z and M is its row's bit for bit, and its
-    # log W that of its row's path (kappa_mean beta^2 / 4 on an atom), so a
-    # loop-wise fn mapped over the rows and read back through each loop's
-    # row is fn on all loops
+    # the rows are the constant +1 and -1 paths, the c = 2 nodes, then the
+    # loops with c >= 4 jumps, ascending; every loop with a row (c = 2 has
+    # none) has its row's Z and M bit for bit, and its log W is that of its
+    # row's path (kappa_mean beta^2 / 4 on an atom), so a loop-wise fn
+    # mapped over the rows and read back through each such loop's row is
+    # fn on those loops
     ens = _ensemble_of_kind(kernel_table, kind, raw, seed)
-    n_rows = 2 + int(np.sum(ens.counts > 0))
+    n_rows = 2 + 2 * sum(ens.c2_nodes) + int(np.sum(ens.counts >= 4))
     rows = loop_rows(ens)
+    read = rows >= 0
+    assert np.all(read == (ens.counts != 2))
+    rows = rows[read]
     a_f = kernel_table.register(f_gauss).A
     z_all = _all_loop_boundary_sum(ens, lambda x: np.sign(x) * a_f(np.abs(x)),
-                                   t)
+                                   t)[read]
     z = ens.z_values(f_gauss, t)
     assert z[rows].tobytes() == z_all.tobytes()
-    m_all = 2.0 * _all_loop_boundary_sum(ens, lambda u: u)
+    m_all = 2.0 * _all_loop_boundary_sum(ens, lambda u: u)[read]
     assert ens.static_moment[rows].tobytes() == m_all.tobytes()
-    w = np.concatenate((np.full(2, _atom_logw(ens)),
-                        ens.logw[ens.counts > 0]))
-    assert w[rows].tobytes() == ens.logw.tobytes()
+    w = np.full(n_rows, _atom_logw(ens))
+    w[n_rows - int(np.sum(ens.counts >= 4)):] = ens.logw[ens.counts >= 4]
+    assert w[rows].tobytes() == ens.logw[read].tobytes()
     fn = _LOOPWISE[out](s)
-    got, want = fn(z, w), fn(z_all, ens.logw)
+    got, want = fn(z, w), fn(z_all, ens.logw[read])
     pairs = zip(got, want) if out == "tuple" else [(got, want)]
     for g, h in pairs:
         assert g.dtype == h.dtype and g.shape == (n_rows,)
@@ -519,11 +594,12 @@ def _all_loop_boundary_sum(ens, g, t=0.0):
 
 
 def _path_sums(ens, g, t=0.0):
-    """The boundary sum of g on the constant +1 and -1 paths and on every
-    loop."""
+    """The boundary sum of g on the constant +1 and -1 paths, on the node
+    rows (at t = 0) and on every loop."""
     lo, hi = g(0.5 * ens.params.beta * np.array([-1.0, 1.0]) - t)
     ends = -0.5 * (lo - hi)
-    return np.array([ends, -ends]), _all_loop_boundary_sum(ens, g, t)
+    return (np.array([ends, -ends]), _node_sums(ens, g),
+            _all_loop_boundary_sum(ens, g, t))
 
 
 def _path_z(ens, f, t=0.0):
@@ -531,56 +607,70 @@ def _path_z(ens, f, t=0.0):
     return _path_sums(ens, lambda x: np.sign(x) * a_f(np.abs(x)), t)
 
 
-def _all_loop_expectation(ens, v_atoms, v):
-    """(mean, se) of the post-stratified estimator from the strata derived
-    afresh: the atoms, read exactly, with the values v_atoms of the
-    constant +1 and -1 paths, and the loops with jumps, with their values
-    in v (one per loop; a constant loop's is not read); with the
-    uncancelled magnitudes of the mean and of the squared SE that bound
-    their rounding."""
-    w = np.exp(ens.logw - ens.logw.max())
-    p_atom, strata = _strata(ens)
-    atom = p_atom * math.exp(_atom_logw(ens) - ens.logw.max())
+def _all_loop_expectation(ens, v_atoms, v_nodes, v):
+    """(mean, se, gap) of the post-stratified estimator from the strata
+    derived afresh: the atoms, read exactly, with the values v_atoms of the
+    constant +1 and -1 paths; the c = 2 stratum by the fine nodes, with the
+    values v_nodes of the node rows (fine, then coarse), and by the coarse
+    ones for the gap; and the loops with c >= 4 jumps, with their values in
+    v (one per loop; the others are not read); with the uncancelled
+    magnitudes of the mean and of the squared SE that bound their
+    rounding."""
+    top = ens.logw.max()
+    w = np.exp(ens.logw - top)
+    p_atom, p2, strata = _strata(ens)
+    atom = p_atom * math.exp(_atom_logw(ens) - top)
+    nodes = [p2 * wl * np.exp(_node_logw(ens, t) - top)
+             for _, t, wl in _levels(ens)]
     per_loop, runs = np.zeros(ens.n), []
     for mass, loops in strata:
         per_loop[loops] = w[loops] * mass / len(loops)
         runs.append(loops)
-    sum_w = np.sum(per_loop) + 2.0 * atom
-    v, v_atoms = np.asarray(v), np.asarray(v_atoms)
-    parts = ([(v.real, v_atoms.real), (v.imag, v_atoms.imag)]
-             if np.iscomplexobj(v) or np.iscomplexobj(v_atoms)
-             else [(v, v_atoms)])
-    means, var, mean_scale, var_scale = [], 0.0, 0.0, 0.0
-    for x, xa in parts:
-        mean = (np.sum(per_loop * x) + atom * np.sum(xa)) / sum_w
-        means.append(mean)
-        mean_scale += (np.sum(per_loop * np.abs(x))
-                       + atom * np.sum(np.abs(xa))) / sum_w
-        wd = per_loop * (x - mean)
+    sums = [np.sum(per_loop) + 2.0 * atom + np.sum(x) for x in nodes]
+    v, v_atoms, v_nodes = (np.asarray(x) for x in (v, v_atoms, v_nodes))
+    cut = len(nodes[0])
+    split = [v_nodes[:cut], v_nodes[cut:]]
+    parts = ([(v.real, v_atoms.real, [y.real for y in split]),
+              (v.imag, v_atoms.imag, [y.imag for y in split])]
+             if any(np.iscomplexobj(a) for a in (v, v_atoms, v_nodes))
+             else [(v, v_atoms, split)])
+    means, var, gap = [], 0.0, 0.0
+    mean_scale, var_scale = 0.0, 0.0
+    for x, xa, xn in parts:
+        fine, coarse = ((np.sum(per_loop * x) + atom * np.sum(xa)
+                         + np.sum(wn * y)) / total
+                        for wn, y, total in zip(nodes, xn, sums))
+        means.append(fine)
+        gap += (fine - coarse) ** 2
+        mean_scale += (np.sum(per_loop * np.abs(x)) + atom * np.sum(np.abs(xa))
+                       + np.sum(nodes[0] * np.abs(xn[0]))) / sums[0]
+        wd = per_loop * (x - fine)
         var += np.dot(wd, wd) - sum(np.sum(wd[r]) ** 2 / len(r) for r in runs)
-        var_scale += np.sum((per_loop * (np.abs(x) + abs(mean))) ** 2)
-    se = math.sqrt(max(var, 0.0)) / sum_w
+        var_scale += np.sum((per_loop * (np.abs(x) + abs(fine))) ** 2)
+    se = math.sqrt(max(var, 0.0)) / sums[0]
     mean = complex(*means) if len(parts) == 2 else means[0]
-    return mean, se, mean_scale, var_scale / sum_w ** 2
+    return mean, se, math.sqrt(gap), mean_scale, var_scale / sums[0] ** 2
 
 
 def _assert_estimate(got, want, rel=1e-14):
-    # the mean and SE agree to rel of their uncancelled magnitudes
-    (val, se), (mean, want_se, mean_scale, var_scale) = got, want
+    # the mean, SE and gap agree to rel of their uncancelled magnitudes
+    (val, se, gap), (mean, want_se, want_gap, mean_scale, var_scale) = \
+        got, want
     assert abs(val - mean) <= rel * max(abs(mean), mean_scale)
     assert abs(se * se - want_se * want_se) <= rel * max(want_se ** 2,
                                                          var_scale)
+    assert abs(gap - want_gap) <= 4.0 * rel * max(abs(mean), mean_scale)
 
 
 def _all_loop_kernel_variance(ens, f, n_cells):
     beta = ens.params.beta
     edges = np.linspace(-0.5 * beta, 0.5 * beta, n_cells + 1)
     g = np.sign(edges) * ens.kernels.register(f).A(np.abs(edges)).real
-    ya, y = (2.0 * x for x in _path_sums(
+    ya, yn, y = (2.0 * x for x in _path_sums(
         ens, lambda u: np.interp(u, edges, g)))
-    mean = _all_loop_expectation(ens, ya, y)[0]
-    return 0.25 * _all_loop_expectation(ens, (ya - mean) ** 2,
-                                        (y - mean) ** 2)[0]
+    mean = _all_loop_expectation(ens, ya, yn, y)[0]
+    return 0.25 * _all_loop_expectation(
+        ens, (ya - mean) ** 2, (yn - mean) ** 2, (y - mean) ** 2)[0]
 
 
 @pytest.mark.filterwarnings("ignore:weight degeneracy")
@@ -593,23 +683,31 @@ def _all_loop_kernel_variance(ens, f, n_cells):
 def test_estimators_on_distinct_loops_match_all_loops_property(
         kernel_table, f_gauss, kind, raw, s, t, seed):
     # char_function, variance_two_routes and ell_shift read only the rows;
-    # the same formulas over the constant paths and every loop, each path
-    # averaged with its spin flip, agree with them
+    # the same formulas over the constant paths, the c = 2 nodes and every
+    # loop with c >= 4 jumps, each path averaged with its spin flip, agree
+    # with them, and their errors are the SE plus the gap
     ens = _ensemble_of_kind(kernel_table, kind, raw, seed)
-    za, z = _path_z(ens, f_gauss, t)
+    za, zn, z = _path_z(ens, f_gauss, t)
     vals, ses = ens.char_function(f_gauss, s, t)
+    z_rows = ens.z_values(f_gauss, t).real
     for sj, val, se in zip(s, vals, ses):
-        _assert_estimate((val, se), _all_loop_expectation(
-            ens, flip_even(za, phase(sj)), flip_even(z, phase(sj))))
-    za0, z0 = (x.real for x in _path_z(ens, f_gauss))
+        got = ens.estimate(np.cos(sj * z_rows))
+        assert val == got[0] and se == got[1] + got[2]
+        _assert_estimate(got, _all_loop_expectation(
+            ens, flip_even(za, phase(sj)), flip_even(zn, phase(sj)),
+            flip_even(z, phase(sj))))
+    za0, zn0, z0 = (x.real for x in _path_z(ens, f_gauss))
     mean = _all_loop_expectation(ens, flip_even(za0, lambda x: x),
+                                 flip_even(zn0, lambda x: x),
                                  flip_even(z0, lambda x: x))
     assert mean[0] == 0.0 and ens.ell_shift(f_gauss) == 0.0
     rep = ens.variance_two_routes(f_gauss, 64)
-    _assert_estimate((rep.var_direct, rep.var_direct_se),
-                     _all_loop_expectation(
-                         ens, flip_even(za0, lambda x: x ** 2),
-                         flip_even(z0, lambda x: x ** 2)))
+    z_rows = ens.z_values(f_gauss).real
+    got = ens.estimate(z_rows * z_rows)
+    assert (rep.var_direct, rep.var_direct_se) == (got[0], got[1] + got[2])
+    _assert_estimate(got, _all_loop_expectation(
+        ens, flip_even(za0, lambda x: x ** 2),
+        flip_even(zn0, lambda x: x ** 2), flip_even(z0, lambda x: x ** 2)))
     for got, n_cells in ((rep.var_kernel, 64), (rep.var_kernel_fine, 128)):
         want = _all_loop_kernel_variance(ens, f_gauss, n_cells)
         assert got == pytest.approx(want, rel=1e-14, abs=1e-300)
@@ -682,9 +780,11 @@ def test_per_loop_state_lives_on_the_distinct_loops(ensemble, f_gauss,
     ens.static_moment
     ens.z_values(g_gauss, 0.3)
     w = ens.norm_weights
-    assert np.all(w[ens.counts == 0] == 0.0)
-    assert np.sum(w) + ens.atom_mass == pytest.approx(1.0, rel=1e-14)
-    d = 2 + int(np.sum(ens.counts > 0))
+    assert np.all(w[ens.counts <= 2] == 0.0)
+    c2_mass = np.sum(ens.weights[2:2 + 2 * ens.c2_nodes[0]]) / ens.sum_w
+    assert np.sum(w) + ens.atom_mass + c2_mass == pytest.approx(1.0,
+                                                               rel=1e-14)
+    d = 2 + 2 * sum(ens.c2_nodes) + int(np.sum(ens.counts >= 4))
     assert d < ens.n
     arrays = [v for v in ens._z_cache.values() if isinstance(v, np.ndarray)]
     assert len(arrays) >= 3
@@ -817,7 +917,7 @@ def test_expectation_rejects_all_loop_arrays(kernel_table, frozen):
     ens = (_constant_loops(kernel_table, 2000) if frozen else
            build_ensemble(SpinMeasureParams(BETA, 1.0), kernel_table, 2000,
                           seed=11))
-    assert len(ens.weights) < ens.n
+    assert len(ens.weights) != ens.n
     with pytest.raises(ValueError, match="per row"):
         ens.expectation(np.ones(ens.n))
     with pytest.raises(ValueError, match="per row"):
@@ -868,27 +968,32 @@ def test_se_does_not_depend_on_blas_threads():
 
 
 def test_single_stratum_is_the_iid_estimator(kernel_table, f_gauss):
-    # no constant loop and one jump count: besides the two atoms, one
-    # stratum of mass 1 - P(0), read by the self-normalized mean, with the
-    # squared SE sum_i w_i^2 |d_i|^2 / (sum w)^2 less
-    # |sum_i w_i d_i|^2 / n (sum w)^2
+    # no constant loop and one jump count, c = 4: besides the two atoms and
+    # the fine c = 2 nodes, one stratum of mass 1 - P(0) - P(2), read by the
+    # self-normalized mean, with the squared SE
+    # sum_i w_i^2 |d_i|^2 / (sum w)^2 less |sum_i w_i d_i|^2 / n (sum w)^2
     rng = np.random.default_rng(5)
     loops = [SpinLoop(int(s), tuple(sorted(BETA * (u - 0.5))))
              for s, u in zip(rng.choice([-1, 1], 300),
-                             rng.random((300, 2)))]
+                             rng.random((300, 4)))]
     ens = _ensemble_of(loops, kernel_table)
     v = np.exp(-1j * ens.z_values(f_gauss))
-    p0 = jump_count_pmf(ens.params)
-    p0 = p0[0] / p0.sum()
+    pmf = jump_count_pmf(ens.params)
+    p0, p2 = pmf[:2] / pmf.sum()
     top = ens.logw.max()
-    w = np.exp(ens.logw - top) * (1.0 - p0) / ens.n
+    w = np.exp(ens.logw - top) * (1.0 - p0 - p2) / ens.n
     atom = math.exp(_atom_logw(ens) - top) * p0 / 2.0
-    sum_w = np.sum(w) + 2.0 * atom
-    mean = (np.sum(w * v[2:]) + atom * (v[0] + v[1])) / sum_w
-    d = v[2:] - mean
+    _, t, wl = _levels(ens)[0]
+    nodes = p2 * wl * np.exp(_node_logw(ens, t) - top)
+    first = 2 + len(nodes)
+    v_nodes, v_loops = v[2:first], v[2 + 2 * sum(ens.c2_nodes):]
+    sum_w = np.sum(w) + 2.0 * atom + np.sum(nodes)
+    mean = (np.sum(w * v_loops) + atom * (v[0] + v[1])
+            + np.sum(nodes * v_nodes)) / sum_w
+    d = v_loops - mean
     se = math.sqrt(np.sum(w ** 2 * np.abs(d) ** 2)
                    - abs(np.sum(w * d)) ** 2 / ens.n) / sum_w
-    got, got_se = ens.expectation(v)
+    got, got_se, _ = ens.estimate(v)
     assert got == pytest.approx(mean, rel=1e-14)
     assert got_se == pytest.approx(se, rel=1e-12)
 
@@ -925,7 +1030,7 @@ def test_post_stratified_mean_agrees_with_iid(gauss_src, f_gauss, beta):
     table = ThermalKernelTable(gauss_src, beta, tol=1e-9)
     ens = build_ensemble(SpinMeasureParams(beta, 1.0), table, 20000, seed=8)
     val, se = ens.spin_factor(f_gauss)
-    v = np.exp(-1j * ens.z_values(f_gauss))[loop_rows(ens)]
+    v = np.exp(-1j * _path_z(ens, f_gauss)[2])
     w = np.exp(ens.logw - ens.logw.max())
     iid = np.sum(w * v) / np.sum(w)
     iid_se = math.sqrt(np.sum(w ** 2 * np.abs(v - iid) ** 2)) / np.sum(w)
@@ -955,11 +1060,15 @@ def test_log_partition_matches_exact_constant_kernel(beta, c0):
     ens = build_ensemble(SpinMeasureParams(beta, 1.0),
                          ThermalKernelTable.constant(beta, c0), 20000,
                          seed=12)
-    # delta-method SE of log sum_s p_s mean_s(W): the atoms add none
-    w = np.exp(ens.logw - ens.logw.max())
-    p_atom, runs = _strata(ens)
-    total = 2.0 * p_atom * math.exp(_atom_logw(ens) - ens.logw.max()) + sum(
-        p * w[loops].mean() for p, loops in runs)
+    # delta-method SE of log sum_s p_s mean_s(W): the atoms and the c = 2
+    # nodes add none
+    top = ens.logw.max()
+    w = np.exp(ens.logw - top)
+    p_atom, p2, runs = _strata(ens)
+    _, t, wl = _levels(ens)[0]
+    total = (2.0 * p_atom * math.exp(_atom_logw(ens) - top)
+             + p2 * np.sum(wl * np.exp(_node_logw(ens, t) - top)) + sum(
+                 p * w[loops].mean() for p, loops in runs))
     var = sum(p * p * w[loops].var(ddof=1) / len(loops)
               for p, loops in runs if len(loops) > 1)
     se = math.sqrt(var) / total
@@ -974,17 +1083,15 @@ def test_variance_routes_zero_source(free_ensemble, f_gauss):
 
 
 def _dense_kernel_variance(ens, f, n_cells):
-    # 1/4 (kcell^T M2 kcell - (kcell^T m1)^2) from the explicit per-loop
-    # cell-integral matrix, with the constant +1 and -1 paths added, and
-    # its weighted first and second moments
+    # 1/4 (kcell^T M2 kcell - (kcell^T m1)^2) from the explicit per-row
+    # cell-integral matrix and its weighted first and second moments
     beta = ens.params.beta
     entry = ens.kernels.register(f)
     edges = np.linspace(-0.5 * beta, 0.5 * beta, n_cells + 1)
     g = np.sign(edges) * entry.A(np.abs(edges)).real
     kcell = np.diff(g) / (beta / n_cells)
-    widths = np.diff(edges)
-    cells = np.vstack((widths, -widths, ens.cell_integrals(edges)))
-    w = np.concatenate((np.full(2, 0.5 * ens.atom_mass), ens.norm_weights))
+    cells = ens.cell_integrals(edges)
+    w = ens.weights / ens.sum_w
     m1 = cells.T @ w
     m2 = (cells * w[:, None]).T @ cells
     return 0.25 * float(kcell @ m2 @ kcell - (kcell @ m1) ** 2)
@@ -1135,3 +1242,96 @@ def test_seed_changes_sample(kernel_table):
     a = build_ensemble(params, kernel_table, 2000, seed=5)
     b = build_ensemble(params, kernel_table, 2000, seed=6)
     assert not np.array_equal(a.counts, b.counts)
+
+
+# ---------------------------------------------------------------------------
+# the c = 2 rule
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=40)
+@given(beta=st.floats(0.25, 16.0))
+def test_c2_rule_moments_property(beta):
+    # the free law given two jumps is uniform on the triangle
+    # -beta/2 < t_1 < t_2 < beta/2: each level's weights sum to 1, and
+    # E[ell] = beta / 3, E[ell^2] = beta^2 / 6 and E[t_1] = -beta / 6
+    for level in ensemble_mod.C2_LEVELS:
+        t, w = ensemble_mod.c2_rule(beta, *level)
+        assert np.all(np.diff(t, axis=1) > 0)
+        assert np.all((t > -0.5 * beta) & (t < 0.5 * beta))
+        ell = t[:, 1] - t[:, 0]
+        assert abs(np.sum(w) - 1.0) <= 1e-13
+        assert abs(np.dot(w, ell) - beta / 3.0) <= 1e-13 * beta
+        assert abs(np.dot(w, ell * ell) - beta ** 2 / 6.0) <= 1e-13 * beta ** 2
+        assert abs(np.dot(w, t[:, 0]) + beta / 6.0) <= 1e-13 * beta
+
+
+def _c2_mass(ens):
+    """E[W | c = 2] of each level, read off the ensemble's node rows: each
+    row weighs p_2 w_k W_k / 2 on the scale on which an atom row weighs
+    p_0 W_atom / 2."""
+    pmf = jump_count_pmf(ens.params)
+    scale = (0.5 * pmf[0] * math.exp(_atom_logw(ens))
+             / (pmf[1] * ens.weights[0]))
+    first = 2 + 2 * ens.c2_nodes[0]
+    return (np.sum(ens.weights[2:first]) * scale,
+            np.sum(ens._coarse) * scale)
+
+
+@pytest.mark.filterwarnings("ignore:weight degeneracy")
+@pytest.mark.parametrize("beta, c0", [(1.0, 0.5), (4.0, 0.5), (8.0, 2.0)])
+def test_c2_rule_meets_the_constant_kernel_closed_form(beta, c0):
+    # kappa = c0 has Phi = 0, so W = exp(c0 (beta - 2 ell)^2 / 4) and
+    # E[W | c = 2] = (2 / beta^2) int_0^beta (beta - ell) W dell
+    #              = sqrt(pi / a) erfi(sqrt(a) beta) / (2 beta), a = c0 / 4;
+    # the fine level meets it within the level gap, its stated error
+    from scipy.special import erfi
+    ens = build_ensemble(SpinMeasureParams(beta, 1.0),
+                         ThermalKernelTable.constant(beta, c0), 200, seed=3)
+    a = 0.25 * c0
+    exact = math.sqrt(math.pi / a) * erfi(math.sqrt(a) * beta) / (2.0 * beta)
+    fine, coarse = _c2_mass(ens)
+    gap = abs(fine - coarse)
+    assert abs(fine - exact) <= gap + 1e-13 * exact
+    assert gap <= 1e-9 * exact
+
+
+def _rotated_c2_loops(t, a, beta):
+    """Two-jump loops with X_0 = +1 and jumps t, rotated by a on the circle
+    (Y_u = X_{u - a}): their initial signs and sorted jump pairs."""
+    h = 0.5 * beta
+    s = t + a
+    wraps = s > h
+    s = np.where(wraps, s - beta, s)
+    # one jump wrapped: the path enters the circle inside the minus interval
+    sign = np.where(wraps[:, 0] == wraps[:, 1], 1, -1)
+    return sign, np.sort(s, axis=1)
+
+
+def test_c2_rows_at_an_offset_match_a_rule_split_there(ensemble, f_gauss):
+    # the node rows read Z at t = 0 for every offset: the free law given
+    # c = 2 and log W are rotation invariant, so E~[v(Z_{f,t}) | c = 2] is
+    # E~[v(Z_{f,0}) | c = 2].  Against a refined rule split at t = 0.3 (the
+    # t = 0 rule rotated by 0.3), on which Z_{f,t} is read at t, the fine
+    # node rows agree within their level gap
+    t_off = 0.3
+    refined = ensemble_mod.c2_rule(BETA, 8, 16, 32)
+    sign, jumps = _rotated_c2_loops(refined[0], t_off, BETA)
+    a_f = ensemble.kernels.register(f_gauss).A
+
+    def g(x):
+        return np.sign(x) * a_f(np.abs(x)).real
+
+    h = 0.5 * BETA
+    z = -0.5 * sign * (g(np.array([-h - t_off]))[0] - 2.0 * g(
+        jumps[:, 0] - t_off) + 2.0 * g(jumps[:, 1] - t_off)
+        - g(np.array([h - t_off]))[0])
+    w = refined[1] * np.exp(_node_logw(ensemble, refined[0]))
+    rows = slice(2, 2 + 2 * ensemble.c2_nodes[0])
+    for s in (1.0, 2.0, 4.0):
+        want = np.dot(w, np.cos(s * z)) / np.sum(w)
+        v = np.cos(s * ensemble.z_values(f_gauss, t_off).real)
+        fine = (np.dot(ensemble.weights[rows], v[rows])
+                / np.sum(ensemble.weights[rows]))
+        coarse = np.dot(ensemble._coarse, v[rows.stop:rows.stop + len(
+            ensemble._coarse)]) / np.sum(ensemble._coarse)
+        assert abs(fine - want) <= abs(fine - coarse) + 1e-12

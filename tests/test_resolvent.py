@@ -308,8 +308,9 @@ def test_ideal_report_singular_direction(gauss_src):
 
 
 def _n_rows(ens):
-    """The rows: the two constant paths plus the loops with jumps."""
-    return 2 + int(np.sum(ens.counts > 0))
+    """The rows: the two constant paths, the c = 2 nodes of both levels,
+    each with X_0 = +1 and -1, and the loops with c >= 4 jumps."""
+    return 2 + 2 * sum(ens.c2_nodes) + int(np.sum(ens.counts >= 4))
 
 
 def _counted(res_mod, monkeypatch):
@@ -474,14 +475,18 @@ def test_twopoint_adjoint_identity(gauss_src, kernel_table, ensemble,
 
 
 class _AllLoops:
-    """An ensemble seen loop by loop: Z on the two constant paths and then
-    on all n loops, each loop taking its row, and every estimate read off
-    the rows."""
+    """An ensemble seen loop by loop: Z on the two constant paths and the
+    c = 2 node rows and then on all n loops, each loop taking its row (a
+    loop with two jumps, which has none, that of the first atom), and every
+    estimate read off the rows."""
 
     def __init__(self, ens):
         self._ens = ens
-        self._rows = np.concatenate(([0, 1], loop_rows(ens)))
-        self._back = np.concatenate(([0, 1], 2 + np.flatnonzero(ens.counts)))
+        first = 2 + 2 * sum(ens.c2_nodes)
+        self._rows = np.concatenate((np.arange(first),
+                                     np.maximum(loop_rows(ens), 0)))
+        self._back = np.concatenate((np.arange(first),
+                                     first + np.flatnonzero(ens.counts >= 4)))
 
     def __getattr__(self, name):
         return getattr(self._ens, name)
@@ -521,3 +526,76 @@ def test_resolvents_match_the_all_loop_evaluation(gauss_src, kernel_table,
 
     for a, b in zip(values(ens), values(_AllLoops(ens))):
         assert a.value == b.value and a.error == b.error
+
+
+def test_scaled_faddeeva_is_the_factor_times_w():
+    # e^{log s} w(z): the product of the two where both are finite, to
+    # 1e-14 relative, on both half-planes; where exp(-z^2) overflows and
+    # the factor underflows the product is still finite
+    from spinboson.resolvent import wofz_scaled
+    rng = np.random.default_rng(8)
+    z = rng.uniform(-6.0, 6.0, 4000) + 1j * rng.uniform(-5.0, 5.0, 4000)
+    log_s = rng.uniform(-30.0, 5.0, 4000)
+    got = wofz_scaled(z, log_s)
+    want = np.exp(log_s) * wofz(z)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+    far = np.array([3.0 - 29.0j, -1.0 - 30.0j, 0.5 - 27.0j])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.all(np.isfinite(np.exp(-850.0) * wofz(far)))
+    assert np.all(np.isfinite(wofz_scaled(far, -850.0)))
+
+
+def _recorded_errors(ens, monkeypatch):
+    """The SE (with the c = 2 gap) of every expectation taken on ens."""
+    seen = []
+
+    def expectation(values, real=ens.expectation):
+        seen.append(real(values))
+        return seen[-1]
+
+    monkeypatch.setattr(ens, "expectation", expectation)
+    return seen
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("lam, mu, g_scale", [(1.0, -1.0, 1.0),
+                                              (0.7, -1.3, 1.0),
+                                              (1.0, -1.0, 1.5)])
+def test_twopoint_is_finite_for_opposite_parallel_pairs(
+        gauss_src, kernel_table, small_ensemble, f_gauss, lam, mu, g_scale):
+    # c = -q_ff makes the Schur complement of the two-point Gaussian 0 for
+    # g = f, and the Faddeeva reflection meets the node factor in one
+    # exponent: value and error are finite, with no RuntimeWarning
+    cfg = StateConfig(beta=BETA, eps=1.0, d=3, s=1.0, n0=1e-3,
+                      source=gauss_src, kernels=kernel_table,
+                      ensemble=small_ensemble)
+    rv = resolvent_twopoint(cfg, lam, f_gauss, mu, f_gauss.scaled(g_scale))
+    assert np.isfinite(rv.value) and np.isfinite(rv.error)
+    assert abs(rv.value) <= 1.0 / abs(lam * mu) + rv.error
+
+
+@pytest.mark.parametrize("lam, mu", [(1.0, -1.0), (0.7, -1.3), (1.0, 2.0)])
+def test_twopoint_meets_the_resolvent_identity(gauss_src, kernel_table,
+                                               small_ensemble, f_gauss, lam,
+                                               mu, monkeypatch):
+    # R(lam, f) R(mu, f) = (R(lam, f) - R(mu, f)) / (i (mu - lam)) holds
+    # loop by loop, so on the same sample the two sides differ only by the
+    # quadrature and evaluation errors: delta + tail of the two-point
+    # value and the evaluation errors of all three, each error less its
+    # Monte Carlo part.  The one-point values are imaginary, so the
+    # identity's side is real and the two-point real part is compared
+    cfg = StateConfig(beta=BETA, eps=1.0, d=3, s=1.0, n0=1e-3,
+                      source=gauss_src, kernels=kernel_table,
+                      ensemble=small_ensemble)
+    seen = _recorded_errors(small_ensemble, monkeypatch)
+    two = resolvent_twopoint(cfg, lam, f_gauss, mu, f_gauss)
+    budget = two.error - seen[-2][1]
+    rhs = 0.0
+    for nu, sign in ((lam, 1.0), (mu, -1.0)):
+        one = resolvent_onepoint(cfg, nu, f_gauss)
+        assert one.value.real == 0.0
+        rhs += sign * one.value
+        budget += (one.error - seen[-2][1]) / abs(mu - lam)
+    rhs /= 1j * (mu - lam)
+    assert 0 < budget < two.error
+    assert abs(two.value.real - rhs.real) <= budget
