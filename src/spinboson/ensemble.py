@@ -73,7 +73,7 @@ fine level's quadrature error conservatively, as the two-point
 resolvent's delta does its own.  norm_weights, one per loop, is 0 on the
 constant loops and on the loops with two jumps, and `ess` stays Kish's
 ESS of the FKN weights of the n sampled loops, (sum W)^2 / sum W^2, of
-which the estimator now reads only the loops with c >= 4.
+which the estimator reads only the loops with c >= 4.
 
 The free measure is invariant under the global spin flip X -> -X: the
 initial sign is a fair coin, independent of the jumps.  The flip keeps a
