@@ -265,9 +265,9 @@ def write_csv(path, comment, columns, rows):
 
 def write_summary(path, seed, config_hash, ensemble, checks, f=None):
     """The run's seed, config hash, weight-degeneracy figures of the
-    ensemble (ESS, ESS/N and max_weight_share, the largest normalized
-    weight of a sampled loop, the constant paths and the c = 2 stratum
-    being read exactly), the tilted mass of the two constant paths, the
+    ensemble's importance weights (ESS, ESS/N and max_weight_share, the
+    largest of them normalized, so that ESS >= 1 / max_weight_share), the
+    tilted mass of the two constant paths, the
     c = 2 rule's nodes per level and, for a test function f, the two parts
     of the error of its spin factor S = E~[cos Z]: the Monte Carlo SE and
     the c = 2 level gap; then the checks."""
@@ -277,8 +277,7 @@ def write_summary(path, seed, config_hash, ensemble, checks, f=None):
         fh.write(f"config_hash = {config_hash}\n")
         fh.write(f"ess = {_fmt(ensemble.ess)}\n")
         fh.write(f"ess_frac = {_fmt(ensemble.ess / ensemble.n)}\n")
-        fh.write("max_weight_share = "
-                 f"{_fmt(ensemble.norm_weights.max())}\n")
+        fh.write(f"max_weight_share = {_fmt(ensemble.max_weight_share)}\n")
         fh.write(f"atom_mass = {_fmt(ensemble.atom_mass)}\n")
         fh.write(f"c2_nodes = {','.join(map(str, ensemble.c2_nodes))}\n")
         if f is not None:

@@ -110,6 +110,7 @@ CNUMBER_TOL = 1e-6        # variance bound of cnumber_criterion
 # the two levels of the c = 2 rule, fine first: (ratio-4 layers in ell,
 # Gauss-Legendre nodes per layer, Gauss-Legendre nodes in u)
 C2_LEVELS = ((5, 12, 16), (3, 10, 12))
+TILT_GRID = 2048          # StaticTilt's cells, evenly spaced in x
 
 
 def loop_log_weight(loop, kernels):
@@ -166,6 +167,84 @@ def c2_rule(beta, layers, n_ell, n_u):
     jumps = np.concatenate([np.stack(np.broadcast_arrays(a, b), -1).reshape(
         -1, 2) for a, b, _ in pieces])
     return jumps, np.concatenate([(w * span).ravel() for *_, span in pieces])
+
+
+class StaticTilt:
+    """Carries loops with c >= 4 jumps to the static-tilted law of their
+    count, a block of loops of one count at a time, and keeps each moved
+    loop's log Jacobian (log_jac, one per loop with c >= 4 among counts,
+    ascending).  static is a beta^2 with a = kappa_mean / 4, so that
+    log W = static (2x - 1)^2 + R.
+
+    Of a loop's c + 1 intervals, those of even index carry the sign X_0;
+    x, their total length over beta, is Beta(c/2 + 1, c/2) under the free
+    law given c (density b), independent of how each sign's total is
+    split.  x moves to y = T(x) and each sign's intervals are scaled to
+    their new total.  T is piecewise linear between TILT_GRID + 1 knots
+    spaced evenly in x, and carries the free CDF of x onto that of
+    b(x) e^{static (2x - 1)^2} at the knots, both by the trapezoid rule
+    there.  Any monotone T gives
+    E[h(x)] = E[h(T(x)) b(T(x)) T'(x) / b(x)] exactly, so the knots set
+    only how flat the weights come out: log(b(y) T'(x) / b(x)) is the log
+    Jacobian, and W times the Jacobian is nearly e^R times a constant per
+    count."""
+
+    def __init__(self, beta, static, counts):
+        self.beta, self.static = beta, static
+        big = counts >= 4
+        self.log_jac = np.zeros(int(np.count_nonzero(big)))
+        self._row = np.cumsum(big) - 1      # a loop's index among them
+        self._xs = np.linspace(0.0, 1.0, TILT_GRID + 1)
+        self._maps = {}
+
+    def _map(self, c):
+        """T at the knots for count c, and its log slope per cell."""
+        if c not in self._maps:
+            xs, k = self._xs, c // 2
+            with np.errstate(divide="ignore"):
+                lb = k * np.log(xs) + (k - 1) * np.log1p(-xs)
+            cdfs = []
+            for logd in (lb, lb + self.static * (2.0 * xs - 1.0) ** 2):
+                d = np.exp(logd - logd.max())
+                cdf = np.concatenate(([0.0], np.cumsum(d[1:] + d[:-1])))
+                cdfs.append(cdf / cdf[-1])
+            ys = np.interp(cdfs[0], cdfs[1], xs)
+            ys[[0, -1]] = 0.0, 1.0
+            slope = np.diff(ys) * TILT_GRID
+            with np.errstate(divide="ignore"):
+                self._maps[c] = ys, slope, np.log(slope)
+        return self._maps[c]
+
+    def __call__(self, idx, rows):
+        """Move, in place, the (c, m) block of jump times of the loops idx
+        of the counts given at construction, all of one count c >= 4."""
+        c = rows.shape[0]
+        k = c // 2
+        ys, slope, log_slope = self._map(c)
+        half = 0.5 * self.beta
+        # the interior intervals: odd index (sign -X_0) at d[0::2], even
+        # index at d[1::2]; the first and the last interval carry X_0
+        d = np.diff(rows, axis=0)
+        first = rows[0] + half
+        plus = d[1::2].sum(axis=0)
+        plus += first
+        plus += half - rows[-1]
+        minus = d[0::2].sum(axis=0)
+        x = plus / self.beta
+        lx, l1x = np.log(x), np.log(minus / self.beta)
+        i = np.minimum((x * TILT_GRID).astype(np.intp), TILT_GRID - 1)
+        y = ys[i] + (x - self._xs[i]) * slope[i]
+        self.log_jac[self._row[idx]] = (
+            k * np.log(y) + (k - 1) * np.log1p(-y) - k * lx - (k - 1) * l1x
+            + log_slope[i])
+        plus = y * self.beta / plus            # the scale of each sign
+        minus = (1.0 - y) * self.beta / minus
+        d[0::2] *= minus
+        d[1::2] *= plus
+        np.cumsum(d, axis=0, out=d)
+        np.multiply(first, plus, out=rows[0])
+        rows[0] -= half
+        np.add(d, rows[0], out=rows[1:])
 
 
 def _boundary_sums(g, t, ends, signs, starts, counts, jumps, out):
@@ -255,7 +334,6 @@ class TiltedEnsemble:
         self.kernels = kernels
         self.signs = signs
         self.counts = counts
-        self.jumps_flat = jumps_flat
         self.offsets = np.concatenate(([0], np.cumsum(counts)))
         self.master_seed = master_seed
         self.chunk_size = chunk_size
@@ -278,24 +356,38 @@ class TiltedEnsemble:
         self._nodes = (np.ones(n_nodes, np.int8), np.arange(0, 2 * n_nodes, 2),
                        np.full(n_nodes, 2, np.uint8),
                        np.concatenate([t for t, _ in levels]).ravel())
+        # each loop with c >= 4 jumps moves to the static-tilted law of its
+        # count (StaticTilt); the ensemble holds the moved loops.  With
+        # static = 0 the free law is its own tilt and nothing moves
+        static = 0.25 * kernels.kappa_mean * params.beta ** 2
+        tilt = StaticTilt(params.beta, static, counts)
+        self.jumps_flat = jumps_flat.copy()
         self.logw, atom_logw = self._log_weights(
-            signs, self.offsets[:-1], counts, jumps_flat, self.hist)
+            signs, self.offsets[:-1], counts, self.jumps_flat, self.hist,
+            tilt if static else None)
+        self.log_jac = tilt.log_jac
         node_logw, _ = self._log_weights(*self._nodes)
         sampled = np.flatnonzero(counts >= 4)
         self._loops = (signs[sampled], self.offsets[sampled],
                        counts[sampled].astype(np.min_scalar_type(
                            len(self.hist) - 1)))
-        # FKN weights, shifted so the largest loop weight is 1
-        top = self.logw.max()
-        fkn = np.exp(self.logw - top)
-        sum_fkn = float(fkn.sum())
-        self.ess = float(sum_fkn ** 2 / np.sum(fkn ** 2))
+        # importance weights W J (J = 1 where c < 4), shifted so the
+        # largest is 1
+        iw = self.logw.copy()
+        iw[sampled] += self.log_jac
+        self._top = float(iw.max())
+        iw -= self._top
+        np.exp(iw, out=iw)
+        sum_iw = float(iw.sum())
+        self.ess = float(sum_iw ** 2 / np.sum(iw ** 2))
+        self.max_weight_share = 1.0 / sum_iw
         if self.ess < 0.01 * self.n:
             warnings.warn(
                 f"weight degeneracy: ESS = {self.ess:.1f} of {self.n}",
                 RuntimeWarning)
-        self._stratify(fkn[sampled], counts[sampled],
-                       np.exp(node_logw - top), np.exp(atom_logw - top),
+        self._stratify(iw[sampled], counts[sampled],
+                       np.exp(node_logw - self._top),
+                       np.exp(atom_logw - self._top),
                        [w for _, w in levels], pmf)
 
     def _stratify(self, fkn, counts, fkn_nodes, fkn_atom, node_weights,
@@ -397,28 +489,23 @@ class TiltedEnsemble:
                                + [self.signs[loops]])
         return signs, counts, np.concatenate(([0], np.cumsum(counts))), jumps
 
-    def _log_weights(self, signs, starts, counts, jumps, hist=None):
+    def _log_weights(self, signs, starts, counts, jumps, hist=None,
+                     tilt=None):
         """log W per path of the given arrays (module docstring), and a
         constant path's log W.  Per jump count c, a slab of paths fills a
         buffer of about JUMP_SLAB pair differences (c(c-1)/2 rows, walked
         lag by lag, the odd lags first), which the Phi spline maps in
         place; each path's values are added row by row in a fixed order, so
-        a log-weight does not depend on the other paths."""
-        # the static term kappa_mean M^2 / 4, in place; M of a constant path
-        # is beta, so its static term is the atom's
-        half = 0.5 * self.params.beta
-        out = _boundary_sums(lambda u: u, 0.0, half, signs, starts, counts,
-                             jumps, np.empty(len(counts)))
-        out *= 2.0
-        np.square(out, out=out)
-        out *= 0.25 * self.kernels.kappa_mean
-        atom = 0.25 * self.kernels.kappa_mean * self.params.beta ** 2
+        a log-weight does not depend on the other paths.  A StaticTilt
+        tilt first moves each slab of paths with c >= 4 jumps, and the
+        moved times are written back into jumps, whose static term is then
+        that of the moved paths."""
         phi = self.kernels.phi
-        if phi is None:
-            return out, atom
+        out = np.zeros(len(counts))
         for c, idx, cols in jump_count_groups(counts, starts, hist):
             n_pairs = c * (c - 1) // 2
-            if not n_pairs:
+            moves = tilt is not None and c >= 4
+            if not n_pairs or (phi is None and not moves):
                 continue
             # the odd lags k = 1, 3, ... fill the first n_odd rows
             lags = [*range(1, c, 2), *range(2, c, 2)]
@@ -429,7 +516,13 @@ class TiltedEnsemble:
                 # the (c, paths) jump rows, C-ordered (take, unlike an index
                 # expression, does not follow the transposed index's order):
                 # a lag's differences are the difference of two row blocks
-                rows = jumps.take(cols[a:a + step].T)
+                block = cols[a:a + step].T
+                rows = jumps.take(block)
+                if moves:
+                    tilt(idx[a:a + step], rows)
+                    jumps[block] = rows
+                if phi is None:
+                    continue
                 diffs = buf[:n_pairs * rows.shape[1]].reshape(n_pairs, -1)
                 r = 0
                 for k in lags:
@@ -438,7 +531,16 @@ class TiltedEnsemble:
                 phi(diffs, out=diffs)
                 np.negative(diffs[:n_odd], out=diffs[:n_odd])
                 out[idx[a:a + step]] -= 2.0 * row_sum(diffs)
-        return out, atom
+        # the static term kappa_mean M^2 / 4; M of a constant path is beta,
+        # so its static term is the atom's
+        half = 0.5 * self.params.beta
+        m = _boundary_sums(lambda u: u, 0.0, half, signs, starts, counts,
+                           jumps, np.empty(len(counts)))
+        m *= 2.0
+        np.square(m, out=m)
+        m *= 0.25 * self.kernels.kappa_mean
+        out += m
+        return out, 0.25 * self.kernels.kappa_mean * self.params.beta ** 2
 
     @cached_property
     def static_moment(self):
@@ -493,9 +595,8 @@ class TiltedEnsemble:
     def log_partition(self):
         """log Z_beta = log(2 cosh(eps beta)) + log sum_s p_s mean_s(W)."""
         x = self.params.eps * self.params.beta
-        # the weights are shifted by the largest log W
-        return (math.log(2.0 * math.cosh(x)) + float(self.logw.max())
-                + math.log(self.sum_w))
+        # the weights are shifted by the largest log importance weight
+        return math.log(2.0 * math.cosh(x)) + self._top + math.log(self.sum_w)
 
     def _boundary_sum(self, g, t=0.0):
         """-1/2 sum_p d_p g(e_p - t) per row (Z for g = G); the c = 2 node
@@ -686,5 +787,6 @@ def build_ensemble(params, kernels, n, seed, chunk_size=DEFAULT_CHUNK,
                                 min(chunk_size, n - lo))
              for i, lo in enumerate(range(0, n, chunk_size))]
     signs, counts, flat = (np.concatenate(a) for a in zip(*parts))
+    del parts
     return TiltedEnsemble(params, kernels, signs, counts, flat,
                           seed, chunk_size)

@@ -17,8 +17,14 @@ from spinboson.ensemble import (
     loop_z_value,
 )
 from spinboson.kernels import ThermalKernelTable
-from spinboson.loops import SpinLoop, SpinMeasureParams, jump_count_pmf
+from spinboson.loops import (
+    SpinLoop,
+    SpinMeasureParams,
+    jump_count_pmf,
+    sample_loop_arrays,
+)
 from spinboson.resolvent import resolvent_onepoint
+from spinboson.seeds import substream
 from spinboson.state import StateConfig
 
 from conftest import flip_even, loop_rows, phase
@@ -86,6 +92,14 @@ def _node_sums(ens, g):
     return np.concatenate([
         -0.5 * signs * (lo - 2.0 * g(t[:, 0]) + 2.0 * g(t[:, 1]) - hi)
         for signs, t, _ in _levels(ens)])
+
+
+def _importance_logw(ens):
+    """log(W J) per loop: its log W plus, on a loop with c >= 4 jumps,
+    the log Jacobian of its move to the static tilt."""
+    logw = ens.logw.copy()
+    logw[ens.counts >= 4] += ens.log_jac
+    return logw
 
 
 def _atom_logw(ens):
@@ -163,14 +177,15 @@ def test_log_partition_matches_scipy_logsumexp(ensemble, which):
     else:
         ens = ensemble
     x = ens.params.eps * ens.params.beta
-    # log sum_s p_s mean_s(W), each run's mean by logsumexp and c = 2 by
-    # the fine nodes
+    # log sum_s p_s mean_s(W), each run's mean of W J (J the Jacobian of a
+    # moved loop) by logsumexp and c = 2 by the fine nodes
     p_atom, p2, runs = _strata(ens)
     _, t, w = _levels(ens)[0]
+    logw = _importance_logw(ens)
     ref = math.log(2.0 * math.cosh(x)) + float(logsumexp(
         [math.log(2.0 * p_atom) + _atom_logw(ens),
          math.log(p2) + logsumexp(_node_logw(ens, t), b=w)]
-        + [math.log(p) + logsumexp(ens.logw[loops]) - math.log(len(loops))
+        + [math.log(p) + logsumexp(logw[loops]) - math.log(len(loops))
            for p, loops in runs]))
     assert abs(ens.log_partition() - ref) <= 1e-14 * abs(ref)
 
@@ -200,15 +215,29 @@ def test_log_weights_match_reference_long_loops(gauss_src):
         assert ens.logw[i] == pytest.approx(ref, rel=1e-9)
 
 
-def _ensemble_of(loops, table):
-    """A TiltedEnsemble over the given SpinLoops, built from their arrays."""
+def _loop_arrays(loops):
+    """(signs, counts, flat jump times) of the given SpinLoops."""
     signs = np.array([lp.initial_sign for lp in loops], dtype=np.int8)
     counts = np.array([len(lp.jumps) for lp in loops], dtype=np.int64)
     flat = np.array([t for lp in loops for t in lp.jumps], dtype=float)
+    return signs, counts, flat
+
+
+def _ensemble_of(loops, table):
+    """A TiltedEnsemble over the given SpinLoops, built from their arrays."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         return TiltedEnsemble(SpinMeasureParams(table.beta, 1.0), table,
-                              signs, counts, flat, 0, DEFAULT_CHUNK)
+                              *_loop_arrays(loops), 0, DEFAULT_CHUNK)
+
+
+def _log_weights_of(loops, table):
+    """log W of the given SpinLoops themselves, by the ensemble's own
+    boundary-sum code: an ensemble moves its loops with c >= 4 jumps."""
+    signs, counts, flat = _loop_arrays(loops)
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    return _ensemble_of(loops, table)._log_weights(signs, starts, counts,
+                                                   flat)[0]
 
 
 _jump_fractions = st.lists(
@@ -243,8 +272,8 @@ def test_log_weights_rotation_invariance_property(gauss_src, beta, raw,
     assert all(len(a.jumps) == len(b.jumps)
                for a, b in zip(loops, rotated))
     table = ThermalKernelTable(gauss_src, beta)
-    orig = _ensemble_of(loops, table).logw
-    rot = _ensemble_of(rotated, table).logw
+    orig = _log_weights_of(loops, table)
+    rot = _log_weights_of(rotated, table)
     # each Psi value is within the table's tol (1e-9) of the exact one,
     # relative to 1 + Psi(beta), and |d_p d_q| / 2 <= 2 per pair, so each
     # side is within 2 n_pairs scale of the exact log-weight
@@ -273,7 +302,7 @@ def test_log_weights_match_reference_property(gauss_src, beta, raw):
         jumps = sorted({beta * (u - 0.5) for u in fracs})
         loops.append(SpinLoop(sign, tuple(jumps[:len(jumps) & ~1])))
     table = ThermalKernelTable(gauss_src, beta)
-    logw = _ensemble_of(loops, table).logw
+    logw = _log_weights_of(loops, table)
     for lp, got in zip(loops, logw):
         assert got == pytest.approx(loop_log_weight(lp, table), rel=1e-9)
 
@@ -404,15 +433,30 @@ def test_z_values_match_oracles_property(gauss_src, f_gauss, beta, raw,
         rows += [(k + j, node_signs[j], jumps[j], 0.0)
                  for j in range(0, len(node_signs), 701)]
         k += len(node_signs)
-    rows += [(k + j, sign, jumps, t) for j, (sign, jumps) in enumerate(
-        p for p in paths if len(p[1]) >= 4)]
+    # the loops with c >= 4 moved to the static tilt, as the ensemble holds
+    # them
+    rows += [(k + j, signs[i], ens.jumps_flat[ens.offsets[i]:ens.offsets[i + 1]],
+              t) for j, i in enumerate(np.flatnonzero(counts >= 4))]
     assert len(z) == k + int(np.sum(counts >= 4))
     for row, sign, jumps, at in rows:
         ref, scale = _boundary_vector_z(table, f_gauss, at, sign, jumps)
         assert abs(z[row] - ref) <= 1e-14 * scale
-        loop = loop_z_value(SpinLoop(int(sign), tuple(jumps)), table,
+        loop = loop_z_value(SpinLoop(int(sign), _distinct(jumps)), table,
                             f_gauss, at)
         assert abs(z[row] - loop) <= 1e-12 * scale
+
+
+def _distinct(jumps):
+    """The jump times of the same path with every pair of equal adjacent
+    times dropped (an interval of length 0): moving a loop can round a
+    tiny interval to nothing."""
+    out = []
+    for x in jumps:
+        if out and out[-1] == x:
+            out.pop()
+        else:
+            out.append(float(x))
+    return tuple(out)
 
 
 def test_odd_jump_count_is_refused(kernel_table):
@@ -501,17 +545,27 @@ _KINDS = ["sampled", "frozen", "two-atoms", "no-constant",
           "one-sign-constants", "n1"]
 
 
-def _ensemble_of_kind(kernel_table, kind, raw, seed):
-    """A sampled ensemble of 40 len(raw) loops, as many constant +1 loops
-    (the sample of a frozen spin), or one built from the drawn paths raw,
-    (sign, jump fractions) each, cut to an even number of jumps: with both
-    constant paths added, with no constant path, with constant paths of one
-    sign only, or the first path alone."""
+def _ensemble_of_kind(kernel_table, kind, raw, seed, flip=False):
+    """A sampled ensemble of 40 len(raw) loops (one chunk, as
+    build_ensemble draws it), as many constant +1 loops (the sample of a
+    frozen spin), or one built from the drawn paths raw, (sign, jump
+    fractions) each, cut to an even number of jumps: with both constant
+    paths added, with no constant path, with constant paths of one sign
+    only, or the first path alone; with flip, every sign of the sample is
+    negated."""
     params = SpinMeasureParams(BETA, 1.0)
+    x0 = -1 if flip else 1
     if kind == "sampled":
-        return build_ensemble(params, kernel_table, 40 * len(raw), seed=seed)
+        signs, counts, flat = sample_loop_arrays(params, substream(seed, 0),
+                                                 40 * len(raw))
+        return TiltedEnsemble(params, kernel_table, x0 * signs, counts,
+                              flat, seed, DEFAULT_CHUNK)
     if kind == "frozen":
-        return _constant_loops(kernel_table, 40 * len(raw))
+        n = 40 * len(raw)
+        return TiltedEnsemble(params, kernel_table,
+                              np.full(n, x0, dtype=np.int8),
+                              np.zeros(n, dtype=np.int64), np.empty(0), 0,
+                              DEFAULT_CHUNK)
     paths = []
     for sign, fracs in raw:
         jumps = sorted({BETA * (u - 0.5) for u in fracs})
@@ -526,7 +580,7 @@ def _ensemble_of_kind(kernel_table, kind, raw, seed):
                  for sign, jumps in paths]
     elif kind == "n1":
         paths = paths[:1]
-    signs = np.array([p[0] for p in paths], dtype=np.int8)
+    signs = np.array([x0 * p[0] for p in paths], dtype=np.int8)
     counts = np.array([len(p[1]) for p in paths], dtype=np.int64)
     flat = np.array([x for p in paths for x in p[1]], dtype=float)
     return TiltedEnsemble(params, kernel_table, signs, counts, flat, 0,
@@ -617,7 +671,7 @@ def _all_loop_expectation(ens, v_atoms, v_nodes, v):
     magnitudes of the mean and of the squared SE that bound their
     rounding."""
     top = ens.logw.max()
-    w = np.exp(ens.logw - top)
+    w = np.exp(_importance_logw(ens) - top)
     p_atom, p2, strata = _strata(ens)
     atom = p_atom * math.exp(_atom_logw(ens) - top)
     nodes = [p2 * wl * np.exp(_node_logw(ens, t) - top)
@@ -732,12 +786,14 @@ def _flip_estimates(ens, src, f, s, t, lam):
        lam=st.sampled_from([-0.8, 1.3]), seed=st.integers(0, 1 << 16))
 def test_estimates_are_invariant_under_the_spin_flip_property(
         kernel_table, gauss_src, f_gauss, kind, raw, s, t, lam, seed):
-    # the free measure and log W are invariant under X -> -X, which
-    # negates Z and swaps the atoms: the same loops with every sign negated
-    # give the same values and SEs, whichever constant loops were drawn
+    # the free measure, log W and the move to the static tilt are invariant
+    # under X -> -X, which negates Z and swaps the atoms: the same sample
+    # with every sign negated gives the same values and SEs, whichever
+    # constant loops were drawn
     ens = _ensemble_of_kind(kernel_table, kind, raw, seed)
-    flipped = TiltedEnsemble(ens.params, kernel_table, -ens.signs,
-                             ens.counts, ens.jumps_flat, 0, DEFAULT_CHUNK)
+    flipped = _ensemble_of_kind(kernel_table, kind, raw, seed, flip=True)
+    assert np.array_equal(flipped.signs, -ens.signs)
+    assert np.array_equal(flipped.jumps_flat, ens.jumps_flat)
     got = _flip_estimates(flipped, gauss_src, f_gauss, s, t, lam)
     want = _flip_estimates(ens, gauss_src, f_gauss, s, t, lam)
     for key, (val, se) in want.items():
@@ -970,7 +1026,8 @@ def test_se_does_not_depend_on_blas_threads():
 def test_single_stratum_is_the_iid_estimator(kernel_table, f_gauss):
     # no constant loop and one jump count, c = 4: besides the two atoms and
     # the fine c = 2 nodes, one stratum of mass 1 - P(0) - P(2), read by the
-    # self-normalized mean, with the squared SE
+    # self-normalized mean of the moved loops, each weighing W J, with the
+    # squared SE
     # sum_i w_i^2 |d_i|^2 / (sum w)^2 less |sum_i w_i d_i|^2 / n (sum w)^2
     rng = np.random.default_rng(5)
     loops = [SpinLoop(int(s), tuple(sorted(BETA * (u - 0.5))))
@@ -981,7 +1038,7 @@ def test_single_stratum_is_the_iid_estimator(kernel_table, f_gauss):
     pmf = jump_count_pmf(ens.params)
     p0, p2 = pmf[:2] / pmf.sum()
     top = ens.logw.max()
-    w = np.exp(ens.logw - top) * (1.0 - p0 - p2) / ens.n
+    w = np.exp(_importance_logw(ens) - top) * (1.0 - p0 - p2) / ens.n
     atom = math.exp(_atom_logw(ens) - top) * p0 / 2.0
     _, t, wl = _levels(ens)[0]
     nodes = p2 * wl * np.exp(_node_logw(ens, t) - top)
@@ -1026,12 +1083,14 @@ def test_post_stratified_se_matches_seed_spread(gauss_src, f_gauss, beta,
 def test_post_stratified_mean_agrees_with_iid(gauss_src, f_gauss, beta):
     # the strata change the estimator, not its target: the post-stratified
     # spin factor agrees with the iid self-normalized one on the same
-    # loops within their combined SE, and its SE is smaller
+    # loops, each weighing W J, within their combined SE, and its SE is
+    # smaller
     table = ThermalKernelTable(gauss_src, beta, tol=1e-9)
     ens = build_ensemble(SpinMeasureParams(beta, 1.0), table, 20000, seed=8)
     val, se = ens.spin_factor(f_gauss)
     v = np.exp(-1j * _path_z(ens, f_gauss)[2])
-    w = np.exp(ens.logw - ens.logw.max())
+    logw = _importance_logw(ens)
+    w = np.exp(logw - logw.max())
     iid = np.sum(w * v) / np.sum(w)
     iid_se = math.sqrt(np.sum(w ** 2 * np.abs(v - iid) ** 2)) / np.sum(w)
     assert abs(val - iid) <= 3.0 * math.hypot(se, iid_se)
@@ -1055,15 +1114,17 @@ def _exact_log_partition(beta, eps, c0):
 
 
 @pytest.mark.filterwarnings("ignore:weight degeneracy")
-@pytest.mark.parametrize("beta, c0", [(1.0, 0.5), (4.0, 0.5)])
+@pytest.mark.parametrize("beta, c0", [(1.0, 0.5), (4.0, 0.5), (8.0, 0.5),
+                                      (8.0, 2.0)])
 def test_log_partition_matches_exact_constant_kernel(beta, c0):
     ens = build_ensemble(SpinMeasureParams(beta, 1.0),
                          ThermalKernelTable.constant(beta, c0), 20000,
                          seed=12)
-    # delta-method SE of log sum_s p_s mean_s(W): the atoms and the c = 2
+    # delta-method SE of log sum_s p_s mean_s(W J): the atoms and the c = 2
     # nodes add none
-    top = ens.logw.max()
-    w = np.exp(ens.logw - top)
+    logw = _importance_logw(ens)
+    top = logw.max()
+    w = np.exp(logw - top)
     p_atom, p2, runs = _strata(ens)
     _, t, wl = _levels(ens)[0]
     total = (2.0 * p_atom * math.exp(_atom_logw(ens) - top)
@@ -1335,3 +1396,98 @@ def test_c2_rows_at_an_offset_match_a_rule_split_there(ensemble, f_gauss):
         coarse = np.dot(ensemble._coarse, v[rows.stop:rows.stop + len(
             ensemble._coarse)]) / np.sum(ensemble._coarse)
         assert abs(fine - want) <= abs(fine - coarse) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the move of the loops with c >= 4 to the static tilt
+# ---------------------------------------------------------------------------
+
+def _loops_at(x, c, beta):
+    """(c, m) jump times of loops with c jumps whose sign-X_0 intervals
+    (even index) have total length x beta, every interval of a sign equally
+    long."""
+    k = c // 2
+    lengths = np.empty((c + 1, len(x)))
+    lengths[0::2] = x * beta / (k + 1)
+    lengths[1::2] = (1.0 - x) * beta / k
+    return np.cumsum(lengths[:-1], axis=0) - 0.5 * beta
+
+
+@pytest.mark.parametrize("c, static", [(4, 5.6), (4, 44.5), (10, 44.5),
+                                       (6, -3.0)])
+def test_static_tilt_is_an_exact_change_of_variables(c, static):
+    # x, the sign-X_0 share of the circle, has free density b proportional
+    # to x^k (1 - x)^(k - 1), k = c / 2.  The move keeps each sign's
+    # interval proportions, sends x to an increasing y, and
+    # E[h(y) J] = E[h(x)] under b, here for h = 1, x and the static tilt
+    # e^{static (2x - 1)^2}, by 32 Gauss-Legendre points on each cell of
+    # the move's piecewise-linear map (the integrand is smooth there),
+    # against quad
+    from scipy.integrate import quad
+    beta, k = 8.0, c // 2
+    cells = ensemble_mod.TILT_GRID
+    u, wu = np.polynomial.legendre.leggauss(32)
+    x = ((np.arange(cells)[:, None] + 0.5 * (u + 1.0)) / cells).ravel()
+    wx = np.tile(0.5 * wu / cells, cells)
+    n = len(x)
+    rows = _loops_at(x, c, beta)
+    tilt = ensemble_mod.StaticTilt(beta, static, np.full(n, c))
+    tilt(np.arange(n), rows)
+    lengths = np.diff(rows, axis=0, prepend=-0.5 * beta, append=0.5 * beta)
+    y = lengths[0::2].sum(axis=0) / beta
+    assert np.all(np.diff(y) > 0)
+    assert np.allclose(lengths[0::2], y * beta / (k + 1), rtol=1e-12,
+                       atol=1e-14 * beta)
+    assert np.allclose(lengths[1::2], (1.0 - y) * beta / k, rtol=1e-12,
+                       atol=1e-14 * beta)
+
+    def b(u):
+        return u ** k * (1.0 - u) ** (k - 1)
+
+    for h in (lambda u: 1.0 + 0.0 * u, lambda u: u,
+              lambda u: np.exp(static * ((2.0 * u - 1.0) ** 2 - 1.0))):
+        got = np.dot(wx, b(x) * h(y) * np.exp(tilt.log_jac))
+        want, _ = quad(lambda v: b(v) * h(v), 0.0, 1.0, epsabs=0.0,
+                       epsrel=1e-13, limit=200)
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_static_tilt_flattens_the_static_weight():
+    # W = e^{static (2y - 1)^2} on a constant kernel: times the Jacobian,
+    # it is nearly flat over the free law of x, where the free weights
+    # span many orders of magnitude
+    beta, c, static = 8.0, 6, 44.5
+    n = 100000
+    x = np.random.default_rng(1).beta(c // 2 + 1, c // 2, n)
+    rows = _loops_at(x, c, beta)
+    tilt = ensemble_mod.StaticTilt(beta, static, np.full(n, c))
+    tilt(np.arange(n), rows)
+    y = (np.diff(rows, axis=0, prepend=-0.5 * beta,
+                 append=0.5 * beta)[0::2].sum(axis=0) / beta)
+
+    def kish(logw):
+        w = np.exp(logw - logw.max())
+        return w.sum() ** 2 / np.sum(w * w) / len(w)
+
+    assert kish(static * (2.0 * x - 1.0) ** 2) < 0.01
+    assert kish(static * (2.0 * y - 1.0) ** 2 + tilt.log_jac) > 0.99
+
+
+@pytest.mark.filterwarnings("ignore:weight degeneracy")
+def test_no_static_tilt_moves_nothing(gauss_src):
+    # with kappa_mean = 0 the free law is its own tilt: the ensemble holds
+    # a copy of its sample, with log Jacobians 0; otherwise every loop with
+    # c >= 4 jumps moves and the others stay
+    params = SpinMeasureParams(4.0, 1.0)
+    signs, counts, flat = sample_loop_arrays(params, substream(3, 0), 2000)
+    free = TiltedEnsemble(params, ThermalKernelTable.constant(4.0, 0.0),
+                          signs, counts, flat, 3, DEFAULT_CHUNK)
+    assert free.jumps_flat is not flat
+    assert np.array_equal(free.jumps_flat, flat)
+    assert np.all(free.log_jac == 0.0)
+    tilted = TiltedEnsemble(params, ThermalKernelTable(gauss_src, 4.0),
+                            signs, counts, flat, 3, DEFAULT_CHUNK)
+    big = np.repeat(counts >= 4, counts)
+    assert np.array_equal(tilted.jumps_flat[~big], flat[~big])
+    assert np.all(tilted.jumps_flat[big] != flat[big])
+    assert len(tilted.log_jac) == np.sum(counts >= 4)
