@@ -21,10 +21,16 @@ beta-periodic and even, the pairs with a circle end cancel and
 
 for the c jumps t_1 < ... < t_c of a loop, M = int X dt its static moment.
 
-The sample arrays (signs, counts, jump times, log-weights) hold one
-value per loop, and every estimator array (Z, M, the estimator weights
-and whatever expectation is given) one value per row.  The rows are, in
-order:
+TiltedEnsemble takes a free sample and moves each loop with c >= 4
+jumps to the static-tilted law of its count (StaticTilt): only its
+static share x of the circle changes, to y = T(x), which nearly cancels
+the heavy static factor exp(kappa_mean M^2 / 4) of its weight, and it
+carries the Jacobian J of that change of variables.  The loop arrays
+(signs, counts, jump times, log-weights) hold one value per loop: the
+loops with c <= 2 as drawn, those with c >= 4 as moved, log W being the
+moved loop's own.  Every estimator array (Z, M, the estimator weights
+and whatever expectation is given) holds one value per row.  The rows
+are, in order:
 
 - the constant +1 and -1 paths, atoms of the free measure, each of mass
   P(0)/2 = 1/(2 cosh(beta eps)) and with the exact log-weight
@@ -32,10 +38,10 @@ order:
   constant loop of that sign;
 - the nodes of the c = 2 rule (c2_rule), fine level then coarse level
   (C2_LEVELS), each node as two rows, X_0 = +1 and then X_0 = -1;
-- the sampled loops with c >= 4 jumps, ascending.
+- the loops with c >= 4 jumps, ascending.
 
-A sampled loop with c = 0 or c = 2 is no sample: it keeps its place in
-the sample arrays, but its stratum is read exactly and it has no row.
+A loop with c = 0 or c = 2 is no sample: it keeps its place in the loop
+arrays, but its stratum is read exactly and it has no row.
 
 The estimators are post-stratified by jump count, whose law is exact
 (loops.jump_count_pmf): E_free[W v] = sum_s p_s E_free[W v | stratum s].
@@ -60,7 +66,9 @@ The strata are:
 
 An atom row weighs p_a W_a, a fine node row p_2 w_k W_k / 2 (w_k the
 node's weight; a level's weights sum to 1), a coarse node row 0 and a
-loop row w_i = W_i p_s / n_s.  The atoms and the nodes add no variance;
+loop row w_i = W_i J_i p_s / n_s: given its count, a moved loop has the
+tilted law, so W J has the free mean of W given the count, whatever the
+sample drew.  The atoms and the nodes add no variance;
 with d = v - mean, summed over the runs s,
 
     SE^2 = sum_s [sum_{i in s} (w_i d_i)^2
@@ -71,9 +79,10 @@ distance of the mean from the same estimator with the coarse nodes, each
 row weighing p_2 w_k W_k / 2, in place of the fine ones.  It bounds the
 fine level's quadrature error conservatively, as the two-point
 resolvent's delta does its own.  norm_weights, one per loop, is 0 on the
-constant loops and on the loops with two jumps, and `ess` stays Kish's
-ESS of the FKN weights of the n sampled loops, (sum W)^2 / sum W^2, of
-which the estimator reads only the loops with c >= 4.
+constant loops and on the loops with two jumps.  `ess` is Kish's ESS
+(sum w)^2 / sum w^2 of the importance weights w = W J of the n loops
+(J = 1 where c <= 2), and max_weight_share the largest w / sum w; the
+estimator reads only the loops with c >= 4 of them.
 
 The free measure is invariant under the global spin flip X -> -X: the
 initial sign is a fair coin, independent of the jumps.  The flip keeps a
@@ -228,23 +237,25 @@ class StaticTilt:
         first = rows[0] + half
         plus = d[1::2].sum(axis=0)
         plus += first
-        plus += half - rows[-1]
+        plus += half
+        plus -= rows[-1]
         minus = d[0::2].sum(axis=0)
         x = plus / self.beta
-        lx, l1x = np.log(x), np.log(minus / self.beta)
         i = np.minimum((x * TILT_GRID).astype(np.intp), TILT_GRID - 1)
         y = ys[i] + (x - self._xs[i]) * slope[i]
-        self.log_jac[self._row[idx]] = (
-            k * np.log(y) + (k - 1) * np.log1p(-y) - k * lx - (k - 1) * l1x
-            + log_slope[i])
-        plus = y * self.beta / plus            # the scale of each sign
+        # the scale of each sign's intervals, y / x and (1 - y) / (1 - x),
+        # whose logs make up log b(y) - log b(x)
+        plus = y * self.beta / plus
         minus = (1.0 - y) * self.beta / minus
+        self.log_jac[self._row[idx]] = (k * np.log(plus)
+                                        + (k - 1) * np.log(minus)
+                                        + log_slope[i])
         d[0::2] *= minus
         d[1::2] *= plus
-        np.cumsum(d, axis=0, out=d)
         np.multiply(first, plus, out=rows[0])
         rows[0] -= half
-        np.add(d, rows[0], out=rows[1:])
+        for j in range(c - 1):
+            np.add(rows[j], d[j], out=rows[j + 1])
 
 
 def _boundary_sums(g, t, ends, signs, starts, counts, jumps, out):
@@ -321,9 +332,12 @@ class VarianceReport:
 class TiltedEnsemble:
     """Weighted sample of spin loops with cached Z-values.
 
-    Built by build_ensemble; estimates are pure folds over the immutable
-    arrays (signs, jump counts, flat jump times, log-weights), the rows
-    and the jump-count strata derived from them (module docstring).
+    Built by build_ensemble from a free sample, whose loops with c >= 4
+    jumps it moves to the static tilt (jumps_flat is a moved copy; pass
+    the free sample, not another ensemble's loops); estimates are pure
+    folds over the immutable arrays (signs, jump counts, flat jump times,
+    log-weights, the moved loops' log Jacobians log_jac), the rows and the
+    jump-count strata derived from them (module docstring).
     """
 
     def __init__(self, params, kernels, signs, counts, jumps_flat,
@@ -393,12 +407,12 @@ class TiltedEnsemble:
     def _stratify(self, fkn, counts, fkn_nodes, fkn_atom, node_weights,
                   pmf):
         """Derive the jump-count strata, and the estimator's weights from
-        the FKN weights: fkn and counts of the loops with c >= 4,
-        fkn_nodes of the nodes (fine level first), fkn_atom of an atom, and
-        each level's node weights (module docstring).
+        the importance weights: fkn (W J) and counts of the loops with
+        c >= 4, fkn_nodes (W) of the nodes (fine level first), fkn_atom
+        (W) of an atom, and each level's node weights (module docstring).
 
         Sets weights (p_a W per atom row, p_2 w_k W_k / 2 per fine node
-        row, W_i p_s / n_s per loop row, 0 on the coarse node rows), the
+        row, W_i J_i p_s / n_s per loop row, 0 on the coarse node rows), the
         coarse node rows' weights _coarse, _stratum (the stratum of each
         loop row), _sizes (each stratum's number of loops), sum_w, the
         total weight, and the fine and coarse node rows' sums; pmf is the
@@ -516,11 +530,10 @@ class TiltedEnsemble:
                 # the (c, paths) jump rows, C-ordered (take, unlike an index
                 # expression, does not follow the transposed index's order):
                 # a lag's differences are the difference of two row blocks
-                block = cols[a:a + step].T
-                rows = jumps.take(block)
+                rows = jumps.take(cols[a:a + step].T)
                 if moves:
                     tilt(idx[a:a + step], rows)
-                    jumps[block] = rows
+                    jumps[cols[a:a + step]] = rows.T
                 if phi is None:
                     continue
                 diffs = buf[:n_pairs * rows.shape[1]].reshape(n_pairs, -1)
