@@ -404,12 +404,11 @@ class TiltedEnsemble:
                        np.exp(atom_logw - self._top),
                        [w for _, w in levels], pmf)
 
-    def _stratify(self, fkn, counts, fkn_nodes, fkn_atom, node_weights,
-                  pmf):
+    def _stratify(self, loop_w, counts, node_w, atom_w, node_weights, pmf):
         """Derive the jump-count strata, and the estimator's weights from
-        the importance weights: fkn (W J) and counts of the loops with
-        c >= 4, fkn_nodes (W) of the nodes (fine level first), fkn_atom
-        (W) of an atom, and each level's node weights (module docstring).
+        the importance weights: loop_w (W J) and counts of the loops with
+        c >= 4, node_w (W) of the nodes (fine level first), atom_w (W) of
+        an atom, and each level's node weights (module docstring).
 
         Sets weights (p_a W per atom row, p_2 w_k W_k / 2 per fine node
         row, W_i J_i p_s / n_s per loop row, 0 on the coarse node rows), the
@@ -447,14 +446,14 @@ class TiltedEnsemble:
         n_fine = self.c2_nodes[0]
         # a node row weighs half the node's p_2 w_k W_k, for either sign
         fine, coarse = (np.tile(0.5 * p2 / total * w * x, 2) for w, x in zip(
-            node_weights, (fkn_nodes[:n_fine], fkn_nodes[n_fine:])))
+            node_weights, (node_w[:n_fine], node_w[n_fine:])))
         first = self._first_loop_row
         self._fine_rows = slice(2, 2 + len(fine))
         self._coarse_rows = slice(2 + len(fine), first)
         self.weights = np.zeros(first + len(counts))
-        self.weights[:2] = fkn_atom * 0.5 * pmf[0] / total
+        self.weights[:2] = atom_w * 0.5 * pmf[0] / total
         self.weights[self._fine_rows] = fine
-        self.weights[first:] = fkn * scale[counts]
+        self.weights[first:] = loop_w * scale[counts]
         self._coarse = coarse
         self.sum_w = float(np.sum(self.weights))
         self._sum_fine = float(np.sum(self.weights[self._fine_rows]))
@@ -781,7 +780,8 @@ class TiltedEnsemble:
     # -- inspection ----------------------------------------------------------
 
     def loop(self, i):
-        """Materialize loop i as a SpinLoop."""
+        """Materialize loop i as a SpinLoop, moved if it has c >= 4
+        jumps."""
         a, b = self.offsets[i], self.offsets[i + 1]
         return SpinLoop(int(self.signs[i]), tuple(self.jumps_flat[a:b]))
 
