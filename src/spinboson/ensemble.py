@@ -21,16 +21,17 @@ beta-periodic and even, the pairs with a circle end cancel and
 
 for the c jumps t_1 < ... < t_c of a loop, M = int X dt its static moment.
 
-TiltedEnsemble takes a free sample and moves each loop with c >= 4
-jumps to the static-tilted law of its count (StaticTilt): only its
-static share x of the circle changes, to y = T(x), which nearly cancels
-the heavy static factor exp(kappa_mean M^2 / 4) of its weight, and it
-carries the Jacobian J of that change of variables.  The loop arrays
-(signs, counts, jump times, log-weights) hold one value per loop: the
-loops with c <= 2 as drawn, those with c >= 4 as moved, log W being the
-moved loop's own.  Every estimator array (Z, M, the estimator weights
-and whatever expectation is given) holds one value per row.  The rows
-are, in order:
+TiltedEnsemble keeps the free sample it is given (signs, jump counts
+and the flat jump times jumps_flat, one loop after another) and moves a
+copy of each loop with c >= 4 jumps to the static-tilted law of its count
+(StaticTilt, in moved_flat): only its static share x of the circle
+changes, to y = T(x), which nearly cancels the heavy static factor
+exp(kappa_mean M^2 / 4) of its weight, and it carries the Jacobian J of
+that change of variables (log_jac).  logw holds one value per loop, the
+log W of the loop as the estimator reads it: as drawn where c <= 2, moved
+where c >= 4.  Every estimator array (Z, M, the estimator weights and
+whatever expectation is given) holds one value per row.  The rows are,
+in order:
 
 - the constant +1 and -1 paths, atoms of the free measure, each of mass
   P(0)/2 = 1/(2 cosh(beta eps)) and with the exact log-weight
@@ -38,7 +39,7 @@ are, in order:
   constant loop of that sign;
 - the nodes of the c = 2 rule (c2_rule), fine level then coarse level
   (C2_LEVELS), each node as two rows, X_0 = +1 and then X_0 = -1;
-- the loops with c >= 4 jumps, ascending.
+- the loops with c >= 4 jumps, moved, ascending.
 
 A loop with c = 0 or c = 2 is no sample: it keeps its place in the loop
 arrays, but its stratum is read exactly and it has no row.
@@ -118,7 +119,7 @@ MIN_STRATUM = 20          # loops per jump-count stratum, at least
 CNUMBER_TOL = 1e-6        # variance bound of cnumber_criterion
 # the two levels of the c = 2 rule, fine first: (ratio-4 layers in ell,
 # Gauss-Legendre nodes per layer, Gauss-Legendre nodes in u)
-C2_LEVELS = ((5, 12, 16), (3, 10, 12))
+C2_LEVELS = ((3, 12, 8), (3, 9, 6))
 TILT_GRID = 2048          # StaticTilt's cells, evenly spaced in x
 
 
@@ -180,10 +181,9 @@ def c2_rule(beta, layers, n_ell, n_u):
 
 class StaticTilt:
     """Carries loops with c >= 4 jumps to the static-tilted law of their
-    count, a block of loops of one count at a time, and keeps each moved
-    loop's log Jacobian (log_jac, one per loop with c >= 4 among counts,
-    ascending).  static is a beta^2 with a = kappa_mean / 4, so that
-    log W = static (2x - 1)^2 + R.
+    count, a block of loops of one count at a time, and returns each moved
+    loop's log Jacobian.  static is a beta^2 with a = kappa_mean / 4, so
+    that log W = static (2x - 1)^2 + R.
 
     Of a loop's c + 1 intervals, those of even index carry the sign X_0;
     x, their total length over beta, is Beta(c/2 + 1, c/2) under the free
@@ -198,11 +198,8 @@ class StaticTilt:
     Jacobian, and W times the Jacobian is nearly e^R times a constant per
     count."""
 
-    def __init__(self, beta, static, counts):
+    def __init__(self, beta, static):
         self.beta, self.static = beta, static
-        big = counts >= 4
-        self.log_jac = np.zeros(int(np.count_nonzero(big)))
-        self._row = np.cumsum(big) - 1      # a loop's index among them
         self._xs = np.linspace(0.0, 1.0, TILT_GRID + 1)
         self._maps = {}
 
@@ -224,22 +221,24 @@ class StaticTilt:
                 self._maps[c] = ys, slope, np.log(slope)
         return self._maps[c]
 
-    def __call__(self, idx, rows):
-        """Move, in place, the (c, m) block of jump times of the loops idx
-        of the counts given at construction, all of one count c >= 4."""
+    def __call__(self, rows):
+        """Move, in place, a (c, m) block of the jump times of m loops, all
+        of one count c >= 4, and return their log Jacobians."""
         c = rows.shape[0]
         k = c // 2
         ys, slope, log_slope = self._map(c)
         half = 0.5 * self.beta
         # the interior intervals: odd index (sign -X_0) at d[0::2], even
-        # index at d[1::2]; the first and the last interval carry X_0
+        # index at d[1::2]; the first and the last interval carry X_0.
+        # row_sum adds each loop's intervals in the same order, whatever
+        # the block's width
         d = np.diff(rows, axis=0)
         first = rows[0] + half
-        plus = d[1::2].sum(axis=0)
+        plus = row_sum(d[1::2])
         plus += first
         plus += half
         plus -= rows[-1]
-        minus = d[0::2].sum(axis=0)
+        minus = row_sum(d[0::2])
         x = plus / self.beta
         i = np.minimum((x * TILT_GRID).astype(np.intp), TILT_GRID - 1)
         y = ys[i] + (x - self._xs[i]) * slope[i]
@@ -247,15 +246,14 @@ class StaticTilt:
         # whose logs make up log b(y) - log b(x)
         plus = y * self.beta / plus
         minus = (1.0 - y) * self.beta / minus
-        self.log_jac[self._row[idx]] = (k * np.log(plus)
-                                        + (k - 1) * np.log(minus)
-                                        + log_slope[i])
+        log_jac = k * np.log(plus) + (k - 1) * np.log(minus) + log_slope[i]
         d[0::2] *= minus
         d[1::2] *= plus
         np.multiply(first, plus, out=rows[0])
         rows[0] -= half
         for j in range(c - 1):
             np.add(rows[j], d[j], out=rows[j + 1])
+        return log_jac
 
 
 def _boundary_sums(g, t, ends, signs, starts, counts, jumps, out):
@@ -332,12 +330,13 @@ class VarianceReport:
 class TiltedEnsemble:
     """Weighted sample of spin loops with cached Z-values.
 
-    Built by build_ensemble from a free sample, whose loops with c >= 4
-    jumps it moves to the static tilt (jumps_flat is a moved copy; pass
-    the free sample, not another ensemble's loops); estimates are pure
-    folds over the immutable arrays (signs, jump counts, flat jump times,
-    log-weights, the moved loops' log Jacobians log_jac), the rows and the
-    jump-count strata derived from them (module docstring).
+    Built by build_ensemble from a free sample (signs, jump counts, flat
+    jump times), which it keeps as given.  The loops with c >= 4 jumps are
+    moved to the static tilt into moved_flat, their jump times packed in
+    loop order (moved_offsets), each with its log Jacobian (log_jac), so
+    an ensemble built from another's arrays is the same ensemble.
+    Estimates are pure folds over these arrays, the log-weights, and the
+    rows and jump-count strata derived from them (module docstring).
     """
 
     def __init__(self, params, kernels, signs, counts, jumps_flat,
@@ -370,21 +369,32 @@ class TiltedEnsemble:
         self._nodes = (np.ones(n_nodes, np.int8), np.arange(0, 2 * n_nodes, 2),
                        np.full(n_nodes, 2, np.uint8),
                        np.concatenate([t for t, _ in levels]).ravel())
-        # each loop with c >= 4 jumps moves to the static-tilted law of its
-        # count (StaticTilt); the ensemble holds the moved loops.  With
-        # static = 0 the free law is its own tilt and nothing moves
-        static = 0.25 * kernels.kappa_mean * params.beta ** 2
-        tilt = StaticTilt(params.beta, static, counts)
-        self.jumps_flat = jumps_flat.copy()
-        self.logw, atom_logw = self._log_weights(
-            signs, self.offsets[:-1], counts, self.jumps_flat, self.hist,
-            tilt if static else None)
-        self.log_jac = tilt.log_jac
-        node_logw, _ = self._log_weights(*self._nodes)
         sampled = np.flatnonzero(counts >= 4)
-        self._loops = (signs[sampled], self.offsets[sampled],
-                       counts[sampled].astype(np.min_scalar_type(
-                           len(self.hist) - 1)))
+        counts4 = counts[sampled].astype(np.min_scalar_type(
+            len(self.hist) - 1))
+        self.jumps_flat = jumps_flat
+        self.moved_offsets = np.concatenate(
+            ([0], np.cumsum(counts4, dtype=np.int64)))
+        self.log_jac = np.zeros(len(sampled))
+        # the static term's scale kappa_mean beta^2 / 4 is also the log W
+        # of a constant path (|M| = beta)
+        static = 0.25 * kernels.kappa_mean * params.beta ** 2
+        # log W of each loop as the estimator reads it: the atom's for a
+        # constant loop, the drawn loop's for c = 2, the moved loop's for
+        # c >= 4
+        self.logw = np.full(self.n, static)
+        two = np.flatnonzero(counts == 2)
+        self.logw[two] = self._log_weights(signs[two], self.offsets[two],
+                                           counts[two], jumps_flat)
+        # each loop with c >= 4 jumps moves to the static-tilted law of its
+        # count (StaticTilt), in a copy of its jump times; with static = 0
+        # the free law is its own tilt and nothing moves
+        self.moved_flat = jumps_flat[np.repeat(counts >= 4, counts)]
+        if static:
+            self._move(StaticTilt(params.beta, static), counts4)
+        self._loops = (signs[sampled], self.moved_offsets[:-1], counts4)
+        self.logw[sampled] = self._log_weights(*self._loops, self.moved_flat)
+        node_logw = self._log_weights(*self._nodes)
         # importance weights W J (J = 1 where c < 4), shifted so the
         # largest is 1
         iw = self.logw.copy()
@@ -399,9 +409,9 @@ class TiltedEnsemble:
             warnings.warn(
                 f"weight degeneracy: ESS = {self.ess:.1f} of {self.n}",
                 RuntimeWarning)
-        self._stratify(iw[sampled], counts[sampled],
+        self._stratify(iw[sampled], counts4,
                        np.exp(node_logw - self._top),
-                       np.exp(atom_logw - self._top),
+                       np.exp(static - self._top),
                        [w for _, w in levels], pmf)
 
     def _stratify(self, loop_w, counts, node_w, atom_w, node_weights, pmf):
@@ -496,29 +506,46 @@ class TiltedEnsemble:
                                  self.counts[loops]))
         jumps = np.concatenate((
             np.tile(node_jumps[:cut], 2), np.tile(node_jumps[cut:], 2),
-            self.jumps_flat[np.repeat(loops, self.counts)]))
+            self.moved_flat))
         signs = np.concatenate([[1, -1]] + [np.repeat([1, -1], n)
                                             for n in self.c2_nodes]
                                + [self.signs[loops]])
         return signs, counts, np.concatenate(([0], np.cumsum(counts))), jumps
 
-    def _log_weights(self, signs, starts, counts, jumps, hist=None,
-                     tilt=None):
-        """log W per path of the given arrays (module docstring), and a
-        constant path's log W.  Per jump count c, a slab of paths fills a
-        buffer of about JUMP_SLAB pair differences (c(c-1)/2 rows, walked
-        lag by lag, the odd lags first), which the Phi spline maps in
-        place; each path's values are added row by row in a fixed order, so
-        a log-weight does not depend on the other paths.  A StaticTilt
-        tilt first moves each slab of paths with c >= 4 jumps, and the
-        moved times are written back into jumps, whose static term is then
-        that of the moved paths."""
+    def _move(self, tilt, counts):
+        """Move the loops of moved_flat, of jump counts counts (all >= 4),
+        by the StaticTilt tilt, in slabs of about JUMP_SLAB jump times of
+        one count, and fill log_jac."""
+        for c, idx, cols in jump_count_groups(counts, self.moved_offsets):
+            step = max(1, JUMP_SLAB // c)
+            for a in range(0, len(idx), step):
+                # the (c, loops) jump rows, C-ordered
+                block = cols[a:a + step]
+                rows = self.moved_flat.take(block.T)
+                self.log_jac[idx[a:a + step]] = tilt(rows)
+                self.moved_flat[block] = rows.T
+
+    def _log_weights(self, signs, starts, counts, jumps):
+        """log W per path of the given arrays (module docstring).  Per jump
+        count c, a slab of paths fills a buffer of about JUMP_SLAB pair
+        differences (c(c-1)/2 rows, walked lag by lag, the odd lags
+        first), which the Phi spline maps in place; each path's values are
+        added row by row in a fixed order, so a log-weight does not depend
+        on the other paths."""
+        # the static term kappa_mean M^2 / 4, in place; M of a constant path
+        # is beta, so its static term is the atom's
+        half = 0.5 * self.params.beta
+        out = _boundary_sums(lambda u: u, 0.0, half, signs, starts, counts,
+                             jumps, np.empty(len(counts)))
+        out *= 2.0
+        np.square(out, out=out)
+        out *= 0.25 * self.kernels.kappa_mean
         phi = self.kernels.phi
-        out = np.zeros(len(counts))
-        for c, idx, cols in jump_count_groups(counts, starts, hist):
+        if phi is None:
+            return out
+        for c, idx, cols in jump_count_groups(counts, starts):
             n_pairs = c * (c - 1) // 2
-            moves = tilt is not None and c >= 4
-            if not n_pairs or (phi is None and not moves):
+            if not n_pairs:
                 continue
             # the odd lags k = 1, 3, ... fill the first n_odd rows
             lags = [*range(1, c, 2), *range(2, c, 2)]
@@ -530,11 +557,6 @@ class TiltedEnsemble:
                 # expression, does not follow the transposed index's order):
                 # a lag's differences are the difference of two row blocks
                 rows = jumps.take(cols[a:a + step].T)
-                if moves:
-                    tilt(idx[a:a + step], rows)
-                    jumps[cols[a:a + step]] = rows.T
-                if phi is None:
-                    continue
                 diffs = buf[:n_pairs * rows.shape[1]].reshape(n_pairs, -1)
                 r = 0
                 for k in lags:
@@ -543,16 +565,7 @@ class TiltedEnsemble:
                 phi(diffs, out=diffs)
                 np.negative(diffs[:n_odd], out=diffs[:n_odd])
                 out[idx[a:a + step]] -= 2.0 * row_sum(diffs)
-        # the static term kappa_mean M^2 / 4; M of a constant path is beta,
-        # so its static term is the atom's
-        half = 0.5 * self.params.beta
-        m = _boundary_sums(lambda u: u, 0.0, half, signs, starts, counts,
-                           jumps, np.empty(len(counts)))
-        m *= 2.0
-        np.square(m, out=m)
-        m *= 0.25 * self.kernels.kappa_mean
-        out += m
-        return out, 0.25 * self.kernels.kappa_mean * self.params.beta ** 2
+        return out
 
     @cached_property
     def static_moment(self):
@@ -626,7 +639,7 @@ class TiltedEnsemble:
             out[k:k + len(part)] = part
             np.multiply(part, -1, out=out[k + len(part):k + 2 * len(part)])
             k += 2 * len(part)
-        _boundary_sums(g, t, ends[0], *self._loops, self.jumps_flat,
+        _boundary_sums(g, t, ends[0], *self._loops, self.moved_flat,
                        out[first:])
         return out
 
@@ -765,7 +778,8 @@ class TiltedEnsemble:
         return verdict, evidence
 
     def path_values(self, times):
-        """Matrix of path values X_i(t_j) over all loops (n, len(times))."""
+        """Matrix of path values X_i(t_j) over all loops as drawn (n,
+        len(times)): the free sample, not weighted, not moved."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
         out = np.empty((self.n, len(times)), dtype=np.int64)
         for idx, x0, bounds in self._groups(self.signs, self.counts,
@@ -780,8 +794,7 @@ class TiltedEnsemble:
     # -- inspection ----------------------------------------------------------
 
     def loop(self, i):
-        """Materialize loop i as a SpinLoop, moved if it has c >= 4
-        jumps."""
+        """Materialize loop i, as drawn, as a SpinLoop."""
         a, b = self.offsets[i], self.offsets[i + 1]
         return SpinLoop(int(self.signs[i]), tuple(self.jumps_flat[a:b]))
 
