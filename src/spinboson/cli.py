@@ -2,7 +2,7 @@
 
 INI config, CSV output, deterministic seeding.  Exit codes: 0 success,
 1 assertion failure, 2 config or output error, 3 numerical
-non-convergence.
+non-convergence or a non-finite estimate.
 
 Config layout (flat INI)::
 
@@ -69,6 +69,10 @@ from spinboson.state import DirectionRejected, StateConfig
 
 
 class ConfigError(Exception):
+    pass
+
+
+class NonFiniteEstimate(ArithmeticError):
     pass
 
 
@@ -255,6 +259,12 @@ def _fmt(x):
 
 
 def write_csv(path, comment, columns, rows):
+    """Write the rows; a NaN or infinite number is refused unwritten."""
+    for row in rows:
+        for x in row:
+            if isinstance(x, (float, complex)) and not np.isfinite(x):
+                raise NonFiniteEstimate(
+                    f"{os.path.basename(path)} row {row[0]} holds {_fmt(x)}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# {comment}\n")
         writer = csv.writer(fh, lineterminator="\n")
@@ -617,6 +627,9 @@ def main(argv=None):
         return 2
     except QuadratureError as exc:
         print(f"numerical non-convergence: {exc}", file=sys.stderr)
+        return 3
+    except NonFiniteEstimate as exc:
+        print(f"non-finite estimate: {exc}", file=sys.stderr)
         return 3
 
 

@@ -22,9 +22,10 @@ beta-periodic and even, the pairs with a circle end cancel and
 for the c jumps t_1 < ... < t_c of a loop, M = int X dt its static moment.
 
 TiltedEnsemble keeps the free sample it is given (signs, jump counts
-and the flat jump times jumps_flat, one loop after another) and moves a
-copy of each loop with c >= 4 jumps to the static-tilted law of its count
-(StaticTilt, in moved_flat): only its static share x of the circle
+and the flat jump times jumps_flat, one loop after another) and, in the
+pass per jump count that weighs the loops, moves a copy of each loop with
+c >= 4 jumps to the static-tilted law of its count (StaticTilt, in
+moved_flat, which Z reads later): only its static share x of the circle
 changes, to y = T(x), which nearly cancels the heavy static factor
 exp(kappa_mean M^2 / 4) of its weight, and it carries the Jacobian J of
 that change of variables (log_jac).  logw holds one value per loop, the
@@ -258,37 +259,23 @@ class StaticTilt:
 
 def _boundary_sums(g, t, ends, signs, starts, counts, jumps, out):
     """Fill out with -1/2 sum_p d_p g(e_p - t) per path and return it: the
-    paths have initial signs `signs` and jump counts[k] times, at the flat
-    positions of `jumps` from starts[k] on; ends is the circle ends' part
-    -1/2 (g(-beta/2 - t) - g(beta/2 - t)) of a path with X_0 = +1.  Every
-    jump count c is even: the ends have d_0 = X_0 and d_{c+1} = -X_0, and
-    jump j has d = 2 (-1)^j X_0."""
+    paths have initial signs `signs` and jump counts[k] > 0 times, which
+    fill the flat array `jumps` one path after another from starts[k] on;
+    ends is the circle ends' part -1/2 (g(-beta/2 - t) - g(beta/2 - t)) of
+    a path with X_0 = +1.  Every jump count c is even: the ends have
+    d_0 = X_0 and d_{c+1} = -X_0, and jump j has d = 2 (-1)^j X_0."""
     out[...] = ends
-    # g runs on slabs of whole paths' jumps, gathered and packed: a path
-    # starts at an even packed index, so packed jump k has the sign (-1)^k
-    total = int(np.sum(counts, dtype=np.int64))
-    if len(counts) and starts[0] == 0 and starts[-1] + counts[-1] == total:
-        packed = starts          # the paths' jumps fill the flat array
-    else:
-        packed = np.cumsum(counts, dtype=np.int64)
-        packed -= counts
-    cuts = np.append(np.searchsorted(packed, np.arange(
-        0, total, JUMP_SLAB), "right") - 1, len(counts))
+    # g runs on slabs of whole paths' jumps: a path starts at an even index,
+    # so flat jump k has the sign (-1)^k
+    cuts = np.append(np.searchsorted(starts, np.arange(
+        0, len(jumps), JUMP_SLAB), "right") - 1, len(counts))
     for i, j in zip(cuts, cuts[1:]):
         if i == j:
             continue
-        local = packed[i:j] - packed[i]
-        a, n_jumps = starts[i], int(local[-1] + counts[j - 1])
-        if starts[j - 1] - a == local[-1]:
-            # the slab's jumps are one run of the flat array
-            gj = g(jumps[a:a + n_jumps] - t)
-        else:
-            pos = np.repeat(starts[i:j] - local, counts[i:j])
-            pos += np.arange(n_jumps)
-            gj = g(jumps[pos] - t)
+        a = starts[i]
+        gj = g(jumps[a:starts[j - 1] + counts[j - 1]] - t)
         gj[1::2] *= -1.0
-        has = np.flatnonzero(counts[i:j])
-        out[i + has] += np.add.reduceat(gj, local[has])
+        out[i:j] += np.add.reduceat(gj, starts[i:j] - a)
     out *= signs
     return out
 
@@ -375,25 +362,20 @@ class TiltedEnsemble:
         self.jumps_flat = jumps_flat
         self.moved_offsets = np.concatenate(
             ([0], np.cumsum(counts4, dtype=np.int64)))
+        self.moved_flat = np.empty(self.moved_offsets[-1])
         self.log_jac = np.zeros(len(sampled))
-        # the static term's scale kappa_mean beta^2 / 4 is also the log W
-        # of a constant path (|M| = beta)
+        # log W of each loop as the estimator reads it: the atom's
+        # kappa_mean beta^2 / 4 (|M| = beta) for a constant loop, the drawn
+        # loop's for c = 2, the moved loop's for c >= 4
         static = 0.25 * kernels.kappa_mean * params.beta ** 2
-        # log W of each loop as the estimator reads it: the atom's for a
-        # constant loop, the drawn loop's for c = 2, the moved loop's for
-        # c >= 4
         self.logw = np.full(self.n, static)
         two = np.flatnonzero(counts == 2)
         self.logw[two] = self._log_weights(signs[two], self.offsets[two],
                                            counts[two], jumps_flat)
-        # each loop with c >= 4 jumps moves to the static-tilted law of its
-        # count (StaticTilt), in a copy of its jump times; with static = 0
-        # the free law is its own tilt and nothing moves
-        self.moved_flat = jumps_flat[np.repeat(counts >= 4, counts)]
-        if static:
-            self._move(StaticTilt(params.beta, static), counts4)
+        self.logw[sampled] = self._log_weights(
+            signs[sampled], self.offsets[sampled], counts4, jumps_flat,
+            moved=True)
         self._loops = (signs[sampled], self.moved_offsets[:-1], counts4)
-        self.logw[sampled] = self._log_weights(*self._loops, self.moved_flat)
         node_logw = self._log_weights(*self._nodes)
         # importance weights W J (J = 1 where c < 4), shifted so the
         # largest is 1
@@ -489,12 +471,10 @@ class TiltedEnsemble:
     def _groups(self, signs, counts, offsets, jumps):
         """Yield (indices, initial signs, boundary matrix) per jump count
         present among the paths of the given arrays."""
-        beta = self.params.beta
-        for c, idx, cols in jump_count_groups(counts, offsets):
-            bounds = np.empty((len(idx), c + 2))
-            bounds[:, 0] = -0.5 * beta
-            bounds[:, -1] = 0.5 * beta
-            bounds[:, 1:-1] = jumps[cols]
+        half = 0.5 * self.params.beta
+        for c, idx in jump_count_groups(counts):
+            bounds = np.pad(jumps[offsets[idx][:, None] + np.arange(c)],
+                            ((0, 0), (1, 1)), constant_values=(-half, half))
             yield idx, signs[idx], bounds
 
     def _row_paths(self):
@@ -512,59 +492,65 @@ class TiltedEnsemble:
                                + [self.signs[loops]])
         return signs, counts, np.concatenate(([0], np.cumsum(counts))), jumps
 
-    def _move(self, tilt, counts):
-        """Move the loops of moved_flat, of jump counts counts (all >= 4),
-        by the StaticTilt tilt, in slabs of about JUMP_SLAB jump times of
-        one count, and fill log_jac."""
-        for c, idx, cols in jump_count_groups(counts, self.moved_offsets):
-            step = max(1, JUMP_SLAB // c)
-            for a in range(0, len(idx), step):
-                # the (c, loops) jump rows, C-ordered
-                block = cols[a:a + step]
-                rows = self.moved_flat.take(block.T)
-                self.log_jac[idx[a:a + step]] = tilt(rows)
-                self.moved_flat[block] = rows.T
-
-    def _log_weights(self, signs, starts, counts, jumps):
-        """log W per path of the given arrays (module docstring).  Per jump
-        count c, a slab of paths fills a buffer of about JUMP_SLAB pair
-        differences (c(c-1)/2 rows, walked lag by lag, the odd lags
-        first), which the Phi spline maps in place; each path's values are
-        added row by row in a fixed order, so a log-weight does not depend
-        on the other paths."""
-        # the static term kappa_mean M^2 / 4, in place; M of a constant path
-        # is beta, so its static term is the atom's
-        half = 0.5 * self.params.beta
-        out = _boundary_sums(lambda u: u, 0.0, half, signs, starts, counts,
-                             jumps, np.empty(len(counts)))
-        out *= 2.0
-        np.square(out, out=out)
-        out *= 0.25 * self.kernels.kappa_mean
+    def _log_weights(self, signs, starts, counts, jumps, moved=False):
+        """log W per path of the given arrays (module docstring; the signs
+        do not enter it), in one pass per jump count c over slabs of paths,
+        each gathered once as its (c, paths) block of jump times.  With
+        moved, the paths are the loops with c >= 4 jumps, in order: each
+        block is moved in place by the static tilt (none where kappa_mean
+        is 0) and copied into moved_flat, its log Jacobians into log_jac.
+        The static term sums each column with alternating signs by reduceat,
+        as _boundary_sums does; the pair sum maps a buffer of the block's
+        c(c-1)/2 rows of pair differences (lag by lag, the odd lags first;
+        about JUMP_SLAB values) by Phi in place and adds each path's values
+        row by row in a fixed order, whatever the other paths."""
+        beta = self.params.beta
+        scale = 0.25 * self.kernels.kappa_mean
+        tilt = (StaticTilt(beta, scale * beta ** 2)
+                if moved and scale else None)
         phi = self.kernels.phi
-        if phi is None:
-            return out
-        for c, idx, cols in jump_count_groups(counts, starts):
-            n_pairs = c * (c - 1) // 2
-            if not n_pairs:
-                continue
+        out = np.empty(len(counts))
+        for c, idx in jump_count_groups(counts):
             # the odd lags k = 1, 3, ... fill the first n_odd rows
             lags = [*range(1, c, 2), *range(2, c, 2)]
+            n_pairs = c * (c - 1) // 2
             n_odd = (c // 2) * ((c + 1) // 2)
-            step = max(1, JUMP_SLAB // n_pairs)
+            step = max(1, JUMP_SLAB // max(n_pairs, c, 1))
             buf = np.empty(n_pairs * min(step, len(idx)))
+            jth = np.arange(c)[:, None]
             for a in range(0, len(idx), step):
-                # the (c, paths) jump rows, C-ordered (take, unlike an index
-                # expression, does not follow the transposed index's order):
-                # a lag's differences are the difference of two row blocks
-                rows = jumps.take(cols[a:a + step].T)
-                diffs = buf[:n_pairs * rows.shape[1]].reshape(n_pairs, -1)
-                r = 0
-                for k in lags:
-                    np.subtract(rows[k:], rows[:-k], out=diffs[r:r + c - k])
-                    r += c - k
-                phi(diffs, out=diffs)
-                np.negative(diffs[:n_odd], out=diffs[:n_odd])
-                out[idx[a:a + step]] -= 2.0 * row_sum(diffs)
+                at = idx[a:a + step]
+                rows = jumps.take(starts[at] + jth)
+                if moved:
+                    if tilt is not None:
+                        self.log_jac[at] = tilt(rows)
+                    self.moved_flat[self.moved_offsets[at] + jth] = rows
+                # kappa_mean M^2 / 4, |M| / 2 = |beta / 2 + the alternating
+                # jump sum| (beta / 2 on a constant path, as for the atoms);
+                # two jumps take one subtraction, reduceat's one addition
+                if c == 2:
+                    m = rows[0] - rows[1]
+                elif c:
+                    alt = rows.copy()
+                    alt[1::2] *= -1.0
+                    m = np.add.reduceat(alt, [0])[0]
+                else:
+                    m = np.zeros(len(at))
+                m += 0.5 * beta
+                m *= 2.0
+                np.square(m, out=m)
+                m *= scale
+                if phi is not None and n_pairs:
+                    diffs = buf[:n_pairs * len(at)].reshape(n_pairs, -1)
+                    r = 0
+                    for k in lags:
+                        np.subtract(rows[k:], rows[:-k],
+                                    out=diffs[r:r + c - k])
+                        r += c - k
+                    phi(diffs, out=diffs)
+                    np.negative(diffs[:n_odd], out=diffs[:n_odd])
+                    m -= 2.0 * row_sum(diffs)
+                out[at] = m
         return out
 
     @cached_property

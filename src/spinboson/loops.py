@@ -133,13 +133,9 @@ def sample_loop(params, rng):
     return SpinLoop(int(sign[0]), tuple(flat))
 
 
-def jump_count_groups(counts, offsets, hist=None):
-    """Yield (c, idx, cols) per jump count c present, ascending.
-
-    idx are the loops with c jumps, ascending, and cols the (len(idx), c)
-    positions of their jump times in the flat array whose loop starts are
-    offsets (the first len(counts) entries are read).  Count 0 gets an
-    empty column block; it need not be present at all.  hist is
+def jump_count_groups(counts, hist=None):
+    """Yield (c, idx) per jump count c present, ascending: idx are the loops
+    with c jumps, ascending (count 0 need not be present at all).  hist is
     np.bincount(counts), if the caller has it already.
 
     One stable sort of the counts groups every loop in a single pass; the
@@ -152,8 +148,7 @@ def jump_count_groups(counts, offsets, hist=None):
                        kind="stable")
     ends = np.cumsum(hist)
     for c in np.flatnonzero(hist):
-        idx = order[ends[c] - hist[c]:ends[c]]
-        yield c, idx, offsets[idx][:, None] + np.arange(c)
+        yield c, order[ends[c] - hist[c]:ends[c]]
 
 
 def sample_loop_arrays(params, rng, n):
@@ -162,8 +157,9 @@ def sample_loop_arrays(params, rng, n):
     The flat array concatenates each loop's sorted jumps; split points are
     np.cumsum(counts).  The draws come in a fixed order (counts, signs,
     then all uniforms of the chunk); the times are then sorted within each
-    loop by one row sort per jump count present, which touches each time
-    once and leaves the draws as they were.
+    loop by one row sort per jump count present (a two-jump row by its
+    minimum and maximum), which touches each time once and leaves the draws
+    as they were.
     """
     pmf = jump_count_pmf(params)
     pmf = pmf / pmf.sum()
@@ -173,8 +169,13 @@ def sample_loop_arrays(params, rng, n):
     total = int(counts.sum())
     flat = rng.uniform(-0.5 * params.beta, 0.5 * params.beta, size=total)
     starts = np.cumsum(counts) - counts
-    for c, _, cols in jump_count_groups(counts, starts):
-        if c:
+    for c, idx in jump_count_groups(counts):
+        at = starts[idx]
+        if c == 2:
+            lo, hi = flat[at], flat[at + 1]
+            flat[at], flat[at + 1] = np.minimum(lo, hi), np.maximum(lo, hi)
+        elif c:
+            cols = at[:, None] + np.arange(c)
             flat[cols] = np.sort(flat[cols], axis=1)
     return signs, counts, flat
 

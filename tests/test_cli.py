@@ -3,6 +3,7 @@ import ast
 import configparser
 import csv
 import inspect
+import math
 import os
 import re
 
@@ -11,6 +12,7 @@ import pytest
 
 from spinboson import cli
 from spinboson import ensemble as ensemble_mod
+from spinboson import resolvent as resolvent_mod
 from spinboson.ensemble import CNUMBER_TOL
 from spinboson.kernels import QuadratureError, ThermalKernelTable
 from spinboson.momentum import TestFunction, form_nonzero
@@ -197,6 +199,25 @@ def test_unresolvable_form_is_numerical_non_convergence(tmp_path, capsys):
     f = TestFunction.gaussian(width=1.0, amplitude=1.0)
     with pytest.raises(QuadratureError):
         form_nonzero(f, f.time_evolved(1e5), 1.0)
+
+
+@pytest.mark.parametrize("value", [complex(math.nan, 0.0),
+                                   complex(0.1, math.inf)])
+def test_non_finite_estimate_is_a_numerical_failure(value, config_path,
+                                                    tmp_path, capsys,
+                                                    monkeypatch):
+    # a NaN or infinite estimate is no row of a CSV and no FAIL check:
+    # exit 3 on one line, no traceback, and resolvent.csv is not written
+    def non_finite(*args, **kw):
+        return resolvent_mod.ResolventValue(value, 1e-3)
+
+    monkeypatch.setattr(resolvent_mod, "resolvent_twopoint", non_finite)
+    out = tmp_path / "out"
+    assert _run("resolvent", config_path, str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("non-finite estimate: resolvent.csv row twopoint")
+    assert err.count("\n") == 1
+    assert not (out / "resolvent.csv").exists()
 
 
 def test_failed_decay_scan_is_a_failed_check(tmp_path, capsys):

@@ -383,6 +383,38 @@ def test_log_weights_evaluate_phi_once_per_jump_pair(gauss_src, monkeypatch):
     assert len(calls) > 100
 
 
+@pytest.mark.filterwarnings("ignore:weight degeneracy")
+@pytest.mark.parametrize("kind", ["gaussian", "constant", "zero"])
+def test_build_weighs_and_moves_in_one_pass(gauss_src, zero_src, kind,
+                                            monkeypatch):
+    # structural guard: the build weighs and moves every loop in its pass
+    # per jump count, never through _boundary_sums, and no slab size
+    # changes a bit of what it builds; the constant and the zero-source
+    # kernels have no Phi, and with the zero source nothing moves
+    beta = 8.0
+    table = {"gaussian": lambda: ThermalKernelTable(gauss_src, beta),
+             "constant": lambda: ThermalKernelTable.constant(beta, 2.0),
+             "zero": lambda: ThermalKernelTable(zero_src, beta)}[kind]()
+    assert (table.phi is None) == (kind != "gaussian")
+
+    def no_boundary_sums(*args, **kw):
+        raise AssertionError("_boundary_sums called while building")
+
+    monkeypatch.setattr(ensemble_mod, "_boundary_sums", no_boundary_sums)
+    names = ("logw", "log_jac", "moved_flat", "weights")
+    want = None
+    for slab in (ensemble_mod.JUMP_SLAB, 256, 7):
+        monkeypatch.setattr(ensemble_mod, "JUMP_SLAB", slab)
+        ens = build_ensemble(SpinMeasureParams(beta, 1.0), table, 3000,
+                             seed=12)
+        got = [getattr(ens, name).tobytes() for name in names]
+        want = want or got
+        assert got == want
+    drawn = ens.jumps_flat[np.repeat(ens.counts >= 4, ens.counts)]
+    assert np.all((ens.moved_flat != drawn) == (kind != "zero"))
+    assert np.all((ens.log_jac != 0.0) == (kind != "zero"))
+
+
 def test_z_values_match_reference(ensemble, f_gauss):
     # one value per row: the constant +1 and -1 paths and the loops with
     # c >= 4 jumps at t, and the c = 2 nodes at t = 0
@@ -535,7 +567,9 @@ def test_boundary_sums_do_not_depend_on_the_slab(kernel_table, f_gauss, slab,
 
 def test_sampler_sorts_each_jump_once(kernel_table, monkeypatch):
     # structural guard: no global lexsort, and the sampler's row sorts
-    # cover each jump time once, in a row of its own loop's length
+    # cover each jump time once, in a row of its own loop's length; a
+    # two-jump row is ordered by np.minimum and np.maximum, one pair of
+    # elements per row
     rows = {}
 
     def no_lexsort(*args, **kw):
@@ -547,8 +581,14 @@ def test_sampler_sorts_each_jump_once(kernel_table, monkeypatch):
         rows[length] = rows.get(length, 0) + n_rows
         return sort(a, axis=axis, **kw)
 
+    def counted_pairs(lo, hi, maximum=np.maximum):
+        assert np.shape(lo) == np.shape(hi) and np.ndim(lo) == 1
+        rows[2] = rows.get(2, 0) + len(lo)
+        return maximum(lo, hi)
+
     monkeypatch.setattr(np, "lexsort", no_lexsort)
     monkeypatch.setattr(np, "sort", counted)
+    monkeypatch.setattr(np, "maximum", counted_pairs)
     ens = build_ensemble(SpinMeasureParams(BETA, 2.0), kernel_table, 10000,
                          seed=4, chunk_size=4096)
     monkeypatch.undo()

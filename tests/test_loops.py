@@ -206,14 +206,12 @@ def test_jump_count_groups_match_per_count_scans(counts, hist):
     # one stable sort gives each count's loops in ascending order, as one
     # scan of all loops per count did, with or without a passed histogram
     counts = np.array(counts, dtype=np.int64)
-    offsets = np.concatenate(([0], np.cumsum(counts)))
     groups = list(jump_count_groups(
-        counts, offsets, np.bincount(counts) if hist else None))
+        counts, np.bincount(counts) if hist else None))
     present = sorted(set(counts.tolist()))
-    assert [int(c) for c, _, _ in groups] == present
-    for c, idx, cols in groups:
+    assert [int(c) for c, _ in groups] == present
+    for c, idx in groups:
         assert np.array_equal(idx, np.flatnonzero(counts == c))
-        assert np.array_equal(cols, offsets[idx][:, None] + np.arange(c))
 
 
 def _path_products(signs, counts, flat, times):

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -599,3 +600,52 @@ def test_twopoint_meets_the_resolvent_identity(gauss_src, kernel_table,
     rhs /= 1j * (mu - lam)
     assert 0 < budget < two.error
     assert abs(two.value.real - rhs.real) <= budget
+
+
+@pytest.fixture(scope="module")
+def property_state(gauss_src):
+    """The state at beta on a 600-loop ensemble, built once per beta."""
+    @functools.cache
+    def state(beta):
+        table = ThermalKernelTable(gauss_src, beta)
+        ens = build_ensemble(SpinMeasureParams(beta, 1.0), table, 600,
+                             seed=31)
+        return StateConfig(beta=beta, eps=1.0, d=3, s=1.0, n0=1e-3,
+                           source=gauss_src, kernels=table, ensemble=ens)
+    return state
+
+
+@settings(max_examples=12, deadline=None)
+@given(beta=st.sampled_from([0.5, 1.0, 2.0]),
+       lam=st.floats(0.2, 3.0).flatmap(
+           lambda x: st.sampled_from([x, -x])),
+       ratio=st.one_of(st.just(-1.0), st.floats(-3.0, 3.0).filter(
+           lambda x: abs(x) > 0.1 and abs(x - 1.0) > 0.05)),
+       width_f=st.floats(0.5, 2.0),
+       width_g=st.one_of(st.none(), st.floats(0.5, 2.0)))
+def test_twopoint_property(property_state, beta, lam, ratio, width_f,
+                           width_g):
+    # over (lambda, mu = ratio lambda), mu = -lambda included, the widths
+    # and beta: the two-point value is finite, within the norm bound, and
+    # for g = f meets the resolvent identity on its real part within the
+    # errors less their Monte Carlo parts (as in the identity test above)
+    cfg = property_state(beta)
+    mu = ratio * lam
+    f = TestFunction.gaussian(width=width_f, amplitude=1.0)
+    g = f if width_g is None else TestFunction.gaussian(width=width_g,
+                                                        amplitude=0.8)
+    with pytest.MonkeyPatch.context() as mp:
+        seen = _recorded_errors(cfg.ensemble, mp)
+        two = resolvent_twopoint(cfg, lam, f, mu, g)
+        assert np.isfinite(two.value) and np.isfinite(two.error)
+        assert abs(two.value) <= 1.0 / abs(lam * mu) + two.error
+        if g is not f:
+            return
+        budget = two.error - seen[-2][1]
+        rhs = 0.0
+        for nu, sign in ((lam, 1.0), (mu, -1.0)):
+            one = resolvent_onepoint(cfg, nu, f)
+            rhs += sign * one.value
+            budget += (one.error - seen[-2][1]) / abs(mu - lam)
+        rhs /= 1j * (mu - lam)
+        assert abs(two.value.real - rhs.real) <= budget
