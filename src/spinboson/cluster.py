@@ -64,8 +64,8 @@ def cluster_scan(cfg, f, g, mode="time", grid=(1, 2, 4, 8, 16, 32, 64, 128)):
 
     zero_mode_factor = math.exp(0.5 * cfg.q0(f, g).real)
 
-    sf, sf_se = cfg.ensemble.spin_factor(f, 0.0)
-    sg, sg_se = cfg.ensemble.spin_factor(g, 0.0)
+    sf, sf_se = cfg.ensemble.spin_factor(f)
+    sg, sg_se = cfg.ensemble.spin_factor(g)
 
     lhs, lhs_se, cross, ratio, ratio_se = [], [], [], [], []
     for u in grid:
@@ -74,7 +74,7 @@ def cluster_scan(cfg, f, g, mode="time", grid=(1, 2, 4, 8, 16, 32, 64, 128)):
         lhs_se.append(se)
         tg = transported(g, mode, u)
         cross.append(cfg.q_nonzero(f, tg).real)
-        s2, s2_se = cfg.ensemble.spin_factor(f + tg, 0.0)
+        s2, s2_se = cfg.ensemble.spin_factor(f + tg)
         denom = sf * sg
         r = s2 / denom
         ratio.append(r)

@@ -9,9 +9,9 @@ summation by parts turns the weight and the spin variable Z into boundary
 sums:
 
     int int X_t X_s kappa = - 2 sum_{p<q} d_p d_q Psi(e_q - e_p),
-    Z = 1/2 int X_u K_f(|t-u|) du = -1/2 sum_p d_p G(e_p),
+    Z = 1/2 int X_u K_f(|u|) du = -1/2 sum_p d_p G(e_p),
 
-with G(u) = sign(u-t) A_f(|u-t|): two circle-end constants G(+-beta/2)
+with G(u) = sign(u) A_f(|u|): two circle-end constants G(+-beta/2)
 plus an alternating sum of G over the jump times.  The log-weight takes
 the periodic form of the pair sum: with Psi(u) = kappa_mean u^2 / 2 +
 Phi(u), kappa_mean = Psi'(beta) / beta the circle mean of kappa and Phi
@@ -53,14 +53,10 @@ The strata are:
 - c = 2, mass P(2), read by quadrature.  Given two jumps t_1 < t_2,
   log W depends on ell = t_2 - t_1 alone (|M| = beta - 2 ell, and the pair
   term is 2 Phi(ell)), and Z is a smooth function of (t_1, t_2) on each
-  side of the offset.  Under the free law (t_1, t_2) is uniform on the
+  side of t = 0.  Under the free law (t_1, t_2) is uniform on the
   triangle -beta/2 < t_1 < t_2 < beta/2, so E_free[W v | c = 2] is a 2-D
   integral, which c2_rule evaluates on nodes that never straddle t = 0.
-  A node row's log W and Z come from the same boundary sums as a loop's.
-  At an offset t != 0 the node rows read Z at t = 0: the free law given
-  c = 2 and log W are invariant under rotation of the circle, so
-  E~[v(Z_{f,t}) | c = 2] = E~[v(Z_{f,0}) | c = 2] for every v, which is
-  exact for any estimator that reads a single offset;
+  A node row's log W and Z come from the same boundary sums as a loop's;
 - runs of adjacent counts c >= 4, merged upwards until each holds
   MIN_STRATUM loops (the leftover at the top joins the last run, which
   takes the mass of every count above it).  A run no loop fell into drops
@@ -122,6 +118,7 @@ CNUMBER_TOL = 1e-6        # variance bound of cnumber_criterion
 # Gauss-Legendre nodes per layer, Gauss-Legendre nodes in u)
 C2_LEVELS = ((3, 12, 8), (3, 9, 6))
 TILT_GRID = 2048          # StaticTilt's cells, evenly spaced in x
+CELL_SLAB = 20000         # rows per block of cell_integrals
 
 
 def loop_log_weight(loop, kernels):
@@ -140,14 +137,13 @@ def loop_log_weight(loop, kernels):
     return 0.25 * total
 
 
-def loop_z_value(loop, kernels, f, t_offset=0.0):
-    """Z for a single loop: 1/2 sum_i X_i int_{I_i} K_{f,t}(u) du."""
+def loop_z_value(loop, kernels, f):
+    """Z for a single loop: 1/2 sum_i X_i int_{I_i} K_f(|u|) du."""
     e = loop.boundaries(kernels.beta)
     x = loop.interval_signs()
     total = 0.0 + 0.0j
     for i in range(len(x)):
-        total += x[i] * kernels.interval_K_integral(
-            f, t_offset, e[i], e[i + 1])
+        total += x[i] * kernels.interval_K_integral(f, 0.0, e[i], e[i + 1])
     return 0.5 * total
 
 
@@ -257,13 +253,13 @@ class StaticTilt:
         return log_jac
 
 
-def _boundary_sums(g, t, ends, signs, starts, counts, jumps, out):
-    """Fill out with -1/2 sum_p d_p g(e_p - t) per path and return it: the
+def _boundary_sums(g, ends, signs, starts, counts, jumps, out):
+    """Fill out with -1/2 sum_p d_p g(e_p) per path and return it: the
     paths have initial signs `signs` and jump counts[k] > 0 times, which
     fill the flat array `jumps` one path after another from starts[k] on;
-    ends is the circle ends' part -1/2 (g(-beta/2 - t) - g(beta/2 - t)) of
-    a path with X_0 = +1.  Every jump count c is even: the ends have
-    d_0 = X_0 and d_{c+1} = -X_0, and jump j has d = 2 (-1)^j X_0."""
+    ends is the circle ends' part -1/2 (g(-beta/2) - g(beta/2)) of a path
+    with X_0 = +1.  Every jump count c is even: the ends have d_0 = X_0
+    and d_{c+1} = -X_0, and jump j has d = 2 (-1)^j X_0."""
     out[...] = ends
     # g runs on slabs of whole paths' jumps: a path starts at an even index,
     # so flat jump k has the sign (-1)^k
@@ -273,7 +269,9 @@ def _boundary_sums(g, t, ends, signs, starts, counts, jumps, out):
         if i == j:
             continue
         a = starts[i]
-        gj = g(jumps[a:starts[j - 1] + counts[j - 1]] - t)
+        # g may return its argument (static_moment's g(u) = u), so g runs
+        # on a copy, which the signs below may overwrite
+        gj = g(jumps[a:starts[j - 1] + counts[j - 1]].copy())
         gj[1::2] *= -1.0
         out[i:j] += np.add.reduceat(gj, starts[i:j] - a)
     out *= signs
@@ -609,42 +607,37 @@ class TiltedEnsemble:
         # the weights are shifted by the largest log importance weight
         return math.log(2.0 * math.cosh(x)) + self._top + math.log(self.sum_w)
 
-    def _boundary_sum(self, g, t=0.0):
-        """-1/2 sum_p d_p g(e_p - t) per row (Z for g = G); the c = 2 node
-        rows read t = 0 (module docstring)."""
-        half = 0.5 * self.params.beta * np.array([-1.0, 1.0])
-        ends = [-0.5 * (lo - hi) for lo, hi in (g(half - x) for x in (t, 0.0))]
+    def _boundary_sum(self, g):
+        """-1/2 sum_p d_p g(e_p) per row (Z for g = G)."""
+        lo, hi = g(0.5 * self.params.beta * np.array([-1.0, 1.0]))
+        ends = -0.5 * (lo - hi)
         first, n_fine = self._first_loop_row, self.c2_nodes[0]
-        out = np.empty(first + len(self._loops[0]), np.result_type(*ends))
+        out = np.empty(first + len(self._loops[0]), ends.dtype)
         # the signs multiply, as in _boundary_sums, zeros included
-        np.multiply(ends[0], np.array([1, -1], np.int8), out=out[:2])
-        nodes = _boundary_sums(g, 0.0, ends[1], *self._nodes,
+        np.multiply(ends, np.array([1, -1], np.int8), out=out[:2])
+        nodes = _boundary_sums(g, ends, *self._nodes,
                                np.empty(sum(self.c2_nodes), out.dtype))
         k = 2
         for part in (nodes[:n_fine], nodes[n_fine:]):
             out[k:k + len(part)] = part
             np.multiply(part, -1, out=out[k + len(part):k + 2 * len(part)])
             k += 2 * len(part)
-        _boundary_sums(g, t, ends[0], *self._loops, self.moved_flat,
-                       out[first:])
+        _boundary_sums(g, ends, *self._loops, self.moved_flat, out[first:])
         return out
 
-    def z_values(self, f, t_offset=0.0):
-        """Z_{beta,t,f} per row, cached per (f, t_offset) and shared
-        read-only."""
-        key = (f, float(t_offset))
-        if key not in self._z_cache:
+    def z_values(self, f):
+        """Z_{beta,f} per row, cached per f and shared read-only."""
+        if f not in self._z_cache:
             a_f = self.kernels.register(f).A
-            z = self._boundary_sum(lambda x: np.sign(x) * a_f(np.abs(x)),
-                                   float(t_offset))
+            z = self._boundary_sum(lambda x: np.sign(x) * a_f(np.abs(x)))
             z.flags.writeable = False
-            self._z_cache[key] = z
-        return self._z_cache[key]
+            self._z_cache[f] = z
+        return self._z_cache[f]
 
-    def spin_factor(self, f, t_offset=0.0):
+    def spin_factor(self, f):
         """S = E~[exp(-i Z)] with standard error: char_function at s = 1."""
-        self.char_function(f, 1.0, t_offset)
-        return self._z_cache[("S", f, float(t_offset), 1.0)]
+        self.char_function(f, 1.0)
+        return self._z_cache[("S", f, 1.0)]
 
     def ell_shift(self, f):
         """The physical-field shift ell = -E~[Z]: exactly 0.0 for every
@@ -652,20 +645,19 @@ class TiltedEnsemble:
         docstring)."""
         return 0.0
 
-    def char_function(self, f, s, t_offset=0.0):
-        """E~[exp(-i s Z_{f,t})] with SE, shaped like the real s; each
-        (f, t, s) is estimated once and cached beside Z.  Every row reads
-        the flip-even part cos(s Z), a real array when Z is real."""
-        t = float(t_offset)
+    def char_function(self, f, s):
+        """E~[exp(-i s Z_f)] with SE, shaped like the real s; each (f, s)
+        is estimated once and cached beside Z.  Every row reads the
+        flip-even part cos(s Z), a real array when Z is real."""
         s = np.asarray(s, dtype=float)
         vals = np.empty(s.shape, dtype=complex)
         ses = np.empty(s.shape)
         z = None
         for j, sj in np.ndenumerate(s):
-            key = ("S", f, t, float(sj))
+            key = ("S", f, float(sj))
             if key not in self._z_cache:
                 if z is None:
-                    z = self.z_values(f, t)
+                    z = self.z_values(f)
                     z = z if z.imag.any() else z.real
                 val, se = self.expectation(np.cos(sj * z))
                 self._z_cache[key] = np.complex128(val), se
@@ -676,7 +668,7 @@ class TiltedEnsemble:
 
     # -- variance diagnostics ------------------------------------------------
 
-    def cell_integrals(self, edges, slab=20000):
+    def cell_integrals(self, edges):
         """Per-row integrals of the path over each grid cell: the (rows,
         n_cells) reference matrix behind the kernel route's oracle."""
         signs, counts, offsets, jumps = self._row_paths()
@@ -686,8 +678,8 @@ class TiltedEnsemble:
             lens = np.diff(bounds, axis=1)
             c = bounds.shape[1] - 2
             xs = x0[:, None] * (-1.0) ** np.arange(c + 1)[None, :]
-            for lo in range(0, len(idx), slab):
-                hi = min(lo + slab, len(idx))
+            for lo in range(0, len(idx), CELL_SLAB):
+                hi = min(lo + CELL_SLAB, len(idx))
                 clipped = np.clip(
                     edges[None, None, :] - starts[lo:hi, :, None],
                     0.0, lens[lo:hi, :, None])

@@ -10,9 +10,8 @@ and given the count the jump times are the order statistics of i.i.d.
 uniforms.  The sampler draws every count, sign and uniform of a chunk in
 one pass, then sorts the times loop by loop with one row sort per jump
 count present (jump_count_groups), so each time is sorted once, in
-a row of its own loop's length.  Exact transfer-matrix formulas for the
-transition probabilities and multi-time correlations serve as oracles
-for the sampler.
+a row of its own loop's length.  Exact transfer-matrix formulas for
+multi-time correlations serve as oracles for the sampler.
 """
 
 from __future__ import annotations
@@ -96,13 +95,6 @@ class SpinLoop:
         return SpinLoop(sign, tuple(shifted))
 
 
-def transition_prob(eps, t, sigma1, sigma2):
-    """P(X_t = sigma2 | X_0 = sigma1) = (1 + s1 s2 e^{-2 eps t}) / 2."""
-    if t < 0:
-        raise ValueError("elapsed time must be >= 0")
-    return 0.5 * (1.0 + sigma1 * sigma2 * math.exp(-2.0 * eps * t))
-
-
 def jump_count_pmf(params):
     """Probabilities of the even jump counts 0, 2, 4, ... truncated where
     the term drops below 1e-16 of the running sum.
@@ -127,23 +119,15 @@ def jump_count_pmf(params):
     return pmf
 
 
-def sample_loop(params, rng):
-    """Draw one loop from the free spin measure."""
-    sign, counts, flat = sample_loop_arrays(params, rng, 1)
-    return SpinLoop(int(sign[0]), tuple(flat))
-
-
-def jump_count_groups(counts, hist=None):
+def jump_count_groups(counts):
     """Yield (c, idx) per jump count c present, ascending: idx are the loops
-    with c jumps, ascending (count 0 need not be present at all).  hist is
-    np.bincount(counts), if the caller has it already.
+    with c jumps, ascending (count 0 need not be present at all).
 
     One stable sort of the counts groups every loop in a single pass; the
     counts are cast to the narrowest unsigned type that holds them, which
     numpy sorts by radix up to 16 bits.
     """
-    if hist is None:
-        hist = np.bincount(counts)
+    hist = np.bincount(counts)
     order = np.argsort(counts.astype(np.min_scalar_type(len(hist) - 1)),
                        kind="stable")
     ends = np.cumsum(hist)

@@ -111,9 +111,9 @@ _W_L, _W_COEFFS = _weideman_coefficients(_FADDEEVA_N)
 _RSQRT_PI = 1.0 / math.sqrt(math.pi)
 
 
-def wofz(z):
-    """Faddeeva function w(z) = exp(-z^2) erfc(-i z), elementwise."""
-    z = np.asarray(z, dtype=complex)
+def _weideman(z):
+    """w(z) by Weideman's approximation, elementwise over a complex array
+    with Im z >= 0."""
     flat = z.ravel()
     out = np.empty(flat.shape, dtype=complex)
     size = min(flat.size, _FADDEEVA_SLAB)
@@ -123,11 +123,7 @@ def wofz(z):
         zs = flat[lo:lo + _FADDEEVA_SLAB]
         w = out[lo:lo + len(zs)]
         inv, big_z = inv_buf[:len(zs)], big_z_buf[:len(zs)]
-        # the lower half-plane is read as -z and reflected at the end
-        lower = np.flatnonzero(zs.imag < 0)
         np.multiply(zs, -1j, out=inv)
-        if lower.size:
-            inv[lower] *= -1
         inv += _W_L
         np.divide(1.0, inv, out=inv)             # 1 / (L - i z)
         np.multiply(inv, 2.0 * _W_L, out=big_z)
@@ -140,10 +136,12 @@ def wofz(z):
         w *= inv
         w += _RSQRT_PI
         w *= inv
-        if lower.size:
-            zl = zs[lower]
-            w[lower] = 2.0 * np.exp(-zl * zl) - w[lower]
-    return out.reshape(z.shape)[()]
+    return out.reshape(z.shape)
+
+
+def wofz(z):
+    """Faddeeva function w(z) = exp(-z^2) erfc(-i z), elementwise."""
+    return wofz_scaled(z, 0.0)[()]
 
 
 def wofz_scaled(z, log_scale):
@@ -151,10 +149,10 @@ def wofz_scaled(z, log_scale):
     z.  On the lower half-plane the reflection takes the factor into its
     exponent, 2 exp(log_scale - z^2) - e^{log_scale} w(-z), so a large
     exp(-z^2) meets a small factor before either can overflow or
-    underflow; wofz itself is called on the upper half-plane only."""
+    underflow; _weideman sees the upper half-plane only."""
     z = np.asarray(z, dtype=complex)
     lower = z.imag < 0
-    out = wofz(np.where(lower, -z, z))
+    out = _weideman(np.where(lower, -z, z))
     out *= np.exp(log_scale)
     if lower.any():
         zl = z[lower]
@@ -182,12 +180,13 @@ def _truncation_point(al, am, rate_f, rate_g, qff, qgg, c):
 
         exp(-rate_f u - rate_g v - (q_ff u^2 + 2 c u v + q_gg v^2) / 4)
 
-    in modulus, where c = sgn(lambda) sgn(mu) q_fg, rate_f is |lambda|
-    less the largest growth rate sgn(lambda) Im Z_f of |e^{-i s Z_f}| over
-    the rows (if positive), and rate_g is |mu| less that of Z_g; for real Z
-    they are |lambda| and |mu|.  Its integral over u >= U, v >= 0 is at
-    most tail(U) = C e^{-a U - q U^2/4} / ((a + q U/2) D(U)), a
-    Mills-type bound valid wherever a + q U/2 > 0 and D(U) > 0:
+    in modulus, where q_gg > 0, c = sgn(lambda) sgn(mu) q_fg, rate_f is
+    |lambda| less the largest growth rate sgn(lambda) Im Z_f of
+    |e^{-i s Z_f}| over the rows (if positive), and rate_g is |mu| less
+    that of Z_g; for real Z they are |lambda| and |mu|.  Its integral over
+    u >= U, v >= 0 is at most
+    tail(U) = C e^{-a U - q U^2/4} / ((a + q U/2) D(U)), a Mills-type
+    bound valid wherever a + q U/2 > 0 and D(U) > 0:
 
     - c > 0, or c = 0 and rate_g > 0: drop q_gg and bound c u v below by
       c U v: a = rate_f, q = q_ff, C = 1, D = rate_g + c U / 2 (for
@@ -207,17 +206,15 @@ def _truncation_point(al, am, rate_f, rate_g, qff, qgg, c):
     Where no rate or curvature makes the bound finite, umax is that of
     real Z and tail is inf.
     """
-    q_s = max(qff - c * c / qgg if qgg > 0 else qff, 0.0)
+    q_s = max(qff - c * c / qgg, 0.0)
     log_c, d1 = 0.0, 0.0
     if rate_g > 0 or c > 0:
         a, q, d0 = rate_f, (qff if c >= 0 else q_s), rate_g
         if c >= 0:
             d1 = 0.5 * c
-    elif qgg > 0:
+    else:
         a, q, d0 = rate_f - rate_g * c / qgg, q_s, 1.0
         log_c = 0.5 * math.log(4.0 * math.pi / qgg) + rate_g * rate_g / qgg
-    else:
-        a = q = d0 = 0.0
     if a <= 0 and q <= 0:
         return _truncation_point(al, am, al, am, qff, qgg, c)[0], math.inf
     log_inv_eps = -math.log(TWOPOINT_TOL) + 2.0 + math.log(al * am)
@@ -303,7 +300,9 @@ def resolvent_twopoint(cfg, lam, f, mu, g):
     The K25 value is returned; its error is delta, the truncation tail,
     the Monte Carlo SE with the c = 2 level gap, and the evaluation error.
     delta is the error of the GL12 sum, so it is a conservative bound for
-    the K25 value it accompanies.
+    the K25 value it accompanies.  Only g = 0 has q_gg = 0; there
+    R(mu, 0) = -i / mu, and the pair is -i / mu times the one-point value,
+    with its error over |mu|.
     """
     if lam == 0 or mu == 0:
         raise ValueError("lambda and mu must be nonzero")
@@ -314,6 +313,10 @@ def resolvent_twopoint(cfg, lam, f, mu, g):
     al, am = abs(lam), abs(mu)
     qff = cfg.q_bec(f)
     qgg = cfg.q_bec(g)
+    if qgg == 0:
+        # only g = 0 has q_gg = 0, and R(mu, 0) = -i / mu
+        one = resolvent_onepoint(cfg, lam, f)
+        return ResolventValue(-1j / mu * one.value, one.error / am)
     c = sgn_l * sgn_m * (cfg.q0(f, g).real + cfg.q_nonzero(f, g).real)
     sig = symplectic(f, g)
     ens = cfg.ensemble
@@ -324,8 +327,8 @@ def resolvent_twopoint(cfg, lam, f, mu, g):
 
     # the t-integral is L(a, q_gg / 4) = (sqrt(pi) / r) w(i a / r) with
     # r = sqrt(q_gg), and i a / r = k(u) - (sgn(mu) / r) Z_g
-    r = math.sqrt(qgg) if qgg > 0 else 1.0
-    scale = math.sqrt(math.pi) / r if qgg > 0 else 1.0
+    r = math.sqrt(qgg)
+    scale = math.sqrt(math.pi) / r
     zg_r = (sgn_m / r) * zg
     # the slab height is set by all n loops, so each row's u-sum rounds
     # the same however many rows there are
@@ -335,11 +338,9 @@ def resolvent_twopoint(cfg, lam, f, mu, g):
         u, wk, wg = gauss_kronrod_panels(np.linspace(0.0, umax, panels + 1))
         s = sgn_l * u
         k = (1j * (am + 0.5 * c * u) - 0.5 * sgn_m * sig * s) / r
-        # the positive factors common to every row: inside the Faddeeva
-        # reflection's exponent where q_gg > 0, else on the weights
+        # the positive factors common to every row, inside the Faddeeva
+        # reflection's exponent
         log_node = math.log(scale) - al * u - 0.25 * qff * u * u
-        if qgg == 0:
-            wk, wg = wk * np.exp(log_node), wg * np.exp(log_node)
         h = np.zeros(len(zf), dtype=complex)
         h_gauss = np.zeros(len(zf), dtype=complex)
         h_abs = np.zeros(len(zf))
@@ -348,8 +349,7 @@ def resolvent_twopoint(cfg, lam, f, mu, g):
             arg = np.subtract.outer(k[nodes], zg_r)
             body = np.multiply.outer(-1j * s[nodes], zf)
             np.exp(body, out=body)
-            body *= (wofz_scaled(arg, log_node[nodes, None]) if qgg > 0
-                     else laplace_gauss(-1j * arg, 0.0))
+            body *= wofz_scaled(arg, log_node[nodes, None])
             h_gauss += row_sum(wg[nodes, None] * body)
             body *= wk[nodes, None]
             h += row_sum(body)

@@ -51,7 +51,6 @@ class StateConfig:
     source: object
     kernels: ThermalKernelTable
     ensemble: object
-    mu: float = 0.0
     _q_cache: dict = field(default_factory=dict, repr=False)
     _class_cache: dict = field(default_factory=dict, repr=False)
 
@@ -88,7 +87,7 @@ class StateConfig:
         key = ("qne", f, g)
         if key not in self._q_cache:
             self._q_cache[key] = form_nonzero(
-                f, g if g is not None else f, self.beta, self.mu).value
+                f, g if g is not None else f, self.beta).value
         return self._q_cache[key]
 
     def q_bec(self, f):
@@ -109,17 +108,20 @@ class StateConfig:
 
 
 def charfun(cfg, f, t=0.0):
-    """psi(W(e^{i t omega} f)) as (value, standard error)."""
+    """psi(W(e^{i t omega} f)) as (value, standard error); t damps only
+    the Gaussian part (charfun_scaled)."""
     return charfun_scaled(cfg, f, 1.0, t)
 
 
 def charfun_scaled(cfg, f, s, t=0.0):
     """psi(e^{i s Phi(e^{i t omega} f)}) on a real s-grid:
-    exp(-s^2 q / 4) * E~[e^{-isZ_{f,t}}], the one Gaussian x spin assembly."""
+    exp(-s^2 q / 4) * E~[e^{-isZ_f}], the one Gaussian x spin assembly.
+    t damps only the Gaussian part: the loop measure and log W are rotation
+    invariant, so Z_{f,t} has the tilted law of Z_f = Z_{f,0}."""
     cfg.require_admissible(f)
     # the zero mode is blind to Euclidean damping (omega(0) = 0)
     qtot = cfg.q0(f).real + cfg.q_nonzero(f.damped(t)).real
-    vals, ses = cfg.ensemble.char_function(f, s, t)
+    vals, ses = cfg.ensemble.char_function(f, s)
     s = np.asarray(s, dtype=float)
     pref = np.array([math.exp(-0.25 * qtot * sj * sj)
                      for sj in s.ravel()]).reshape(s.shape)
@@ -173,7 +175,7 @@ def ground_limit_spin_factor(cfg, f, beta_ladder, n_loops=20000, seed=0):
     for b in betas:
         ens = StateConfig.build(cfg.source, b, cfg.eps, n_loops=n_loops,
                                 seed=seed, tol=cfg.kernels.tol).ensemble
-        val, se = ens.spin_factor(f, 0.0)
+        val, se = ens.spin_factor(f)
         rows.append((b, val, se))
     diffs = [abs(rows[i + 1][1] - rows[i][1]) for i in range(len(rows) - 1)]
     return rows, diffs

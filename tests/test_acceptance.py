@@ -164,7 +164,7 @@ def test_acceptance_4_eps0_closed_forms(acc_eps0_ensemble, kernel_table,
                                         f_gauss):
     ens = acc_eps0_ensemble
     m = kernel_table.m_value(f_gauss).real
-    val, se = ens.spin_factor(f_gauss, 0.0)
+    val, se = ens.spin_factor(f_gauss)
     assert val.real == pytest.approx(math.cos(m), abs=3.0 * se)
     assert abs(val.imag) <= 3.0 * se + 1e-12
 
@@ -193,7 +193,7 @@ def test_acceptance_5_modulus_bound_battery(gauss_src):
                                   amplitude=float(rng.uniform(-1.5, 1.5)))
         ens = build_ensemble(SpinMeasureParams(beta, eps), tables[beta],
                              4000, seed=3000 + trial)
-        val, se = ens.spin_factor(f, 0.0)
+        val, se = ens.spin_factor(f)
         assert abs(val) <= 1.0 + 3.0 * se + 1e-12
 
 

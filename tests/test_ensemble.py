@@ -151,7 +151,7 @@ def test_zero_source_is_untilted(free_ensemble, f_gauss):
         w_fine, vals[2:2 + len(w_fine)]) + sum(
         p * vals[rows[loops]].mean() for p, loops in runs)
     assert mean == pytest.approx(want, rel=1e-14)
-    sval, se = ens.spin_factor(f_gauss, 0.0)
+    sval, se = ens.spin_factor(f_gauss)
     assert sval == 1.0 + 0.0j
     assert se == 0.0
     assert ens.ell_shift(f_gauss) == 0.0
@@ -170,7 +170,7 @@ def test_frozen_coupling_closed_forms(eps0_ensemble, kernel_table, f_gauss):
     assert len(z) == 2 and z[0] == -z[1]
     assert np.allclose(np.abs(z.real), m, rtol=1e-10)
     assert np.allclose(z.imag, 0.0, atol=1e-12)
-    sval, se = ens.spin_factor(f_gauss, 0.0)
+    sval, se = ens.spin_factor(f_gauss)
     assert sval.imag == 0.0 and se == 0.0
     assert sval.real == pytest.approx(math.cos(z[0].real), rel=1e-15)
     assert ens.ell_shift(f_gauss) == 0.0
@@ -416,26 +416,24 @@ def test_build_weighs_and_moves_in_one_pass(gauss_src, zero_src, kind,
 
 
 def test_z_values_match_reference(ensemble, f_gauss):
-    # one value per row: the constant +1 and -1 paths and the loops with
-    # c >= 4 jumps at t, and the c = 2 nodes at t = 0
-    t = 0.1
-    z = ensemble.z_values(f_gauss, t_offset=t)
+    # one value per row: the constant +1 and -1 paths, the c = 2 nodes and
+    # the loops with c >= 4 jumps
+    z = ensemble.z_values(f_gauss)
     rows = loop_rows(ensemble)
-    paths = [(0, SpinLoop(1, ()), t), (1, SpinLoop(-1, ()), t)] + [
-        (rows[i], _read_loop(ensemble, i), t)
+    paths = [(0, SpinLoop(1, ())), (1, SpinLoop(-1, ()))] + [
+        (rows[i], _read_loop(ensemble, i))
         for i in np.flatnonzero(ensemble.counts >= 4)[:10]]
     k = 2
     for signs, jumps, _ in _levels(ensemble):
         for j in (0, len(signs) // 2 + 5, len(signs) - 1):
-            paths.append((k + j, SpinLoop(int(signs[j]), tuple(jumps[j])),
-                          0.0))
+            paths.append((k + j, SpinLoop(int(signs[j]), tuple(jumps[j]))))
         k += len(signs)
-    for row, lp, at in paths:
-        ref = loop_z_value(lp, ensemble.kernels, f_gauss, at)
+    for row, lp in paths:
+        ref = loop_z_value(lp, ensemble.kernels, f_gauss)
         assert z[row] == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
 
-def _boundary_vector_z(kernels, f, t, sign, jumps):
+def _boundary_vector_z(kernels, f, sign, jumps):
     """Z = -1/2 sum_p d_p G(e_p) of one path from its whole boundary and
     d-coefficient vectors, and sum_p |d_p G(e_p)| / 2, the scale of its
     rounding."""
@@ -443,8 +441,7 @@ def _boundary_vector_z(kernels, f, t, sign, jumps):
     e = np.concatenate(([-0.5 * beta], jumps, [0.5 * beta]))
     d = np.where(np.arange(len(e)) % 2, -2.0, 2.0)
     d[[0, -1]] *= 0.5
-    rel = e - t
-    g = sign * d * np.sign(rel) * kernels.register(f).A(np.abs(rel))
+    g = sign * d * np.sign(e) * kernels.register(f).A(np.abs(e))
     return -0.5 * g.sum(), 0.5 * np.abs(g).sum()
 
 
@@ -452,10 +449,8 @@ def _boundary_vector_z(kernels, f, t, sign, jumps):
 @settings(max_examples=25)
 @given(beta=st.floats(0.5, 8.0),
        raw=st.lists(st.tuples(st.sampled_from([-1, 1]), _jump_fractions),
-                    min_size=1, max_size=6),
-       data=st.data())
-def test_z_values_match_oracles_property(gauss_src, f_gauss, beta, raw,
-                                         data):
+                    min_size=1, max_size=6))
+def test_z_values_match_oracles_property(gauss_src, f_gauss, beta, raw):
     paths = []
     for sign, fracs in raw:
         jumps = sorted({beta * (u - 0.5) for u in fracs})
@@ -463,34 +458,30 @@ def test_z_values_match_oracles_property(gauss_src, f_gauss, beta, raw,
     signs = np.array([p[0] for p in paths], dtype=np.int8)
     counts = np.array([len(p[1]) for p in paths], dtype=np.int64)
     flat = np.array([t for p in paths for t in p[1]], dtype=float)
-    # t anywhere, on a circle end, or exactly on a jump time
-    t = data.draw(st.one_of(
-        st.floats(-0.5 * beta, 0.5 * beta),
-        st.sampled_from([-0.5 * beta, 0.5 * beta] + flat.tolist())))
     table = ThermalKernelTable(gauss_src, beta)
     ens = TiltedEnsemble(SpinMeasureParams(beta, 1.0), table, signs, counts,
                          flat, 0, DEFAULT_CHUNK)
-    z = ens.z_values(f_gauss, t)
-    # the constant paths and the loops with c >= 4 at t, after the c = 2
-    # nodes, of which every 701st row is checked, at t = 0
-    rows = [(0, 1, [], t), (1, -1, [], t)]
+    z = ens.z_values(f_gauss)
+    # the constant paths, the c = 2 nodes, of which every 701st row is
+    # checked, and the loops with c >= 4
+    rows = [(0, 1, []), (1, -1, [])]
     k = 2
     for node_signs, jumps, _ in _levels(ens):
-        rows += [(k + j, node_signs[j], jumps[j], 0.0)
+        rows += [(k + j, node_signs[j], jumps[j])
                  for j in range(0, len(node_signs), 701)]
         k += len(node_signs)
     # the loops with c >= 4 moved to the static tilt, as the ensemble holds
     # them
     moved = ens.moved_flat
     rows += [(k + j, signs[i],
-              moved[ens.moved_offsets[j]:ens.moved_offsets[j + 1]], t)
+              moved[ens.moved_offsets[j]:ens.moved_offsets[j + 1]])
              for j, i in enumerate(np.flatnonzero(counts >= 4))]
     assert len(z) == k + int(np.sum(counts >= 4))
-    for row, sign, jumps, at in rows:
-        ref, scale = _boundary_vector_z(table, f_gauss, at, sign, jumps)
+    for row, sign, jumps in rows:
+        ref, scale = _boundary_vector_z(table, f_gauss, sign, jumps)
         assert abs(z[row] - ref) <= 1e-14 * scale
         loop = loop_z_value(SpinLoop(int(sign), _distinct(jumps)), table,
-                            f_gauss, at)
+                            f_gauss)
         assert abs(z[row] - loop) <= 1e-12 * scale
 
 
@@ -518,23 +509,26 @@ def test_odd_jump_count_is_refused(kernel_table):
                            DEFAULT_CHUNK)
 
 
-@pytest.mark.parametrize("t", [0.0, 0.3 * BETA, -0.5 * BETA, 0.5 * BETA])
-def test_frozen_spin_z_is_the_endpoint_terms(ensemble, f_gauss, t):
+def test_frozen_spin_z_is_the_endpoint_terms(ensemble, f_gauss):
     # rows 0 and 1 of any ensemble are the constant +1 and -1 paths (a
-    # frozen spin): -1/2 (G(-beta/2) - G(beta/2)) times the sign
+    # frozen spin): -1/2 (G(-beta/2) - G(beta/2)) times the sign, with G
+    # odd, so A_f(beta/2) times the sign
     a_f = ensemble.kernels.register(f_gauss).A
     h = 0.5 * BETA
-    want = 0.5 * (np.sign(h + t) * a_f(h + t) + np.sign(h - t) * a_f(h - t))
-    z = ensemble.z_values(f_gauss, t)
+    want = 0.5 * (a_f(h) + a_f(h))
+    z = ensemble.z_values(f_gauss)
     assert z[0] == want and z[1] == -want
 
 
-def test_z_values_evaluates_A_once_per_jump(ensemble, f_gauss, monkeypatch):
-    # structural guard: two circle ends shared by the loops at t and two by
-    # the c = 2 nodes at t = 0, plus one point per jump of a loop row and
-    # per jump of a node (its X_0 = -1 row negates the X_0 = +1 one), not
-    # two ends per loop, and no point for a sampled loop with two jumps
-    entry = ensemble.kernels.register(f_gauss)
+def test_z_values_evaluates_A_once_per_jump(kernel_table, f_gauss,
+                                            monkeypatch):
+    # structural guard: two circle ends shared by every row, plus one point
+    # per jump of a loop row and per jump of a node (its X_0 = -1 row
+    # negates the X_0 = +1 one), not two ends per loop, and no point for a
+    # sampled loop with two jumps
+    ens = build_ensemble(SpinMeasureParams(BETA, 1.0), kernel_table, 2000,
+                         seed=11)
+    entry = kernel_table.register(f_gauss)
     points = []
 
     def counted(x, a_f=entry.A):
@@ -542,10 +536,10 @@ def test_z_values_evaluates_A_once_per_jump(ensemble, f_gauss, monkeypatch):
         return a_f(x)
 
     monkeypatch.setattr(entry, "A", counted)
-    ensemble.z_values(f_gauss, 0.0123)
-    counts = ensemble.counts
+    ens.z_values(f_gauss)
+    counts = ens.counts
     assert sum(points) == (counts[counts >= 4].sum() + 2
-                           + 2 * sum(ensemble.c2_nodes) + 2)
+                           + 2 * sum(ens.c2_nodes))
 
 
 @pytest.mark.parametrize("slab", [2, 7, 256])
@@ -559,10 +553,25 @@ def test_boundary_sums_do_not_depend_on_the_slab(kernel_table, f_gauss, slab,
     ens = _ensemble_of_kind(kernel_table, "two-atoms", raw, 0)
     a_f = kernel_table.register(f_gauss).A
     per_loop = [lambda x: np.sign(x) * a_f(np.abs(x)), lambda u: u]
-    want = [ens._boundary_sum(g, 0.2) for g in per_loop]
+    want = [ens._boundary_sum(g) for g in per_loop]
     monkeypatch.setattr(ensemble_mod, "JUMP_SLAB", slab)
     for g, w in zip(per_loop, want):
-        assert ens._boundary_sum(g, 0.2).tobytes() == w.tobytes()
+        assert ens._boundary_sum(g).tobytes() == w.tobytes()
+
+
+def test_boundary_sums_leave_the_jump_times_unchanged(kernel_table,
+                                                      f_gauss):
+    # static_moment's g(u) = u returns the jump times it is given, and the
+    # boundary sums negate every other value of g in place: the drawn, the
+    # moved and the node jump times stay as they were, bit for bit
+    ens = build_ensemble(SpinMeasureParams(BETA, 2.0), kernel_table, 2000,
+                         seed=5)
+    held = (ens.jumps_flat, ens.moved_flat, ens._nodes[3])
+    before = [x.tobytes() for x in held]
+    assert len(ens.moved_flat) and len(ens._nodes[3])
+    ens.static_moment
+    ens.z_values(f_gauss)
+    assert [x.tobytes() for x in held] == before
 
 
 def test_sampler_sorts_each_jump_once(kernel_table, monkeypatch):
@@ -648,10 +657,9 @@ _LOOPWISE = {
 @settings(max_examples=20)
 @given(raw=st.lists(st.tuples(st.sampled_from([-1, 1]), _jump_fractions),
                     min_size=1, max_size=8),
-       s=st.floats(-4.0, 4.0), t=st.floats(-0.5 * BETA, 0.5 * BETA),
-       seed=st.integers(0, 1 << 16))
+       s=st.floats(-4.0, 4.0), seed=st.integers(0, 1 << 16))
 def test_map_distinct_is_fn_on_all_loops_property(kernel_table, f_gauss, kind,
-                                                  out, raw, s, t, seed):
+                                                  out, raw, s, seed):
     # the rows are the constant +1 and -1 paths, the c = 2 nodes, then the
     # loops with c >= 4 jumps, ascending; every loop with a row (c = 2 has
     # none) has its row's Z and M bit for bit, and its log W is that of its
@@ -665,9 +673,9 @@ def test_map_distinct_is_fn_on_all_loops_property(kernel_table, f_gauss, kind,
     assert np.all(read == (ens.counts != 2))
     rows = rows[read]
     a_f = kernel_table.register(f_gauss).A
-    z_all = _all_loop_boundary_sum(ens, lambda x: np.sign(x) * a_f(np.abs(x)),
-                                   t)[read]
-    z = ens.z_values(f_gauss, t)
+    z_all = _all_loop_boundary_sum(
+        ens, lambda x: np.sign(x) * a_f(np.abs(x)))[read]
+    z = ens.z_values(f_gauss)
     assert z[rows].tobytes() == z_all.tobytes()
     m_all = 2.0 * _all_loop_boundary_sum(ens, lambda u: u)[read]
     assert ens.static_moment[rows].tobytes() == m_all.tobytes()
@@ -682,29 +690,29 @@ def test_map_distinct_is_fn_on_all_loops_property(kernel_table, f_gauss, kind,
         assert g[rows].tobytes() == h.tobytes()
 
 
-def _all_loop_boundary_sum(ens, g, t=0.0):
-    # -1/2 sum_p d_p g(e_p - t) on every loop, constant loops included
-    lo, hi = g(0.5 * ens.params.beta * np.array([-1.0, 1.0]) - t)
+def _all_loop_boundary_sum(ens, g):
+    # -1/2 sum_p d_p g(e_p) on every loop, constant loops included
+    lo, hi = g(0.5 * ens.params.beta * np.array([-1.0, 1.0]))
     out = np.full(ens.n, -0.5 * (lo - hi))
-    gj = g(_read_flat(ens) - t)
+    gj = g(_read_flat(ens))
     gj[1::2] *= -1.0
     has = np.flatnonzero(ens.counts)
     out[has] += np.add.reduceat(gj, ens.offsets[has])
     return out * ens.signs
 
 
-def _path_sums(ens, g, t=0.0):
+def _path_sums(ens, g):
     """The boundary sum of g on the constant +1 and -1 paths, on the node
-    rows (at t = 0) and on every loop."""
-    lo, hi = g(0.5 * ens.params.beta * np.array([-1.0, 1.0]) - t)
+    rows and on every loop."""
+    lo, hi = g(0.5 * ens.params.beta * np.array([-1.0, 1.0]))
     ends = -0.5 * (lo - hi)
     return (np.array([ends, -ends]), _node_sums(ens, g),
-            _all_loop_boundary_sum(ens, g, t))
+            _all_loop_boundary_sum(ens, g))
 
 
-def _path_z(ens, f, t=0.0):
+def _path_z(ens, f):
     a_f = ens.kernels.register(f).A
-    return _path_sums(ens, lambda x: np.sign(x) * a_f(np.abs(x)), t)
+    return _path_sums(ens, lambda x: np.sign(x) * a_f(np.abs(x)))
 
 
 def _all_loop_expectation(ens, v_atoms, v_nodes, v):
@@ -779,30 +787,28 @@ def _all_loop_kernel_variance(ens, f, n_cells):
 @given(raw=st.lists(st.tuples(st.sampled_from([-1, 1]), _jump_fractions),
                     min_size=1, max_size=8),
        s=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=3),
-       t=st.floats(-0.5 * BETA, 0.5 * BETA), seed=st.integers(0, 1 << 16))
+       seed=st.integers(0, 1 << 16))
 def test_estimators_on_distinct_loops_match_all_loops_property(
-        kernel_table, f_gauss, kind, raw, s, t, seed):
+        kernel_table, f_gauss, kind, raw, s, seed):
     # char_function, variance_two_routes and ell_shift read only the rows;
     # the same formulas over the constant paths, the c = 2 nodes and every
     # loop with c >= 4 jumps, each path averaged with its spin flip, agree
     # with them, and their errors are the SE plus the gap
     ens = _ensemble_of_kind(kernel_table, kind, raw, seed)
-    za, zn, z = _path_z(ens, f_gauss, t)
-    vals, ses = ens.char_function(f_gauss, s, t)
-    z_rows = ens.z_values(f_gauss, t).real
+    za0, zn0, z0 = (x.real for x in _path_z(ens, f_gauss))
+    vals, ses = ens.char_function(f_gauss, s)
+    z_rows = ens.z_values(f_gauss).real
     for sj, val, se in zip(s, vals, ses):
         got = ens.estimate(np.cos(sj * z_rows))
         assert val == got[0] and se == got[1] + got[2]
         _assert_estimate(got, _all_loop_expectation(
-            ens, flip_even(za, phase(sj)), flip_even(zn, phase(sj)),
-            flip_even(z, phase(sj))))
-    za0, zn0, z0 = (x.real for x in _path_z(ens, f_gauss))
+            ens, flip_even(za0, phase(sj)), flip_even(zn0, phase(sj)),
+            flip_even(z0, phase(sj))))
     mean = _all_loop_expectation(ens, flip_even(za0, lambda x: x),
                                  flip_even(zn0, lambda x: x),
                                  flip_even(z0, lambda x: x))
     assert mean[0] == 0.0 and ens.ell_shift(f_gauss) == 0.0
     rep = ens.variance_two_routes(f_gauss, 64)
-    z_rows = ens.z_values(f_gauss).real
     got = ens.estimate(z_rows * z_rows)
     assert (rep.var_direct, rep.var_direct_se) == (got[0], got[1] + got[2])
     _assert_estimate(got, _all_loop_expectation(
@@ -813,13 +819,13 @@ def test_estimators_on_distinct_loops_match_all_loops_property(
         assert got == pytest.approx(want, rel=1e-14, abs=1e-300)
 
 
-def _flip_estimates(ens, src, f, s, t, lam):
+def _flip_estimates(ens, src, f, s, lam):
     # (value, SE) of the spin-sign estimators, the one-point value's error
     # being its SE plus evaluation
     cfg = StateConfig(beta=BETA, eps=1.0, d=3, s=1.0, n0=1e-3, source=src,
                       kernels=ens.kernels, ensemble=ens)
     one = resolvent_onepoint(cfg, lam, f)
-    return {"S": ens.char_function(f, s, t), "var": ens._z_moments(f),
+    return {"S": ens.char_function(f, s), "var": ens._z_moments(f),
             "R": (one.value, one.error)}
 
 
@@ -828,10 +834,10 @@ def _flip_estimates(ens, src, f, s, t, lam):
 @settings(max_examples=10)
 @given(raw=st.lists(st.tuples(st.sampled_from([-1, 1]), _jump_fractions),
                     min_size=1, max_size=8),
-       s=st.floats(-4.0, 4.0), t=st.floats(-0.5 * BETA, 0.5 * BETA),
-       lam=st.sampled_from([-0.8, 1.3]), seed=st.integers(0, 1 << 16))
+       s=st.floats(-4.0, 4.0), lam=st.sampled_from([-0.8, 1.3]),
+       seed=st.integers(0, 1 << 16))
 def test_estimates_are_invariant_under_the_spin_flip_property(
-        kernel_table, gauss_src, f_gauss, kind, raw, s, t, lam, seed):
+        kernel_table, gauss_src, f_gauss, kind, raw, s, lam, seed):
     # the free measure, log W and the move to the static tilt are invariant
     # under X -> -X, which negates Z and swaps the atoms: the same sample
     # with every sign negated gives the same values and SEs, whichever
@@ -840,8 +846,8 @@ def test_estimates_are_invariant_under_the_spin_flip_property(
     flipped = TiltedEnsemble(ens.params, kernel_table, -ens.signs,
                              ens.counts, ens.jumps_flat, 0, DEFAULT_CHUNK)
     assert np.array_equal(flipped.moved_flat, ens.moved_flat)
-    got = _flip_estimates(flipped, gauss_src, f_gauss, s, t, lam)
-    want = _flip_estimates(ens, gauss_src, f_gauss, s, t, lam)
+    got = _flip_estimates(flipped, gauss_src, f_gauss, s, lam)
+    want = _flip_estimates(ens, gauss_src, f_gauss, s, lam)
     for key, (val, se) in want.items():
         assert abs(got[key][0] - val) <= 1e-14 * abs(val), key
         assert abs(got[key][1] - se) <= 1e-14 * se, key
@@ -851,7 +857,7 @@ def test_char_function_exponentiates_only_distinct_loops(
         ensemble, f_gauss, monkeypatch):
     # structural guard: cos(s Z) runs on the rows once per s; no sine or
     # exponential is taken
-    ensemble.z_values(f_gauss, 0.0625)
+    ensemble.z_values(f_gauss)
     points = {"cos": [], "sin": [], "exp": []}
 
     def counted(name):
@@ -864,7 +870,7 @@ def test_char_function_exponentiates_only_distinct_loops(
 
     for name in points:
         monkeypatch.setattr(np, name, counted(name))
-    ensemble.char_function(f_gauss, [0.125, 0.375], 0.0625)
+    ensemble.char_function(f_gauss, [0.0625, 0.1875])
     n_rows = len(ensemble.weights)
     assert points == {"cos": [n_rows] * 2, "sin": [], "exp": []}
     assert n_rows < ensemble.n
@@ -875,12 +881,12 @@ def test_per_loop_state_lives_on_the_distinct_loops(ensemble, f_gauss,
     # structural guard: the cached estimator arrays hold one value per
     # row, and the only n-length arrays are the loop data
     ens = ensemble
-    ens.char_function(f_gauss, [0.5, 1.0], 0.2)
+    ens.char_function(f_gauss, [0.5, 1.0])
     ens.variance_two_routes(g_gauss)
     ens.ell_shift(f_gauss)
     ens.deviation_bound_check(f_gauss, [0.5])
     ens.static_moment
-    ens.z_values(g_gauss, 0.3)
+    ens.z_values(f_gauss.scaled(2.0))
     w = ens.norm_weights
     assert np.all(w[ens.counts <= 2] == 0.0)
     c2_mass = np.sum(ens.weights[2:2 + 2 * ens.c2_nodes[0]]) / ens.sum_w
@@ -917,20 +923,17 @@ def test_uniform_interp_matches_np_interp(kernel_table, f_gauss):
         assert np.max(np.abs(got - want)) <= tol
 
 
-def test_spin_factor_is_memoized_per_t(ensemble, f_gauss):
-    first = ensemble.spin_factor(f_gauss, 0.25)
-    assert ensemble.spin_factor(f_gauss, 0.25) is first
-    other = ensemble.spin_factor(f_gauss, -0.25)
-    assert other is not first
-    for t, got in ((-0.25, other), (0.25, first)):
-        assert got == ensemble.expectation(flip_even(
-            ensemble.z_values(f_gauss, t).real, phase(1.0)))
+def test_spin_factor_is_memoized(ensemble, f_gauss):
+    first = ensemble.spin_factor(f_gauss)
+    assert ensemble.spin_factor(f_gauss) is first
+    assert first == ensemble.expectation(flip_even(
+        ensemble.z_values(f_gauss).real, phase(1.0)))
 
 
 def test_char_function_estimates_each_s_once(kernel_table, f_gauss,
                                              monkeypatch):
-    # char_function is the one estimator: each (f, t, s) reaches
-    # expectation once, and spin_factor is its cached s = 1 value
+    # char_function is the one estimator: each (f, s) reaches expectation
+    # once, and spin_factor is its cached s = 1 value
     ens = build_ensemble(SpinMeasureParams(BETA, 1.0), kernel_table, 2000,
                          seed=11)
     calls = []
@@ -946,13 +949,6 @@ def test_char_function_estimates_each_s_once(kernel_table, f_gauss,
     assert ens.spin_factor(f_gauss) == (vals[1], ses[1])
     assert ens.char_function(f_gauss, 1.0) == (vals[1], ses[1])
     assert len(calls) == 2
-    # a time offset is a new key, shared again by both entry points
-    moved, _ = ens.char_function(f_gauss, [1.0, 0.5], 0.25)
-    assert ens.spin_factor(f_gauss, 0.25)[0] == moved[0]
-    assert ens.char_function(f_gauss, 0.5, t_offset=0.25)[0] == moved[1]
-    assert len(calls) == 4
-    assert moved[0] == estimate(flip_even(
-        ens.z_values(f_gauss, 0.25).real, phase(1.0)))[0]
 
 
 def test_z_linearity(ensemble, f_gauss, g_gauss):
@@ -988,7 +984,7 @@ def test_path_values_match_loops(ensemble):
 # ---------------------------------------------------------------------------
 
 def test_spin_factor_modulus(ensemble, f_gauss):
-    val, se = ensemble.spin_factor(f_gauss, 0.0)
+    val, se = ensemble.spin_factor(f_gauss)
     assert abs(val) <= 1.0 + 3.0 * se + 1e-12
 
 
@@ -1027,9 +1023,9 @@ def test_expectation_rejects_all_loop_arrays(kernel_table, frozen):
 
 
 def test_z_values_are_cached_read_only(ensemble, f_gauss):
-    # Z is computed once per (f, t) and shared: one value per row
-    z = ensemble.z_values(f_gauss, 0.375)
-    assert ensemble.z_values(f_gauss, 0.375) is z
+    # Z is computed once per f and shared: one value per row
+    z = ensemble.z_values(f_gauss)
+    assert ensemble.z_values(f_gauss) is z
     assert z.shape == (len(ensemble.weights),)
     assert not z.flags.writeable
     with pytest.raises(ValueError):
@@ -1402,48 +1398,6 @@ def test_c2_rule_meets_the_constant_kernel_closed_form(beta, c0):
     gap = abs(fine - coarse)
     assert abs(fine - exact) <= gap + 1e-13 * exact
     assert gap <= 1e-8 * exact
-
-
-def _rotated_c2_loops(t, a, beta):
-    """Two-jump loops with X_0 = +1 and jumps t, rotated by a on the circle
-    (Y_u = X_{u - a}): their initial signs and sorted jump pairs."""
-    h = 0.5 * beta
-    s = t + a
-    wraps = s > h
-    s = np.where(wraps, s - beta, s)
-    # one jump wrapped: the path enters the circle inside the minus interval
-    sign = np.where(wraps[:, 0] == wraps[:, 1], 1, -1)
-    return sign, np.sort(s, axis=1)
-
-
-def test_c2_rows_at_an_offset_match_a_rule_split_there(ensemble, f_gauss):
-    # the node rows read Z at t = 0 for every offset: the free law given
-    # c = 2 and log W are rotation invariant, so E~[v(Z_{f,t}) | c = 2] is
-    # E~[v(Z_{f,0}) | c = 2].  Against a refined rule split at t = 0.3 (the
-    # t = 0 rule rotated by 0.3), on which Z_{f,t} is read at t, the fine
-    # node rows agree within their level gap
-    t_off = 0.3
-    refined = ensemble_mod.c2_rule(BETA, 8, 16, 32)
-    sign, jumps = _rotated_c2_loops(refined[0], t_off, BETA)
-    a_f = ensemble.kernels.register(f_gauss).A
-
-    def g(x):
-        return np.sign(x) * a_f(np.abs(x)).real
-
-    h = 0.5 * BETA
-    z = -0.5 * sign * (g(np.array([-h - t_off]))[0] - 2.0 * g(
-        jumps[:, 0] - t_off) + 2.0 * g(jumps[:, 1] - t_off)
-        - g(np.array([h - t_off]))[0])
-    w = refined[1] * np.exp(_node_logw(ensemble, refined[0]))
-    rows = slice(2, 2 + 2 * ensemble.c2_nodes[0])
-    for s in (1.0, 2.0, 4.0):
-        want = np.dot(w, np.cos(s * z)) / np.sum(w)
-        v = np.cos(s * ensemble.z_values(f_gauss, t_off).real)
-        fine = (np.dot(ensemble.weights[rows], v[rows])
-                / np.sum(ensemble.weights[rows]))
-        coarse = np.dot(ensemble._coarse, v[rows.stop:rows.stop + len(
-            ensemble._coarse)]) / np.sum(ensemble._coarse)
-        assert abs(fine - want) <= abs(fine - coarse) + 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,7 @@ from spinboson.loops import (
     correlation_trace,
     jump_count_groups,
     jump_count_pmf,
-    sample_loop,
     sample_loop_arrays,
-    transition_prob,
     two_point_oracle,
 )
 
@@ -22,17 +20,6 @@ from spinboson.loops import (
 # ---------------------------------------------------------------------------
 # closed forms
 # ---------------------------------------------------------------------------
-
-def test_transition_prob_values():
-    assert transition_prob(0.0, 5.0, 1, 1) == 1.0
-    assert transition_prob(0.0, 5.0, 1, -1) == 0.0
-    assert transition_prob(1.0, 1e6, 1, 1) == pytest.approx(0.5)
-    # e^{-2 eps t} = 1/2 at t = ln(2)/2
-    assert transition_prob(1.0, 0.5 * math.log(2.0), 1, 1) \
-        == pytest.approx(0.75, rel=1e-12)
-    with pytest.raises(ValueError):
-        transition_prob(1.0, -0.1, 1, 1)
-
 
 def test_two_point_oracle_values():
     p = SpinMeasureParams(2.0, 1.0)
@@ -141,7 +128,8 @@ def test_sampler_frozen_coupling():
     p = SpinMeasureParams(1.0, 0.0)
     rng = np.random.default_rng(0)
     for _ in range(10):
-        assert sample_loop(p, rng).jumps == ()
+        signs, counts, flat = sample_loop_arrays(p, rng, 1)
+        assert counts.tolist() == [0] and len(flat) == 0
 
 
 def test_sampler_parity_and_sorting():
@@ -200,14 +188,12 @@ def test_sampler_matches_the_lexsort_reference(beta, eps, n, seed):
         assert np.array_equal(a, b)
 
 
-@given(counts=st.lists(st.integers(0, 300), max_size=200),
-       hist=st.booleans())
-def test_jump_count_groups_match_per_count_scans(counts, hist):
+@given(counts=st.lists(st.integers(0, 300), max_size=200))
+def test_jump_count_groups_match_per_count_scans(counts):
     # one stable sort gives each count's loops in ascending order, as one
-    # scan of all loops per count did, with or without a passed histogram
+    # scan of all loops per count did
     counts = np.array(counts, dtype=np.int64)
-    groups = list(jump_count_groups(
-        counts, np.bincount(counts) if hist else None))
+    groups = list(jump_count_groups(counts))
     present = sorted(set(counts.tolist()))
     assert [int(c) for c, _ in groups] == present
     for c, idx in groups:

@@ -318,15 +318,15 @@ def _counted(res_mod, monkeypatch):
     """Faddeeva points per call, and the panels of each two-point level."""
     points, panels = [], []
 
-    def counted_wofz(x, wofz=res_mod.wofz):
+    def counted_weideman(x, weideman=res_mod._weideman):
         points.append(np.size(x))
-        return wofz(x)
+        return weideman(x)
 
     def counted_panels(edges, rule=res_mod.gauss_kronrod_panels):
         panels.append(len(edges) - 1)
         return rule(edges)
 
-    monkeypatch.setattr(res_mod, "wofz", counted_wofz)
+    monkeypatch.setattr(res_mod, "_weideman", counted_weideman)
     monkeypatch.setattr(res_mod, "gauss_kronrod_panels", counted_panels)
     return points, panels
 
@@ -492,8 +492,8 @@ class _AllLoops:
     def __getattr__(self, name):
         return getattr(self._ens, name)
 
-    def z_values(self, f, t_offset=0.0):
-        return self._ens.z_values(f, t_offset)[self._rows]
+    def z_values(self, f):
+        return self._ens.z_values(f)[self._rows]
 
     def expectation(self, values):
         return self._ens.expectation(np.asarray(values)[self._back])

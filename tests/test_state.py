@@ -94,7 +94,7 @@ def test_frozen_coupling_reduction(eps0_cfg, f_gauss):
 
 def test_zero_mode_factor_separates(free_bec_cfg, f_gauss):
     val, _ = charfun(free_bec_cfg, f_gauss, 0.0)
-    sval, _ = free_bec_cfg.ensemble.spin_factor(f_gauss, 0.0)
+    sval, _ = free_bec_cfg.ensemble.spin_factor(f_gauss)
     lhs = -4.0 * (math.log(abs(val)) - math.log(abs(sval)))
     q = free_bec_cfg.q0(f_gauss).real + free_bec_cfg.q_nonzero(f_gauss).real
     assert lhs == pytest.approx(q, rel=1e-10)
