@@ -280,7 +280,8 @@ def write_summary(path, seed, config_hash, ensemble, checks, f=None):
     tilted mass of the two constant paths, the
     c = 2 rule's nodes per level and, for a test function f, the two parts
     of the error of its spin factor S = E~[cos Z]: the Monte Carlo SE and
-    the c = 2 level gap; then the checks."""
+    the quadrature gap (the c = 2 level gap plus that of the static
+    control's means); then the checks."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
         fh.write(f"seed = {seed}\n")
@@ -293,9 +294,10 @@ def write_summary(path, seed, config_hash, ensemble, checks, f=None):
         if f is not None:
             z = ensemble.z_values(f)
             _, se, gap = ensemble.estimate(
-                np.cos(z if z.imag.any() else z.real))
+                np.cos(z if z.imag.any() else z.real),
+                ensemble.static_control(f, np.cos))
             fh.write(f"spin_factor_se = {_fmt(se)}\n")
-            fh.write(f"c2_quadrature_error = {_fmt(gap)}\n")
+            fh.write(f"quadrature_error = {_fmt(gap)}\n")
         for name, ok in checks:
             fh.write(f"check {name} = {'PASS' if ok else 'FAIL'}\n")
     return all(ok for _, ok in checks)

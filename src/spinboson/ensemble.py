@@ -82,6 +82,22 @@ constant loops and on the loops with two jumps.  `ess` is Kish's ESS
 (J = 1 where c <= 2), and max_weight_share the largest w / sum w; the
 estimator reads only the loops with c >= 4 of them.
 
+Z is nearly its static part x = kbar_f M / 2, kbar_f = A_f(beta) / beta
+the circle mean of K_f, which the estimator can read as a control with
+an exact mean.  Given c, a loop's M is X_0 beta (2x - 1), x its static
+share of the circle (StaticTilt), so E_free[e^{kappa_mean M^2 / 4} g | c]
+is a 1-D integral over x ~ Beta(c/2 + 1, c/2) for an even g of M
+(static_levels).  A loop row with
+u = w e^{-R} = (p_s / n_s) e^{kappa_mean M^2 / 4} J, its weight with
+R = log W - kappa_mean M^2 / 4 taken out, has that mean times p_s / n_s
+as the mean of u g, whatever the sample drew: psi = u g less it is a
+control of mean zero on every loop row, centred on its own count.  With
+phi = w (v - mean) and theta fitted by regressing phi on psi within the
+strata, the estimate is mean - theta sum psi / sum w, and its SE that
+of phi - theta psi by the formula above (the regression estimator).
+The error adds theta times the level gap of the control means to the SE
+and the c = 2 level gap.
+
 The free measure is invariant under the global spin flip X -> -X: the
 initial sign is a fair coin, independent of the jumps.  The flip keeps a
 loop's jump times, its stratum and its log-weight (quadratic in X),
@@ -89,7 +105,7 @@ negates Z (linear in X), swaps the two atoms and swaps the two rows of
 each c = 2 node.  So every estimator of
 a loop function v(Z) reads the flip-even part (v(Z) + v(-Z)) / 2 on
 every row, the odd part having mean zero: the characteristic function
-reads cos(s Z), and E~[Z] = 0 exactly.
+reads cos(s Z) (against the control cos(s x)), and E~[Z] = 0 exactly.
 """
 
 from __future__ import annotations
@@ -118,6 +134,7 @@ CNUMBER_TOL = 1e-6        # variance bound of cnumber_criterion
 # Gauss-Legendre nodes per layer, Gauss-Legendre nodes in u)
 C2_LEVELS = ((3, 12, 8), (3, 9, 6))
 TILT_GRID = 2048          # StaticTilt's cells, evenly spaced in x
+STATIC_ORDER = 16         # Gauss-Legendre nodes per panel of static_levels
 CELL_SLAB = 20000         # rows per block of cell_integrals
 
 
@@ -253,13 +270,51 @@ class StaticTilt:
         return log_jac
 
 
+def static_levels(static, counts):
+    """The fine and the coarse level of a nested Gauss-Legendre rule for
+    E_free[e^{static y^2} g(y) | c] per even count c >= 2 in counts, with
+    y = 2x - 1 = M / (X_0 beta) and x ~ Beta(c/2 + 1, c/2): (shift,
+    [(y, d) per level]), d the (counts, nodes) weights times the density
+    of the integrand, taken in log space and scaled by e^{-shift} per
+    count, so that the means of g are e^shift level_sums(d, g(y)).  The
+    panels in x are graded by ratio 2 toward both ends, down to below the
+    width 1 / (4 |static|) of the peak of e^{static y^2} there,
+    STATIC_ORDER nodes each; the fine level bisects each coarse panel."""
+    layers = 2 + math.ceil(math.log2(1.0 + 4.0 * abs(static)))
+    edges = 0.5 * np.concatenate(([0.0], 2.0 ** np.arange(1.0 - layers, 1.0)))
+    k = np.asarray(counts, dtype=float)[:, None] / 2.0
+    log_beta = np.array([math.lgamma(j + 1.0) + math.lgamma(j)
+                         - math.lgamma(2.0 * j + 1.0) for j in k[:, 0]])
+    shift, levels = None, []
+    for e in (np.sort(np.concatenate((edges, 0.5 * (edges[1:] + edges[:-1])))),
+              edges):
+        h, w = gauss_legendre_panels(e, STATIC_ORDER)
+        # x and 1 - x, each exact on the half of (0, 1) nearer its end
+        x, x1 = np.concatenate((h, 1.0 - h)), np.concatenate((1.0 - h, h))
+        y = x - x1
+        logd = k * np.log(x) + (k - 1.0) * np.log(x1) + static * y * y
+        if shift is None:
+            shift = logd.max(axis=1)
+        levels.append((y, np.tile(w, 2) * np.exp(logd - shift[:, None])))
+    return shift - log_beta, levels
+
+
+def level_sums(d, values):
+    """The sums over the nodes of d times values, shaped (counts,) +
+    values.shape[1:]: one pairwise sum per trailing column of values,
+    whatever the number of columns."""
+    cols = [(d * v).sum(axis=1) for v in values.reshape(d.shape[1], -1).T]
+    return np.stack(cols, -1).reshape(d.shape[:1] + values.shape[1:])
+
+
 def _boundary_sums(g, ends, signs, starts, counts, jumps, out):
     """Fill out with -1/2 sum_p d_p g(e_p) per path and return it: the
     paths have initial signs `signs` and jump counts[k] > 0 times, which
     fill the flat array `jumps` one path after another from starts[k] on;
     ends is the circle ends' part -1/2 (g(-beta/2) - g(beta/2)) of a path
-    with X_0 = +1.  Every jump count c is even: the ends have d_0 = X_0
-    and d_{c+1} = -X_0, and jump j has d = 2 (-1)^j X_0."""
+    with X_0 = +1, and g returns a new array.  Every jump count c is even:
+    the ends have d_0 = X_0 and d_{c+1} = -X_0, and jump j has
+    d = 2 (-1)^j X_0."""
     out[...] = ends
     # g runs on slabs of whole paths' jumps: a path starts at an even index,
     # so flat jump k has the sign (-1)^k
@@ -269,9 +324,7 @@ def _boundary_sums(g, ends, signs, starts, counts, jumps, out):
         if i == j:
             continue
         a = starts[i]
-        # g may return its argument (static_moment's g(u) = u), so g runs
-        # on a copy, which the signs below may overwrite
-        gj = g(jumps[a:starts[j - 1] + counts[j - 1]].copy())
+        gj = g(jumps[a:starts[j - 1] + counts[j - 1]])
         gj[1::2] *= -1.0
         out[i:j] += np.add.reduceat(gj, starts[i:j] - a)
     out *= signs
@@ -332,7 +385,6 @@ class TiltedEnsemble:
         self.kernels = kernels
         self.signs = signs
         self.counts = counts
-        self.offsets = np.concatenate(([0], np.cumsum(counts)))
         self.master_seed = master_seed
         self.chunk_size = chunk_size
         self.n = len(signs)
@@ -365,16 +417,29 @@ class TiltedEnsemble:
         # log W of each loop as the estimator reads it: the atom's
         # kappa_mean beta^2 / 4 (|M| = beta) for a constant loop, the drawn
         # loop's for c = 2, the moved loop's for c >= 4
-        static = 0.25 * kernels.kappa_mean * params.beta ** 2
+        beta = params.beta
+        static = 0.25 * kernels.kappa_mean * beta ** 2
         self.logw = np.full(self.n, static)
+        starts = np.cumsum(counts, dtype=np.intp)
+        starts -= counts
         two = np.flatnonzero(counts == 2)
-        self.logw[two] = self._log_weights(signs[two], self.offsets[two],
+        self.logw[two] = self._log_weights(signs[two], starts[two],
                                            counts[two], jumps_flat)
+        loop_m, node_m = np.empty(len(sampled)), np.empty(n_nodes)
         self.logw[sampled] = self._log_weights(
-            signs[sampled], self.offsets[sampled], counts4, jumps_flat,
-            moved=True)
+            signs[sampled], starts[sampled], counts4, jumps_flat, moved=True,
+            moment=loop_m)
+        del starts
         self._loops = (signs[sampled], self.moved_offsets[:-1], counts4)
-        node_logw = self._log_weights(*self._nodes)
+        node_logw = self._log_weights(*self._nodes, moment=node_m)
+        # M per row, signed: the atoms', each node's with X_0 = +1 and then
+        # -1 (fine level first), the moved loops'
+        n_fine = self.c2_nodes[0]
+        loop_m *= self._loops[0]
+        self._moment = np.concatenate((
+            [beta, -beta], node_m[:n_fine], -node_m[:n_fine],
+            node_m[n_fine:], -node_m[n_fine:], loop_m))
+        self._moment.flags.writeable = False
         # importance weights W J (J = 1 where c < 4), shifted so the
         # largest is 1
         iw = self.logw.copy()
@@ -403,7 +468,8 @@ class TiltedEnsemble:
         Sets weights (p_a W per atom row, p_2 w_k W_k / 2 per fine node
         row, W_i J_i p_s / n_s per loop row, 0 on the coarse node rows), the
         coarse node rows' weights _coarse, _stratum (the stratum of each
-        loop row), _sizes (each stratum's number of loops), sum_w, the
+        loop row), _sizes (each stratum's number of loops), _scale (the
+        factor p_s / n_s of each count, renormalized), sum_w, the
         total weight, and the fine and coarse node rows' sums; pmf is the
         normalized jump-count law."""
         p2 = pmf[1] if len(pmf) > 1 else 0.0
@@ -433,6 +499,7 @@ class TiltedEnsemble:
             stratum[a:b] = k
         self._stratum = stratum[counts]
         self._sizes = np.array(sizes, dtype=float)
+        self._scale = scale
         n_fine = self.c2_nodes[0]
         # a node row weighs half the node's p_2 w_k W_k, for either sign
         fine, coarse = (np.tile(0.5 * p2 / total * w * x, 2) for w, x in zip(
@@ -490,13 +557,16 @@ class TiltedEnsemble:
                                + [self.signs[loops]])
         return signs, counts, np.concatenate(([0], np.cumsum(counts))), jumps
 
-    def _log_weights(self, signs, starts, counts, jumps, moved=False):
+    def _log_weights(self, signs, starts, counts, jumps, moved=False,
+                     moment=None):
         """log W per path of the given arrays (module docstring; the signs
         do not enter it), in one pass per jump count c over slabs of paths,
         each gathered once as its (c, paths) block of jump times.  With
         moved, the paths are the loops with c >= 4 jumps, in order: each
         block is moved in place by the static tilt (none where kappa_mean
         is 0) and copied into moved_flat, its log Jacobians into log_jac.
+        Where moment is given, it receives the static moment M of each
+        path (moved, with c >= 4) with X_0 = +1.
         The static term sums each column with alternating signs by reduceat,
         as _boundary_sums does; the pair sum maps a buffer of the block's
         c(c-1)/2 rows of pair differences (lag by lag, the odd lags first;
@@ -536,6 +606,8 @@ class TiltedEnsemble:
                     m = np.zeros(len(at))
                 m += 0.5 * beta
                 m *= 2.0
+                if moment is not None:
+                    moment[at] = m
                 np.square(m, out=m)
                 m *= scale
                 if phi is not None and n_pairs:
@@ -551,53 +623,134 @@ class TiltedEnsemble:
                 out[at] = m
         return out
 
-    @cached_property
+    @property
     def static_moment(self):
-        """M = int X dt per row, the static-mode moment (twice the
-        boundary sum of g(u) = u); log W carries kappa_mean M^2 / 4."""
-        return 2.0 * self._boundary_sum(lambda u: u)
+        """M = int X dt per row, the static-mode moment, kept from the pass
+        that weighs the loops (read-only); log W carries
+        kappa_mean M^2 / 4."""
+        return self._moment
 
     # -- estimators ----------------------------------------------------------
 
-    def estimate(self, values):
+    def estimate(self, values, control=None):
         """(mean, SE, gap) of an array with one value per row: the mean
         sum_i w_i v_i / sum w over all rows; the Monte Carlo SE of the
         module docstring, summed over the loop rows (the atoms and the
         nodes add no variance); and the gap, the distance of the mean from
         the same estimator with the coarse c = 2 level in place of the
-        fine one.  The real and imaginary parts of v are summed as separate
-        float arrays.  Since w_i * 1.0 == w_i, an array of ones gives
-        exactly 1 (1+0j for complex input) with SE and gap exactly 0.0, so
-        every characteristic functional is exactly normalized at s = 0."""
+        fine one.
+
+        control, from static_control, is g(x) per loop row and the exact
+        means of u g(x) per count on the fine and the coarse level: the
+        mean and the SE then read psi and theta (module docstring), and
+        the gap adds |theta| times the shift of sum psi / sum w from the
+        fine to the coarse means.  The error is thus three terms: the SE,
+        the c = 2 level gap and theta times the control's level gap.  The
+        real and imaginary parts of v are summed as separate float
+        arrays, each with its own theta against the same part of psi.
+        Since w_i * 1.0 == w_i, an array of ones gives exactly 1 (1+0j for
+        complex input), theta = 0 and SE and gap exactly 0.0, so every
+        characteristic functional is exactly normalized at s = 0."""
         values = np.asarray(values)
         if len(values) != len(self.weights):
             raise ValueError("expectation takes one value per row")
         parts = ((values.real, values.imag) if np.iscomplexobj(values)
                  else (values,))
+        controls = [None] * len(parts)
+        if control is not None:
+            h, fine_means, coarse_means = control
+            psi = self._static_weights * h - fine_means[self._loops[2]]
+            level_gap = np.sum(self.hist * (fine_means - coarse_means))
+            controls = [(psi.real, level_gap.real),
+                        (psi.imag, level_gap.imag)][:len(parts)]
         first, fine = self._first_loop_row, self._fine_rows
         coarse_sum = self.sum_w - self._sum_fine + self._sum_coarse
         means, var, gap = [], 0.0, 0.0
-        for x in parts:
+        for x, ctl in zip(parts, controls):
             total = float(np.sum(self.weights * x))
             mean = total / self.sum_w
-            means.append(mean)
             coarse = (total - float(np.sum(self.weights[fine] * x[fine]))
                       + float(np.sum(self._coarse * x[self._coarse_rows])))
-            gap += (mean - coarse / coarse_sum) ** 2
+            err = abs(mean - coarse / coarse_sum)
             wd = x[first:] - mean
             wd *= self.weights[first:]
-            # numpy's own loop: a BLAS dot rounds by its thread count
-            var += float(np.einsum("i,i->", wd, wd))
-            per_stratum = np.bincount(self._stratum, wd, len(self._sizes))
-            var -= float(np.sum(per_stratum ** 2 / self._sizes))
+            if ctl is not None:
+                p, level_gap = ctl
+                pp = self._centred_dot(p, p)
+                theta = self._centred_dot(wd, p) / pp if pp > 0.0 else 0.0
+                mean -= theta * float(np.sum(p)) / self.sum_w
+                wd -= theta * p
+                err += abs(theta * level_gap) / self.sum_w
+            means.append(mean)
+            gap += err ** 2
+            var += self._centred_dot(wd, wd)
         se = math.sqrt(max(var, 0.0)) / self.sum_w
         mean = (np.complex128(complex(*means)) if len(parts) == 2
                 else np.float64(means[0]))
         return mean, se, math.sqrt(gap)
 
+    def _centred_dot(self, a, b):
+        """sum_i a_i b_i - sum_s A_s B_s / n_s over the loop rows, A_s and
+        B_s the sums of a and b over stratum s."""
+        sa = np.bincount(self._stratum, a, len(self._sizes))
+        sb = sa if b is a else np.bincount(self._stratum, b, len(self._sizes))
+        # numpy's own loop: a BLAS dot rounds by its thread count
+        return (float(np.einsum("i,i->", a, b))
+                - float(np.sum(sa * sb / self._sizes)))
+
+    @cached_property
+    def _static_weights(self):
+        """u = w e^{-R} per loop row, R = log W - kappa_mean M^2 / 4 the
+        pair sum: the loop's weight with only the static term of log W."""
+        m = self._moment[self._first_loop_row:]
+        u = 0.25 * self.kernels.kappa_mean * m * m
+        u += self.log_jac
+        u -= self._top
+        np.exp(u, out=u)
+        u *= self._scale[self._loops[2]]
+        return u
+
+    @cached_property
+    def _static_rule(self):
+        """The counts c >= 4 present, and the levels of static_levels for
+        them with M = X_0 beta y at the nodes and weights that give the
+        means of u g(x) (module docstring)."""
+        beta = self.params.beta
+        counts = np.flatnonzero(self.hist[4:]) + 4
+        shift, levels = static_levels(
+            0.25 * self.kernels.kappa_mean * beta ** 2, counts)
+        factor = (self._scale[counts] * np.exp(shift - self._top))[:, None]
+        return counts, [(beta * y, d * factor) for y, d in levels]
+
+    def _static_means(self, f, g):
+        """(x, fine, coarse): x = 1/2 kbar_f M per loop row, with
+        kbar_f = A_f(beta) / beta = 2 A_f(beta / 2) / beta, and, indexed by
+        count, the exact mean of the control value u g(x) of a loop row
+        with c >= 4 jumps (0 at a count no loop has), on each level of
+        static_levels; g maps an array of x to values of its shape, or
+        with trailing axes (level_sums)."""
+        half_k = self.kernels.register(f).m_value / self.params.beta
+        half_k = half_k if half_k.imag else half_k.real
+        counts, levels = self._static_rule
+        out = []
+        for m, d in levels:
+            means = level_sums(d, g(half_k * m))
+            full = np.zeros((len(self.hist),) + means.shape[1:], means.dtype)
+            full[counts] = means
+            out.append(full)
+        return half_k * self._moment[self._first_loop_row:], *out
+
+    def static_control(self, f, g):
+        """The control of estimate for an even function g of
+        x = 1/2 kbar_f M, which Z_f nearly equals: g(x) per loop row and
+        the exact per-count means (_static_means)."""
+        x, fine, coarse = self._static_means(f, g)
+        return g(x), fine, coarse
+
     def expectation(self, values):
         """Post-stratified IS mean of an array with one value per row and
-        its error: the Monte Carlo SE plus the c = 2 level gap (estimate)."""
+        its error, with no control: the Monte Carlo SE plus the c = 2 level
+        gap (estimate)."""
         mean, se, gap = self.estimate(values)
         return mean, se + gap
 
@@ -635,7 +788,7 @@ class TiltedEnsemble:
         return self._z_cache[f]
 
     def spin_factor(self, f):
-        """S = E~[exp(-i Z)] with standard error: char_function at s = 1."""
+        """S = E~[exp(-i Z)] with its error: char_function at s = 1."""
         self.char_function(f, 1.0)
         return self._z_cache[("S", f, 1.0)]
 
@@ -646,22 +799,27 @@ class TiltedEnsemble:
         return 0.0
 
     def char_function(self, f, s):
-        """E~[exp(-i s Z_f)] with SE, shaped like the real s; each (f, s)
-        is estimated once and cached beside Z.  Every row reads the
-        flip-even part cos(s Z), a real array when Z is real."""
+        """E~[exp(-i s Z_f)] with its error (estimate's three terms), shaped
+        like the real s; each (f, s) is estimated once and cached beside Z.
+        Every row reads the flip-even part cos(s Z), a real array when Z is
+        real, against the control cos(s x), x = 1/2 kbar_f M, whose exact
+        means are taken for every new s at once."""
         s = np.asarray(s, dtype=float)
+        new = [sj for sj in dict.fromkeys(map(float, s.ravel()))
+               if ("S", f, sj) not in self._z_cache]
+        if new:
+            z = self.z_values(f)
+            z = z if z.imag.any() else z.real
+            x, fine, coarse = self._static_means(
+                f, lambda y: np.cos(np.multiply.outer(y, new)))
+            for j, sj in enumerate(new):
+                val, se, gap = self.estimate(
+                    np.cos(sj * z), (np.cos(sj * x), fine[:, j], coarse[:, j]))
+                self._z_cache[("S", f, sj)] = np.complex128(val), se + gap
         vals = np.empty(s.shape, dtype=complex)
         ses = np.empty(s.shape)
-        z = None
         for j, sj in np.ndenumerate(s):
-            key = ("S", f, float(sj))
-            if key not in self._z_cache:
-                if z is None:
-                    z = self.z_values(f)
-                    z = z if z.imag.any() else z.real
-                val, se = self.expectation(np.cos(sj * z))
-                self._z_cache[key] = np.complex128(val), se
-            vals[j], ses[j] = self._z_cache[key]
+            vals[j], ses[j] = self._z_cache[("S", f, float(sj))]
         if s.ndim == 0:
             return vals[()], ses[()]
         return vals, ses
@@ -688,13 +846,15 @@ class TiltedEnsemble:
         return out
 
     def _z_moments(self, f):
-        """Tilted variance of the real Z of f with its SE (cached): E~[Z]
-        is 0, so Var~(Z) = E~[Z^2]."""
+        """Tilted variance of the real Z of f with its error (cached):
+        E~[Z] is 0, so Var~(Z) = E~[Z^2], read against the control x^2,
+        x the real part of 1/2 kbar_f M."""
         key = ("moments", f)
         if key not in self._z_cache:
             z = self.z_values(f).real
-            var, se = self.expectation(z * z)
-            self._z_cache[key] = (float(var), se)
+            var, se, gap = self.estimate(z * z, self.static_control(
+                f, lambda x: np.square(x.real)))
+            self._z_cache[key] = (float(var), se + gap)
         return self._z_cache[key]
 
     def variance_two_routes(self, f, n_cells=64):
@@ -771,10 +931,17 @@ class TiltedEnsemble:
 
     # -- inspection ----------------------------------------------------------
 
+    @property
+    def offsets(self):
+        """Where each loop's jump times start in jumps_flat, and where the
+        last ends (n + 1 positions): built when read, not held."""
+        return np.concatenate(([0], np.cumsum(self.counts, dtype=np.intp)))
+
     def loop(self, i):
         """Materialize loop i, as drawn, as a SpinLoop."""
-        a, b = self.offsets[i], self.offsets[i + 1]
-        return SpinLoop(int(self.signs[i]), tuple(self.jumps_flat[a:b]))
+        a = int(np.sum(self.counts[:i], dtype=np.intp))
+        return SpinLoop(int(self.signs[i]), tuple(
+            self.jumps_flat[a:a + int(self.counts[i])]))
 
 
 def build_ensemble(params, kernels, n, seed, chunk_size=DEFAULT_CHUNK,

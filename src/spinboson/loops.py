@@ -139,20 +139,22 @@ def sample_loop_arrays(params, rng, n):
     """Vectorized sampler: (signs, jump counts, flat sorted jump times).
 
     The flat array concatenates each loop's sorted jumps; split points are
-    np.cumsum(counts).  The draws come in a fixed order (counts, signs,
-    then all uniforms of the chunk); the times are then sorted within each
-    loop by one row sort per jump count present (a two-jump row by its
+    np.cumsum(counts).  The counts come in the narrowest unsigned type that
+    holds them; positions in the flat array are intp (numpy 2 promotes
+    uint64 + int64 to float64).  The draws come in a fixed order (counts,
+    signs, then all uniforms of the chunk); the times are then sorted within
+    each loop by one row sort per jump count present (a two-jump row by its
     minimum and maximum), which touches each time once and leaves the draws
     as they were.
     """
     pmf = jump_count_pmf(params)
     pmf = pmf / pmf.sum()
     m = rng.choice(len(pmf), size=n, p=pmf)
-    counts = 2 * m
+    counts = (2 * m).astype(np.min_scalar_type(2 * (len(pmf) - 1)))
     signs = np.where(rng.random(n) < 0.5, 1, -1).astype(np.int8)
     total = int(counts.sum())
     flat = rng.uniform(-0.5 * params.beta, 0.5 * params.beta, size=total)
-    starts = np.cumsum(counts) - counts
+    starts = np.cumsum(counts, dtype=np.intp) - counts
     for c, idx in jump_count_groups(counts):
         at = starts[idx]
         if c == 2:

@@ -296,8 +296,10 @@ def test_summary_records_the_atom_mass(config_path, tmp_path):
 def test_summary_records_both_parts_of_the_spin_factor_error(
         sub, config_path, tmp_path):
     # the c = 2 rule's nodes per level, and for a run with a test function
-    # the Monte Carlo SE of its spin factor and the c = 2 level gap, each
-    # as the estimator computes it; the reported error is their sum
+    # the Monte Carlo SE of its spin factor and the quadrature gap (the
+    # c = 2 level gap plus theta times the static control means' level
+    # gap), each as the estimator computes it; the reported error is their
+    # sum
     out = str(tmp_path / "out")
     assert _run(sub, config_path, out) == 0
     stem = sub.replace("-", "_")
@@ -313,7 +315,7 @@ def test_summary_records_both_parts_of_the_spin_factor_error(
     f, _ = cli.load_f_g(cp, cfg)
     _, err = cfg.ensemble.spin_factor(f)
     se, gap = float(fields["spin_factor_se"]), float(
-        fields["c2_quadrature_error"])
+        fields["quadrature_error"])
     assert se > 0 and 0 <= gap <= 0.01 * se
     assert se + gap == err
 

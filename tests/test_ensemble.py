@@ -552,7 +552,8 @@ def test_boundary_sums_do_not_depend_on_the_slab(kernel_table, f_gauss, slab,
            zip(rng.choice([-1, 1], 300), 2 * rng.integers(0, 5, 300))]
     ens = _ensemble_of_kind(kernel_table, "two-atoms", raw, 0)
     a_f = kernel_table.register(f_gauss).A
-    per_loop = [lambda x: np.sign(x) * a_f(np.abs(x)), lambda u: u]
+    # g returns a new array, as _boundary_sums needs
+    per_loop = [lambda x: np.sign(x) * a_f(np.abs(x)), lambda u: 2.0 * u]
     want = [ens._boundary_sum(g) for g in per_loop]
     monkeypatch.setattr(ensemble_mod, "JUMP_SLAB", slab)
     for g, w in zip(per_loop, want):
@@ -561,9 +562,9 @@ def test_boundary_sums_do_not_depend_on_the_slab(kernel_table, f_gauss, slab,
 
 def test_boundary_sums_leave_the_jump_times_unchanged(kernel_table,
                                                       f_gauss):
-    # static_moment's g(u) = u returns the jump times it is given, and the
-    # boundary sums negate every other value of g in place: the drawn, the
-    # moved and the node jump times stay as they were, bit for bit
+    # the boundary sums negate every other value of g in place, and
+    # static_moment is kept from the weighing pass: the drawn, the moved
+    # and the node jump times stay as they were, bit for bit
     ens = build_ensemble(SpinMeasureParams(BETA, 2.0), kernel_table, 2000,
                          seed=5)
     held = (ens.jumps_flat, ens.moved_flat, ens._nodes[3])
@@ -793,24 +794,30 @@ def test_estimators_on_distinct_loops_match_all_loops_property(
     # char_function, variance_two_routes and ell_shift read only the rows;
     # the same formulas over the constant paths, the c = 2 nodes and every
     # loop with c >= 4 jumps, each path averaged with its spin flip, agree
-    # with them, and their errors are the SE plus the gap
+    # with the estimate without control, and the first two are the
+    # estimate with the static control, their errors the SE plus the gap
     ens = _ensemble_of_kind(kernel_table, kind, raw, seed)
     za0, zn0, z0 = (x.real for x in _path_z(ens, f_gauss))
     vals, ses = ens.char_function(f_gauss, s)
     z_rows = ens.z_values(f_gauss).real
     for sj, val, se in zip(s, vals, ses):
         got = ens.estimate(np.cos(sj * z_rows))
-        assert val == got[0] and se == got[1] + got[2]
         _assert_estimate(got, _all_loop_expectation(
             ens, flip_even(za0, phase(sj)), flip_even(zn0, phase(sj)),
             flip_even(z0, phase(sj))))
+        # char_function is that estimate with the static control cos(s x)
+        got = ens.estimate(np.cos(sj * z_rows), ens.static_control(
+            f_gauss, lambda x: np.cos(sj * x)))
+        assert val == got[0] and se == got[1] + got[2]
     mean = _all_loop_expectation(ens, flip_even(za0, lambda x: x),
                                  flip_even(zn0, lambda x: x),
                                  flip_even(z0, lambda x: x))
     assert mean[0] == 0.0 and ens.ell_shift(f_gauss) == 0.0
     rep = ens.variance_two_routes(f_gauss, 64)
-    got = ens.estimate(z_rows * z_rows)
+    got = ens.estimate(z_rows * z_rows, ens.static_control(
+        f_gauss, lambda x: np.square(x.real)))
     assert (rep.var_direct, rep.var_direct_se) == (got[0], got[1] + got[2])
+    got = ens.estimate(z_rows * z_rows)
     _assert_estimate(got, _all_loop_expectation(
         ens, flip_even(za0, lambda x: x ** 2),
         flip_even(zn0, lambda x: x ** 2), flip_even(z0, lambda x: x ** 2)))
@@ -855,8 +862,11 @@ def test_estimates_are_invariant_under_the_spin_flip_property(
 
 def test_char_function_exponentiates_only_distinct_loops(
         ensemble, f_gauss, monkeypatch):
-    # structural guard: cos(s Z) runs on the rows once per s; no sine or
-    # exponential is taken
+    # structural guard: cos(s Z) runs on the rows once per s, and the
+    # control cos(s x) on the loop rows once per s and on each level of the
+    # static rule once for both s; no sine is taken, and no exponential
+    # over more values than the loop rows (their static weights and the
+    # static rule's densities, each taken once per ensemble)
     ensemble.z_values(f_gauss)
     points = {"cos": [], "sin": [], "exp": []}
 
@@ -872,7 +882,14 @@ def test_char_function_exponentiates_only_distinct_loops(
         monkeypatch.setattr(np, name, counted(name))
     ensemble.char_function(f_gauss, [0.0625, 0.1875])
     n_rows = len(ensemble.weights)
-    assert points == {"cos": [n_rows] * 2, "sin": [], "exp": []}
+    n_loops = int(np.sum(ensemble.counts >= 4))
+    static = 0.25 * ensemble.kernels.kappa_mean * BETA ** 2
+    _, levels = ensemble_mod.static_levels(static, [4])
+    nodes = [2 * len(y) for y, _ in levels]
+    assert sorted(points["cos"]) == sorted([n_rows] * 2 + [n_loops] * 2
+                                           + nodes)
+    assert points["sin"] == []
+    assert max(points["exp"]) <= n_loops
     assert n_rows < ensemble.n
 
 
@@ -926,24 +943,26 @@ def test_uniform_interp_matches_np_interp(kernel_table, f_gauss):
 def test_spin_factor_is_memoized(ensemble, f_gauss):
     first = ensemble.spin_factor(f_gauss)
     assert ensemble.spin_factor(f_gauss) is first
-    assert first == ensemble.expectation(flip_even(
-        ensemble.z_values(f_gauss).real, phase(1.0)))
+    val, se, gap = ensemble.estimate(flip_even(
+        ensemble.z_values(f_gauss).real, phase(1.0)),
+        ensemble.static_control(f_gauss, np.cos))
+    assert first == (val, se + gap)
 
 
 def test_char_function_estimates_each_s_once(kernel_table, f_gauss,
                                              monkeypatch):
-    # char_function is the one estimator: each (f, s) reaches expectation
+    # char_function is the one estimator: each (f, s) reaches estimate
     # once, and spin_factor is its cached s = 1 value
     ens = build_ensemble(SpinMeasureParams(BETA, 1.0), kernel_table, 2000,
                          seed=11)
     calls = []
-    estimate = ens.expectation
+    estimate = ens.estimate
 
-    def counted(values):
+    def counted(values, control=None):
         calls.append(len(values))
-        return estimate(values)
+        return estimate(values, control)
 
-    monkeypatch.setattr(ens, "expectation", counted)
+    monkeypatch.setattr(ens, "estimate", counted)
     vals, ses = ens.char_function(f_gauss, [0.0, 1.0])
     assert len(calls) == 2
     assert ens.spin_factor(f_gauss) == (vals[1], ses[1])
@@ -994,8 +1013,10 @@ def test_char_function_vectorization(ensemble, f_gauss):
     assert vals[0] == 1.0 + 0.0j and ses[0] == 0.0
     z = ensemble.z_values(f_gauss).real
     for j, sj in enumerate(s):
-        ref, ref_se = ensemble.expectation(flip_even(z, phase(sj)))
-        assert vals[j] == ref and ses[j] == ref_se
+        ref, ref_se, ref_gap = ensemble.estimate(
+            flip_even(z, phase(sj)),
+            ensemble.static_control(f_gauss, lambda x: np.cos(sj * x)))
+        assert vals[j] == ref and ses[j] == ref_se + ref_gap
     scalar_val, _ = ensemble.char_function(f_gauss, 0.7)
     assert scalar_val == vals[1]
 
@@ -1215,10 +1236,14 @@ def test_kernel_variance_zero_source_is_exactly_zero(free_ensemble, f_gauss):
 
 def _cli_routes_rule(rep, ens, f):
     # the routes-agree rule as the command line applied it from the report's
-    # variances: 5% relative, else 3 SE of the direct route, each path
-    # averaged with its spin flip, under which E~[Z] = 0
+    # variances: 5% relative, else 3 errors of the direct route, each path
+    # averaged with its spin flip, under which E~[Z] = 0, and read against
+    # the static control x^2
     z = ens.z_values(f).real
-    _, se = ens.expectation(flip_even(z, lambda x: x ** 2))
+    _, se, gap = ens.estimate(flip_even(z, lambda x: x ** 2),
+                              ens.static_control(
+                                  f, lambda x: np.square(x.real)))
+    se += gap
     scale = max(rep.var_direct, rep.var_kernel, 1e-300)
     gap = abs(rep.var_direct - rep.var_kernel)
     return gap <= 0.05 * scale or gap <= 3.0 * se, se
@@ -1512,3 +1537,145 @@ def test_an_ensemble_rebuilt_from_its_own_arrays_is_the_same(gauss_src,
                  "weights"):
         assert np.array_equal(getattr(again, name), getattr(ens, name)), name
     assert again.spin_factor(f_gauss) == ens.spin_factor(f_gauss)
+
+
+# ---------------------------------------------------------------------------
+# the static-mode control
+# ---------------------------------------------------------------------------
+
+def _static_oracle(mp, static, c, g):
+    """E_free[e^{static y^2} g(y) | c], y = 2x - 1 with x ~ Beta(c/2 + 1,
+    c/2), by mpmath's quad, split where e^{static y^2} peaks near the
+    ends."""
+    with mp.workdps(16):
+        k = c // 2
+        log_b = mp.log(mp.beta(k + 1, k))
+
+        def f(x):
+            return mp.exp(k * mp.log(x) + (k - 1) * mp.log(1 - x) - log_b
+                          + static * (2 * x - 1) ** 2) * g(2 * x - 1, mp)
+
+        w = min(mp.mpf(1) / 8, 1 / (1 + 4 * mp.mpf(abs(static))))
+        return float(mp.quad(f, [0, w / 8, w, mp.mpf(1) / 2, 1 - w,
+                                 1 - w / 8, 1]))
+
+
+# functions of y and of the module (numpy or mpmath) that evaluates them
+_STATIC_G = {"one": lambda y, m: 1.0 + 0.0 * y,
+             "cos": lambda y, m: m.cos(1.7 * y),
+             "square": lambda y, m: (0.8 * y) ** 2}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("g", sorted(_STATIC_G))
+@pytest.mark.parametrize("static", [0.0, 5.6, 45.0, 400.0])
+@pytest.mark.parametrize("c", [4, 8, 20])
+def test_static_means_meet_the_quad_oracle(c, static, g):
+    # the exact per-count mean of the static control on the fine level of
+    # its nested rule lies within the level gap it states (and rounding)
+    # of mpmath's quad, and that gap is small; a beta^2 = 5.6 and 45 are
+    # the benchmark's at beta = 1 and 8, and 400 that of beta = 24 on a
+    # constant kernel (test_static_control_at_beta_24_raises_no_warning)
+    mp = pytest.importorskip("mpmath")
+    fn = _STATIC_G[g]
+    shift, levels = ensemble_mod.static_levels(static, [c])
+    fine, coarse = (ensemble_mod.level_sums(d, fn(y, np)) for y, d in levels)
+    got = math.exp(shift[0]) * fine[0]
+    gap = math.exp(shift[0]) * abs(fine[0] - coarse[0])
+    want = _static_oracle(mp, static, c, fn)
+    assert abs(got - want) <= gap + 1e-13 * abs(want)
+    assert gap <= 1e-9 * abs(want)
+
+
+@pytest.mark.filterwarnings("ignore:weight degeneracy")
+def test_static_control_at_beta_24_raises_no_warning():
+    # a beta^2 = 400 (beta = 24 on a constant kernel), where e^{a M^2}
+    # spans e^400: the loop rows' static weights and the means of every
+    # count present come out finite, with no overflow or underflow warning
+    beta = 24.0
+    table = ThermalKernelTable.constant(beta, 25.0 / 9.0)
+    static = 0.25 * table.kappa_mean * beta ** 2
+    assert static == pytest.approx(400.0, rel=1e-14)
+    ens = build_ensemble(SpinMeasureParams(beta, 1.0), table, 2000, seed=1)
+    counts = np.flatnonzero(ens.hist[4:]) + 4
+    assert len(counts) > 5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        u = ens._static_weights
+        shift, levels = ensemble_mod.static_levels(static, counts)
+        means = [ensemble_mod.level_sums(d, np.cos(np.multiply.outer(
+            y, [0.0, 1.0, 4.0]))) for y, d in levels]
+    assert np.all(np.isfinite(u)) and np.all(np.isfinite(shift))
+    assert all(np.all(np.isfinite(m)) for m in means)
+
+
+def test_static_control_is_exact_at_s_0(ensemble, f_gauss):
+    # cos(0 Z) = 1 on every row: theta = 0, and the control leaves the mean
+    # exactly 1, with SE and gap exactly 0
+    ones = np.ones(len(ensemble.weights))
+    ctl = ensemble.static_control(f_gauss, lambda x: np.cos(0.0 * x))
+    assert ensemble.estimate(ones, ctl) == (1.0, 0.0, 0.0)
+    assert ensemble.estimate(ones.astype(complex), ctl) == (1.0 + 0.0j,
+                                                            0.0, 0.0)
+    assert ensemble.char_function(f_gauss, 0.0) == (1.0 + 0.0j, 0.0)
+
+
+def test_a_zero_control_leaves_the_estimate_as_it_was(ensemble, f_gauss):
+    # psi = 0 on every loop row: theta = 0 with no division by zero, and
+    # the estimate is the one without control, bit for bit
+    z = ensemble.z_values(f_gauss).real
+    n_loops = int(np.sum(ensemble.counts >= 4))
+    means = np.zeros(len(ensemble.hist))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for v in (np.cos(0.7 * z), np.exp(-0.7j * z)):
+            got = ensemble.estimate(v, (np.zeros(n_loops), means, means))
+            assert not np.isnan(got[0]) and got == ensemble.estimate(v)
+
+
+@pytest.mark.filterwarnings("ignore:weight degeneracy")
+@pytest.mark.parametrize("beta", [1.0, 2.0, 4.0, 8.0])
+def test_static_control_agrees_with_the_plain_estimate(gauss_src, f_gauss,
+                                                       beta):
+    # on the same rows, S read against the static control lies within 3
+    # plain SE of S without it, for a real Z and for the complex Z of a
+    # time-evolved direction, and its SE is no larger: theta minimizes the
+    # stratum-centred sum of squares the SE is read from
+    table = ThermalKernelTable(gauss_src, beta, tol=1e-9)
+    ens = build_ensemble(SpinMeasureParams(beta, 1.0), table, 20000, seed=9)
+    for f in (f_gauss, f_gauss.scaled(0.2).time_evolved(0.7)):
+        z = ens.z_values(f)
+        v = np.cos(z if z.imag.any() else z.real)
+        plain, plain_se, _ = ens.estimate(v)
+        val, se, gap = ens.estimate(v, ens.static_control(f, np.cos))
+        assert abs(val - plain) <= 3.0 * plain_se
+        assert se <= plain_se * (1.0 + 1e-12)
+        assert gap <= 1e-3 * se
+
+
+@pytest.mark.filterwarnings("ignore:weight degeneracy")
+@pytest.mark.parametrize("beta", [1.0, 8.0])
+def test_static_control_mean_agrees_with_the_pooled_plain_one(gauss_src,
+                                                              f_gauss, beta):
+    # theta is fitted on the rows it corrects, an O(1/n) bias: over 40
+    # seeds, the average S with the control agrees with the average S
+    # without it within 3 SE of the latter, pooled over the seeds
+    table = ThermalKernelTable(gauss_src, beta, tol=1e-9)
+    plain, plain_se, ctl = [], [], []
+    for seed in range(200, 240):
+        ens = build_ensemble(SpinMeasureParams(beta, 1.0), table, 5000,
+                             seed=seed)
+        val, se, _ = ens.estimate(np.cos(ens.z_values(f_gauss).real))
+        plain.append(val)
+        plain_se.append(se)
+        ctl.append(ens.spin_factor(f_gauss)[0].real)
+    pooled_se = math.sqrt(np.sum(np.square(plain_se))) / len(plain)
+    assert abs(np.mean(ctl) - np.mean(plain)) <= 3.0 * pooled_se
+
+
+def test_offsets_are_built_when_read(ensemble):
+    # no n + 1 positions are held: offsets is built when read, in intp
+    assert "offsets" not in vars(ensemble)
+    offsets = ensemble.offsets
+    assert offsets.dtype == np.intp and offsets[0] == 0
+    assert np.array_equal(np.diff(offsets), ensemble.counts)

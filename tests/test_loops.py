@@ -138,7 +138,7 @@ def test_sampler_parity_and_sorting():
                                              5000)
     assert np.all(counts % 2 == 0)
     assert set(np.unique(signs)) <= {-1, 1}
-    offsets = np.concatenate(([0], np.cumsum(counts)))
+    offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.intp)))
     for i in range(0, 5000, 97):
         j = flat[offsets[i]:offsets[i + 1]]
         assert np.all(np.diff(j) > 0)
@@ -154,10 +154,12 @@ def test_sampler_jump_count_mean():
 
 def _lexsort_reference(params, rng, n):
     """The sampler's draws in the same order, sorted within each loop by
-    one global sort on (loop id, time)."""
+    one global sort on (loop id, time); the counts in the narrowest
+    unsigned type that holds the largest count of the law."""
     pmf = jump_count_pmf(params)
     pmf = pmf / pmf.sum()
     counts = 2 * rng.choice(len(pmf), size=n, p=pmf)
+    counts = counts.astype(np.min_scalar_type(2 * (len(pmf) - 1)))
     signs = np.where(rng.random(n) < 0.5, 1, -1).astype(np.int8)
     flat = rng.uniform(-0.5 * params.beta, 0.5 * params.beta,
                        size=int(counts.sum()))
@@ -243,3 +245,19 @@ def test_sampler_translation_and_reflection_invariance():
     prod = x[:, 0] * x[:, 1]
     se = prod.std() / math.sqrt(len(prod))
     assert abs(prod.mean() - oracle) <= 3.0 * se
+
+
+def test_sampler_draws_counts_in_the_narrowest_unsigned_type():
+    # one byte holds every count of the law at eps beta = 1, two bytes at
+    # eps beta = 200, where the law's counts pass 255; the flat times stay
+    # sorted per loop by intp positions
+    for beta, want in ((1.0, np.uint8), (200.0, np.uint16)):
+        p = SpinMeasureParams(beta, 1.0)
+        signs, counts, flat = sample_loop_arrays(
+            p, np.random.default_rng(3), 50)
+        assert counts.dtype == want
+        assert len(flat) == int(counts.sum())
+        ends = np.cumsum(counts, dtype=np.intp)
+        for a, b in zip(ends - counts, ends):
+            assert np.all(np.diff(flat[a:b]) > 0)
+    assert 2 * (len(jump_count_pmf(p)) - 1) > 255
