@@ -276,7 +276,7 @@ def static_levels(static, counts):
     y = 2x - 1 = M / (X_0 beta) and x ~ Beta(c/2 + 1, c/2): (shift,
     [(y, d) per level]), d the (counts, nodes) weights times the density
     of the integrand, taken in log space and scaled by e^{-shift} per
-    count, so that the means of g are e^shift level_sums(d, g(y)).  The
+    count, so that the means of g are e^shift (d * g(y)).sum(axis=1).  The
     panels in x are graded by ratio 2 toward both ends, down to below the
     width 1 / (4 |static|) of the peak of e^{static y^2} there,
     STATIC_ORDER nodes each; the fine level bisects each coarse panel."""
@@ -297,14 +297,6 @@ def static_levels(static, counts):
             shift = logd.max(axis=1)
         levels.append((y, np.tile(w, 2) * np.exp(logd - shift[:, None])))
     return shift - log_beta, levels
-
-
-def level_sums(d, values):
-    """The sums over the nodes of d times values, shaped (counts,) +
-    values.shape[1:]: one pairwise sum per trailing column of values,
-    whatever the number of columns."""
-    cols = [(d * v).sum(axis=1) for v in values.reshape(d.shape[1], -1).T]
-    return np.stack(cols, -1).reshape(d.shape[:1] + values.shape[1:])
 
 
 def _boundary_sums(g, ends, signs, starts, counts, jumps, out):
@@ -722,30 +714,23 @@ class TiltedEnsemble:
         factor = (self._scale[counts] * np.exp(shift - self._top))[:, None]
         return counts, [(beta * y, d * factor) for y, d in levels]
 
-    def _static_means(self, f, g):
-        """(x, fine, coarse): x = 1/2 kbar_f M per loop row, with
-        kbar_f = A_f(beta) / beta = 2 A_f(beta / 2) / beta, and, indexed by
-        count, the exact mean of the control value u g(x) of a loop row
-        with c >= 4 jumps (0 at a count no loop has), on each level of
-        static_levels; g maps an array of x to values of its shape, or
-        with trailing axes (level_sums)."""
+    def static_control(self, f, g):
+        """The control of estimate for an even function g of
+        x = 1/2 kbar_f M, which Z_f nearly equals, with
+        kbar_f = A_f(beta) / beta = 2 A_f(beta / 2) / beta: g(x) per loop
+        row and, indexed by count, the exact mean of the control value
+        u g(x) of a loop row with c >= 4 jumps (0 at a count no loop has)
+        on the fine and on the coarse level of static_levels."""
         half_k = self.kernels.register(f).m_value / self.params.beta
         half_k = half_k if half_k.imag else half_k.real
         counts, levels = self._static_rule
         out = []
         for m, d in levels:
-            means = level_sums(d, g(half_k * m))
-            full = np.zeros((len(self.hist),) + means.shape[1:], means.dtype)
+            means = (d * g(half_k * m)).sum(axis=1)
+            full = np.zeros(len(self.hist), means.dtype)
             full[counts] = means
             out.append(full)
-        return half_k * self._moment[self._first_loop_row:], *out
-
-    def static_control(self, f, g):
-        """The control of estimate for an even function g of
-        x = 1/2 kbar_f M, which Z_f nearly equals: g(x) per loop row and
-        the exact per-count means (_static_means)."""
-        x, fine, coarse = self._static_means(f, g)
-        return g(x), fine, coarse
+        return g(half_k * self._moment[self._first_loop_row:]), *out
 
     def expectation(self, values):
         """Post-stratified IS mean of an array with one value per row and
@@ -802,19 +787,16 @@ class TiltedEnsemble:
         """E~[exp(-i s Z_f)] with its error (estimate's three terms), shaped
         like the real s; each (f, s) is estimated once and cached beside Z.
         Every row reads the flip-even part cos(s Z), a real array when Z is
-        real, against the control cos(s x), x = 1/2 kbar_f M, whose exact
-        means are taken for every new s at once."""
+        real, against the control cos(s x), x = 1/2 kbar_f M."""
         s = np.asarray(s, dtype=float)
         new = [sj for sj in dict.fromkeys(map(float, s.ravel()))
                if ("S", f, sj) not in self._z_cache]
         if new:
             z = self.z_values(f)
             z = z if z.imag.any() else z.real
-            x, fine, coarse = self._static_means(
-                f, lambda y: np.cos(np.multiply.outer(y, new)))
-            for j, sj in enumerate(new):
-                val, se, gap = self.estimate(
-                    np.cos(sj * z), (np.cos(sj * x), fine[:, j], coarse[:, j]))
+            for sj in new:
+                ctl = self.static_control(f, lambda y: np.cos(sj * y))
+                val, se, gap = self.estimate(np.cos(sj * z), ctl)
                 self._z_cache[("S", f, sj)] = np.complex128(val), se + gap
         vals = np.empty(s.shape, dtype=complex)
         ses = np.empty(s.shape)

@@ -863,8 +863,8 @@ def test_estimates_are_invariant_under_the_spin_flip_property(
 def test_char_function_exponentiates_only_distinct_loops(
         ensemble, f_gauss, monkeypatch):
     # structural guard: cos(s Z) runs on the rows once per s, and the
-    # control cos(s x) on the loop rows once per s and on each level of the
-    # static rule once for both s; no sine is taken, and no exponential
+    # control cos(s x) on the loop rows and on each level of the static
+    # rule once per s; no sine is taken, and no exponential
     # over more values than the loop rows (their static weights and the
     # static rule's densities, each taken once per ensemble)
     ensemble.z_values(f_gauss)
@@ -885,7 +885,7 @@ def test_char_function_exponentiates_only_distinct_loops(
     n_loops = int(np.sum(ensemble.counts >= 4))
     static = 0.25 * ensemble.kernels.kappa_mean * BETA ** 2
     _, levels = ensemble_mod.static_levels(static, [4])
-    nodes = [2 * len(y) for y, _ in levels]
+    nodes = [len(y) for y, _ in levels] * 2
     assert sorted(points["cos"]) == sorted([n_rows] * 2 + [n_loops] * 2
                                            + nodes)
     assert points["sin"] == []
@@ -1579,7 +1579,7 @@ def test_static_means_meet_the_quad_oracle(c, static, g):
     mp = pytest.importorskip("mpmath")
     fn = _STATIC_G[g]
     shift, levels = ensemble_mod.static_levels(static, [c])
-    fine, coarse = (ensemble_mod.level_sums(d, fn(y, np)) for y, d in levels)
+    fine, coarse = ((d * fn(y, np)).sum(axis=1) for y, d in levels)
     got = math.exp(shift[0]) * fine[0]
     gap = math.exp(shift[0]) * abs(fine[0] - coarse[0])
     want = _static_oracle(mp, static, c, fn)
@@ -1603,8 +1603,8 @@ def test_static_control_at_beta_24_raises_no_warning():
         warnings.simplefilter("error", RuntimeWarning)
         u = ens._static_weights
         shift, levels = ensemble_mod.static_levels(static, counts)
-        means = [ensemble_mod.level_sums(d, np.cos(np.multiply.outer(
-            y, [0.0, 1.0, 4.0]))) for y, d in levels]
+        means = [(d * np.cos(s * y)).sum(axis=1) for y, d in levels
+                 for s in (0.0, 1.0, 4.0)]
     assert np.all(np.isfinite(u)) and np.all(np.isfinite(shift))
     assert all(np.all(np.isfinite(m)) for m in means)
 
