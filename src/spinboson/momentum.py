@@ -18,10 +18,10 @@ unshifted components are supported.
 
 Every radial integral, here and in the kernel tables, runs on one
 composite Gauss-Legendre rule on k = tan(theta) (refine_rule): panels split
-at the profile cutoffs, graded toward k = 0 by the integrand's exact
-exponent there, and bisected until two successive levels agree.  That
-exponent, and every divergence verdict, comes from one rule
-(pairing_exponents).
+at the profile cutoffs, the bottom one mapped by a power of t that the
+integrand's exact exponent at k = 0 sets (so k^e dk becomes a polynomial
+there), and bisected until two successive levels agree.  That exponent,
+and every divergence verdict, comes from one rule (pairing_exponents).
 """
 
 from __future__ import annotations
@@ -346,8 +346,6 @@ _GL_ORDER = 16
 # (1024 panels per segment at the last level)
 _BASE_PANELS = 8
 _MAX_LEVEL = 7
-# deepest grading toward k = 0, so powers of k stay clear of underflow
-_MAX_DEPTH = 200
 # Gauss order of the embedded Gauss-Kronrod pair (K25 on GL12)
 _KRONROD_GAUSS_ORDER = 12
 
@@ -446,65 +444,72 @@ def gauss_kronrod_panels(edges):
     return _on_panels(edges, *_gauss_kronrod())
 
 
-def _grading_depth(exponent, tol):
-    """Halvings D toward k = 0 for an integrand ~ k^exponent there.
-
-    A non-negative integer exponent is analytic at 0 and needs none; a
-    fractional one is graded until the bottom panel's mass, about
-    2^{-D(1 + exponent)}, is below tol."""
-    if exponent >= 0 and exponent == math.floor(exponent):
-        return 0
-    if tol <= 0 or exponent <= -1:
-        return _MAX_DEPTH
-    return min(_MAX_DEPTH,
-               max(1, math.ceil(-math.log2(tol) / (1.0 + exponent))))
+def _bottom_power(exponent):
+    """q = ceil(1 + e) / (1 + e) for an integrand ~ k^e at k -> 0: on the
+    bottom panel theta = theta_1 t^q turns k^e dk into a polynomial in t
+    times a smooth factor, and q = 1 where e is a non-negative integer
+    (analytic at 0, no map)."""
+    return math.ceil(1.0 + exponent) / (1.0 + exponent)
 
 
-def _theta_edges(breaks, depth, level):
+def _theta_edges(breaks, level):
     """Panel edges in theta on (0, pi/2) at refinement ``level``.
 
     Level 0 splits (0, pi/2) at the profile cutoffs into _BASE_PANELS
-    uniform panels per segment, and grades the bottom panel toward k = 0
-    in layers of ratio 4 down to 2^{-depth} of its width (16 nodes
-    integrate k^e times a smooth factor on [a, 4a] to about 1e-15).
-    Level j bisects every level-0 panel j times, graded layers included,
-    so each level's edges contain the previous level's: the rules are
-    nested, and two successive levels differ wherever the coarser one is
-    unresolved."""
+    uniform panels per segment; level j bisects every level-0 panel j
+    times, so each level's edges contain the previous level's: the rules
+    are nested, and two successive levels differ wherever the coarser one
+    is unresolved."""
     pts = sorted({math.atan(b) for b in breaks if b})
     segs = np.array([0.0] + [p for p in pts if p < 0.5 * math.pi]
                     + [0.5 * math.pi])
     frac = np.arange(_BASE_PANELS) / _BASE_PANELS
-    starts = (segs[:-1, None] + np.diff(segs)[:, None] * frac).ravel()
-    graded = starts[1] * 2.0 ** -np.arange(depth, 0, -2.0)
-    base = np.concatenate([[0.0], graded, starts[1:], segs[-1:]])
+    base = np.append((segs[:-1, None] + np.diff(segs)[:, None] * frac).ravel(),
+                     segs[-1])
     sub = np.arange(1 << level) / (1 << level)
     fine = (base[:-1, None] + np.diff(base)[:, None] * sub).ravel()
     return np.append(fine, base[-1])
 
 
-def _tan_rule(edges):
+def _tan_rule(edges, level, q):
     """Gauss-Legendre nodes and weights on the theta panels, mapped to
-    k = tan(theta)."""
+    k = tan(theta).  The level-0 bottom panel (0, theta_1), bisected like
+    the others, is read in t = theta / theta_1 and mapped by
+    theta = theta_1 t^q (_bottom_power)."""
     theta, wt = gauss_legendre_panels(edges)
+    if q != 1.0:
+        n = _GL_ORDER << level
+        top = edges[1 << level]
+        t = theta[:n] / top
+        wt[:n] *= q * t ** (q - 1.0)
+        theta[:n] = top * t ** q
     return np.tan(theta), wt / np.cos(theta) ** 2
 
 
 def refine_rule(gfun, breaks, exponent, probe, tol):
     """Bisect every panel until the probe vector stabilizes.
 
-    gfun(k) is the integrand, ~ k^exponent at k -> 0 (which sets the
-    grading there); probe(k, gw) maps a rule with weights gw = w * gfun(k)
-    to a small vector of representative integrals.  Returns (k, gw, err)
-    of the finer of the two agreeing levels, err being their largest
-    probe difference.  tol = 0 never accepts (probes can agree to the last
-    bit by coincidence long before the rule is trustworthy)."""
-    depth = _grading_depth(exponent, tol)
+    gfun(k) is the integrand, ~ k^exponent at k -> 0 (which sets the map
+    of the bottom panel); probe(k, gw) maps a rule with weights
+    gw = w * gfun(k) to a small vector of representative integrals.
+    Returns (k, gw, err) of the finer of the two agreeing levels, err
+    being their largest probe difference.  tol = 0 never accepts (probes
+    can agree to the last bit by coincidence long before the rule is
+    trustworthy).  QuadratureError when no two levels agree, or when a
+    level's integrand or probes divide by zero, overflow or turn NaN."""
+    q = _bottom_power(exponent)
     prev = None
     for level in range(_MAX_LEVEL + 1):
-        k, w = _tan_rule(_theta_edges(breaks, depth, level))
-        gw = w * gfun(k)
-        vals = np.atleast_1d(probe(k, gw))
+        k, w = _tan_rule(_theta_edges(breaks, level), level, q)
+        # near exponent -1 the map's smallest nodes reach k where powers
+        # of omega leave the float range: no level past that is trusted
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                gw = w * gfun(k)
+                vals = np.atleast_1d(probe(k, gw))
+        except FloatingPointError as exc:
+            raise QuadratureError(
+                f"momentum rule left the float range ({exc})") from None
         if prev is not None:
             err = float(np.max(np.abs(vals - prev)))
             if tol > 0 and err <= tol * (1.0 + np.max(np.abs(vals))):
@@ -565,8 +570,8 @@ def pairing_exponents(f, g, power, thermal=False):
 
 
 def convergent_exponent(f, g, power, label, thermal=False):
-    """The exponent at k -> 0 of pairing_exponents, which sets the rule's
-    grading; raises DivergentIntegralError, naming ``label``, when the
+    """The exponent at k -> 0 of pairing_exponents, which sets the map of
+    the rule's bottom panel; raises DivergentIntegralError, naming ``label``, when the
     integral diverges at either end."""
     e0, ei = pairing_exponents(f, g, power, thermal)
     if e0 <= -1:
@@ -584,7 +589,7 @@ def weighted_pairing(f, g, weight, exponent, tol=DEFAULT_QUAD_TOL):
 
     ``weight`` maps the dispersion value to a real factor, and
     ``exponent`` is the integrand's exponent at k -> 0, weight included
-    (convergent_exponent), which sets the grading there.  The abs_error
+    (convergent_exponent), which sets the map of the bottom panel.  The abs_error
     is the difference of the last two rule levels."""
     integrand = radial_integrand(f, g)
     _, gw, err = refine_rule(

@@ -85,6 +85,21 @@ def test_subcommands_succeed(sub, config_path, tmp_path):
     assert "np." not in body
 
 
+def test_kernels_run_near_the_integrability_edge(tmp_path, capsys):
+    # at s = 1.45 kappa's integrand is ~ k^{-0.9} at k -> 0: the mapped
+    # bottom panel builds the tables; at s = 1.49 the rule's nodes leave
+    # the floats, and the run is a numerical failure on one line
+    p = tmp_path / "edge.ini"
+    p.write_text(BASE_CONFIG.replace("s = 1.0", "s = 1.45"))
+    assert _run("kernels", str(p), str(tmp_path / "out")) == 0
+    p.write_text(BASE_CONFIG.replace("s = 1.0", "s = 1.49"))
+    capsys.readouterr()
+    assert _run("kernels", str(p), str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical non-convergence: ")
+    assert err.count("\n") == 1
+
+
 def test_negative_beta_is_config_error(tmp_path, capsys):
     p = tmp_path / "bad.ini"
     p.write_text(BASE_CONFIG.replace("beta = 1.0", "beta = -2.0"))

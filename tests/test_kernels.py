@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from spinboson.momentum import (
     RadialProfile,
     SourceProfile,
     TestFunction,
-    _grading_depth,
+    _bottom_power,
+    _tan_rule,
     _theta_edges,
     dispersion,
     m_pairing,
@@ -253,18 +255,45 @@ def test_kappa_rule_stays_small(gauss_src, beta):
 @pytest.mark.parametrize("breaks", [(), (1.0,)])
 @pytest.mark.parametrize("exponent", [0.0, 2.0, 0.5, -0.4])
 def test_theta_edges_are_nested(breaks, exponent):
-    depth = _grading_depth(exponent, 1e-9)
-    # integer exponents are analytic at k = 0 and get no grading
-    assert (depth == 0) == (exponent in (0.0, 2.0))
+    q = _bottom_power(exponent)
+    # integer exponents are analytic at k = 0 and get no map
+    assert (q == 1.0) == (exponent in (0.0, 2.0))
     for level in range(4):
-        coarse = _theta_edges(breaks, depth, level)
-        fine = _theta_edges(breaks, depth, level + 1)
+        coarse = _theta_edges(breaks, level)
+        fine = _theta_edges(breaks, level + 1)
         assert np.all(np.isin(coarse, fine))
         # every panel is bisected
         assert len(fine) - 1 == 2 * (len(coarse) - 1)
         assert coarse[0] == 0.0 and coarse[-1] == 0.5 * math.pi
         assert np.all(np.diff(coarse) > 0.0)
         assert np.all(np.isin([math.atan(b) for b in breaks], coarse))
+        k, w = _tan_rule(coarse, level, q)
+        assert k[0] > 0.0 and np.all(np.diff(k) > 0.0) and np.all(w > 0.0)
+
+
+@settings(max_examples=200)
+@given(exponent=st.one_of(st.integers(0, 3).map(float),
+                          st.floats(-1.0, 4.0, exclude_min=True,
+                                    exclude_max=True)))
+def test_bottom_power_makes_the_bottom_panel_polynomial(exponent):
+    # theta = theta_1 t^q turns k^e dk into t^{q (1 + e) - 1} dt, a
+    # polynomial since q (1 + e) = ceil(1 + e); no map at all where e is a
+    # non-negative integer
+    q = _bottom_power(exponent)
+    if exponent == math.floor(exponent):
+        assert q == 1.0
+    assert q * (1.0 + exponent) == pytest.approx(math.ceil(1.0 + exponent),
+                                                 rel=4e-16)
+    # the mapped nodes of the level-2 bottom panel increase inside
+    # (0, theta_1); as e -> -1 the smallest of them underflow to 0, where
+    # the rule stops (test_kappa_rule_fails_cleanly_near_s_1_5)
+    edges = _theta_edges((), 2)
+    k, _ = _tan_rule(edges, 2, q)
+    theta = np.arctan(k[:4 * 16])
+    assert theta[0] >= 0.0 and theta[-1] < edges[4]
+    assert np.all(np.diff(theta[theta > 0.0]) > 0.0)
+    if q <= 50.0:
+        assert theta[0] > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +389,8 @@ def test_momentum_sum_is_slabbed_for_any_shape(kernel_table, monkeypatch):
     assert max(sizes) <= slab and len(sizes) == 12
 
 
-@pytest.mark.parametrize("beta", [1.0, 4.0])
-@pytest.mark.parametrize("s", [0.6, 1.0, 1.2, 1.4])
+@pytest.mark.parametrize("beta", [0.5, 1.0, 4.0])
+@pytest.mark.parametrize("s", [0.6, 1.0, 1.2, 1.4, 1.44, 1.45, 1.47])
 def test_psi_at_beta_closed_form(s, beta):
     # Psi(beta) = beta Omega_d int k^{d-1} |rhohat|^2 omega^-2 dk, which for
     # the d = 3 gaussian source is 2 pi beta A^2 w^{3-2s} Gamma(3/2 - s)
@@ -511,16 +540,16 @@ def test_transported_kernels_match_oracle(kernel_table, mode, u):
     assert abs(entry.A(BETA) - a_beta) <= 1e-8 * abs(a_beta)
 
 
-# s reaches 1.43, close to s = 1.5 where kappa stops being integrable at
-# k -> 0; there the momentum rules reach omega ~ 1e-68, and the Psi tables
+# s reaches 1.47, close to s = 1.5 where kappa stops being integrable at
+# k -> 0; there the momentum rules reach omega ~ 1e-64, and the Psi tables
 # stay small only while thermal_antider stays exact at small beta omega (a
 # rounded one made the nodal derivatives disagree with the values, and a
 # 256-cell grid refined to 32768 cells, about 40 s per table).
-# From s = 1.44 on, the kappa rule's grading toward k = 0 hits its depth
-# cap and raises QuadratureError.
+# From s = 1.48 on, the kappa rule's mapped nodes take omega^3 below the
+# floats and it raises QuadratureError (test_kappa_rule_fails_cleanly).
 @settings(max_examples=8)
 @given(beta=st.floats(0.5, 4.0), width=st.floats(0.5, 2.0),
-       s=st.floats(0.6, 1.43))
+       s=st.floats(0.6, 1.47))
 def test_table_identities_property(beta, width, s):
     src = SourceProfile.gaussian(width=width, amplitude=1.0, s=s)
     tab = ThermalKernelTable(src, beta)
@@ -567,14 +596,14 @@ def _f_rule(tab, f):
 @pytest.mark.parametrize("u, n", [(2.0, 64), (2.0, 65), (128.0, 2048)])
 def test_f_tables_match_direct_sums(kernel_table, f_gauss, g_gauss, u, n):
     # an even grid has a centre row that is its own mirror, an odd one has
-    # none; the u = 128 rule has 9216 nodes, so 7 rows per slab split the
+    # none; the u = 128 rule has 4096 nodes, so 16 rows per slab split the
     # 1025 rows of the half-grid unevenly.  The rows checked include the
     # slab edges, the centre and both ends.
     tab = kernel_table
     k, gw = _f_rule(tab, f_gauss + transported(g_gauss, "time", u))
     slab = _EVAL_SLAB // len(k)
     if u == 128.0:
-        assert len(k) == 9216 and (n // 2 + 1) % slab != 0
+        assert len(k) == 4096 and (n // 2 + 1) % slab != 0
     grid = np.linspace(0.0, tab.beta, n + 1)
     got = tab._f_tables(grid, k, gw)
     edges = np.array([slab - 1, slab, n // 2 - 1, n // 2, n // 2 + 1])
@@ -637,8 +666,8 @@ def test_table_grids_stay_at_their_measured_sizes(gauss_src, f_gauss,
 
 
 def test_register_memory_stays_slabbed(gauss_src, f_gauss, g_gauss):
-    # the u = 128 rule has 9216 nodes: one unslabbed (2049, 9216) float
-    # block alone would be 151 MB
+    # the u = 128 rule has 4096 nodes: one unslabbed (2049, 4096) float
+    # block alone would be 67 MB
     tab = ThermalKernelTable(gauss_src, BETA, tol=1e-9)
     h = f_gauss + transported(g_gauss, "time", 128.0)
     tracemalloc.start()
@@ -653,6 +682,19 @@ def test_register_memory_stays_slabbed(gauss_src, f_gauss, g_gauss):
 # ---------------------------------------------------------------------------
 # failure paths
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("s", [1.48, 1.49])
+def test_kappa_rule_fails_cleanly_near_s_1_5(s):
+    # kappa's bottom panel is mapped by q = 25 and 50 here, and its nodes
+    # reach omega ~ 1e-108 and 1e-171, where thermal_antider2's
+    # omega^2 (1 - e^{-beta omega}) leaves the floats: QuadratureError, and
+    # no floating-point warning before it
+    src = SourceProfile.gaussian(width=1.3, amplitude=0.7, s=s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match="float range"):
+            ThermalKernelTable(src, 1.0)
+
 
 def test_unattainable_tolerance_raises(gauss_src):
     with pytest.raises(QuadratureError):
