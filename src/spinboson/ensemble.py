@@ -95,8 +95,8 @@ control of mean zero on every loop row, centred on its own count.  With
 phi = w (v - mean) and theta fitted by regressing phi on psi within the
 strata, the estimate is mean - theta sum psi / sum w, and its SE that
 of phi - theta psi by the formula above (the regression estimator).
-The error adds theta times the level gap of the control means to the SE
-and the c = 2 level gap.
+The error adds theta times the level gap and the rounding of the control
+means to the SE and the c = 2 level gap.
 
 The free measure is invariant under the global spin flip X -> -X: the
 initial sign is a fair coin, independent of the jumps.  The flip keeps a
@@ -274,17 +274,27 @@ def static_levels(static, counts):
     """The fine and the coarse level of a nested Gauss-Legendre rule for
     E_free[e^{static y^2} g(y) | c] per even count c >= 2 in counts, with
     y = 2x - 1 = M / (X_0 beta) and x ~ Beta(c/2 + 1, c/2): (shift,
-    [(y, d) per level]), d the (counts, nodes) weights times the density
-    of the integrand, taken in log space and scaled by e^{-shift} per
-    count, so that the means of g are e^shift (d * g(y)).sum(axis=1).  The
-    panels in x are graded by ratio 2 toward both ends, down to below the
-    width 1 / (4 |static|) of the peak of e^{static y^2} there,
-    STATIC_ORDER nodes each; the fine level bisects each coarse panel."""
+    [(y, d) per level], r), d the (counts, nodes) weights times the
+    density of the integrand, taken in log space and scaled by e^{-shift}
+    per count, so that the means of g are e^shift (d * g(y)).sum(axis=1).
+    The panels in x are graded by ratio 2 toward both ends, down to below
+    the width 1 / (4 |static|) of the peak of e^{static y^2} there,
+    STATIC_ORDER nodes each; the fine level bisects each coarse panel.
+
+    r bounds the rounding on the fine level: a fine mean of g is within
+    e^shift (r * |g(y)|).sum(axis=1) of its exact-arithmetic value, r
+    being d times eps per unit of the magnitudes of the log-space terms
+    at each node (k log x, (k - 1) log(1 - x), static y^2, the shift and
+    the three lgammas of the Beta function) and of log2 of the node
+    count (the pairwise sum).  The level gap alone is no bound: both
+    levels round alike, and at c = 120 the lgammas reach 458."""
     layers = 2 + math.ceil(math.log2(1.0 + 4.0 * abs(static)))
     edges = 0.5 * np.concatenate(([0.0], 2.0 ** np.arange(1.0 - layers, 1.0)))
     k = np.asarray(counts, dtype=float)[:, None] / 2.0
-    log_beta = np.array([math.lgamma(j + 1.0) + math.lgamma(j)
-                         - math.lgamma(2.0 * j + 1.0) for j in k[:, 0]])
+    lgammas = np.array([[math.lgamma(j + 1.0), math.lgamma(j),
+                         math.lgamma(2.0 * j + 1.0)] for j in k[:, 0]]
+                       ).reshape(-1, 3)
+    log_beta = lgammas[:, 0] + lgammas[:, 1] - lgammas[:, 2]
     shift, levels = None, []
     for e in (np.sort(np.concatenate((edges, 0.5 * (edges[1:] + edges[:-1])))),
               edges):
@@ -292,11 +302,16 @@ def static_levels(static, counts):
         # x and 1 - x, each exact on the half of (0, 1) nearer its end
         x, x1 = np.concatenate((h, 1.0 - h)), np.concatenate((1.0 - h, h))
         y = x - x1
-        logd = k * np.log(x) + (k - 1.0) * np.log(x1) + static * y * y
+        terms = (k * np.log(x), (k - 1.0) * np.log(x1), static * y * y)
+        logd = terms[0] + terms[1] + terms[2]
         if shift is None:
             shift = logd.max(axis=1)
+            size = (sum(np.abs(t) for t in terms)
+                    + (np.abs(shift) + np.abs(lgammas).sum(axis=1))[:, None]
+                    + math.log2(y.size))
         levels.append((y, np.tile(w, 2) * np.exp(logd - shift[:, None])))
-    return shift - log_beta, levels
+    return (shift - log_beta, levels,
+            np.finfo(float).eps * size * levels[0][1])
 
 
 def _boundary_sums(g, ends, signs, starts, counts, jumps, out):
@@ -632,11 +647,12 @@ class TiltedEnsemble:
         the same estimator with the coarse c = 2 level in place of the
         fine one.
 
-        control, from static_control, is g(x) per loop row and the exact
-        means of u g(x) per count on the fine and the coarse level: the
-        mean and the SE then read psi and theta (module docstring), and
-        the gap adds |theta| times the shift of sum psi / sum w from the
-        fine to the coarse means.  The error is thus three terms: the SE,
+        control, from static_control, is g(x) per loop row, the exact
+        means of u g(x) per count on the fine and the coarse level, and
+        the fine means' rounding bound per count: the mean and the SE then
+        read psi and theta (module docstring), and the gap adds |theta|
+        times the shift of sum psi / sum w from the fine to the coarse
+        means plus their rounding.  The error is thus three terms: the SE,
         the c = 2 level gap and theta times the control's level gap.  The
         real and imaginary parts of v are summed as separate float
         arrays, each with its own theta against the same part of psi.
@@ -650,11 +666,13 @@ class TiltedEnsemble:
                  else (values,))
         controls = [None] * len(parts)
         if control is not None:
-            h, fine_means, coarse_means = control
+            h, fine_means, coarse_means, rounding = control
             psi = self._static_weights * h - fine_means[self._loops[2]]
             level_gap = np.sum(self.hist * (fine_means - coarse_means))
-            controls = [(psi.real, level_gap.real),
-                        (psi.imag, level_gap.imag)][:len(parts)]
+            rounding = float(np.sum(self.hist * rounding))
+            controls = [(psi.real, abs(level_gap.real) + rounding),
+                        (psi.imag, abs(level_gap.imag) + rounding)
+                        ][:len(parts)]
         first, fine = self._first_loop_row, self._fine_rows
         coarse_sum = self.sum_w - self._sum_fine + self._sum_coarse
         means, var, gap = [], 0.0, 0.0
@@ -672,7 +690,7 @@ class TiltedEnsemble:
                 theta = self._centred_dot(wd, p) / pp if pp > 0.0 else 0.0
                 mean -= theta * float(np.sum(p)) / self.sum_w
                 wd -= theta * p
-                err += abs(theta * level_gap) / self.sum_w
+                err += abs(theta) * level_gap / self.sum_w
             means.append(mean)
             gap += err ** 2
             var += self._centred_dot(wd, wd)
@@ -704,15 +722,17 @@ class TiltedEnsemble:
 
     @cached_property
     def _static_rule(self):
-        """The counts c >= 4 present, and the levels of static_levels for
-        them with M = X_0 beta y at the nodes and weights that give the
-        means of u g(x) (module docstring)."""
+        """The counts c >= 4 present, the levels of static_levels for them
+        with M = X_0 beta y at the nodes and weights that give the means of
+        u g(x) (module docstring), and the fine level's rounding weights
+        on the same scale."""
         beta = self.params.beta
         counts = np.flatnonzero(self.hist[4:]) + 4
-        shift, levels = static_levels(
+        shift, levels, rounding = static_levels(
             0.25 * self.kernels.kappa_mean * beta ** 2, counts)
         factor = (self._scale[counts] * np.exp(shift - self._top))[:, None]
-        return counts, [(beta * y, d * factor) for y, d in levels]
+        return (counts, [(beta * y, d * factor) for y, d in levels],
+                rounding * factor)
 
     def static_control(self, f, g):
         """The control of estimate for an even function g of
@@ -720,13 +740,15 @@ class TiltedEnsemble:
         kbar_f = A_f(beta) / beta = 2 A_f(beta / 2) / beta: g(x) per loop
         row and, indexed by count, the exact mean of the control value
         u g(x) of a loop row with c >= 4 jumps (0 at a count no loop has)
-        on the fine and on the coarse level of static_levels."""
+        on the fine and on the coarse level of static_levels, and the
+        bound on the fine mean's rounding."""
         half_k = self.kernels.register(f).m_value / self.params.beta
         half_k = half_k if half_k.imag else half_k.real
-        counts, levels = self._static_rule
+        counts, ((m, d), (mc, dc)), rounding = self._static_rule
+        v = g(half_k * m)
         out = []
-        for m, d in levels:
-            means = (d * g(half_k * m)).sum(axis=1)
+        for means in ((d * v).sum(axis=1), (dc * g(half_k * mc)).sum(axis=1),
+                      (rounding * np.abs(v)).sum(axis=1)):
             full = np.zeros(len(self.hist), means.dtype)
             full[counts] = means
             out.append(full)
