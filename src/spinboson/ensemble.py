@@ -671,8 +671,7 @@ class TiltedEnsemble:
             level_gap = np.sum(self.hist * (fine_means - coarse_means))
             rounding = float(np.sum(self.hist * rounding))
             controls = [(psi.real, abs(level_gap.real) + rounding),
-                        (psi.imag, abs(level_gap.imag) + rounding)
-                        ][:len(parts)]
+                        (psi.imag, abs(level_gap.imag) + rounding)]
         first, fine = self._first_loop_row, self._fine_rows
         coarse_sum = self.sum_w - self._sum_fine + self._sum_coarse
         means, var, gap = [], 0.0, 0.0

@@ -278,10 +278,10 @@ class ThermalKernelTable:
         """Momentum rule (k, gw) of f against the source with weight
         omega^power T_beta (kappa: f = rho, power -1; K_f: power -1/2),
         T_beta left out of gw but not out of the exponent that maps the
-        bottom panel.  It is refined
-        until the probe integrals sum_j gw_j fn(tau, omega_j), one per
-        (fn, tau) in ``probes``, agree on two levels; ``label`` names the
-        integral in a divergence error."""
+        bottom panel.  It is refined until the probe integrals
+        sum_j gw_j fn(tau, omega_j), one per (fn, tau) in ``probes``,
+        agree on two levels; ``label`` names the integral in a divergence
+        error."""
         s, beta = self.s, self.beta
         rho = self.src.as_test_function()
         e0 = convergent_exponent(f, rho, power, label, thermal=True)

@@ -571,8 +571,8 @@ def pairing_exponents(f, g, power, thermal=False):
 
 def convergent_exponent(f, g, power, label, thermal=False):
     """The exponent at k -> 0 of pairing_exponents, which sets the map of
-    the rule's bottom panel; raises DivergentIntegralError, naming ``label``, when the
-    integral diverges at either end."""
+    the rule's bottom panel; raises DivergentIntegralError, naming
+    ``label``, when the integral diverges at either end."""
     e0, ei = pairing_exponents(f, g, power, thermal)
     if e0 <= -1:
         raise DivergentIntegralError(
@@ -589,8 +589,8 @@ def weighted_pairing(f, g, weight, exponent, tol=DEFAULT_QUAD_TOL):
 
     ``weight`` maps the dispersion value to a real factor, and
     ``exponent`` is the integrand's exponent at k -> 0, weight included
-    (convergent_exponent), which sets the map of the bottom panel.  The abs_error
-    is the difference of the last two rule levels."""
+    (convergent_exponent), which sets the map of the bottom panel.  The
+    abs_error is the difference of the last two rule levels."""
     integrand = radial_integrand(f, g)
     _, gw, err = refine_rule(
         lambda k: integrand(k) * weight(dispersion(k, f.s)),
