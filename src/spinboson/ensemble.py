@@ -280,14 +280,10 @@ def static_levels(static, counts):
     The panels in x are graded by ratio 2 toward both ends, down to below
     the width 1 / (4 |static|) of the peak of e^{static y^2} there,
     STATIC_ORDER nodes each; the fine level bisects each coarse panel.
-
-    r bounds the rounding on the fine level: a fine mean of g is within
-    e^shift (r * |g(y)|).sum(axis=1) of its exact-arithmetic value, r
-    being d times eps per unit of the magnitudes of the log-space terms
-    at each node (k log x, (k - 1) log(1 - x), static y^2, the shift and
-    the three lgammas of the Beta function) and of log2 of the node
-    count (the pairwise sum).  The level gap alone is no bound: both
-    levels round alike, and at c = 120 the lgammas reach 458."""
+    A fine mean rounds by at most e^shift (r * |g(y)|).sum(axis=1): r is
+    d times eps times the magnitudes of the log-space terms at the node
+    (k log x, (k - 1) log(1 - x), static y^2, the shift, the lgammas of
+    the Beta function) plus log2 of the node count (the pairwise sum)."""
     layers = 2 + math.ceil(math.log2(1.0 + 4.0 * abs(static)))
     edges = 0.5 * np.concatenate(([0.0], 2.0 ** np.arange(1.0 - layers, 1.0)))
     k = np.asarray(counts, dtype=float)[:, None] / 2.0
@@ -669,7 +665,7 @@ class TiltedEnsemble:
             h, fine_means, coarse_means, rounding = control
             psi = self._static_weights * h - fine_means[self._loops[2]]
             level_gap = np.sum(self.hist * (fine_means - coarse_means))
-            rounding = float(np.sum(self.hist * rounding))
+            rounding = abs(np.sum(self.hist * rounding))
             controls = [(psi.real, abs(level_gap.real) + rounding),
                         (psi.imag, abs(level_gap.imag) + rounding)]
         first, fine = self._first_loop_row, self._fine_rows
@@ -721,10 +717,9 @@ class TiltedEnsemble:
 
     @cached_property
     def _static_rule(self):
-        """The counts c >= 4 present, the levels of static_levels for them
-        with M = X_0 beta y at the nodes and weights that give the means of
-        u g(x) (module docstring), and the fine level's rounding weights
-        on the same scale."""
+        """The counts c >= 4 present, and the levels and rounding weights of
+        static_levels for them with M = X_0 beta y at the nodes and weights
+        that give the means of u g(x) (module docstring)."""
         beta = self.params.beta
         counts = np.flatnonzero(self.hist[4:]) + 4
         shift, levels, rounding = static_levels(
@@ -739,18 +734,16 @@ class TiltedEnsemble:
         kbar_f = A_f(beta) / beta = 2 A_f(beta / 2) / beta: g(x) per loop
         row and, indexed by count, the exact mean of the control value
         u g(x) of a loop row with c >= 4 jumps (0 at a count no loop has)
-        on the fine and on the coarse level of static_levels, and the
-        bound on the fine mean's rounding."""
+        on the fine and on the coarse level of static_levels, and the fine
+        mean's rounding bound."""
         half_k = self.kernels.register(f).m_value / self.params.beta
         half_k = half_k if half_k.imag else half_k.real
         counts, ((m, d), (mc, dc)), rounding = self._static_rule
         v = g(half_k * m)
-        out = []
-        for means in ((d * v).sum(axis=1), (dc * g(half_k * mc)).sum(axis=1),
-                      (rounding * np.abs(v)).sum(axis=1)):
-            full = np.zeros(len(self.hist), means.dtype)
-            full[counts] = means
-            out.append(full)
+        out = np.zeros((3, len(self.hist)), v.dtype)
+        out[:, counts] = ((d * v).sum(axis=1),
+                          (dc * g(half_k * mc)).sum(axis=1),
+                          (rounding * np.abs(v)).sum(axis=1))
         return g(half_k * self._moment[self._first_loop_row:]), *out
 
     def expectation(self, values):
@@ -823,9 +816,7 @@ class TiltedEnsemble:
         ses = np.empty(s.shape)
         for j, sj in np.ndenumerate(s):
             vals[j], ses[j] = self._z_cache[("S", f, float(sj))]
-        if s.ndim == 0:
-            return vals[()], ses[()]
-        return vals, ses
+        return vals[()], ses[()]
 
     # -- variance diagnostics ------------------------------------------------
 

@@ -17,10 +17,9 @@ momentum rule where it is read.
 
 Time integrals of T_beta are exponentials and are carried out in closed
 form (see thermal_antider / thermal_antider2).  The momentum integral runs
-on the certified radial rule of spinboson.momentum, whose bottom panel is
-mapped by the integrand's exponent at k = 0 (the thermal 2/(beta omega)
-included); each table fixes its rule once and sums over it at every
-tabulation node.
+on the certified radial rule of spinboson.momentum, its bottom panel mapped
+by the integrand's exponent at k = 0 (the thermal 2/(beta omega) in it);
+each table fixes its rule once and sums over it at every tabulation node.
 Double time integrals of kappa then reduce to differences of the tabulated
 second antiderivative Psi.  The Psi and A_f tables are cubic Hermite
 splines on uniform time grids, each sized by one nested refinement
@@ -279,9 +278,8 @@ class ThermalKernelTable:
         omega^power T_beta (kappa: f = rho, power -1; K_f: power -1/2),
         T_beta left out of gw but not out of the exponent that maps the
         bottom panel.  It is refined until the probe integrals
-        sum_j gw_j fn(tau, omega_j), one per (fn, tau) in ``probes``,
-        agree on two levels; ``label`` names the integral in a divergence
-        error."""
+        sum_j gw_j fn(tau, omega_j), one per (fn, tau) in ``probes``, agree
+        on two levels; ``label`` names the integral in a divergence error."""
         s, beta = self.s, self.beta
         rho = self.src.as_test_function()
         e0 = convergent_exponent(f, rho, power, label, thermal=True)

@@ -473,9 +473,8 @@ def _theta_edges(breaks, level):
 
 def _tan_rule(edges, level, q):
     """Gauss-Legendre nodes and weights on the theta panels, mapped to
-    k = tan(theta).  The level-0 bottom panel (0, theta_1), bisected like
-    the others, is read in t = theta / theta_1 and mapped by
-    theta = theta_1 t^q (_bottom_power)."""
+    k = tan(theta), the level-0 bottom panel (0, theta_1) read in
+    t = theta / theta_1 by theta = theta_1 t^q (_bottom_power)."""
     theta, wt = gauss_legendre_panels(edges)
     if q != 1.0:
         n = _GL_ORDER << level
@@ -501,8 +500,7 @@ def refine_rule(gfun, breaks, exponent, probe, tol):
     prev = None
     for level in range(_MAX_LEVEL + 1):
         k, w = _tan_rule(_theta_edges(breaks, level), level, q)
-        # near exponent -1 the map's smallest nodes reach k where powers
-        # of omega leave the float range: no level past that is trusted
+        # near exponent -1 the map's smallest nodes leave the floats first
         try:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
                 gw = w * gfun(k)
