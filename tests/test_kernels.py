@@ -243,7 +243,7 @@ def test_kappa_positive_and_bounds_checked(kernel_table):
 @pytest.mark.parametrize("beta", [1.0, 2.0, 4.0, 8.0])
 def test_kappa_rule_stays_small(gauss_src, beta):
     # kappa's integrand 4 pi k e^{-k^2} T_beta is analytic at k = 0 (the
-    # thermal 2/(beta k) cancels one power of k), so the rule is not graded
+    # thermal 2/(beta k) cancels one power of k), so the rule is not mapped
     # and stays within the 512 nodes of the earlier rule
     tab = ThermalKernelTable(gauss_src, beta)
     assert len(tab._k) <= 512

@@ -368,7 +368,7 @@ def _old_exponents(case, d, s, f, g, mu=0.0):
         e0 = d - 1 + fa0 + ga0 - 1.5 * s
         ei = d - 1 + fai + gai - 1.5 * s if tails else NEG_INF
         return e0, ei, None
-    elif case == "source -1/2":    # the CLI's coth identity, graded as regular
+    elif case == "source -1/2":    # the CLI's coth identity, mapped as regular
         return d - 1 + fa0 + ga0 - 0.5 * s, None, None
     else:                      # weighted_pairing's unused default
         return d - 1 + fa0 + ga0, None, None
@@ -602,7 +602,7 @@ def test_forms_match_quadpack(f_gauss, g_gauss, gauss_src):
     ]
     for got, fn in cases:
         _assert_matches(got, _oracle(fn))
-    # a singular bump, k^{-0.9} below its cutoff 1: graded toward k = 0
+    # a singular bump, k^{-0.9} below its cutoff 1: the bottom panel mapped
     bump = TestFunction.power_bump(exponent=-0.9, cutoff=1.0)
     ref = _oracle(lambda k: (k <= 1.0) * k ** -0.9 * _fk(k) * k ** -1.5,
                   (1.0,))
